@@ -85,7 +85,7 @@ def write_samples_csv(path: str, rule: CubatureRule, samples: np.ndarray) -> Non
 
 
 def read_samples_csv(path: str, rule: CubatureRule) -> np.ndarray:
-    """Read a sample file and check it sits on the rule's points, in order."""
+    """Read a sample file: finite values on the rule's points, in rule order."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "x,y,z,value":
@@ -111,11 +111,13 @@ def read_samples_csv(path: str, rule: CubatureRule) -> np.ndarray:
             raise ValidationError(
                 f"{path}: line {lineno}: non-numeric field"
             ) from None
-        if np.max(np.abs(np.array([x, y, z]) - rule.points[i])) > tol:
+        if not np.max(np.abs(np.array([x, y, z]) - rule.points[i])) <= tol:
             raise ValidationError(
                 f"{path}: line {lineno}: point does not match the canonical "
                 f"rule point {i}"
             )
+        if not math.isfinite(v):
+            raise ValidationError(f"{path}: line {lineno}: non-finite sample value")
         samples[i] = v
     return samples
 

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
+from .harmonics import radius_mismatch
 from .operators import HarmonicCoefficients, SphericalSymbol
 from .quadrature import CubatureRule
 from .smoothing import SmoothingParams, smooth
@@ -30,8 +31,10 @@ class CollocationParams:
     symbol: SphericalSymbol
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValidationError(f"alpha must be nonnegative, got {self.alpha!r}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValidationError(
+                f"alpha must be finite and nonnegative, got {self.alpha!r}"
+            )
 
     def inversion_factors(self, M: int) -> np.ndarray:
         """Per-degree factors a_k/(alpha + a_k^2) for k = 0..M."""
@@ -87,7 +90,7 @@ def invert_regularized(
     radius R.  At alpha = 0 this is exact formal inversion by 1/a_k.
     """
     symbol = params.symbol
-    if abs(p.radius - symbol.rho) > 1e-9 * max(symbol.rho, 1.0):
+    if radius_mismatch(p.radius, symbol.rho):
         raise ValidationError(
             f"input lives on radius {p.radius}, symbol expects rho={symbol.rho}"
         )
@@ -146,10 +149,9 @@ def composite_norm_bound(
         raise ValidationError("evaluation grid must be nonempty")
     R = cp.symbol.R
     rho = cp.symbol.rho
-    norms = np.linalg.norm(grid, axis=1)
-    if np.any(np.abs(norms - R) > 1e-9 * max(R, 1.0)):
+    if radius_mismatch(np.linalg.norm(grid, axis=1), R):
         raise ValidationError(f"evaluation grid must lie on radius {R}")
-    if abs(rule.rho - rho) > 1e-9 * max(rho, 1.0):
+    if radius_mismatch(rule.rho, rho):
         raise ValidationError(
             f"rule sphere {rule.rho} does not match symbol rho={rho}"
         )

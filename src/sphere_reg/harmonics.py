@@ -24,6 +24,15 @@ import numpy as np
 from .errors import ValidationError
 
 _UNIT_TOL = 1e-12
+_RADIUS_RTOL = 1e-9
+
+
+def radius_mismatch(r, ref: float) -> bool:
+    """True if any radius in r is off the reference radius ref.
+
+    The one tolerance rule of the package: |r - ref| > 1e-9 * max(ref, 1).
+    """
+    return bool(np.any(np.abs(np.asarray(r) - ref) > _RADIUS_RTOL * max(ref, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -108,11 +117,6 @@ def flat_index(k: int, j: int) -> int:
     return DegreeIndex(k, j).flat
 
 
-def index_pairs(M: int):
-    """All (k, j) pairs with k <= M in canonical order."""
-    return [(k, j) for k in range(M + 1) for j in range(1, 2 * k + 2)]
-
-
 def legendre(k: int, t: float) -> float:
     """Legendre polynomial P_k(t) by the three-term recurrence.
 
@@ -122,12 +126,7 @@ def legendre(k: int, t: float) -> float:
         raise ValidationError(f"degree must be nonnegative, got {k}")
     if abs(t) > 1.0 + 1e-12:
         raise ValidationError(f"Legendre argument outside [-1, 1]: {t!r}")
-    if k == 0:
-        return 1.0
-    p_prev, p = 1.0, t
-    for n in range(1, k):
-        p_prev, p = p, ((2 * n + 1) * t * p - n * p_prev) / (n + 1)
-    return p
+    return float(legendre_table(k, t)[k])
 
 
 def legendre_table(k_max: int, t: np.ndarray) -> np.ndarray:
@@ -186,8 +185,7 @@ def sph_harm_matrix(M: int, directions: np.ndarray) -> np.ndarray:
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if dirs.shape[1] != 3:
         raise ValidationError(f"directions must be (T, 3), got {dirs.shape}")
-    norms = np.linalg.norm(dirs, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
+    if radius_mismatch(np.linalg.norm(dirs, axis=1), 1.0):
         raise ValidationError("direction rows must be unit vectors")
 
     ct = dirs[:, 2]
@@ -227,8 +225,7 @@ def basis_matrix(M: int, points: np.ndarray, radius: float) -> np.ndarray:
     if not radius > 0:
         raise ValidationError(f"radius must be positive, got {radius!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    norms = np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(norms - radius) > 1e-9 * max(radius, 1.0)):
+    if radius_mismatch(np.linalg.norm(pts, axis=1), radius):
         raise ValidationError(f"points do not lie on sphere of radius {radius}")
     return sph_harm_matrix(M, pts / radius) / radius
 

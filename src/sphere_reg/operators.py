@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .harmonics import basis_matrix
+from .harmonics import basis_matrix, radius_mismatch
 from .quadrature import CubatureRule
-
-_RADIUS_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +72,7 @@ class HarmonicCoefficients:
     def __sub__(self, other: "HarmonicCoefficients") -> "HarmonicCoefficients":
         if self.M != other.M:
             raise ValidationError(f"degree mismatch: {self.M} vs {other.M}")
-        if abs(self.radius - other.radius) > _RADIUS_RTOL * max(self.radius, 1.0):
+        if radius_mismatch(other.radius, self.radius):
             raise ValidationError(
                 f"radius mismatch: {self.radius} vs {other.radius}"
             )
@@ -178,7 +176,7 @@ def apply_forward(
     symbol: SphericalSymbol, x: HarmonicCoefficients
 ) -> HarmonicCoefficients:
     """Forward operator: scale row k by a_k, retag from radius R to rho."""
-    if abs(x.radius - symbol.R) > _RADIUS_RTOL * max(symbol.R, 1.0):
+    if radius_mismatch(x.radius, symbol.R):
         raise ValidationError(
             f"input lives on radius {x.radius}, symbol expects R={symbol.R}"
         )

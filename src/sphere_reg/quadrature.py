@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .harmonics import legendre_table
 
 _NEWTON_MAX_STEPS = 100
 
@@ -53,11 +54,9 @@ class CubatureRule:
 
 
 def _legendre_and_derivative(n: int, t: np.ndarray):
-    """P_n(t) and P_n'(t) for interior t, via recurrence."""
-    p_prev = np.ones_like(t)
-    p = t.copy()
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * t * p - k * p_prev) / (k + 1)
+    """P_n(t) and P_n'(t) for interior t and n >= 1."""
+    table = legendre_table(n, t)
+    p, p_prev = table[n], table[n - 1]
     dp = n * (p_prev - t * p) / (1.0 - t * t)
     return p, dp
 

@@ -9,8 +9,7 @@ over the per-alpha winners.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -18,12 +17,10 @@ import numpy as np
 
 from .collocation import CollocationParams, two_step_solve
 from .errors import ValidationError
-from .harmonics import basis_matrix
+from .harmonics import basis_matrix, radius_mismatch
 from .operators import HarmonicCoefficients, SphericalSymbol, analyze
 from .quadrature import CubatureRule, sphere_rule
 from .smoothing import PenaltyWeights, SmoothingParams
-
-THREADS_ENV_VAR = "SPHERE_REG_THREADS"
 
 
 @dataclass(frozen=True)
@@ -36,10 +33,14 @@ class ParameterGrid:
     include_zero: bool = False
 
     def __post_init__(self):
-        if not self.base > 0:
-            raise ValidationError(f"grid base must be positive, got {self.base!r}")
-        if not self.factor > 1:
-            raise ValidationError(f"grid factor must exceed 1, got {self.factor!r}")
+        if not 0 < self.base < math.inf:
+            raise ValidationError(
+                f"grid base must be positive and finite, got {self.base!r}"
+            )
+        if not 1 < self.factor < math.inf:
+            raise ValidationError(
+                f"grid factor must be finite and exceed 1, got {self.factor!r}"
+            )
         if self.count < 1:
             raise ValidationError(f"grid count must be >= 1, got {self.count}")
 
@@ -59,6 +60,8 @@ def grid_values(g) -> np.ndarray:
     values = np.asarray(list(g), dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValidationError("parameter values must form a nonempty vector")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("parameter values must be finite")
     if np.any(values < 0):
         raise ValidationError("parameter values must be nonnegative")
     if np.any(np.diff(values) <= 0):
@@ -84,7 +87,7 @@ class EvalGrid:
         radius = float(norms[0])
         if not radius > 0:
             raise ValidationError("grid points must be off the origin")
-        if np.any(np.abs(norms - radius) > 1e-9 * max(radius, 1.0)):
+        if radius_mismatch(norms, radius):
             raise ValidationError("grid points must share one sphere radius")
         self.points = pts
         self.radius = radius
@@ -131,11 +134,25 @@ def _as_eval_grid(eval_grid) -> EvalGrid:
 def sup_norm(c: HarmonicCoefficients, eval_grid) -> float:
     """Max of |synthesized function| over the grid; approximates the sup norm."""
     grid = _as_eval_grid(eval_grid)
-    if abs(grid.radius - c.radius) > 1e-9 * max(c.radius, 1.0):
+    if radius_mismatch(grid.radius, c.radius):
         raise ValidationError(
             f"grid radius {grid.radius} does not match coefficients on {c.radius}"
         )
     return float(np.max(np.abs(grid.basis(c.M) @ c.values)))
+
+
+def _quasi_optimal(fields: np.ndarray) -> tuple[int, np.ndarray]:
+    """Quasi-optimal column of a (T, L) table of fields, ascending parameter.
+
+    Returns the winning column and the differences
+    d_i = max_t |fields[t, i] - fields[t, i-1]|, i = 1..L-1; the winner is
+    the i minimizing d_i, ties going to the smallest.  A single column wins
+    with no differences.
+    """
+    if fields.shape[1] == 1:
+        return 0, np.empty(0)
+    differences = np.max(np.abs(np.diff(fields, axis=1)), axis=0)
+    return int(np.argmin(differences)) + 1, differences
 
 
 @dataclass(frozen=True)
@@ -168,17 +185,15 @@ def select_single(
     M = solutions[0].M
     radius = solutions[0].radius
     for s in solutions[1:]:
-        if s.M != M or abs(s.radius - radius) > 1e-9 * max(radius, 1.0):
+        if s.M != M or radius_mismatch(s.radius, radius):
             raise ValidationError("solutions must share degree and radius")
-    if abs(grid.radius - radius) > 1e-9 * max(radius, 1.0):
+    if radius_mismatch(grid.radius, radius):
         raise ValidationError(
             f"grid radius {grid.radius} does not match solutions on {radius}"
         )
 
     stacked = np.column_stack([s.values for s in solutions])
-    fields = grid.basis(M) @ stacked  # (T, L)
-    differences = np.max(np.abs(np.diff(fields, axis=1)), axis=0)
-    chosen = int(np.argmin(differences)) + 1
+    chosen, differences = _quasi_optimal(grid.basis(M) @ stacked)
     return SelectionResult(
         chosen_index=chosen,
         chosen_value=None if values is None else float(values[chosen]),
@@ -207,18 +222,6 @@ class TwoStepSelection:
     trace: list = field(default_factory=list)
 
 
-def _worker_count(n_tasks: int) -> int:
-    cap = os.environ.get(THREADS_ENV_VAR)
-    if cap is not None:
-        try:
-            limit = int(cap)
-        except ValueError:
-            raise ValidationError(f"{THREADS_ENV_VAR} must be an integer") from None
-    else:
-        limit = min(4, os.cpu_count() or 1)
-    return max(1, min(limit, n_tasks))
-
-
 def select_two_step(
     samples: np.ndarray,
     rule: CubatureRule,
@@ -241,14 +244,14 @@ def select_two_step(
     selected pair is identical to running select_single over explicit
     two_step_solve outputs.
 
-    Single-element grids are allowed and short-circuit their pass, so a
+    Single-element grids are allowed: their pass picks the only value, so a
     degenerate {0} grid on either side reduces to the one-parameter method.
     """
     alphas = grid_values(alpha_grid)
     lambdas = grid_values(lambda_grid)
     grid = _as_eval_grid(eval_grid)
     M = rule.M
-    if abs(grid.radius - symbol.R) > 1e-9 * max(symbol.R, 1.0):
+    if radius_mismatch(grid.radius, symbol.R):
         raise ValidationError(
             f"grid radius {grid.radius} does not match solution sphere R={symbol.R}"
         )
@@ -261,31 +264,18 @@ def select_two_step(
     b = beta.beta[: M + 1]
     damping = 1.0 / (1.0 + np.outer(lambdas, b * b))  # (L, M+1)
 
-    def inner_pass(alpha: float):
+    # Per-alpha winners; each (T, L) field table is dropped after its pass.
+    winner_fields = np.empty((grid.n_points, len(alphas)))
+    chosen_lams = np.empty(len(alphas))
+    inner_mins = np.empty(len(alphas))
+    for i, alpha in enumerate(alphas):
         inversion = a / (alpha + a * a)
-        factors = damping * inversion  # (L, M+1)
-        fields = Z @ factors.T  # (T, L)
-        if len(lambdas) == 1:
-            return 0, float("nan"), fields[:, 0]
-        diffs = np.max(np.abs(np.diff(fields, axis=1)), axis=0)
-        pos = int(np.argmin(diffs))
-        return pos + 1, float(diffs[pos]), fields[:, pos + 1]
-
-    workers = _worker_count(len(alphas))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            inner = list(pool.map(inner_pass, alphas))
-    else:
-        inner = [inner_pass(alpha) for alpha in alphas]
-
-    chosen_lams = np.array([lambdas[idx] for idx, _, _ in inner])
-    winner_fields = np.column_stack([f for _, _, f in inner])  # (T, K)
-    if len(alphas) == 1:
-        outer_diffs = np.empty(0)
-        alpha_idx = 0
-    else:
-        outer_diffs = np.max(np.abs(np.diff(winner_fields, axis=1)), axis=0)
-        alpha_idx = int(np.argmin(outer_diffs)) + 1
+        fields = Z @ (damping * inversion).T  # (T, L)
+        idx, diffs = _quasi_optimal(fields)
+        winner_fields[:, i] = fields[:, idx]
+        chosen_lams[i] = lambdas[idx]
+        inner_mins[i] = diffs[idx - 1] if diffs.size else math.nan
+    alpha_idx, outer_diffs = _quasi_optimal(winner_fields)
 
     alpha_star = float(alphas[alpha_idx])
     lam_star = float(chosen_lams[alpha_idx])
@@ -296,15 +286,13 @@ def select_two_step(
         CollocationParams(alpha=alpha_star, symbol=symbol),
     )
 
-    trace = []
-    for j, (alpha, (_, inner_min, _)) in enumerate(zip(alphas, inner)):
-        outer = float("nan") if j == 0 else float(outer_diffs[j - 1])
-        trace.append(
-            TraceRecord(
-                alpha=float(alpha),
-                chosen_lambda=float(chosen_lams[j]),
-                inner_min_diff=inner_min,
-                outer_diff=outer,
-            )
+    trace = [
+        TraceRecord(
+            alpha=float(alphas[j]),
+            chosen_lambda=float(chosen_lams[j]),
+            inner_min_diff=float(inner_mins[j]),
+            outer_diff=math.nan if j == 0 else float(outer_diffs[j - 1]),
         )
+        for j in range(len(alphas))
+    ]
     return TwoStepSelection(alpha=alpha_star, lam=lam_star, solution=solution, trace=trace)

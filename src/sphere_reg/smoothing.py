@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, ValidationError
-from .harmonics import SpherePoint, basis_matrix, legendre_table
+from .harmonics import SpherePoint, basis_matrix, legendre_table, radius_mismatch
 from .operators import HarmonicCoefficients, analyze
 from .quadrature import CubatureRule
 
@@ -54,8 +54,10 @@ class SmoothingParams:
     beta: PenaltyWeights
 
     def __post_init__(self):
-        if not self.lam >= 0:
-            raise ValidationError(f"lam must be nonnegative, got {self.lam!r}")
+        if not 0 <= self.lam < math.inf:
+            raise ValidationError(
+                f"lam must be finite and nonnegative, got {self.lam!r}"
+            )
 
     def damping(self, M: int) -> np.ndarray:
         """Per-degree factors 1/(1 + lam beta_k^2) for k = 0..M."""
@@ -74,7 +76,7 @@ def kernel(t: SpherePoint, tau: SpherePoint, beta: PenaltyWeights, M: int) -> fl
     sum_k beta_k^-2 (2k+1)/(4 pi rho^2) P_k(cos gamma), with gamma the angle
     between the two points; this equals the double sum of basis products.
     """
-    if abs(t.radius - tau.radius) > 1e-9 * max(t.radius, 1.0):
+    if radius_mismatch(tau.radius, t.radius):
         raise ValidationError(
             f"kernel points on different spheres: {t.radius} vs {tau.radius}"
         )

@@ -5,6 +5,7 @@ Each test prints one `ACCEPTANCE <n> <name>: PASS/FAIL` line (visible with
 """
 
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -47,7 +48,7 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def figure1_runs():
-    """All five bundled cases, run once and shared between criteria 6 and 7."""
+    """All five bundled cases, run once and shared by the tests below."""
     start = time.perf_counter()
     runs = {name: run_case(case) for name, case in FIGURE1_CASES.items()}
     elapsed = time.perf_counter() - start
@@ -184,7 +185,6 @@ def test_criterion_6_figure1_protocol(figure1_runs, tmp_path, monkeypatch):
     # end-to-end through the CLI on a bundled config
     monkeypatch.chdir(tmp_path)
     import shutil
-    import pathlib
 
     repo_config = pathlib.Path(__file__).resolve().parent.parent / "configs"
     shutil.copy(repo_config / "fig1a.config", tmp_path / "fig1a.config")
@@ -218,6 +218,28 @@ def test_criterion_7_leader_following(figure1_runs):
     n_ok = sum(s.follows_leader for s in summaries)
     detail = ", ".join(f"{s.case} ratio={s.ratio:.3f}" for s in summaries)
     report(7, "leader-following", n_ok >= 4, f"{n_ok}/5 cases ({detail})")
+
+
+def test_figure1_golden_pairs(figure1_runs):
+    """Chosen (alpha, lambda) per trial and method match the recorded run
+    exactly; relative errors match to 1e-12 (BLAS threading moves their last
+    bits)."""
+    runs, _ = figure1_runs
+    path = pathlib.Path(__file__).resolve().parent / "data" / "fig1_pairs.csv"
+    golden = {}
+    for line in path.read_text().splitlines()[1:]:
+        case, trial, method, alpha, lam, err = line.split(",")
+        golden[(case, int(trial), method)] = (float(alpha), float(lam), float(err))
+    got = {
+        (name, r.trial, r.method): (r.chosen_alpha, r.chosen_lambda, r.relative_error)
+        for name, results in runs.items()
+        for r in results
+    }
+    assert len(golden) == 150
+    assert got.keys() == golden.keys()
+    for key, (alpha, lam, err) in golden.items():
+        assert got[key][:2] == (alpha, lam), key
+        assert got[key][2] == pytest.approx(err, rel=1e-12), key
 
 
 def test_criterion_8_norm_bound_monotonicity():

@@ -164,6 +164,38 @@ class TestSolveCommand:
         assert code == EXIT_INVALID_INPUT
         assert "line 6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", [0, 3])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("mode", [["--auto"], ["--lambda", "0", "--alpha", "0"]])
+    def test_non_finite_field_rejected(self, tmp_path, capsys, field, bad, mode):
+        path, _, _ = make_samples(tmp_path, M=4)
+        lines = path.read_text().splitlines()
+        parts = lines[6].split(",")
+        parts[field] = bad
+        lines[6] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "c.csv"
+        code = main(
+            ["solve", str(path), "--M", "4", "--symbol", "geometric(1.48)"]
+            + mode
+            + ["-o", str(out)]
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert "line 7" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--lambda"])
+    def test_non_finite_parameter_rejected(self, tmp_path, capsys, flag):
+        path, _, _ = make_samples(tmp_path, M=4)
+        params = {"--alpha": "0", "--lambda": "0", flag: "inf"}
+        code = main(
+            ["solve", str(path), "--M", "4", "--symbol", "geometric(1.48)"]
+            + [item for pair in params.items() for item in pair]
+            + ["-o", str(tmp_path / "c.csv")]
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(
             [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,12 @@ class TestInvertRegularized:
         sym = symbol_preset("polynomial(2)", 1.0, 1.0, 3)
         with pytest.raises(ValidationError):
             CollocationParams(alpha=-1.0, symbol=sym)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_non_finite_alpha_rejected(self, alpha):
+        sym = symbol_preset("polynomial(2)", 1.0, 1.0, 3)
+        with pytest.raises(ValidationError, match="finite"):
+            CollocationParams(alpha=alpha, symbol=sym)
 
 
 class TestTwoStepSolve:

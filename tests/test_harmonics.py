@@ -21,6 +21,7 @@ from sphere_reg import (
     sph_harm_matrix,
     sphere_rule,
 )
+from sphere_reg.harmonics import radius_mismatch
 from conftest import random_directions
 
 FOUR_PI = 4.0 * math.pi
@@ -218,6 +219,18 @@ class TestAdditionTheorem:
         lhs = float(np.sum(Yu[lo:hi] * Yv[lo:hi]))
         rhs = (2 * k + 1) / FOUR_PI * legendre(k, float(np.clip(u @ v, -1, 1)))
         assert lhs == pytest.approx(rhs, abs=1e-11)
+
+
+class TestRadiusMismatch:
+    def test_relative_above_one_absolute_below(self):
+        assert not radius_mismatch(2.0 + 1.9e-9, 2.0)
+        assert radius_mismatch(2.0 + 2.1e-9, 2.0)
+        assert not radius_mismatch(0.5 + 0.9e-9, 0.5)
+        assert radius_mismatch(0.5 + 1.1e-9, 0.5)
+
+    def test_any_entry_of_an_array(self):
+        assert not radius_mismatch(np.array([3.0, 3.0 + 1e-9]), 3.0)
+        assert radius_mismatch(np.array([3.0, 3.0, 3.1]), 3.0)
 
 
 class TestBasis:

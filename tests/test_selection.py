@@ -21,7 +21,7 @@ from sphere_reg import (
     symbol_preset,
     two_step_solve,
 )
-from sphere_reg.selection import grid_values
+from sphere_reg.selection import _quasi_optimal, grid_values
 
 
 def linear_beta(M):
@@ -57,6 +57,15 @@ class TestExpandGrid:
         with pytest.raises(ValidationError):
             ParameterGrid(base=1.0, factor=2.0, count=0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_grids(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            ParameterGrid(base=bad, factor=2.0, count=3)
+        with pytest.raises(ValidationError, match="finite"):
+            ParameterGrid(base=1.0, factor=bad, count=3)
+        with pytest.raises(ValidationError, match="finite"):
+            grid_values([0.0, 1.0, bad])
+
     def test_explicit_sequences(self):
         np.testing.assert_array_equal(grid_values([0.0]), [0.0])
         np.testing.assert_array_equal(grid_values([0.0, 0.5, 1.0]), [0.0, 0.5, 1.0])
@@ -91,6 +100,26 @@ class TestSupNorm:
         c = HarmonicCoefficients.zeros(6, 2.0)
         with pytest.raises(ValidationError):
             sup_norm(c, grid_m6)
+
+
+class TestQuasiOptimal:
+    def test_single_column_wins_without_differences(self):
+        idx, diffs = _quasi_optimal(np.array([[1.0], [2.0]]))
+        assert idx == 0
+        assert diffs.shape == (0,)
+
+    def test_smallest_sup_difference_wins(self):
+        # column differences: sup 3, sup 0.5, sup 2
+        fields = np.array([[0.0, 3.0, 3.5, 1.5], [0.0, -1.0, -1.2, -1.0]])
+        idx, diffs = _quasi_optimal(fields)
+        np.testing.assert_allclose(diffs, [3.0, 0.5, 2.0])
+        assert idx == 2
+
+    def test_ties_go_to_the_smallest_index(self):
+        fields = np.array([[0.0, 1.0, 2.0, 3.0]])
+        idx, diffs = _quasi_optimal(fields)
+        np.testing.assert_array_equal(diffs, [1.0, 1.0, 1.0])
+        assert idx == 1
 
 
 def single_mode(M, amplitude):
@@ -195,6 +224,7 @@ class TestSelectTwoStep:
         alphas = expand_grid(ParameterGrid(1e-5, 4.0, 7, include_zero=True))
         result = select_two_step(noisy, rule, symbol, beta, alphas, [0.0], grid)
         assert result.lam == 0.0
+        assert all(math.isnan(rec.inner_min_diff) for rec in result.trace)
 
         sols = [
             two_step_solve(
@@ -241,26 +271,6 @@ class TestSelectTwoStep:
             assert rec.inner_min_diff >= 0
         for rec in result.trace[1:]:
             assert rec.outer_diff >= 0
-
-    def test_deterministic_across_thread_counts(self, monkeypatch):
-        rule, symbol, beta, noisy, grid = make_problem(seed=19)
-        alphas = expand_grid(ParameterGrid(1e-5, 3.0, 8, include_zero=True))
-        lambdas = expand_grid(ParameterGrid(1e-5, 3.0, 8, include_zero=True))
-
-        monkeypatch.setenv("SPHERE_REG_THREADS", "1")
-        serial = select_two_step(noisy, rule, symbol, beta, alphas, lambdas, grid)
-        monkeypatch.setenv("SPHERE_REG_THREADS", "3")
-        threaded = select_two_step(noisy, rule, symbol, beta, alphas, lambdas, grid)
-        assert serial.alpha == threaded.alpha
-        assert serial.lam == threaded.lam
-        np.testing.assert_array_equal(serial.solution.values, threaded.solution.values)
-        for a, b in zip(serial.trace, threaded.trace):
-            assert a == b or (
-                math.isnan(a.outer_diff)
-                and math.isnan(b.outer_diff)
-                and (a.alpha, a.chosen_lambda, a.inner_min_diff)
-                == (b.alpha, b.chosen_lambda, b.inner_min_diff)
-            )
 
     @given(scale=st.floats(min_value=0.05, max_value=50.0))
     @settings(max_examples=10, deadline=None)

@@ -53,6 +53,11 @@ class TestPenaltyWeights:
         with pytest.raises(ValidationError):
             SmoothingParams(lam=-0.1, beta=unit_beta(2))
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(ValidationError, match="finite"):
+            SmoothingParams(lam=lam, beta=unit_beta(2))
+
 
 class TestKernel:
     def test_constant_mode(self):
