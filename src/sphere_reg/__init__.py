@@ -53,6 +53,7 @@ from .quadrature import CubatureRule, LineRule, gauss_legendre, integrate, spher
 from .selection import (
     EvalGrid,
     ParameterGrid,
+    ParameterPick,
     SelectionResult,
     TwoStepSelection,
     default_eval_grid,
@@ -78,6 +79,7 @@ __all__ = [
     "LineRule",
     "NumericalError",
     "ParameterGrid",
+    "ParameterPick",
     "PenaltyWeights",
     "SelectionResult",
     "SmoothingParams",

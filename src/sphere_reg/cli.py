@@ -148,6 +148,10 @@ def read_coeffs_csv(path: str, radius: float) -> HarmonicCoefficients:
             k, j, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise ValidationError(f"{path}: line {lineno}: malformed row") from None
+        if not math.isfinite(v):
+            raise ValidationError(
+                f"{path}: line {lineno}: non-finite coefficient value"
+            )
         if (k, j) in entries:
             raise ValidationError(f"{path}: line {lineno}: duplicate index ({k},{j})")
         entries[(k, j)] = v

@@ -23,14 +23,15 @@ from .errors import ValidationError
 from .operators import (
     HarmonicCoefficients,
     SphericalSymbol,
+    _rule_basis,
     apply_forward,
     symbol_preset,
-    synthesize,
 )
 from .quadrature import CubatureRule, sphere_rule
 from .selection import (
     EvalGrid,
     ParameterGrid,
+    ParameterPick,
     grid_values,
     select_two_step,
     sup_norm,
@@ -68,10 +69,14 @@ class ExperimentCase:
     lambda_grid: ParameterGrid | Sequence[float] = _STANDARD_GRID
 
     def __post_init__(self):
-        if not self.upsilon > 0:
-            raise ValidationError(f"upsilon must be positive, got {self.upsilon!r}")
-        if not self.epsilon >= 0:
-            raise ValidationError(f"epsilon must be nonnegative, got {self.epsilon!r}")
+        if not 0 < self.upsilon < math.inf:
+            raise ValidationError(
+                f"upsilon must be positive and finite, got {self.upsilon!r}"
+            )
+        if not 0 <= self.epsilon < math.inf:
+            raise ValidationError(
+                f"epsilon must be nonnegative and finite, got {self.epsilon!r}"
+            )
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if self.M < 0:
@@ -168,7 +173,8 @@ def simulate_problem(case: ExperimentCase, trial_seed: int):
     decay = np.repeat((k + 0.5) ** (-case.upsilon), 2 * np.arange(case.M + 1) + 1)
     x_true = HarmonicCoefficients(M=case.M, radius=case.R, values=decay * g)
 
-    clean = synthesize(apply_forward(symbol, x_true), rule.points)
+    # The rule's cached basis; synthesize would rebuild it on every trial.
+    clean = _rule_basis(rule, case.M) @ apply_forward(symbol, x_true).values
     noisy = clean + case.epsilon * rng.standard_normal(rule.n_points)
     return x_true, clean, noisy
 
@@ -214,31 +220,26 @@ def run_case(
                 SmoothingParams(lam=lam0, beta=beta),
                 CollocationParams(alpha=alpha0, symbol=symbol),
             )
-            picks = [(m, alpha0, lam0, sol) for m in METHODS]
+            forced = ParameterPick(alpha=alpha0, lam=lam0, solution=sol)
+            picks = [(m, forced) for m in METHODS]
         else:
-            two = select_two_step(
+            chosen = select_two_step(
                 noisy, rule, symbol, beta, case.alpha_grid, case.lambda_grid, grid
             )
-            smo = select_two_step(
-                noisy, rule, symbol, beta, [0.0], case.lambda_grid, grid
-            )
-            col = select_two_step(
-                noisy, rule, symbol, beta, case.alpha_grid, [0.0], grid
-            )
             picks = [
-                (METHOD_TWO_STEP, two.alpha, two.lam, two.solution),
-                (METHOD_SMOOTHING, smo.alpha, smo.lam, smo.solution),
-                (METHOD_COLLOCATION, col.alpha, col.lam, col.solution),
+                (METHOD_TWO_STEP, chosen),
+                (METHOD_SMOOTHING, chosen.smoothing_only),
+                (METHOD_COLLOCATION, chosen.collocation_only),
             ]
 
-        for method, alpha, lam, sol in picks:
+        for method, pick in picks:
             results.append(
                 TrialResult(
                     trial=t,
                     method=method,
-                    relative_error=relative_sup_error(x_true, sol, grid),
-                    chosen_alpha=float(alpha),
-                    chosen_lambda=float(lam),
+                    relative_error=relative_sup_error(x_true, pick.solution, grid),
+                    chosen_alpha=float(pick.alpha),
+                    chosen_lambda=float(pick.lam),
                 )
             )
     return results

@@ -9,6 +9,7 @@ symbol sequence.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -93,9 +94,10 @@ class SphericalSymbol:
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         object.__setattr__(self, "a", a)
-        if not (0 < self.R <= self.rho):
+        if not (0 < self.R <= self.rho < math.inf):
             raise ValidationError(
-                f"radii must satisfy 0 < R <= rho, got R={self.R}, rho={self.rho}"
+                "radii must satisfy 0 < R <= rho < inf, "
+                f"got R={self.R}, rho={self.rho}"
             )
         if a.ndim != 1 or a.size == 0:
             raise ValidationError("symbol sequence must be a nonempty vector")

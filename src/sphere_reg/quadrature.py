@@ -8,6 +8,7 @@ radius rho (surface measure, so constant 1 integrates to 4 pi rho^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,8 +102,8 @@ def sphere_rule(M: int, rho: float) -> CubatureRule:
     """
     if M < 0:
         raise ValidationError(f"M must be nonnegative, got {M}")
-    if not rho > 0:
-        raise ValidationError(f"rho must be positive, got {rho!r}")
+    if not 0 < rho < math.inf:
+        raise ValidationError(f"rho must be positive and finite, got {rho!r}")
     line = gauss_legendre(M + 1)
     n_phi = 2 * (M + 1)
     phi = np.pi * np.arange(n_phi) / (M + 1)

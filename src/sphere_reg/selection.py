@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .collocation import CollocationParams, two_step_solve
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .harmonics import basis_matrix, radius_mismatch
 from .operators import HarmonicCoefficients, SphericalSymbol, analyze
 from .quadrature import CubatureRule, sphere_rule
@@ -141,18 +141,54 @@ def sup_norm(c: HarmonicCoefficients, eval_grid) -> float:
     return float(np.max(np.abs(grid.basis(c.M) @ c.values)))
 
 
+def _sup_differences(fields: np.ndarray) -> np.ndarray:
+    """d_i = max_t |fields[t, i] - fields[t, i-1]| for consecutive columns."""
+    return np.max(np.abs(np.diff(fields, axis=1)), axis=0)
+
+
+def _first_minimum(differences: np.ndarray) -> int:
+    """Winning column: the i minimizing d_i, ties going to the smallest."""
+    return int(np.argmin(differences)) + 1
+
+
 def _quasi_optimal(fields: np.ndarray) -> tuple[int, np.ndarray]:
     """Quasi-optimal column of a (T, L) table of fields, ascending parameter.
 
-    Returns the winning column and the differences
-    d_i = max_t |fields[t, i] - fields[t, i-1]|, i = 1..L-1; the winner is
-    the i minimizing d_i, ties going to the smallest.  A single column wins
-    with no differences.
+    Returns the winning column and every difference d_i, i = 1..L-1.  A
+    single column wins with no differences.
     """
     if fields.shape[1] == 1:
         return 0, np.empty(0)
-    differences = np.max(np.abs(np.diff(fields, axis=1)), axis=0)
-    return int(np.argmin(differences)) + 1, differences
+    differences = _sup_differences(fields)
+    return _first_minimum(differences), differences
+
+
+#: Row stride of the subsample whose differences bound every d_i from below.
+_BOUND_STRIDE = 16
+
+
+def _pruned_quasi_optimal(fields: np.ndarray) -> tuple[int, float]:
+    """The winner of _quasi_optimal and its difference, pruning hopeless columns.
+
+    The differences over every 16th row are exact lower bounds on the full
+    ones (a maximum over a subset of the same values).  Candidates are
+    evaluated in ascending bound order until a bound exceeds the best exact
+    difference so far; no later candidate can then win or tie, so the
+    winner and its difference are bit-identical to the dense pass.  A
+    single column wins with a NaN difference.
+    """
+    if fields.shape[1] == 1:
+        return 0, math.nan
+    bounds = _sup_differences(fields[::_BOUND_STRIDE])
+    differences = np.full(bounds.size, np.inf)
+    best = math.inf
+    for i in np.argsort(bounds):
+        if bounds[i] > best:
+            break
+        differences[i] = _sup_differences(fields[:, i : i + 2])[0]
+        best = min(best, differences[i])
+    chosen = _first_minimum(differences)
+    return chosen, float(differences[chosen - 1])
 
 
 @dataclass(frozen=True)
@@ -213,13 +249,43 @@ class TraceRecord:
 
 
 @dataclass(frozen=True)
-class TwoStepSelection:
-    """Final parameter pair, its solution, and the per-alpha trace."""
+class ParameterPick:
+    """A chosen (alpha, lambda) pair and its two-step solution."""
 
     alpha: float
     lam: float
     solution: HarmonicCoefficients
+
+
+@dataclass(frozen=True)
+class TwoStepSelection(ParameterPick):
+    """The nested pick, the per-alpha trace, and both one-parameter picks.
+
+    ``smoothing_only`` is quasi-optimality over lambda at alpha = 0;
+    ``collocation_only`` is quasi-optimality over alpha at lambda = 0.
+    """
+
+    smoothing_only: ParameterPick
+    collocation_only: ParameterPick
     trace: list = field(default_factory=list)
+
+
+def _candidate_factors(
+    a: np.ndarray, damping: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inversion factors a_k/(alpha + a_k^2) and the (L, M+1) candidate table.
+
+    Raises NumericalError unless the table (and so the inversion) is finite.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inversion = a / (alpha + a * a)
+        factors = damping * inversion
+    if not np.all(np.isfinite(factors)):
+        raise NumericalError(
+            f"non-finite solution factors at alpha = {float(alpha)!r} "
+            "(a_k^2 underflows or a_k/(alpha + a_k^2) overflows)"
+        )
+    return inversion, factors
 
 
 def select_two_step(
@@ -231,21 +297,26 @@ def select_two_step(
     lambda_grid,
     eval_grid,
 ) -> TwoStepSelection:
-    """Nested quasi-optimality over (alpha, lambda).
+    """Nested quasi-optimality over (alpha, lambda), plus both one-parameter picks.
 
     For every alpha on the grid, the inner pass picks lambda(alpha) by
     quasi-optimality over the two-step solutions; the outer pass then picks
     alpha by quasi-optimality over the per-alpha winners.  All differences
-    are measured on the solution sphere.
+    are measured on the solution sphere.  The same sweep also gives the
+    smoothing-only pick (the inner pass at alpha = 0) and the
+    collocation-only pick (the outer pass over the lambda = 0 solutions),
+    whether or not either grid contains 0.
 
     Every candidate solution is a per-degree rescaling of one Fourier
     analysis of the samples, so the search synthesizes per-degree field
-    sums once and rescales those instead of rebuilding each solution; the
+    sums once and rescales those instead of rebuilding each solution; each
     selected pair is identical to running select_single over explicit
-    two_step_solve outputs.
+    two_step_solve outputs, and the one-parameter pairs are those of a
+    degenerate {0} grid on the other side.  Single-element grids are
+    allowed: their pass picks the only value.
 
-    Single-element grids are allowed: their pass picks the only value, so a
-    degenerate {0} grid on either side reduces to the one-parameter method.
+    Raises NumericalError if the field sums or any candidate's per-degree
+    factors are not finite.
     """
     alphas = grid_values(alpha_grid)
     lambdas = grid_values(lambda_grid)
@@ -259,33 +330,45 @@ def select_two_step(
     coeffs = analyze(samples, rule, M)
     solution_shape = coeffs.scaled_by_degree(np.ones(M + 1), radius=symbol.R)
     Z = grid.degree_fields(solution_shape)
+    if not np.all(np.isfinite(Z)):
+        raise NumericalError("non-finite per-degree field sums of the samples")
 
     a = symbol.a[: M + 1]
     b = beta.beta[: M + 1]
     damping = 1.0 / (1.0 + np.outer(lambdas, b * b))  # (L, M+1)
 
-    # Per-alpha winners; each (T, L) field table is dropped after its pass.
+    # Smoothing-only: the inner pass at alpha = 0.
+    _, direct = _candidate_factors(a, damping, 0.0)
+    smoothing_idx, _ = _pruned_quasi_optimal(Z @ direct.T)
+
+    # Per-alpha winners and lambda = 0 fields; each (T, L) table is dropped
+    # after its pass.
     winner_fields = np.empty((grid.n_points, len(alphas)))
+    unsmoothed_fields = np.empty((grid.n_points, len(alphas)))
     chosen_lams = np.empty(len(alphas))
     inner_mins = np.empty(len(alphas))
     for i, alpha in enumerate(alphas):
-        inversion = a / (alpha + a * a)
-        fields = Z @ (damping * inversion).T  # (T, L)
-        idx, diffs = _quasi_optimal(fields)
+        inversion, factors = _candidate_factors(a, damping, alpha)
+        fields = Z @ factors.T  # (T, L)
+        idx, inner_mins[i] = _pruned_quasi_optimal(fields)
         winner_fields[:, i] = fields[:, idx]
         chosen_lams[i] = lambdas[idx]
-        inner_mins[i] = diffs[idx - 1] if diffs.size else math.nan
+        # The same matrix-vector product as a {0} lambda grid, which can
+        # differ in the last bits from column 0 of the GEMM above.
+        unsmoothed_fields[:, i] = Z @ inversion
     alpha_idx, outer_diffs = _quasi_optimal(winner_fields)
+    collocation_idx, _ = _quasi_optimal(unsmoothed_fields)
 
-    alpha_star = float(alphas[alpha_idx])
-    lam_star = float(chosen_lams[alpha_idx])
-    solution = two_step_solve(
-        samples,
-        rule,
-        SmoothingParams(lam=lam_star, beta=beta),
-        CollocationParams(alpha=alpha_star, symbol=symbol),
-    )
+    def pick(alpha, lam) -> ParameterPick:
+        solution = two_step_solve(
+            samples,
+            rule,
+            SmoothingParams(lam=float(lam), beta=beta),
+            CollocationParams(alpha=float(alpha), symbol=symbol),
+        )
+        return ParameterPick(alpha=float(alpha), lam=float(lam), solution=solution)
 
+    nested = pick(alphas[alpha_idx], chosen_lams[alpha_idx])
     trace = [
         TraceRecord(
             alpha=float(alphas[j]),
@@ -295,4 +378,11 @@ def select_two_step(
         )
         for j in range(len(alphas))
     ]
-    return TwoStepSelection(alpha=alpha_star, lam=lam_star, solution=solution, trace=trace)
+    return TwoStepSelection(
+        alpha=nested.alpha,
+        lam=nested.lam,
+        solution=nested.solution,
+        smoothing_only=pick(0.0, lambdas[smoothing_idx]),
+        collocation_only=pick(alphas[collocation_idx], 0.0),
+        trace=trace,
+    )

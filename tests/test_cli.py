@@ -13,6 +13,7 @@ from sphere_reg import (
 from sphere_reg.cli import (
     EXIT_INVALID_INPUT,
     EXIT_MISSING_INPUT,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     main,
@@ -53,6 +54,15 @@ class TestRuleCommand:
             main(["rule", "--M", "-2", "-o", str(tmp_path / "x.csv")])
             == EXIT_INVALID_INPUT
         )
+
+    @pytest.mark.parametrize("rho", ["inf", "nan"])
+    def test_non_finite_rho_rejected(self, tmp_path, capsys, rho):
+        out = tmp_path / "rule.csv"
+        assert main(["rule", "--M", "1", "--rho", rho, "-o", str(out)]) == (
+            EXIT_INVALID_INPUT
+        )
+        assert "rho" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def make_samples(tmp_path, M=8, noise=0.0, seed=3):
@@ -227,6 +237,28 @@ class TestSampleIO:
             read_samples_csv(str(path), rule)
 
 
+class TestNonFiniteSelection:
+    def test_underflowing_symbol_exits_numerical(self, tmp_path, capsys):
+        # a_k^2 underflows to 0 for the top degrees, so the alpha = 0
+        # candidates are infinite.
+        M = 20
+        rule = sphere_rule(M, 1.0)
+        path = tmp_path / "samples.csv"
+        samples = np.random.default_rng(1).standard_normal(rule.n_points)
+        write_samples_csv(str(path), rule, samples)
+        out = tmp_path / "coeffs.csv"
+        code = main(
+            [
+                "solve", str(path), "--M", str(M), "--symbol", "polynomial(160)",
+                "--auto", "-o", str(out),
+            ]
+        )
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure") and "alpha = 0.0" in err
+        assert not out.exists()
+
+
 class TestCoeffsIO:
     def test_round_trip(self, tmp_path, rng):
         c = HarmonicCoefficients(M=4, radius=1.0, values=rng.standard_normal(25))
@@ -246,6 +278,13 @@ class TestCoeffsIO:
         path = tmp_path / "c.csv"
         path.write_text("k,j,value\n0,1,1.5\n0,1,2.5\n")
         with pytest.raises(ValidationError):
+            read_coeffs_csv(str(path), radius=1.0)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_the_line(self, tmp_path, bad):
+        path = tmp_path / "c.csv"
+        path.write_text(f"k,j,value\n0,1,1.5\n1,1,{bad}\n1,2,0\n1,3,0\n")
+        with pytest.raises(ValidationError, match="line 3: non-finite"):
             read_coeffs_csv(str(path), radius=1.0)
 
 
@@ -311,6 +350,16 @@ class TestExperimentCommand:
         )
         assert main(["experiment", str(cfg)]) == EXIT_INVALID_INPUT
         assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["epsilon", "upsilon"])
+    def test_infinite_noise_or_smoothness_names_field(self, tmp_path, capsys, field):
+        cfg = write_config(
+            tmp_path,
+            f"case = fig1a\n{field} = inf\noutput = {tmp_path / 'r.csv'}\n",
+        )
+        assert main(["experiment", str(cfg)]) == EXIT_INVALID_INPUT
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,15 @@ from sphere_reg import (
     FIGURE1_CASES,
     HarmonicCoefficients,
     ValidationError,
+    apply_forward,
     leader_following_summary,
     penalty_from_symbol,
     relative_sup_error,
     run_case,
     simulate_problem,
+    sphere_rule,
     symbol_preset,
+    synthesize,
 )
 from sphere_reg.experiments import (
     METHOD_COLLOCATION,
@@ -50,6 +55,12 @@ class TestCaseValidation:
             tiny_case(upsilon=0.0)
         with pytest.raises(ValidationError):
             tiny_case(beta_rule="something_else")
+
+    @pytest.mark.parametrize("field", ["epsilon", "upsilon"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_noise_and_smoothness(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be .* finite"):
+            tiny_case(**{field: value})
 
     def test_figure1_presets_match_the_captions(self):
         assert set(FIGURE1_CASES) == {"fig1a", "fig1b", "fig1c", "fig1d", "fig1e"}
@@ -120,6 +131,15 @@ class TestSimulateProblem:
         assert top <= 2.0**60.0
         assert rest <= 1.5**-60.0
         assert rest < 1e-10 * max(top, 1.0)
+
+    def test_clean_samples_match_a_fresh_synthesis(self):
+        # The cached rule basis gives the same bits as synthesize's rebuild.
+        case = tiny_case()
+        x, clean, _ = simulate_problem(case, trial_seed(case.seed, 4))
+        symbol = case.build_symbol()
+        rule = sphere_rule(case.M, case.rho)
+        fresh = synthesize(apply_forward(symbol, x), rule.points)
+        np.testing.assert_array_equal(clean, fresh)
 
     def test_decay_envelope(self):
         case = tiny_case()

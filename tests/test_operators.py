@@ -107,6 +107,15 @@ class TestSynthesize:
             synthesize(c, pts)
 
 
+class TestSymbolRadii:
+    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    def test_non_finite_rho_rejected(self, rho):
+        with pytest.raises(ValidationError, match="rho < inf"):
+            SphericalSymbol(a=np.ones(3), R=1.0, rho=rho)
+        with pytest.raises(ValidationError, match="rho < inf"):
+            symbol_preset("polynomial(2)", 1.0, rho, 4)
+
+
 class TestApplyForward:
     def test_identity_symbol(self, rng):
         ident = SphericalSymbol(a=np.ones(6), R=1.0, rho=1.0, name="ones")

@@ -105,6 +105,11 @@ class TestSphereRule:
         with pytest.raises(ValidationError):
             sphere_rule(3, 0.0)
 
+    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    def test_non_finite_radius(self, rho):
+        with pytest.raises(ValidationError, match="rho must be positive and finite"):
+            sphere_rule(1, rho)
+
 
 class TestIntegrate:
     def test_constant_one(self):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sphere_reg import (
     CollocationParams,
     EvalGrid,
     HarmonicCoefficients,
+    NumericalError,
     ParameterGrid,
+    ParameterPick,
     PenaltyWeights,
     SmoothingParams,
     ValidationError,
@@ -21,7 +24,8 @@ from sphere_reg import (
     symbol_preset,
     two_step_solve,
 )
-from sphere_reg.selection import _quasi_optimal, grid_values
+from sphere_reg import experiments as ex
+from sphere_reg.selection import _pruned_quasi_optimal, _quasi_optimal, grid_values
 
 
 def linear_beta(M):
@@ -120,6 +124,88 @@ class TestQuasiOptimal:
         idx, diffs = _quasi_optimal(fields)
         np.testing.assert_array_equal(diffs, [1.0, 1.0, 1.0])
         assert idx == 1
+
+
+def assert_pruned_matches_dense(fields):
+    """The dense full-reduction kernel is the oracle for the pruned one."""
+    idx, diff = _pruned_quasi_optimal(fields)
+    ref_idx, ref_diffs = _quasi_optimal(fields)
+    assert idx == ref_idx
+    if ref_diffs.size:
+        assert diff == ref_diffs[ref_idx - 1]
+    else:
+        assert math.isnan(diff)
+
+
+@st.composite
+def field_tables(draw):
+    """(T, L) tables with few distinct values (ties) and repeated columns."""
+    T = draw(st.integers(1, 40))
+    L = draw(st.integers(1, 6))
+    elements = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) | st.floats(
+        -1e3, 1e3, allow_nan=False
+    )
+    columns = [draw(arrays(float, T, elements=elements))]
+    for _ in range(L - 1):
+        if draw(st.booleans()):
+            columns.append(columns[-1].copy())
+        else:
+            columns.append(draw(arrays(float, T, elements=elements)))
+    return np.column_stack(columns)
+
+
+class TestPrunedQuasiOptimal:
+    @given(fields=field_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_kernel(self, fields):
+        assert_pruned_matches_dense(fields)
+
+    def test_one_and_two_columns(self):
+        idx, diff = _pruned_quasi_optimal(np.array([[1.0], [2.0]]))
+        assert idx == 0 and math.isnan(diff)
+        fields = np.array([[0.0, 3.0], [1.0, -1.0]])
+        assert _pruned_quasi_optimal(fields) == (1, 3.0)
+        assert_pruned_matches_dense(fields)
+
+    def test_forced_ties_go_to_the_smallest_index(self):
+        fields = np.tile([0.0, 1.0, 2.0, 1.0, 2.0], (40, 1))
+        assert _pruned_quasi_optimal(fields) == (1, 1.0)
+        assert_pruned_matches_dense(fields)
+
+    def test_tie_with_a_larger_bound_at_the_smaller_index(self):
+        # d_1 = 1 peaks on the subsample; d_2 = 1 peaks off it at row 5, so
+        # its bound (0.5) is smaller and it is evaluated first.
+        fields = np.zeros((40, 3))
+        fields[:, 1] = 1.0
+        fields[:, 2] = 1.5
+        fields[5, 2] = 2.0
+        assert _pruned_quasi_optimal(fields) == (1, 1.0)
+        assert_pruned_matches_dense(fields)
+
+    def test_duplicate_columns_win_with_zero_difference(self):
+        rng = np.random.default_rng(5)
+        fields = rng.standard_normal((50, 6))
+        fields[:, 4] = fields[:, 3]
+        fields[:, 2] = fields[:, 1]
+        assert _pruned_quasi_optimal(fields) == (2, 0.0)
+        assert_pruned_matches_dense(fields)
+
+    def test_maxima_off_the_subsample(self):
+        # Rows 0, 16 and 32 are sampled.  Column pair (0, 1) looks best on
+        # them but peaks at row 5; the winner (2, 3) peaks at row 9.
+        fields = np.zeros((40, 4))
+        fields[:, 1] = 0.01
+        fields[5, 1] = 5.0
+        fields[:, 2] = 0.5
+        fields[:, 3] = 0.6
+        fields[9, 3] = 2.5
+        assert _pruned_quasi_optimal(fields) == (3, 2.0)
+        assert_pruned_matches_dense(fields)
+
+    @pytest.mark.parametrize("T", [1, 2, 15])
+    def test_fewer_rows_than_the_stride(self, T):
+        rng = np.random.default_rng(T)
+        assert_pruned_matches_dense(rng.standard_normal((T, 7)))
 
 
 def single_mode(M, amplitude):
@@ -299,3 +385,73 @@ class TestSelectTwoStep:
         np.testing.assert_allclose(
             scaled.differences, 3.0 * base.differences, rtol=1e-12
         )
+
+
+def assert_same_pick(pick, ref):
+    assert (pick.alpha, pick.lam) == (ref.alpha, ref.lam)
+    np.testing.assert_array_equal(pick.solution.values, ref.solution.values)
+
+
+def assert_one_parameter_picks_match_separate_calls(
+    noisy, rule, symbol, beta, alpha_grid, lambda_grid, grid
+):
+    both = select_two_step(noisy, rule, symbol, beta, alpha_grid, lambda_grid, grid)
+    smoothing = select_two_step(noisy, rule, symbol, beta, [0.0], lambda_grid, grid)
+    collocation = select_two_step(noisy, rule, symbol, beta, alpha_grid, [0.0], grid)
+    assert_same_pick(both.smoothing_only, smoothing)
+    assert_same_pick(both.collocation_only, collocation)
+    return both
+
+
+class TestOneParameterPicks:
+    @pytest.mark.parametrize("name", sorted(ex.FIGURE1_CASES))
+    def test_figure1_trial_matches_separate_zero_grid_calls(self, name):
+        case = ex.FIGURE1_CASES[name]
+        _, _, noisy = ex.simulate_problem(case, ex.trial_seed(case.seed, 0))
+        symbol = case.build_symbol()
+        assert_one_parameter_picks_match_separate_calls(
+            noisy,
+            ex.canonical_rule(case.M, case.rho),
+            symbol,
+            ex.penalty_from_symbol(symbol, case.beta_exponent),
+            case.alpha_grid,
+            case.lambda_grid,
+            ex._shared_eval_grid(case.M, case.R),
+        )
+
+    def test_grids_without_zero(self):
+        rule, symbol, beta, noisy, grid = make_problem(seed=29)
+        positive = ParameterGrid(1e-5, 3.0, 9)
+        both = assert_one_parameter_picks_match_separate_calls(
+            noisy, rule, symbol, beta, positive, positive, grid
+        )
+        values = expand_grid(positive)
+        for pick, alphas, lambdas in (
+            (both.smoothing_only, [0.0], values),
+            (both.collocation_only, values, [0.0]),
+        ):
+            ref = straight_line_two_step(
+                noisy, rule, symbol, beta, alphas, lambdas, grid
+            )
+            assert_same_pick(pick, ParameterPick(*ref))
+
+
+class TestNonFiniteSelection:
+    def test_underflowing_symbol_fails_loudly(self):
+        M = 20
+        rule = sphere_rule(M, 1.0)
+        symbol = symbol_preset("polynomial(160)", 1.0, 1.0, M)
+        samples = np.random.default_rng(1).standard_normal(rule.n_points)
+        grid = EvalGrid(sphere_rule(2 * M, 1.0).points)
+        alphas = expand_grid(ParameterGrid(1e-4, 4.0, 5, include_zero=True))
+        with pytest.raises(NumericalError, match="alpha = 0.0"):
+            select_two_step(
+                samples, rule, symbol, linear_beta(M), alphas, alphas, grid
+            )
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_field_sums_fail_loudly(self):
+        rule, symbol, beta, noisy, grid = make_problem(seed=31)
+        huge = np.full_like(noisy, 1e308)
+        with pytest.raises(NumericalError, match="field sums"):
+            select_two_step(huge, rule, symbol, beta, [0.0, 1.0], [0.0, 1.0], grid)
