@@ -34,6 +34,7 @@ from .harmonics import (
     basis_matrix,
     eval_basis,
     flat_index,
+    harmonic_blocks,
     legendre,
     legendre_table,
     sph_harm,
@@ -102,6 +103,7 @@ __all__ = [
     "filtered_projection",
     "flat_index",
     "gauss_legendre",
+    "harmonic_blocks",
     "integrate",
     "invert_regularized",
     "kernel",

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .harmonics import radius_mismatch
 from .operators import HarmonicCoefficients, SphericalSymbol
 from .quadrature import CubatureRule
@@ -109,8 +109,18 @@ def two_step_solve(
     Identical by construction to invert_regularized(smooth(samples), cp),
     i.e. row k of the plain Fourier coefficients is multiplied by
     a_k / ((alpha + a_k^2)(1 + lam beta_k^2)).
+
+    Raises NumericalError if the solution is not finite (the analysis
+    overflows, a_k^2 underflows at alpha = 0, or a factor overflows).
     """
-    return invert_regularized(smooth(samples, rule, sp), cp)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        solution = invert_regularized(smooth(samples, rule, sp), cp)
+    if not np.all(np.isfinite(solution.values)):
+        raise NumericalError(
+            f"non-finite solution at alpha = {float(cp.alpha)!r}, "
+            f"lambda = {float(sp.lam)!r}"
+        )
+    return solution
 
 
 def filtered_projection(

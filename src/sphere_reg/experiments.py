@@ -180,10 +180,17 @@ def simulate_problem(case: ExperimentCase, trial_seed: int):
 
 
 def relative_sup_error(
-    x_true: HarmonicCoefficients, x_approx: HarmonicCoefficients, eval_grid
+    x_true: HarmonicCoefficients,
+    x_approx: HarmonicCoefficients,
+    eval_grid,
+    true_sup: float | None = None,
 ) -> float:
-    """sup|x_true - x_approx| / sup|x_true| over the grid."""
-    denom = sup_norm(x_true, eval_grid)
+    """sup|x_true - x_approx| / sup|x_true| over the grid.
+
+    ``true_sup``, when given, is sup_norm(x_true, eval_grid), computed once
+    by a caller that compares several approximations with one truth.
+    """
+    denom = sup_norm(x_true, eval_grid) if true_sup is None else true_sup
     if denom == 0.0:
         raise ValidationError("true solution has zero sup norm")
     return sup_norm(x_true - x_approx, eval_grid) / denom
@@ -207,6 +214,9 @@ def run_case(
     beta = penalty_from_symbol(symbol, case.beta_exponent)
     rule = canonical_rule(case.M, case.rho)
     grid = _shared_eval_grid(case.M, case.R)
+    # The error evaluations need the grid's dense basis; built first, it also
+    # serves the sweep's field sums, which would otherwise stream the harmonics.
+    grid.basis(case.M)
 
     results: list[TrialResult] = []
     for t in range(case.trials):
@@ -232,12 +242,15 @@ def run_case(
                 (METHOD_COLLOCATION, chosen.collocation_only),
             ]
 
+        true_sup = sup_norm(x_true, grid)
         for method, pick in picks:
             results.append(
                 TrialResult(
                     trial=t,
                     method=method,
-                    relative_error=relative_sup_error(x_true, pick.solution, grid),
+                    relative_error=relative_sup_error(
+                        x_true, pick.solution, grid, true_sup
+                    ),
                     chosen_alpha=float(pick.alpha),
                     chosen_lambda=float(pick.lam),
                 )

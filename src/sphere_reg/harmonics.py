@@ -11,13 +11,16 @@ Conventions used throughout the package:
   ascending, ``j = 1..2k+1`` within each degree, so ``(k, j)`` sits at
   flat position ``k^2 + j - 1``.
 * Associated Legendre values are computed by upward recurrence in degree
-  with prenormalized coefficients, stable well past degree 100.
+  with prenormalized coefficients, stable well past degree 100, one degree
+  block at a time (``harmonic_blocks``); the dense basis matrices are fills
+  from that stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -143,28 +146,77 @@ def legendre_table(k_max: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normalized_assoc_legendre(M: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
-    """Spherically normalized associated Legendre values Q[k, m] at cos = ct.
+def _unit_directions(directions) -> np.ndarray:
+    """(T, 3) float array of the directions; each row must have norm 1 within 1e-9."""
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    if dirs.shape[1] != 3:
+        raise ValidationError(f"directions must be (T, 3), got {dirs.shape}")
+    if radius_mismatch(np.linalg.norm(dirs, axis=1), 1.0):
+        raise ValidationError("direction rows must be unit vectors")
+    return dirs
 
-    Q is normalized so that Y_{k,0} = Q[k, 0] and Y_{k,m!=0} uses
-    sqrt(2) * Q[k, |m|] * cos/sin(m phi); seed Q[0,0] = 1/sqrt(4 pi).
+
+def _exact_unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a float array by bit pattern, and each row's position."""
+    bits = keys.reshape(keys.shape[0], -1).view(np.uint64)
+    distinct, inverse = np.unique(bits, axis=0, return_inverse=True)
+    return distinct.view(float), inverse.reshape(-1)
+
+
+def harmonic_blocks(M: int, directions: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (k, block) for k = 0..M; block is the (T, 2k+1) array of Y_{k,j}.
+
+    Column j - 1 of the block holds Y_{k,j} at every direction, so block k
+    is columns k^2..(k+1)^2 - 1 of sph_harm_matrix, and one block at a time
+    needs O(T M) memory.  The associated Legendre values Q[k, m] follow the
+    upward recurrence in degree with prenormalized coefficients, for every
+    order at once, keeping only degrees k-1 and k-2; seed Q[0, 0] =
+    1/sqrt(4 pi), and Y_{k,m!=0} = sqrt(2) Q[k, |m|] cos/sin(|m| phi).  They
+    are computed once per distinct (cos, sin) polar pair and the trig values
+    once per distinct longitude, then gathered to the points.  Duplicates
+    are exact (bitwise): along a ring of a product grid, hypot and arctan2
+    differ in the last bit.
     """
-    T = ct.shape[0]
-    Q = np.zeros((M + 1, M + 1, T))
-    Q[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, M + 1):
-        Q[m, m] = math.sqrt((2 * m + 1) / (2.0 * m)) * st * Q[m - 1, m - 1]
-    for m in range(M):
-        Q[m + 1, m] = math.sqrt(2 * m + 3) * ct * Q[m, m]
-    for m in range(M + 1):
-        for k in range(m + 2, M + 1):
-            a = math.sqrt((2 * k - 1) * (2 * k + 1) / ((k - m) * (k + m)))
-            b = math.sqrt(
+    dirs = _unit_directions(directions)
+    polar, at_polar = _exact_unique(
+        np.stack([dirs[:, 2], np.hypot(dirs[:, 0], dirs[:, 1])], axis=1)
+    )
+    ct, st = polar[:, :1], polar[:, 1:]
+    phi, at_phi = _exact_unique(np.arctan2(dirs[:, 1], dirs[:, 0]))
+    m_range = np.arange(1, M + 1)
+    angles = phi * m_range  # (distinct longitudes, M)
+    cos_m = np.cos(angles)[at_phi]  # (T, M)
+    sin_m = np.sin(angles)[at_phi]
+
+    sqrt2 = math.sqrt(2.0)
+    T = dirs.shape[0]
+    # Q[:, m] = Q[k, m] at the distinct pairs; prev and older are degrees
+    # k-1 and k-2.
+    Q = np.full((polar.shape[0], 1), 1.0 / math.sqrt(4.0 * math.pi))
+    prev = None
+    for k in range(M + 1):
+        if k:
+            older, prev = prev, Q
+            Q = np.empty((polar.shape[0], k + 1))
+            m = np.arange(k - 1)
+            a = np.sqrt((2 * k - 1) * (2 * k + 1) / ((k - m) * (k + m)))
+            b = np.sqrt(
                 (2 * k + 1) * (k + m - 1) * (k - m - 1)
                 / ((k - m) * (k + m) * (2 * k - 3.0))
             )
-            Q[k, m] = a * ct * Q[k - 1, m] - b * Q[k - 2, m]
-    return Q
+            if k >= 2:
+                Q[:, : k - 1] = (a * ct) * prev[:, : k - 1] - b * older[:, : k - 1]
+            Q[:, k - 1 : k] = (math.sqrt(2 * k + 1) * ct) * prev[:, k - 1 :]
+            Q[:, k:] = (math.sqrt((2 * k + 1) / (2.0 * k)) * st) * prev[:, k - 1 :]
+        scaled = Q.copy()
+        scaled[:, 1:] *= sqrt2
+        at_points = scaled[at_polar]  # (T, k+1)
+        block = np.empty((T, 2 * k + 1))
+        block[:, k] = at_points[:, 0]
+        np.multiply(at_points[:, 1:], cos_m[:, :k], out=block[:, k + 1 :])
+        if k:
+            np.multiply(at_points[:, :0:-1], sin_m[:, k - 1 :: -1], out=block[:, :k])
+        yield k, block
 
 
 def sph_harm_matrix(M: int, directions: np.ndarray) -> np.ndarray:
@@ -182,31 +234,10 @@ def sph_harm_matrix(M: int, directions: np.ndarray) -> np.ndarray:
     ndarray, shape (T, (M+1)**2)
         Column k^2 + j - 1 holds Y_{k,j} at every point.
     """
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    if dirs.shape[1] != 3:
-        raise ValidationError(f"directions must be (T, 3), got {dirs.shape}")
-    if radius_mismatch(np.linalg.norm(dirs, axis=1), 1.0):
-        raise ValidationError("direction rows must be unit vectors")
-
-    ct = dirs[:, 2]
-    st = np.hypot(dirs[:, 0], dirs[:, 1])
-    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
-
-    Q = _normalized_assoc_legendre(M, ct, st)
-    m_range = np.arange(1, M + 1)
-    cos_m = np.cos(m_range[:, None] * phi[None, :])  # (M, T)
-    sin_m = np.sin(m_range[:, None] * phi[None, :])
-
-    T = dirs.shape[0]
-    Y = np.empty((T, (M + 1) * (M + 1)))
-    sqrt2 = math.sqrt(2.0)
-    for k in range(M + 1):
-        base = k * k + k
-        Y[:, base] = Q[k, 0]
-        for m in range(1, k + 1):
-            qv = sqrt2 * Q[k, m]
-            Y[:, base + m] = qv * cos_m[m - 1]
-            Y[:, base - m] = qv * sin_m[m - 1]
+    dirs = _unit_directions(directions)
+    Y = np.empty((dirs.shape[0], (M + 1) * (M + 1)))
+    for k, block in harmonic_blocks(M, dirs):
+        Y[:, k * k : (k + 1) * (k + 1)] = block
     return Y
 
 
@@ -227,7 +258,9 @@ def basis_matrix(M: int, points: np.ndarray, radius: float) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if radius_mismatch(np.linalg.norm(pts, axis=1), radius):
         raise ValidationError(f"points do not lie on sphere of radius {radius}")
-    return sph_harm_matrix(M, pts / radius) / radius
+    Y = sph_harm_matrix(M, pts / radius)
+    Y /= radius
+    return Y
 
 
 def eval_basis(M: int, p: SpherePoint) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .collocation import CollocationParams, two_step_solve
 from .errors import NumericalError, ValidationError
-from .harmonics import basis_matrix, radius_mismatch
+from .harmonics import basis_matrix, harmonic_blocks, radius_mismatch
 from .operators import HarmonicCoefficients, SphericalSymbol, analyze
 from .quadrature import CubatureRule, sphere_rule
 from .smoothing import PenaltyWeights, SmoothingParams
@@ -72,9 +72,11 @@ def grid_values(g) -> np.ndarray:
 class EvalGrid:
     """Point grid for uniform-norm estimates, with a cached basis matrix.
 
-    Wraps an (T, 3) array of points on a common sphere; the synthesis
-    matrix for each requested degree is built once and reused, which is
-    what makes repeated sup-norm evaluations over a parameter grid cheap.
+    Wraps an (T, 3) array of points on a common sphere.  The dense
+    (T, (M+1)^2) synthesis matrix is built on the first ``basis`` call for a
+    degree and reused, which is what makes repeated sup-norm evaluations
+    cheap; ``degree_fields`` streams the basis one degree at a time instead,
+    unless the grid already holds it.
     """
 
     def __init__(self, points: np.ndarray):
@@ -109,14 +111,23 @@ class EvalGrid:
         """Per-degree partial sums of the synthesis, shape (T, M+1).
 
         Column k holds sum_j c_{k,j} (1/radius) Y_{k,j}; any per-degree
-        rescaling of the coefficients then synthesizes as Z @ factors.
+        rescaling of the coefficients then synthesizes as Z @ factors.  The
+        degree blocks come from the cached basis when the grid holds it and
+        are streamed otherwise, with the same bits either way; streaming
+        never builds the dense matrix.
         """
-        B = self.basis(coeffs.M)
-        T = self.n_points
-        Z = np.empty((T, coeffs.M + 1))
-        for k in range(coeffs.M + 1):
-            lo, hi = k * k, (k + 1) * (k + 1)
-            Z[:, k] = B[:, lo:hi] @ coeffs.values[lo:hi]
+        M = coeffs.M
+        B = self._basis.get(M)
+        if B is None:
+            blocks = (
+                (k, block / self.radius)
+                for k, block in harmonic_blocks(M, self.points / self.radius)
+            )
+        else:
+            blocks = ((k, B[:, k * k : (k + 1) * (k + 1)]) for k in range(M + 1))
+        Z = np.empty((self.n_points, M + 1))
+        for k, block in blocks:
+            Z[:, k] = block @ coeffs.row(k)
         return Z
 
 
@@ -141,14 +152,22 @@ def sup_norm(c: HarmonicCoefficients, eval_grid) -> float:
     return float(np.max(np.abs(grid.basis(c.M) @ c.values)))
 
 
+def _sup_difference(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """max_t |later[t] - earlier[t]|, per column for (T, n) arguments."""
+    return np.max(np.abs(later - earlier), axis=0)
+
+
 def _sup_differences(fields: np.ndarray) -> np.ndarray:
     """d_i = max_t |fields[t, i] - fields[t, i-1]| for consecutive columns."""
-    return np.max(np.abs(np.diff(fields, axis=1)), axis=0)
+    return _sup_difference(fields[:, 1:], fields[:, :-1])
 
 
 def _first_minimum(differences: np.ndarray) -> int:
-    """Winning column: the i minimizing d_i, ties going to the smallest."""
-    return int(np.argmin(differences)) + 1
+    """Winning column: the i minimizing d_i, ties going to the smallest.
+
+    With no differences (a single column) column 0 wins.
+    """
+    return int(np.argmin(differences)) + 1 if differences.size else 0
 
 
 def _quasi_optimal(fields: np.ndarray) -> tuple[int, np.ndarray]:
@@ -157,8 +176,6 @@ def _quasi_optimal(fields: np.ndarray) -> tuple[int, np.ndarray]:
     Returns the winning column and every difference d_i, i = 1..L-1.  A
     single column wins with no differences.
     """
-    if fields.shape[1] == 1:
-        return 0, np.empty(0)
     differences = _sup_differences(fields)
     return _first_minimum(differences), differences
 
@@ -315,8 +332,8 @@ def select_two_step(
     degenerate {0} grid on the other side.  Single-element grids are
     allowed: their pass picks the only value.
 
-    Raises NumericalError if the field sums or any candidate's per-degree
-    factors are not finite.
+    Raises NumericalError if the field sums, any candidate's per-degree
+    factors or any of the three picked solutions are not finite.
     """
     alphas = grid_values(alpha_grid)
     lambdas = grid_values(lambda_grid)
@@ -327,9 +344,10 @@ def select_two_step(
             f"grid radius {grid.radius} does not match solution sphere R={symbol.R}"
         )
 
-    coeffs = analyze(samples, rule, M)
-    solution_shape = coeffs.scaled_by_degree(np.ones(M + 1), radius=symbol.R)
-    Z = grid.degree_fields(solution_shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = analyze(samples, rule, M)
+        solution_shape = coeffs.scaled_by_degree(np.ones(M + 1), radius=symbol.R)
+        Z = grid.degree_fields(solution_shape)
     if not np.all(np.isfinite(Z)):
         raise NumericalError("non-finite per-degree field sums of the samples")
 
@@ -337,27 +355,34 @@ def select_two_step(
     b = beta.beta[: M + 1]
     damping = 1.0 / (1.0 + np.outer(lambdas, b * b))  # (L, M+1)
 
+    # One (T, L) table, refilled for every alpha.  The outer passes compare
+    # each alpha's columns with the previous alpha's, so no (T, A) table of
+    # winners is kept; the differences are those of _quasi_optimal.
+    fields = np.empty((grid.n_points, len(lambdas)))
+
     # Smoothing-only: the inner pass at alpha = 0.
     _, direct = _candidate_factors(a, damping, 0.0)
-    smoothing_idx, _ = _pruned_quasi_optimal(Z @ direct.T)
+    smoothing_idx, _ = _pruned_quasi_optimal(np.matmul(Z, direct.T, out=fields))
 
-    # Per-alpha winners and lambda = 0 fields; each (T, L) table is dropped
-    # after its pass.
-    winner_fields = np.empty((grid.n_points, len(alphas)))
-    unsmoothed_fields = np.empty((grid.n_points, len(alphas)))
     chosen_lams = np.empty(len(alphas))
     inner_mins = np.empty(len(alphas))
+    # Row i - 1: sup differences of the winners and of the lambda = 0 fields.
+    outer_diffs = np.empty((len(alphas) - 1, 2))
     for i, alpha in enumerate(alphas):
         inversion, factors = _candidate_factors(a, damping, alpha)
-        fields = Z @ factors.T  # (T, L)
-        idx, inner_mins[i] = _pruned_quasi_optimal(fields)
-        winner_fields[:, i] = fields[:, idx]
+        idx, inner_mins[i] = _pruned_quasi_optimal(
+            np.matmul(Z, factors.T, out=fields)
+        )
         chosen_lams[i] = lambdas[idx]
-        # The same matrix-vector product as a {0} lambda grid, which can
-        # differ in the last bits from column 0 of the GEMM above.
-        unsmoothed_fields[:, i] = Z @ inversion
-    alpha_idx, outer_diffs = _quasi_optimal(winner_fields)
-    collocation_idx, _ = _quasi_optimal(unsmoothed_fields)
+        # The lambda = 0 field is the same matrix-vector product as a {0}
+        # lambda grid, which can differ in the last bits from column 0 of
+        # the GEMM above.
+        columns = np.column_stack((fields[:, idx], Z @ inversion))
+        if i:
+            outer_diffs[i - 1] = _sup_difference(columns, previous)
+        previous = columns
+    alpha_idx = _first_minimum(outer_diffs[:, 0])
+    collocation_idx = _first_minimum(outer_diffs[:, 1])
 
     def pick(alpha, lam) -> ParameterPick:
         solution = two_step_solve(
@@ -374,7 +399,7 @@ def select_two_step(
             alpha=float(alphas[j]),
             chosen_lambda=float(chosen_lams[j]),
             inner_min_diff=float(inner_mins[j]),
-            outer_diff=math.nan if j == 0 else float(outer_diffs[j - 1]),
+            outer_diff=math.nan if j == 0 else float(outer_diffs[j - 1, 0]),
         )
         for j in range(len(alphas))
     ]

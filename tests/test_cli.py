@@ -259,6 +259,41 @@ class TestNonFiniteSelection:
         assert not out.exists()
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "rho, symbol, value, params, message",
+        [
+            # 1e308 overflows the analysis.
+            (1.0, "geometric(1.48)", 1e308, ["--alpha", "0", "--lambda", "0"],
+             "non-finite solution at alpha = 0.0, lambda = 0.0"),
+            (1.0, "geometric(1.48)", 1e308, ["--auto"],
+             "non-finite per-degree field sums"),
+            # Finite field sums (4e307), but the picked solution's degree-0
+            # coefficient, 1.4e308 / a_0 with a_0 = 1/2, overflows.
+            (2.0, "sst", 2e307, ["--auto"], "non-finite solution at alpha"),
+        ],
+        ids=["fixed", "auto-field-sums", "auto-pick"],
+    )
+    def test_overflowing_samples_exit_numerical(
+        self, tmp_path, capsys, rho, symbol, value, params, message
+    ):
+        M = 6
+        rule = sphere_rule(M, rho)
+        path = tmp_path / "samples.csv"
+        write_samples_csv(str(path), rule, np.full(rule.n_points, value))
+        out = tmp_path / "coeffs.csv"
+        code = main(
+            ["solve", str(path), "--M", str(M), "--rho", str(rho), "--symbol", symbol]
+            + params
+            + ["-o", str(out)]
+        )
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: numerical failure") and message in err
+        assert not out.exists()
+
+
 class TestCoeffsIO:
     def test_round_trip(self, tmp_path, rng):
         c = HarmonicCoefficients(M=4, radius=1.0, values=rng.standard_normal(25))

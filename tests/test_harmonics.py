@@ -5,15 +5,19 @@ import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sphere_reg import (
     DegreeIndex,
+    EvalGrid,
+    HarmonicCoefficients,
     SpherePoint,
     UnitVector,
     ValidationError,
     basis_matrix,
     eval_basis,
     flat_index,
+    harmonic_blocks,
     integrate,
     legendre,
     legendre_table,
@@ -266,3 +270,121 @@ class TestBasis:
         B = basis_matrix(M, rule.points, 1.3)
         gram = B.T @ (rule.weights[:, None] * B)
         assert np.max(np.abs(gram - np.eye((M + 1) ** 2))) < 1e-10
+
+
+# Dense oracle: the full (M+1, M+1, T) Legendre table and the column loop
+# that the streamed degree blocks replace.
+
+
+def dense_assoc_legendre(M, ct, st):
+    Q = np.zeros((M + 1, M + 1, ct.shape[0]))
+    Q[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(1, M + 1):
+        Q[m, m] = math.sqrt((2 * m + 1) / (2.0 * m)) * st * Q[m - 1, m - 1]
+    for m in range(M):
+        Q[m + 1, m] = math.sqrt(2 * m + 3) * ct * Q[m, m]
+    for m in range(M + 1):
+        for k in range(m + 2, M + 1):
+            a = math.sqrt((2 * k - 1) * (2 * k + 1) / ((k - m) * (k + m)))
+            b = math.sqrt(
+                (2 * k + 1) * (k + m - 1) * (k - m - 1)
+                / ((k - m) * (k + m) * (2 * k - 3.0))
+            )
+            Q[k, m] = a * ct * Q[k - 1, m] - b * Q[k - 2, m]
+    return Q
+
+
+def dense_sph_harm_matrix(M, dirs):
+    ct = dirs[:, 2]
+    st = np.hypot(dirs[:, 0], dirs[:, 1])
+    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
+    Q = dense_assoc_legendre(M, ct, st)
+    m_range = np.arange(1, M + 1)
+    cos_m = np.cos(m_range[:, None] * phi[None, :])
+    sin_m = np.sin(m_range[:, None] * phi[None, :])
+    Y = np.empty((dirs.shape[0], (M + 1) * (M + 1)))
+    sqrt2 = math.sqrt(2.0)
+    for k in range(M + 1):
+        base = k * k + k
+        Y[:, base] = Q[k, 0]
+        for m in range(1, k + 1):
+            qv = sqrt2 * Q[k, m]
+            Y[:, base + m] = qv * cos_m[m - 1]
+            Y[:, base - m] = qv * sin_m[m - 1]
+    return Y
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_blocks_match_oracle(M, dirs):
+    Y = dense_sph_harm_matrix(M, dirs)
+    degrees = []
+    for k, block in harmonic_blocks(M, dirs):
+        degrees.append(k)
+        assert block.flags.c_contiguous
+        assert_same_bits(block, Y[:, k * k : (k + 1) * (k + 1)])
+    assert degrees == list(range(M + 1))
+
+
+def oracle_points(rng, M, R):
+    """Product-grid points, both poles with signed zeros, scattered points."""
+    poles = np.array(
+        [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0]]
+    )
+    dirs = np.vstack(
+        [sphere_rule(2 * M, 1.0).directions(), poles, random_directions(rng, 40)]
+    )
+    return dirs * R
+
+
+ORACLE_DEGREES = [0, 1, 2, 5, 30]
+
+
+class TestStreamedBlocks:
+    @pytest.mark.parametrize("M", ORACLE_DEGREES)
+    @pytest.mark.parametrize("R", [1.0, 1.7])
+    def test_blocks_and_basis_match_dense_oracle(self, rng, M, R):
+        pts = oracle_points(rng, M, R)
+        assert_blocks_match_oracle(M, pts / R)
+        assert_same_bits(basis_matrix(M, pts, R), dense_sph_harm_matrix(M, pts / R) / R)
+
+    @pytest.mark.parametrize("M", ORACLE_DEGREES)
+    @pytest.mark.parametrize("R", [1.0, 1.7])
+    def test_streamed_degree_fields_equal_cached(self, rng, M, R):
+        grid = EvalGrid(oracle_points(rng, M, R))
+        coeffs = HarmonicCoefficients(
+            M=M, radius=R, values=rng.standard_normal((M + 1) ** 2)
+        )
+        streamed = grid.degree_fields(coeffs)
+        assert grid._basis == {}
+        grid.basis(M)
+        assert_same_bits(streamed, grid.degree_fields(coeffs))
+
+    @given(
+        dirs=st.integers(1, 12).flatmap(
+            lambda n: arrays(
+                float,
+                (n, 3),
+                elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-3])
+                | st.floats(-1.0, 1.0),
+            )
+        ),
+        repeats=st.integers(1, 3),
+        M=st.integers(0, 12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_unit_vector_sets(self, dirs, repeats, M):
+        norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+        if np.any(norms < 1e-3):
+            return
+        # Repeated rows exercise the deduplication of polar pairs and longitudes.
+        assert_blocks_match_oracle(M, np.tile(dirs / norms, (repeats, 1)))
+
+    def test_invalid_directions_rejected(self):
+        with pytest.raises(ValidationError):
+            next(harmonic_blocks(2, np.array([[1.0, 1.0, 0.0]])))
+        with pytest.raises(ValidationError):
+            next(harmonic_blocks(2, np.ones((3, 2))))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from sphere_reg import (
     PenaltyWeights,
     SmoothingParams,
     ValidationError,
+    analyze,
+    default_eval_grid,
     expand_grid,
     select_single,
     select_two_step,
@@ -292,7 +295,73 @@ def straight_line_two_step(samples, rule, symbol, beta, alphas, lambdas, grid):
     return alphas[idx], winners[idx][0], winners[idx][1]
 
 
+def dense_sweep(samples, rule, symbol, beta, alphas, lambdas, grid):
+    """The sweep with every (T, L) and (T, A) table kept and the dense kernel.
+
+    Returns (nested alpha index, per-alpha chosen lambdas, inner minimum
+    differences, outer differences, smoothing-only lambda index,
+    collocation-only alpha index).
+    """
+    M = rule.M
+    coeffs = analyze(samples, rule, M)
+    Z = grid.degree_fields(coeffs.scaled_by_degree(np.ones(M + 1), radius=symbol.R))
+    a = symbol.a[: M + 1]
+    b = beta.beta[: M + 1]
+    damping = 1.0 / (1.0 + np.outer(lambdas, b * b))
+    smoothing_idx, _ = _quasi_optimal(Z @ (damping * (a / (a * a))).T)
+    winners, unsmoothed, chosen_lams, inner_mins = [], [], [], []
+    for alpha in alphas:
+        inversion = a / (alpha + a * a)
+        fields = Z @ (damping * inversion).T
+        idx, diffs = _quasi_optimal(fields)
+        winners.append(fields[:, idx])
+        unsmoothed.append(Z @ inversion)
+        chosen_lams.append(lambdas[idx])
+        inner_mins.append(diffs[idx - 1] if diffs.size else math.nan)
+    alpha_idx, outer_diffs = _quasi_optimal(np.column_stack(winners))
+    collocation_idx, _ = _quasi_optimal(np.column_stack(unsmoothed))
+    return (
+        alpha_idx, chosen_lams, inner_mins, outer_diffs, smoothing_idx, collocation_idx
+    )
+
+
+def assert_sweep_matches_dense(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid):
+    alphas, lambdas = grid_values(alpha_grid), grid_values(lambda_grid)
+    result = select_two_step(samples, rule, symbol, beta, alphas, lambdas, grid)
+    alpha_idx, lams, inner, outer, smoothing_idx, collocation_idx = dense_sweep(
+        samples, rule, symbol, beta, alphas, lambdas, grid
+    )
+    bits = lambda values: np.asarray(values, dtype=float).view(np.uint64)
+    np.testing.assert_array_equal(bits([r.chosen_lambda for r in result.trace]), bits(lams))
+    np.testing.assert_array_equal(bits([r.inner_min_diff for r in result.trace]), bits(inner))
+    np.testing.assert_array_equal(bits([r.outer_diff for r in result.trace[1:]]), bits(outer))
+    assert (result.alpha, result.lam) == (alphas[alpha_idx], lams[alpha_idx])
+    assert result.smoothing_only.lam == lambdas[smoothing_idx]
+    assert result.collocation_only.alpha == alphas[collocation_idx]
+
+
 class TestSelectTwoStep:
+    def test_trace_and_picks_match_dense_sweep(self):
+        rule, symbol, beta, noisy, grid = make_problem(seed=19)
+        small = ParameterGrid(1e-5, 3.0, 9, include_zero=True)
+        assert_sweep_matches_dense(noisy, rule, symbol, beta, small, small, grid)
+        assert_sweep_matches_dense(noisy, rule, symbol, beta, [0.0], small, grid)
+        assert_sweep_matches_dense(noisy, rule, symbol, beta, small, [0.0], grid)
+
+    def test_figure1_trial_matches_dense_sweep(self):
+        case = ex.FIGURE1_CASES["fig1d"]
+        _, _, noisy = ex.simulate_problem(case, ex.trial_seed(case.seed, 0))
+        symbol = case.build_symbol()
+        assert_sweep_matches_dense(
+            noisy,
+            ex.canonical_rule(case.M, case.rho),
+            symbol,
+            ex.penalty_from_symbol(symbol, case.beta_exponent),
+            case.alpha_grid,
+            case.lambda_grid,
+            ex._shared_eval_grid(case.M, case.R),
+        )
+
     def test_matches_straight_line_reimplementation(self):
         rule, symbol, beta, noisy, grid = make_problem()
         alphas = expand_grid(ParameterGrid(1e-5, 3.0, 9, include_zero=True))
@@ -449,9 +518,47 @@ class TestNonFiniteSelection:
                 samples, rule, symbol, linear_beta(M), alphas, alphas, grid
             )
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_field_sums_fail_loudly(self):
         rule, symbol, beta, noisy, grid = make_problem(seed=31)
         huge = np.full_like(noisy, 1e308)
         with pytest.raises(NumericalError, match="field sums"):
             select_two_step(huge, rule, symbol, beta, [0.0, 1.0], [0.0, 1.0], grid)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_pick_fails_loudly(self):
+        # The field sums (4e307) and the sweep's fields stay finite, but the
+        # picked solution's degree-0 coefficient, 1.4e308 / a_0 with
+        # a_0 = 1/2, overflows.
+        M = 6
+        rule = sphere_rule(M, 2.0)
+        symbol = symbol_preset("sst", 1.0, 2.0, M)
+        huge = np.full(rule.n_points, 2e307)
+        grid = default_eval_grid(M, 1.0)
+        with pytest.raises(NumericalError, match="non-finite solution at alpha"):
+            select_two_step(
+                huge, rule, symbol, linear_beta(M), [0.0, 1e-5], [0.0, 1e-5], grid
+            )
+
+
+class TestStreamedSweepMemory:
+    def test_sweep_leaves_the_dense_basis_unbuilt(self):
+        rule, symbol, beta, noisy, _ = make_problem(seed=37)
+        grid = default_eval_grid(rule.M, 1.0)
+        select_two_step(noisy, rule, symbol, beta, [0.0, 1e-3], [0.0, 1e-3], grid)
+        assert grid._basis == {}
+
+    def test_degree_fields_peak_is_a_fraction_of_the_dense_basis(self):
+        M = 40
+        grid = default_eval_grid(M, 1.0)
+        coeffs = HarmonicCoefficients(
+            M=M, radius=1.0, values=np.random.default_rng(3).standard_normal((M + 1) ** 2)
+        )
+        dense_bytes = grid.n_points * (M + 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            grid.degree_fields(coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 4
