@@ -15,6 +15,7 @@ written to a temporary name and renamed into place.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -65,11 +66,17 @@ def _atomic_write(path: str, text: str) -> None:
 # CSV formats
 
 
+def _write_numeric_csv(path: str, header: str, table: np.ndarray) -> None:
+    """Write the rows of a 2-D table under a header, each field as %.17g."""
+    text = io.StringIO()
+    np.savetxt(text, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    _atomic_write(path, text.getvalue())
+
+
 def write_rule_csv(rule: CubatureRule, path: str) -> None:
-    lines = ["x,y,z,weight"]
-    for p, w in zip(rule.points, rule.weights):
-        lines.append(f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])},{_fmt(w)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_numeric_csv(
+        path, "x,y,z,weight", np.column_stack((rule.points, rule.weights))
+    )
 
 
 def write_samples_csv(path: str, rule: CubatureRule, samples: np.ndarray) -> None:
@@ -78,10 +85,7 @@ def write_samples_csv(path: str, rule: CubatureRule, samples: np.ndarray) -> Non
         raise ValidationError(
             f"expected {rule.n_points} samples, got shape {samples.shape}"
         )
-    lines = ["x,y,z,value"]
-    for p, v in zip(rule.points, samples):
-        lines.append(f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])},{_fmt(v)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_numeric_csv(path, "x,y,z,value", np.column_stack((rule.points, samples)))
 
 
 def read_samples_csv(path: str, rule: CubatureRule) -> np.ndarray:
@@ -123,49 +127,10 @@ def read_samples_csv(path: str, rule: CubatureRule) -> np.ndarray:
 
 
 def write_coeffs_csv(coeffs: HarmonicCoefficients, path: str) -> None:
-    lines = ["k,j,value"]
-    for k in range(coeffs.M + 1):
-        for j in range(1, 2 * k + 2):
-            lines.append(f"{k},{j},{_fmt(coeffs.get(k, j))}")
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def read_coeffs_csv(path: str, radius: float) -> HarmonicCoefficients:
-    """Read a coefficient file; the full triangle must be present."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "k,j,value":
-        raise ValidationError(f"{path}: line 1: expected header 'k,j,value'")
-    entries = {}
-    for i, ln in enumerate(ln for ln in lines[1:] if ln.strip()):
-        lineno = i + 2
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ValidationError(
-                f"{path}: line {lineno}: expected 3 fields, got {len(parts)}"
-            )
-        try:
-            k, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise ValidationError(f"{path}: line {lineno}: malformed row") from None
-        if not math.isfinite(v):
-            raise ValidationError(
-                f"{path}: line {lineno}: non-finite coefficient value"
-            )
-        if (k, j) in entries:
-            raise ValidationError(f"{path}: line {lineno}: duplicate index ({k},{j})")
-        entries[(k, j)] = v
-    n = len(entries)
-    M = int(round(math.sqrt(n))) - 1
-    if (M + 1) * (M + 1) != n:
-        raise ValidationError(f"{path}: {n} rows do not form a full triangle")
-    values = np.empty(n)
-    for k in range(M + 1):
-        for j in range(1, 2 * k + 2):
-            if (k, j) not in entries:
-                raise ValidationError(f"{path}: missing index ({k},{j})")
-            values[k * k + j - 1] = entries[(k, j)]
-    return HarmonicCoefficients(M=M, radius=radius, values=values)
+    degrees = np.arange(coeffs.M + 1)
+    k = np.repeat(degrees, 2 * degrees + 1)
+    j = np.arange(k.size) - k * k + 1
+    _write_numeric_csv(path, "k,j,value", np.column_stack((k, j, coeffs.values)))
 
 
 def write_results_csv(
@@ -193,13 +158,9 @@ def write_results_csv(
 
 
 def write_trace_csv(path: str, trace) -> None:
-    lines = ["alpha,chosen_lambda,inner_min_diff,outer_diff"]
-    for rec in trace:
-        lines.append(
-            f"{_fmt(rec.alpha)},{_fmt(rec.chosen_lambda)},"
-            f"{_fmt(rec.inner_min_diff)},{_fmt(rec.outer_diff)}"
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = [(r.alpha, r.chosen_lambda, r.inner_min_diff, r.outer_diff) for r in trace]
+    header = "alpha,chosen_lambda,inner_min_diff,outer_diff"
+    _write_numeric_csv(path, header, np.array(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -44,41 +43,6 @@ class CollocationParams:
             )
         a = self.symbol.a[: M + 1]
         return a / (self.alpha + a * a)
-
-
-class FilterFunction:
-    """C^1 taper h: equal to 1 on [0, 1/2], 0 on [1, inf), values in [0, 1]."""
-
-    def __init__(self, fn: Callable[[float], float], name: str = "custom"):
-        self.fn = fn
-        self.name = name
-
-    def __call__(self, t: float) -> float:
-        return self.fn(t)
-
-    def validate(self, n_samples: int = 1001) -> None:
-        """Spot-check the envelope constraints on a sample grid."""
-        ts = np.linspace(0.0, 2.0, n_samples)
-        vals = np.array([self.fn(float(t)) for t in ts])
-        if np.any((vals < -1e-12) | (vals > 1.0 + 1e-12)):
-            raise ValidationError(f"filter '{self.name}' leaves [0, 1]")
-        if np.any(np.abs(vals[ts <= 0.5] - 1.0) > 1e-12):
-            raise ValidationError(f"filter '{self.name}' must be 1 on [0, 1/2]")
-        if np.any(np.abs(vals[ts >= 1.0]) > 1e-12):
-            raise ValidationError(f"filter '{self.name}' must vanish on [1, inf)")
-
-
-def _cosine_taper(t: float) -> float:
-    if t <= 0.5:
-        return 1.0
-    if t >= 1.0:
-        return 0.0
-    return math.cos(math.pi * (t - 0.5)) ** 2
-
-
-#: Default filter: 1 on [0, 1/2], cos^2(pi (t - 1/2)) on [1/2, 1], then 0.
-#: Continuously differentiable with vanishing slope at both knots.
-cosine_filter = FilterFunction(_cosine_taper, name="cosine")
 
 
 def invert_regularized(
@@ -121,20 +85,6 @@ def two_step_solve(
             f"lambda = {float(sp.lam)!r}"
         )
     return solution
-
-
-def filtered_projection(
-    c: HarmonicCoefficients, h: FilterFunction, M: int
-) -> HarmonicCoefficients:
-    """Taper coefficients per degree by h(k/M).
-
-    Degrees up to M/2 pass unchanged, degrees at or above M are zeroed; the
-    storage degree of the result matches the input.
-    """
-    if M < 1:
-        raise ValidationError(f"filter degree must be positive, got {M}")
-    factors = np.array([h(k / M) for k in range(c.M + 1)])
-    return c.scaled_by_degree(factors)
 
 
 def composite_norm_bound(

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .collocation import CollocationParams, two_step_solve
 from .errors import ValidationError
 from .operators import (
     HarmonicCoefficients,
@@ -31,12 +30,11 @@ from .quadrature import CubatureRule, sphere_rule
 from .selection import (
     EvalGrid,
     ParameterGrid,
-    ParameterPick,
     grid_values,
     select_two_step,
     sup_norm,
 )
-from .smoothing import PenaltyWeights, SmoothingParams
+from .smoothing import PenaltyWeights
 
 DEFAULT_SEED = 31415
 
@@ -45,7 +43,8 @@ METHOD_SMOOTHING = "smoothing_only"
 METHOD_COLLOCATION = "collocation_only"
 METHODS = (METHOD_TWO_STEP, METHOD_SMOOTHING, METHOD_COLLOCATION)
 
-_BETA_RULE = "inv_symbol_half_pow"
+#: Largest two-step / best-single median ratio that still follows the leader.
+LEADER_FACTOR = 1.2
 
 _STANDARD_GRID = ParameterGrid(base=1.78e-5, factor=1.25, count=50, include_zero=True)
 
@@ -58,7 +57,6 @@ class ExperimentCase:
     symbol: str
     upsilon: float
     beta_exponent: float = 0.0
-    beta_rule: str = _BETA_RULE
     epsilon: float = 0.05
     M: int = 30
     R: float = 1.0
@@ -81,8 +79,6 @@ class ExperimentCase:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if self.M < 0:
             raise ValidationError(f"M must be nonnegative, got {self.M}")
-        if self.beta_rule != _BETA_RULE:
-            raise ValidationError(f"unknown beta rule {self.beta_rule!r}")
         grid_values(self.alpha_grid)
         grid_values(self.lambda_grid)
 
@@ -196,16 +192,8 @@ def relative_sup_error(
     return sup_norm(x_true - x_approx, eval_grid) / denom
 
 
-def run_case(
-    case: ExperimentCase,
-    *,
-    force_params: tuple[float, float] | None = None,
-) -> list[TrialResult]:
+def run_case(case: ExperimentCase) -> list[TrialResult]:
     """Run every trial of a case with all three methods.
-
-    ``force_params = (alpha, lam)`` bypasses parameter selection and solves
-    all three methods at exactly that pair; this is the harness self-check
-    mode (with clean data and (0, 0) every method recovers the truth).
 
     Results are ordered by trial, then two_step / smoothing_only /
     collocation_only, and are deterministic given the case (seed included).
@@ -221,29 +209,12 @@ def run_case(
     results: list[TrialResult] = []
     for t in range(case.trials):
         x_true, _, noisy = simulate_problem(case, trial_seed(case.seed, t))
-
-        if force_params is not None:
-            alpha0, lam0 = force_params
-            sol = two_step_solve(
-                noisy,
-                rule,
-                SmoothingParams(lam=lam0, beta=beta),
-                CollocationParams(alpha=alpha0, symbol=symbol),
-            )
-            forced = ParameterPick(alpha=alpha0, lam=lam0, solution=sol)
-            picks = [(m, forced) for m in METHODS]
-        else:
-            chosen = select_two_step(
-                noisy, rule, symbol, beta, case.alpha_grid, case.lambda_grid, grid
-            )
-            picks = [
-                (METHOD_TWO_STEP, chosen),
-                (METHOD_SMOOTHING, chosen.smoothing_only),
-                (METHOD_COLLOCATION, chosen.collocation_only),
-            ]
-
+        chosen = select_two_step(
+            noisy, rule, symbol, beta, case.alpha_grid, case.lambda_grid, grid
+        )
+        picks = (chosen, chosen.smoothing_only, chosen.collocation_only)
         true_sup = sup_norm(x_true, grid)
-        for method, pick in picks:
+        for method, pick in zip(METHODS, picks):
             results.append(
                 TrialResult(
                     trial=t,
@@ -271,7 +242,7 @@ class LeaderSummary:
 
 
 def leader_following_summary(
-    case_name: str, results: Sequence[TrialResult], factor: float = 1.2
+    case_name: str, results: Sequence[TrialResult]
 ) -> LeaderSummary:
     """Check whether the two-step median tracks the better single method."""
     medians = {}
@@ -288,7 +259,7 @@ def leader_following_summary(
         median_smoothing=medians[METHOD_SMOOTHING],
         median_collocation=medians[METHOD_COLLOCATION],
         ratio=ratio,
-        follows_leader=bool(ratio <= factor),
+        follows_leader=bool(ratio <= LEADER_FACTOR),
     )
 
 

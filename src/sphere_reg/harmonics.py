@@ -19,14 +19,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .errors import ValidationError
 
-_UNIT_TOL = 1e-12
 _RADIUS_RTOL = 1e-9
 
 
@@ -36,100 +34,6 @@ def radius_mismatch(r, ref: float) -> bool:
     The one tolerance rule of the package: |r - ref| > 1e-9 * max(ref, 1).
     """
     return bool(np.any(np.abs(np.asarray(r) - ref) > _RADIUS_RTOL * max(ref, 1.0)))
-
-
-@dataclass(frozen=True)
-class UnitVector:
-    """Direction on the unit sphere; coordinates must satisfy |u| = 1."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        nrm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        if abs(nrm - 1.0) > _UNIT_TOL:
-            raise ValidationError(f"not a unit vector: |u| = {nrm!r}")
-
-    @classmethod
-    def normalized(cls, x: float, y: float, z: float) -> "UnitVector":
-        nrm = math.sqrt(x * x + y * y + z * z)
-        if nrm == 0.0:
-            raise ValidationError("cannot normalize the zero vector")
-        return cls(x / nrm, y / nrm, z / nrm)
-
-    @classmethod
-    def from_angles(cls, theta: float, phi: float) -> "UnitVector":
-        """Polar angle theta in [0, pi], longitude phi."""
-        st = math.sin(theta)
-        return cls(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def dot(self, other: "UnitVector") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """Point on a sphere of given radius, stored as direction + radius."""
-
-    direction: UnitVector
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValidationError(f"radius must be positive, got {self.radius!r}")
-
-    @classmethod
-    def from_xyz(cls, x: float, y: float, z: float) -> "SpherePoint":
-        r = math.sqrt(x * x + y * y + z * z)
-        return cls(UnitVector.normalized(x, y, z), r)
-
-    def xyz(self) -> np.ndarray:
-        return self.radius * self.direction.as_array()
-
-
-@dataclass(frozen=True)
-class DegreeIndex:
-    """Harmonic index (k, j) with degree k >= 0 and 1 <= j <= 2k+1."""
-
-    k: int
-    j: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValidationError(f"degree must be nonnegative, got {self.k}")
-        if not 1 <= self.j <= 2 * self.k + 1:
-            raise ValidationError(f"order index j={self.j} outside 1..{2 * self.k + 1}")
-
-    @property
-    def m(self) -> int:
-        """Signed azimuthal order, m = j - k - 1."""
-        return self.j - self.k - 1
-
-    @property
-    def flat(self) -> int:
-        """Position in the canonical flat coefficient ordering."""
-        return self.k * self.k + self.j - 1
-
-
-def flat_index(k: int, j: int) -> int:
-    """Flat position of (k, j); equals k^2 + j - 1."""
-    return DegreeIndex(k, j).flat
-
-
-def legendre(k: int, t: float) -> float:
-    """Legendre polynomial P_k(t) by the three-term recurrence.
-
-    Raises ValidationError if |t| exceeds 1 by more than 1e-12.
-    """
-    if k < 0:
-        raise ValidationError(f"degree must be nonnegative, got {k}")
-    if abs(t) > 1.0 + 1e-12:
-        raise ValidationError(f"Legendre argument outside [-1, 1]: {t!r}")
-    return float(legendre_table(k, t)[k])
 
 
 def legendre_table(k_max: int, t: np.ndarray) -> np.ndarray:
@@ -241,12 +145,6 @@ def sph_harm_matrix(M: int, directions: np.ndarray) -> np.ndarray:
     return Y
 
 
-def sph_harm(idx: DegreeIndex, u: UnitVector) -> float:
-    """Real orthonormal spherical harmonic Y_{k,j} at a unit vector."""
-    row = sph_harm_matrix(idx.k, u.as_array()[None, :])
-    return float(row[0, idx.flat])
-
-
 def basis_matrix(M: int, points: np.ndarray, radius: float) -> np.ndarray:
     """Radius-scaled basis values (1/radius) Y_{k,j}(t/radius) at points.
 
@@ -262,8 +160,3 @@ def basis_matrix(M: int, points: np.ndarray, radius: float) -> np.ndarray:
     Y /= radius
     return Y
 
-
-def eval_basis(M: int, p: SpherePoint) -> np.ndarray:
-    """Basis vector (1/rho) Y_{k,j}(t/rho) for all k <= M at one point."""
-    row = sph_harm_matrix(M, p.direction.as_array()[None, :])
-    return row[0] / p.radius

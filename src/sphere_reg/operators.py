@@ -43,15 +43,6 @@ class HarmonicCoefficients:
             )
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def zeros(cls, M: int, radius: float) -> "HarmonicCoefficients":
-        return cls(M=M, radius=radius, values=np.zeros((M + 1) * (M + 1)))
-
-    def get(self, k: int, j: int) -> float:
-        if not (0 <= k <= self.M and 1 <= j <= 2 * k + 1):
-            raise ValidationError(f"index ({k}, {j}) outside triangle for M={self.M}")
-        return float(self.values[k * k + j - 1])
-
     def row(self, k: int) -> np.ndarray:
         """Coefficients of degree k, i.e. j = 1..2k+1."""
         return self.values[k * k : (k + 1) * (k + 1)]
@@ -112,21 +103,6 @@ class SphericalSymbol:
     @property
     def M(self) -> int:
         return self.a.size - 1
-
-
-@dataclass(frozen=True, eq=False)
-class SmoothnessWeights:
-    """Per-degree denominators of a Sobolev-type norm; all positive."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        object.__setattr__(self, "w", w)
-        if w.ndim != 1 or w.size == 0:
-            raise ValidationError("weight table must be a nonempty vector")
-        if np.any(w <= 0):
-            raise ValidationError("smoothness weights must be positive")
 
 
 def _rule_basis(rule: CubatureRule, M: int) -> np.ndarray:
@@ -244,12 +220,3 @@ def symbol_preset(
         raise ValidationError(f"unknown symbol preset {tag!r}")
     return SphericalSymbol(a=a, R=float(R), rho=float(rho), name=name.strip())
 
-
-def sobolev_norm(coeffs: HarmonicCoefficients, w: SmoothnessWeights) -> float:
-    """Weighted coefficient norm sqrt(sum_{k,j} c_{k,j}^2 / w_k)."""
-    if w.w.size < coeffs.M + 1:
-        raise ValidationError(
-            f"weight table covers degrees 0..{w.w.size - 1}, need 0..{coeffs.M}"
-        )
-    per_entry = np.repeat(w.w[: coeffs.M + 1], 2 * np.arange(coeffs.M + 1) + 1)
-    return float(np.sqrt(np.sum(coeffs.values * coeffs.values / per_entry)))

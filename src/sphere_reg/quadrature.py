@@ -121,12 +121,3 @@ def sphere_rule(M: int, rho: float) -> CubatureRule:
         exactness_degree=2 * M,
     )
 
-
-def integrate(rule: CubatureRule, samples: np.ndarray) -> float:
-    """Apply the rule: sum of weight_i * samples_i."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (rule.n_points,):
-        raise ValidationError(
-            f"expected {rule.n_points} samples, got shape {samples.shape}"
-        )
-    return float(rule.weights @ samples)

@@ -305,6 +305,30 @@ def _candidate_factors(
     return inversion, factors
 
 
+#: Fields whose a-priori bound is below this are finite, and so are their
+#: differences; above it, the sweep scans the fields.
+_FIELD_SCAN_BOUND = np.finfo(float).max / 4
+
+
+def _candidate_fields(
+    Z: np.ndarray, zmax: np.ndarray, factors: np.ndarray, alpha: float, out=None
+) -> np.ndarray:
+    """The candidates' fields Z @ factors.T, checked to be finite.
+
+    With zmax[k] = max_t |Z[t, k]|, sum_k |factors[l, k]| zmax[k] bounds
+    |fields[t, l]|, so the fields are scanned only when that bound is not
+    far below the float maximum.  Raises NumericalError on a non-finite field.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        fields = np.matmul(Z, factors.T, out=out)
+        bound = np.max(np.abs(factors) @ zmax)
+    if not bound < _FIELD_SCAN_BOUND and not np.all(np.isfinite(fields)):
+        raise NumericalError(
+            f"non-finite candidate fields at alpha = {float(alpha)!r}"
+        )
+    return fields
+
+
 def select_two_step(
     samples: np.ndarray,
     rule: CubatureRule,
@@ -333,7 +357,7 @@ def select_two_step(
     allowed: their pass picks the only value.
 
     Raises NumericalError if the field sums, any candidate's per-degree
-    factors or any of the three picked solutions are not finite.
+    factors or field, or any of the three picked solutions are not finite.
     """
     alphas = grid_values(alpha_grid)
     lambdas = grid_values(lambda_grid)
@@ -350,6 +374,7 @@ def select_two_step(
         Z = grid.degree_fields(solution_shape)
     if not np.all(np.isfinite(Z)):
         raise NumericalError("non-finite per-degree field sums of the samples")
+    zmax = np.max(np.abs(Z), axis=0)
 
     a = symbol.a[: M + 1]
     b = beta.beta[: M + 1]
@@ -362,7 +387,9 @@ def select_two_step(
 
     # Smoothing-only: the inner pass at alpha = 0.
     _, direct = _candidate_factors(a, damping, 0.0)
-    smoothing_idx, _ = _pruned_quasi_optimal(np.matmul(Z, direct.T, out=fields))
+    smoothing_idx, _ = _pruned_quasi_optimal(
+        _candidate_fields(Z, zmax, direct, 0.0, out=fields)
+    )
 
     chosen_lams = np.empty(len(alphas))
     inner_mins = np.empty(len(alphas))
@@ -371,13 +398,15 @@ def select_two_step(
     for i, alpha in enumerate(alphas):
         inversion, factors = _candidate_factors(a, damping, alpha)
         idx, inner_mins[i] = _pruned_quasi_optimal(
-            np.matmul(Z, factors.T, out=fields)
+            _candidate_fields(Z, zmax, factors, alpha, out=fields)
         )
         chosen_lams[i] = lambdas[idx]
         # The lambda = 0 field is the same matrix-vector product as a {0}
         # lambda grid, which can differ in the last bits from column 0 of
         # the GEMM above.
-        columns = np.column_stack((fields[:, idx], Z @ inversion))
+        columns = np.column_stack(
+            (fields[:, idx], _candidate_fields(Z, zmax, inversion, alpha))
+        )
         if i:
             outer_diffs[i - 1] = _sup_difference(columns, previous)
         previous = columns

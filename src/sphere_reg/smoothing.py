@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, ValidationError
-from .harmonics import SpherePoint, basis_matrix, legendre_table, radius_mismatch
+from .harmonics import basis_matrix
 from .operators import HarmonicCoefficients, analyze
 from .quadrature import CubatureRule
 
@@ -67,28 +67,6 @@ class SmoothingParams:
             )
         b = self.beta.beta[: M + 1]
         return 1.0 / (1.0 + self.lam * b * b)
-
-
-def kernel(t: SpherePoint, tau: SpherePoint, beta: PenaltyWeights, M: int) -> float:
-    """Reproducing kernel of the beta-weighted polynomial space at (t, tau).
-
-    Evaluated through the closed Legendre form
-    sum_k beta_k^-2 (2k+1)/(4 pi rho^2) P_k(cos gamma), with gamma the angle
-    between the two points; this equals the double sum of basis products.
-    """
-    if radius_mismatch(tau.radius, t.radius):
-        raise ValidationError(
-            f"kernel points on different spheres: {t.radius} vs {tau.radius}"
-        )
-    if beta.M < M:
-        raise ValidationError(f"beta covers degrees 0..{beta.M}, need 0..{M}")
-    rho = t.radius
-    cos_gamma = min(1.0, max(-1.0, t.direction.dot(tau.direction)))
-    p = legendre_table(M, np.asarray(cos_gamma))
-    k = np.arange(M + 1)
-    b = beta.beta[: M + 1]
-    terms = (2 * k + 1) / (4.0 * math.pi * rho * rho) / (b * b) * p
-    return float(np.sum(terms))
 
 
 def smooth(

@@ -18,12 +18,14 @@ from sphere_reg.cli import (
     EXIT_VERIFY_FAILED,
     main,
     parse_config,
-    read_coeffs_csv,
     read_samples_csv,
     write_coeffs_csv,
+    write_rule_csv,
     write_samples_csv,
+    write_trace_csv,
 )
 from sphere_reg.errors import ValidationError
+from sphere_reg.selection import TraceRecord
 
 
 class TestRuleCommand:
@@ -80,6 +82,13 @@ def make_samples(tmp_path, M=8, noise=0.0, seed=3):
     return path, rule, x
 
 
+def read_coeffs(path):
+    """Values of a coefficient CSV, checking that rows run over the triangle."""
+    k, j, values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, unpack=True)
+    np.testing.assert_array_equal(k * k + j - 1, np.arange(values.size))
+    return values
+
+
 class TestSolveCommand:
     def test_exact_solve_recovers_coefficients(self, tmp_path):
         path, rule, x = make_samples(tmp_path)
@@ -96,8 +105,8 @@ class TestSolveCommand:
             ]
         )
         assert code == EXIT_OK
-        got = read_coeffs_csv(str(out), radius=1.0)
-        np.testing.assert_allclose(got.values, x.values, atol=1e-9)
+        got = read_coeffs(out)
+        np.testing.assert_allclose(got, x.values, atol=1e-9)
 
     def test_auto_prints_selected_parameters(self, tmp_path, capsys):
         path, rule, x = make_samples(tmp_path, noise=0.05)
@@ -258,8 +267,6 @@ class TestNonFiniteSelection:
         assert err.startswith("error: numerical failure") and "alpha = 0.0" in err
         assert not out.exists()
 
-
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "rho, symbol, value, params, message",
         [
@@ -293,34 +300,118 @@ class TestNonFiniteSelection:
         assert err.startswith("error: numerical failure") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "symbol, scale", [("geometric(2)", 3e306), ("polynomial(1)", 3e307)]
+    )
+    def test_overflowing_candidate_fields_exit_numerical(
+        self, tmp_path, capsys, symbol, scale
+    ):
+        # Finite field sums and factors, but the (T, L) candidate fields
+        # overflow; a NaN difference once won the selection silently.
+        rule = sphere_rule(6, 1.0)
+        path = tmp_path / "samples.csv"
+        samples = scale * np.random.default_rng(1).standard_normal(rule.n_points)
+        write_samples_csv(str(path), rule, samples)
+        out, trace = tmp_path / "coeffs.csv", tmp_path / "trace.csv"
+        code = main(
+            ["solve", str(path), "--M", "6", "--symbol", symbol, "--auto"]
+            + ["--trace", str(trace), "-o", str(out)]
+        )
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: numerical failure: non-finite candidate fields at alpha = 0.0"
+        ]
+        assert not out.exists() and not trace.exists()
+
 
 class TestCoeffsIO:
     def test_round_trip(self, tmp_path, rng):
         c = HarmonicCoefficients(M=4, radius=1.0, values=rng.standard_normal(25))
         path = tmp_path / "c.csv"
         write_coeffs_csv(c, str(path))
-        back = read_coeffs_csv(str(path), radius=1.0)
-        assert back.M == 4
-        np.testing.assert_array_equal(back.values, c.values)
+        np.testing.assert_array_equal(read_coeffs(path), c.values)
 
-    def test_incomplete_triangle_rejected(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text("k,j,value\n0,1,1.5\n1,1,0.5\n")
-        with pytest.raises(ValidationError):
-            read_coeffs_csv(str(path), radius=1.0)
 
-    def test_duplicate_rejected(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text("k,j,value\n0,1,1.5\n0,1,2.5\n")
-        with pytest.raises(ValidationError):
-            read_coeffs_csv(str(path), radius=1.0)
+# The hand-rolled writer loops that the numpy writers replace: the oracle for
+# their bytes.
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_non_finite_value_names_the_line(self, tmp_path, bad):
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def loop_rule_csv(rule):
+    lines = ["x,y,z,weight"]
+    for p, w in zip(rule.points, rule.weights):
+        lines.append(f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])},{_fmt(w)}")
+    return "\n".join(lines) + "\n"
+
+
+def loop_samples_csv(rule, samples):
+    lines = ["x,y,z,value"]
+    for p, v in zip(rule.points, samples):
+        lines.append(f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])},{_fmt(v)}")
+    return "\n".join(lines) + "\n"
+
+
+def loop_coeffs_csv(coeffs):
+    lines = ["k,j,value"]
+    for k in range(coeffs.M + 1):
+        for j in range(1, 2 * k + 2):
+            lines.append(f"{k},{j},{_fmt(coeffs.values[k * k + j - 1])}")
+    return "\n".join(lines) + "\n"
+
+
+def loop_trace_csv(trace):
+    lines = ["alpha,chosen_lambda,inner_min_diff,outer_diff"]
+    for rec in trace:
+        lines.append(
+            f"{_fmt(rec.alpha)},{_fmt(rec.chosen_lambda)},"
+            f"{_fmt(rec.inner_min_diff)},{_fmt(rec.outer_diff)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def awkward_values(rng, n):
+    """Random doubles over +-1e+-300 led by signed zero, subnormals and 1e308."""
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, 0.1, 1 / 3]
+    exponents = rng.uniform(-300.0, 300.0, n)
+    spread = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 10.0, n) * 10.0**exponents
+    return np.concatenate((special, spread))[:n]
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("M", [0, 56])
+    def test_rule(self, tmp_path, M):
+        rule = sphere_rule(M, 1.7)
+        path = tmp_path / "rule.csv"
+        write_rule_csv(rule, str(path))
+        assert path.read_bytes() == loop_rule_csv(rule).encode()
+
+    def test_samples(self, tmp_path, rng):
+        rule = sphere_rule(31, 1.7)
+        samples = awkward_values(rng, rule.n_points)
+        path = tmp_path / "samples.csv"
+        write_samples_csv(str(path), rule, samples)
+        assert path.read_bytes() == loop_samples_csv(rule, samples).encode()
+
+    def test_coefficients(self, tmp_path, rng):
+        c = HarmonicCoefficients(M=56, radius=1.0, values=awkward_values(rng, 57 * 57))
         path = tmp_path / "c.csv"
-        path.write_text(f"k,j,value\n0,1,1.5\n1,1,{bad}\n1,2,0\n1,3,0\n")
-        with pytest.raises(ValidationError, match="line 3: non-finite"):
-            read_coeffs_csv(str(path), radius=1.0)
+        write_coeffs_csv(c, str(path))
+        assert path.read_bytes() == loop_coeffs_csv(c).encode()
+
+    def test_trace(self, tmp_path, rng):
+        values = awkward_values(rng, 60).reshape(4, 15)
+        trace = [
+            TraceRecord(alpha=a, chosen_lambda=lam, inner_min_diff=d, outer_diff=o)
+            for a, lam, d, o in zip(*values)
+        ]
+        trace[0] = TraceRecord(1e-5, 0.0, math.nan, math.nan)
+        path = tmp_path / "t.csv"
+        write_trace_csv(str(path), trace)
+        assert path.read_bytes() == loop_trace_csv(trace).encode()
 
 
 class TestConfig:

@@ -5,7 +5,6 @@ import pytest
 
 from sphere_reg import (
     CollocationParams,
-    FilterFunction,
     HarmonicCoefficients,
     PenaltyWeights,
     SmoothingParams,
@@ -14,9 +13,6 @@ from sphere_reg import (
     analyze,
     apply_forward,
     composite_norm_bound,
-    cosine_filter,
-    filtered_projection,
-    flat_index,
     invert_regularized,
     smooth,
     sphere_rule,
@@ -48,14 +44,14 @@ class TestInvertRegularized:
     def test_single_mode_factor(self):
         # a_2 = 1/9, alpha = 1/81: factor (1/9)/(1/81 + 1/81) = 4.5
         sym = symbol_preset("polynomial(2)", 1.0, 1.0, 4)
-        p = HarmonicCoefficients.zeros(4, 1.0)
-        p.values[flat_index(2, 1)] = 1.0
+        p = HarmonicCoefficients(M=4, radius=1.0, values=np.zeros(25))
+        p.values[2 * 2 + 1 - 1] = 1.0  # (k, j) = (2, 1)
         out = invert_regularized(p, CollocationParams(alpha=1.0 / 81.0, symbol=sym))
-        assert out.get(2, 1) == pytest.approx(4.5, abs=1e-12)
+        assert out.values[2 * 2 + 1 - 1] == pytest.approx(4.5, abs=1e-12)
 
     def test_radius_mismatch(self):
         sym = symbol_preset("sst", 1.0, 2.0, 3)
-        p = HarmonicCoefficients.zeros(3, 1.5)
+        p = HarmonicCoefficients(M=3, radius=1.5, values=np.zeros(16))
         with pytest.raises(ValidationError):
             invert_regularized(p, CollocationParams(alpha=0.0, symbol=sym))
 
@@ -156,52 +152,6 @@ class TestTwoStepSolve:
             for alpha in grid
         ]
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
-
-
-class TestFilteredProjection:
-    def test_low_degrees_untouched(self, rng):
-        c = HarmonicCoefficients(M=10, radius=1.0, values=rng.standard_normal(121))
-        out = filtered_projection(c, cosine_filter, 10)
-        for k in range(6):  # k/M <= 1/2
-            np.testing.assert_array_equal(out.row(k), c.row(k))
-
-    def test_top_degree_zeroed(self, rng):
-        c = HarmonicCoefficients(M=10, radius=1.0, values=rng.standard_normal(121))
-        out = filtered_projection(c, cosine_filter, 10)
-        np.testing.assert_array_equal(out.row(10), np.zeros(21))
-
-    def test_intermediate_factor(self):
-        # frozen oracle: cos^2(pi (0.7 - 0.5)) = 0.6545084971874737
-        c = HarmonicCoefficients.zeros(10, 1.0)
-        c.values[flat_index(7, 1)] = 1.0
-        out = filtered_projection(c, cosine_filter, 10)
-        assert out.get(7, 1) == pytest.approx(0.6545084971874737, abs=1e-12)
-
-    def test_filter_sandwich(self, rng):
-        c = HarmonicCoefficients(M=12, radius=1.0, values=rng.standard_normal(169))
-        out = filtered_projection(c, cosine_filter, 12)
-        for k in range(13):
-            assert np.linalg.norm(out.row(k)) <= np.linalg.norm(c.row(k)) + 1e-15
-
-
-class TestFilterFunction:
-    def test_default_filter_is_valid(self):
-        cosine_filter.validate()
-
-    def test_envelope_violations_detected(self):
-        bad = FilterFunction(lambda t: 1.0, name="flat")
-        with pytest.raises(ValidationError):
-            bad.validate()
-        bad = FilterFunction(lambda t: 2.0 if t < 0.25 else 0.0, name="tall")
-        with pytest.raises(ValidationError):
-            bad.validate()
-
-    def test_continuity_at_knots(self):
-        eps = 1e-9
-        assert cosine_filter(0.5) == 1.0
-        assert cosine_filter(0.5 + eps) == pytest.approx(1.0, abs=1e-15)
-        assert cosine_filter(1.0) == 0.0
-        assert cosine_filter(1.0 - eps) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestCompositeNormBound:

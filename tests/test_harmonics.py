@@ -8,20 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sphere_reg import (
-    DegreeIndex,
     EvalGrid,
     HarmonicCoefficients,
-    SpherePoint,
-    UnitVector,
     ValidationError,
     basis_matrix,
-    eval_basis,
-    flat_index,
     harmonic_blocks,
-    integrate,
-    legendre,
     legendre_table,
-    sph_harm,
     sph_harm_matrix,
     sphere_rule,
 )
@@ -29,6 +21,16 @@ from sphere_reg.harmonics import radius_mismatch
 from conftest import random_directions
 
 FOUR_PI = 4.0 * math.pi
+
+
+def legendre(k, t):
+    """P_k(t) for scalar t: entry k of the Legendre table."""
+    return float(legendre_table(k, t)[k])
+
+
+def harmonic(k, j, u):
+    """Y_{k,j}(u) for one unit vector u: column k^2 + j - 1 of the matrix."""
+    return float(sph_harm_matrix(k, np.asarray(u)[None, :])[0, k * k + j - 1])
 
 
 def rodrigues_p5(t):
@@ -77,77 +79,40 @@ class TestLegendre:
                 assert table[k, i] == pytest.approx(legendre(k, t), abs=1e-14)
 
 
-class TestIndexing:
-    def test_flat_index_round_trip(self):
-        flat = 0
-        for k in range(6):
-            for j in range(1, 2 * k + 2):
-                idx = DegreeIndex(k, j)
-                assert idx.flat == flat == flat_index(k, j)
-                assert idx.m == j - k - 1
-                flat += 1
-
-    def test_invalid_indices(self):
-        with pytest.raises(ValidationError):
-            DegreeIndex(2, 0)
-        with pytest.raises(ValidationError):
-            DegreeIndex(2, 6)
-        with pytest.raises(ValidationError):
-            DegreeIndex(-1, 1)
-
-
-class TestUnitVector:
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValidationError):
-            UnitVector(1.0, 1.0, 0.0)
-
-    def test_normalized_constructor(self):
-        u = UnitVector.normalized(3.0, 4.0, 0.0)
-        assert u.x == pytest.approx(0.6)
-        assert u.y == pytest.approx(0.8)
-
-    def test_from_angles(self):
-        u = UnitVector.from_angles(math.pi / 2, 0.0)
-        assert u.x == pytest.approx(1.0)
-        assert abs(u.z) < 1e-15
-
-
 class TestSphHarm:
     def test_constant_harmonic(self):
-        u = UnitVector.normalized(0.3, -1.2, 0.8)
-        assert sph_harm(DegreeIndex(0, 1), u) == pytest.approx(
+        u = np.array([0.3, -1.2, 0.8]) / np.linalg.norm([0.3, -1.2, 0.8])
+        assert harmonic(0, 1, u) == pytest.approx(
             1.0 / math.sqrt(FOUR_PI), abs=1e-15
         )
 
     def test_degree_one_sum_of_squares(self, rng):
         # addition theorem at zero angle: sum_j Y_{1,j}^2 = 3/(4 pi)
-        for v in random_directions(rng, 5):
-            u = UnitVector(*v)
-            total = sum(sph_harm(DegreeIndex(1, j), u) ** 2 for j in (1, 2, 3))
+        for u in random_directions(rng, 5):
+            total = sum(harmonic(1, j, u) ** 2 for j in (1, 2, 3))
             assert total == pytest.approx(3.0 / FOUR_PI, abs=1e-13)
 
     def test_low_degree_closed_forms(self, rng):
         # hand-written table of real harmonics (no Condon-Shortley phase)
-        for v in random_directions(rng, 4):
-            x, y, z = v
-            u = UnitVector(*v)
+        for u in random_directions(rng, 4):
+            x, y, z = u
             c1 = math.sqrt(3.0 / FOUR_PI)
-            assert sph_harm(DegreeIndex(1, 1), u) == pytest.approx(c1 * y, abs=1e-13)
-            assert sph_harm(DegreeIndex(1, 2), u) == pytest.approx(c1 * z, abs=1e-13)
-            assert sph_harm(DegreeIndex(1, 3), u) == pytest.approx(c1 * x, abs=1e-13)
-            assert sph_harm(DegreeIndex(2, 3), u) == pytest.approx(
+            assert harmonic(1, 1, u) == pytest.approx(c1 * y, abs=1e-13)
+            assert harmonic(1, 2, u) == pytest.approx(c1 * z, abs=1e-13)
+            assert harmonic(1, 3, u) == pytest.approx(c1 * x, abs=1e-13)
+            assert harmonic(2, 3, u) == pytest.approx(
                 math.sqrt(5.0 / (16.0 * math.pi)) * (3.0 * z * z - 1.0), abs=1e-13
             )
-            assert sph_harm(DegreeIndex(2, 4), u) == pytest.approx(
+            assert harmonic(2, 4, u) == pytest.approx(
                 math.sqrt(15.0 / FOUR_PI) * x * z, abs=1e-13
             )
-            assert sph_harm(DegreeIndex(2, 5), u) == pytest.approx(
+            assert harmonic(2, 5, u) == pytest.approx(
                 math.sqrt(15.0 / (16.0 * math.pi)) * (x * x - y * y), abs=1e-13
             )
-            assert sph_harm(DegreeIndex(2, 1), u) == pytest.approx(
+            assert harmonic(2, 1, u) == pytest.approx(
                 math.sqrt(15.0 / FOUR_PI) * x * y, abs=1e-13
             )
-            assert sph_harm(DegreeIndex(2, 2), u) == pytest.approx(
+            assert harmonic(2, 2, u) == pytest.approx(
                 math.sqrt(15.0 / FOUR_PI) * y * z, abs=1e-13
             )
 
@@ -187,8 +152,8 @@ class TestSphHarm:
     def test_discrete_inner_product_orthonormal(self):
         # <Y_{2,1}, Y_{2,1}> under a degree-4 rule is 1
         rule = sphere_rule(2, 1.0)
-        vals = sph_harm_matrix(2, rule.directions())[:, flat_index(2, 1)]
-        assert integrate(rule, vals * vals) == pytest.approx(1.0, abs=1e-10)
+        vals = sph_harm_matrix(2, rule.directions())[:, 2 * 2 + 1 - 1]
+        assert rule.weights @ (vals * vals) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestAdditionTheorem:
@@ -239,25 +204,27 @@ class TestRadiusMismatch:
 
 class TestBasis:
     def test_single_entry_unit_radius(self):
-        p = SpherePoint(UnitVector(0.0, 0.0, 1.0), 1.0)
         np.testing.assert_allclose(
-            eval_basis(0, p), [1.0 / math.sqrt(FOUR_PI)], atol=1e-15
+            basis_matrix(0, [[0.0, 0.0, 1.0]], 1.0)[0],
+            [1.0 / math.sqrt(FOUR_PI)],
+            atol=1e-15,
         )
 
     def test_radius_scaling(self):
-        p = SpherePoint(UnitVector(0.0, 0.0, 1.0), 2.0)
         np.testing.assert_allclose(
-            eval_basis(0, p), [0.5 / math.sqrt(FOUR_PI)], atol=1e-15
+            basis_matrix(0, [[0.0, 0.0, 2.0]], 2.0)[0],
+            [0.5 / math.sqrt(FOUR_PI)],
+            atol=1e-15,
         )
 
     def test_north_pole_kills_nonzonal_entries(self):
-        vals = eval_basis(3, SpherePoint(UnitVector(0.0, 0.0, 1.0), 1.0))
+        vals = basis_matrix(3, [[0.0, 0.0, 1.0]], 1.0)[0]
         for k in range(4):
             for j in range(1, 2 * k + 2):
                 if j != k + 1:  # m != 0
-                    assert vals[flat_index(k, j)] == 0.0
+                    assert vals[k * k + j - 1] == 0.0
                 else:
-                    assert vals[flat_index(k, j)] != 0.0
+                    assert vals[k * k + j - 1] != 0.0
 
     def test_basis_matrix_rejects_off_sphere_points(self):
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])

@@ -5,13 +5,10 @@ import pytest
 
 from sphere_reg import (
     HarmonicCoefficients,
-    SmoothnessWeights,
     SphericalSymbol,
     ValidationError,
     analyze,
     apply_forward,
-    flat_index,
-    sobolev_norm,
     sphere_rule,
     symbol_preset,
     synthesize,
@@ -29,15 +26,13 @@ class TestHarmonicCoefficients:
 
     def test_get_and_row(self):
         c = HarmonicCoefficients(M=2, radius=1.0, values=np.arange(9.0))
-        assert c.get(0, 1) == 0.0
-        assert c.get(2, 5) == 8.0
+        np.testing.assert_array_equal(c.row(0), [0.0])
         np.testing.assert_array_equal(c.row(1), [1.0, 2.0, 3.0])
-        with pytest.raises(ValidationError):
-            c.get(3, 1)
+        np.testing.assert_array_equal(c.row(2), [4.0, 5.0, 6.0, 7.0, 8.0])
 
     def test_subtraction_checks_radius(self):
-        a = HarmonicCoefficients.zeros(1, 1.0)
-        b = HarmonicCoefficients.zeros(1, 2.0)
+        a = HarmonicCoefficients(M=1, radius=1.0, values=np.zeros(4))
+        b = HarmonicCoefficients(M=1, radius=2.0, values=np.zeros(4))
         with pytest.raises(ValidationError):
             a - b
 
@@ -52,7 +47,7 @@ class TestAnalyze:
         rho = 1.7
         rule = sphere_rule(4, rho)
         c = analyze(np.ones(rule.n_points), rule, 4)
-        assert c.get(0, 1) == pytest.approx(rho * math.sqrt(FOUR_PI), abs=1e-10)
+        assert c.values[0] == pytest.approx(rho * math.sqrt(FOUR_PI), abs=1e-10)
         rest = c.values[1:]
         assert np.max(np.abs(rest)) < 1e-10
         assert c.radius == rho
@@ -60,12 +55,12 @@ class TestAnalyze:
     def test_single_basis_function(self):
         rho = 2.0
         rule = sphere_rule(6, rho)
-        target = HarmonicCoefficients.zeros(6, rho)
-        target.values[flat_index(4, 2)] = 1.0
+        target = HarmonicCoefficients(M=6, radius=rho, values=np.zeros(49))
+        target.values[4 * 4 + 2 - 1] = 1.0
         samples = synthesize(target, rule.points)
         c = analyze(samples, rule, 6)
         expected = np.zeros(49)
-        expected[flat_index(4, 2)] = 1.0
+        expected[4 * 4 + 2 - 1] = 1.0
         np.testing.assert_allclose(c.values, expected, atol=1e-10)
 
     def test_round_trip_on_polynomials(self, rng):
@@ -90,18 +85,18 @@ class TestAnalyze:
 
 class TestSynthesize:
     def test_constant(self):
-        c = HarmonicCoefficients.zeros(2, 1.0)
+        c = HarmonicCoefficients(M=2, radius=1.0, values=np.zeros(9))
         c.values[0] = math.sqrt(FOUR_PI)
         pts = sphere_rule(2, 1.0).points
         np.testing.assert_allclose(synthesize(c, pts), np.ones(len(pts)), atol=1e-12)
 
     def test_zero_coefficients(self):
-        c = HarmonicCoefficients.zeros(3, 1.0)
+        c = HarmonicCoefficients(M=3, radius=1.0, values=np.zeros(16))
         pts = sphere_rule(1, 1.0).points
         np.testing.assert_array_equal(synthesize(c, pts), np.zeros(len(pts)))
 
     def test_radius_mismatch(self):
-        c = HarmonicCoefficients.zeros(1, 1.0)
+        c = HarmonicCoefficients(M=1, radius=1.0, values=np.zeros(4))
         pts = sphere_rule(1, 2.0).points
         with pytest.raises(ValidationError):
             synthesize(c, pts)
@@ -126,10 +121,10 @@ class TestApplyForward:
 
     def test_single_mode_scaling(self):
         sym = symbol_preset("polynomial(2)", 1.0, 1.0, 4)
-        x = HarmonicCoefficients.zeros(4, 1.0)
-        x.values[flat_index(2, 1)] = 1.0
+        x = HarmonicCoefficients(M=4, radius=1.0, values=np.zeros(25))
+        x.values[2 * 2 + 1 - 1] = 1.0  # (k, j) = (2, 1)
         y = apply_forward(sym, x)
-        assert y.get(2, 1) == pytest.approx(1.0 / 9.0, abs=1e-15)
+        assert y.values[2 * 2 + 1 - 1] == pytest.approx(1.0 / 9.0, abs=1e-15)
 
     def test_sst_round_trip(self, rng):
         sym = symbol_preset("sst", 1.0, 2.0, 8)
@@ -149,10 +144,10 @@ class TestApplyForward:
 
     def test_radius_and_degree_mismatch(self):
         sym = symbol_preset("polynomial(2)", 1.0, 1.0, 3)
-        x_bad_radius = HarmonicCoefficients.zeros(3, 2.0)
+        x_bad_radius = HarmonicCoefficients(M=3, radius=2.0, values=np.zeros(16))
         with pytest.raises(ValidationError):
             apply_forward(sym, x_bad_radius)
-        x_bad_degree = HarmonicCoefficients.zeros(4, 1.0)
+        x_bad_degree = HarmonicCoefficients(M=4, radius=1.0, values=np.zeros(25))
         with pytest.raises(ValidationError):
             apply_forward(sym, x_bad_degree)
 
@@ -207,37 +202,3 @@ class TestSymbolPresets:
         with pytest.raises(ValidationError):
             symbol_preset("polynomial(2)", 2.0, 1.0, 3)  # R > rho
 
-
-class TestSobolevNorm:
-    def test_unit_weights_give_l2(self, rng):
-        c = HarmonicCoefficients(M=3, radius=1.0, values=rng.standard_normal(16))
-        w = SmoothnessWeights(w=np.ones(4))
-        assert sobolev_norm(c, w) == pytest.approx(
-            float(np.linalg.norm(c.values)), abs=1e-13
-        )
-
-    def test_single_mode(self):
-        c = HarmonicCoefficients.zeros(3, 1.0)
-        c.values[flat_index(3, 1)] = 2.0
-        w = SmoothnessWeights(w=np.array([1.0, 1.0, 1.0, 4.0]))
-        assert sobolev_norm(c, w) == pytest.approx(1.0, abs=1e-15)
-
-    def test_brute_force_oracle(self, rng):
-        # psi(t) = t applied to the squared symbol: w_k = (a_k^2)^2
-        sym = symbol_preset("polynomial(2)", 1.0, 1.0, 5)
-        c = HarmonicCoefficients(M=5, radius=1.0, values=rng.standard_normal(36))
-        w = SmoothnessWeights(w=(sym.a**2) ** 2)
-        expected = 0.0
-        for k in range(6):
-            for j in range(1, 2 * k + 2):
-                expected += c.get(k, j) ** 2 / (sym.a[k] ** 2) ** 2
-        assert sobolev_norm(c, w) == pytest.approx(math.sqrt(expected), rel=1e-12)
-
-    def test_rejects_nonpositive_weight(self):
-        with pytest.raises(ValidationError):
-            SmoothnessWeights(w=np.array([1.0, 0.0]))
-
-    def test_rejects_short_table(self):
-        c = HarmonicCoefficients.zeros(3, 1.0)
-        with pytest.raises(ValidationError):
-            sobolev_norm(c, SmoothnessWeights(w=np.ones(2)))

@@ -86,12 +86,12 @@ class TestExpandGrid:
 
 class TestSupNorm:
     def test_constant_function(self, grid_m6):
-        c = HarmonicCoefficients.zeros(6, 1.0)
+        c = HarmonicCoefficients(M=6, radius=1.0, values=np.zeros(49))
         c.values[0] = math.sqrt(4.0 * math.pi)
         assert sup_norm(c, grid_m6) == pytest.approx(1.0, abs=1e-12)
 
     def test_accepts_raw_point_array(self):
-        c = HarmonicCoefficients.zeros(2, 1.0)
+        c = HarmonicCoefficients(M=2, radius=1.0, values=np.zeros(9))
         c.values[0] = math.sqrt(4.0 * math.pi)
         pts = sphere_rule(4, 1.0).points
         assert sup_norm(c, pts) == pytest.approx(1.0, abs=1e-12)
@@ -104,7 +104,7 @@ class TestSupNorm:
         assert abs(fine - coarse) <= 0.01 * fine
 
     def test_radius_mismatch(self, grid_m6):
-        c = HarmonicCoefficients.zeros(6, 2.0)
+        c = HarmonicCoefficients(M=6, radius=2.0, values=np.zeros(49))
         with pytest.raises(ValidationError):
             sup_norm(c, grid_m6)
 
@@ -212,7 +212,7 @@ class TestPrunedQuasiOptimal:
 
 
 def single_mode(M, amplitude):
-    c = HarmonicCoefficients.zeros(M, 1.0)
+    c = HarmonicCoefficients(M=M, radius=1.0, values=np.zeros((M + 1) ** 2))
     c.values[2] = amplitude  # the (1, 2) mode
     return c
 
@@ -300,7 +300,7 @@ def dense_sweep(samples, rule, symbol, beta, alphas, lambdas, grid):
 
     Returns (nested alpha index, per-alpha chosen lambdas, inner minimum
     differences, outer differences, smoothing-only lambda index,
-    collocation-only alpha index).
+    collocation-only alpha index, whether every candidate field is finite).
     """
     M = rule.M
     coeffs = analyze(samples, rule, M)
@@ -308,8 +308,10 @@ def dense_sweep(samples, rule, symbol, beta, alphas, lambdas, grid):
     a = symbol.a[: M + 1]
     b = beta.beta[: M + 1]
     damping = 1.0 / (1.0 + np.outer(lambdas, b * b))
-    smoothing_idx, _ = _quasi_optimal(Z @ (damping * (a / (a * a))).T)
+    direct = Z @ (damping * (a / (a * a))).T
+    smoothing_idx, _ = _quasi_optimal(direct)
     winners, unsmoothed, chosen_lams, inner_mins = [], [], [], []
+    finite = np.isfinite(direct).all()
     for alpha in alphas:
         inversion = a / (alpha + a * a)
         fields = Z @ (damping * inversion).T
@@ -318,19 +320,30 @@ def dense_sweep(samples, rule, symbol, beta, alphas, lambdas, grid):
         unsmoothed.append(Z @ inversion)
         chosen_lams.append(lambdas[idx])
         inner_mins.append(diffs[idx - 1] if diffs.size else math.nan)
+        finite &= np.isfinite(fields).all() & np.isfinite(unsmoothed[-1]).all()
     alpha_idx, outer_diffs = _quasi_optimal(np.column_stack(winners))
     collocation_idx, _ = _quasi_optimal(np.column_stack(unsmoothed))
     return (
-        alpha_idx, chosen_lams, inner_mins, outer_diffs, smoothing_idx, collocation_idx
+        alpha_idx, chosen_lams, inner_mins, outer_diffs, smoothing_idx, collocation_idx,
+        finite,
     )
 
 
 def assert_sweep_matches_dense(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid):
+    """The sweep's trace and picks equal the dense sweep's, bit for bit.
+
+    Where any candidate field of the dense sweep is not finite, the sweep
+    must raise NumericalError instead.
+    """
     alphas, lambdas = grid_values(alpha_grid), grid_values(lambda_grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = dense_sweep(samples, rule, symbol, beta, alphas, lambdas, grid)
+    alpha_idx, lams, inner, outer, smoothing_idx, collocation_idx, finite = dense
+    if not finite:
+        with pytest.raises(NumericalError, match="non-finite candidate fields"):
+            select_two_step(samples, rule, symbol, beta, alphas, lambdas, grid)
+        return
     result = select_two_step(samples, rule, symbol, beta, alphas, lambdas, grid)
-    alpha_idx, lams, inner, outer, smoothing_idx, collocation_idx = dense_sweep(
-        samples, rule, symbol, beta, alphas, lambdas, grid
-    )
     bits = lambda values: np.asarray(values, dtype=float).view(np.uint64)
     np.testing.assert_array_equal(bits([r.chosen_lambda for r in result.trace]), bits(lams))
     np.testing.assert_array_equal(bits([r.inner_min_diff for r in result.trace]), bits(inner))
@@ -347,6 +360,36 @@ class TestSelectTwoStep:
         assert_sweep_matches_dense(noisy, rule, symbol, beta, small, small, grid)
         assert_sweep_matches_dense(noisy, rule, symbol, beta, [0.0], small, grid)
         assert_sweep_matches_dense(noisy, rule, symbol, beta, small, [0.0], grid)
+
+    @pytest.mark.parametrize(
+        "symbol, scale, lambdas",
+        [
+            ("geometric(2)", 3e306, [0.0, 1e-3, 1.0]),
+            ("polynomial(1)", 3e307, [0.0, 1e-3, 1.0]),
+            # Damped fields stay finite; only the lambda = 0 fields overflow.
+            ("geometric(2)", 3e306, [10.0, 100.0]),
+        ],
+    )
+    def test_overflowing_candidate_fields_fail_like_dense_sweep(
+        self, symbol, scale, lambdas
+    ):
+        # Finite field sums and factors, but some candidate fields overflow;
+        # a NaN difference used to win the inner and outer passes silently.
+        rule = sphere_rule(6, 1.0)
+        sym = symbol_preset(symbol, 1.0, 1.0, 6)
+        samples = scale * np.random.default_rng(1).standard_normal(rule.n_points)
+        args = (
+            samples,
+            rule,
+            sym,
+            ex.penalty_from_symbol(sym, 0.0),
+            [0.0, 1e-6, 1e-3, 1.0],
+            lambdas,
+            default_eval_grid(6, 1.0),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not dense_sweep(*args)[-1]
+        assert_sweep_matches_dense(*args)
 
     def test_figure1_trial_matches_dense_sweep(self):
         case = ex.FIGURE1_CASES["fig1d"]
@@ -518,14 +561,12 @@ class TestNonFiniteSelection:
                 samples, rule, symbol, linear_beta(M), alphas, alphas, grid
             )
 
-    @pytest.mark.filterwarnings("error")
     def test_non_finite_field_sums_fail_loudly(self):
         rule, symbol, beta, noisy, grid = make_problem(seed=31)
         huge = np.full_like(noisy, 1e308)
         with pytest.raises(NumericalError, match="field sums"):
             select_two_step(huge, rule, symbol, beta, [0.0, 1.0], [0.0, 1.0], grid)
 
-    @pytest.mark.filterwarnings("error")
     def test_non_finite_pick_fails_loudly(self):
         # The field sums (4e307) and the sweep's fields stay finite, but the
         # picked solution's degree-0 coefficient, 1.4e308 / a_0 with

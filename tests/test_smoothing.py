@@ -7,12 +7,9 @@ from sphere_reg import (
     HarmonicCoefficients,
     PenaltyWeights,
     SmoothingParams,
-    SpherePoint,
-    UnitVector,
     ValidationError,
     analyze,
-    eval_basis,
-    kernel,
+    basis_matrix,
     smooth,
     smooth_oracle,
     sphere_rule,
@@ -60,39 +57,6 @@ class TestPenaltyWeights:
 
 
 class TestKernel:
-    def test_constant_mode(self):
-        t = SpherePoint(UnitVector(0.0, 0.0, 1.0), 1.0)
-        tau = SpherePoint(UnitVector(1.0, 0.0, 0.0), 1.0)
-        assert kernel(t, tau, unit_beta(0), 0) == pytest.approx(
-            1.0 / FOUR_PI, abs=1e-15
-        )
-
-    def test_zero_angle_degree_one(self):
-        t = SpherePoint(UnitVector(0.0, 0.0, 1.0), 1.0)
-        assert kernel(t, t, unit_beta(1), 1) == pytest.approx(1.0 / math.pi, abs=1e-14)
-
-    def test_double_sum_oracle(self, rng):
-        # independent evaluation path: explicit sum over the basis products
-        M = 7
-        beta = linear_beta(M)
-        rho = 1.4
-        for u, v in zip(random_directions(rng, 5), random_directions(rng, 5)):
-            t = SpherePoint(UnitVector(*u), rho)
-            tau = SpherePoint(UnitVector(*v), rho)
-            bt = eval_basis(M, t)
-            btau = eval_basis(M, tau)
-            per_entry = np.repeat(
-                beta.beta ** -2.0, 2 * np.arange(M + 1) + 1
-            )
-            direct = float(np.sum(per_entry * bt * btau))
-            assert kernel(t, tau, beta, M) == pytest.approx(direct, abs=1e-12)
-
-    def test_radius_mismatch(self):
-        t = SpherePoint(UnitVector(0.0, 0.0, 1.0), 1.0)
-        tau = SpherePoint(UnitVector(0.0, 0.0, 1.0), 2.0)
-        with pytest.raises(ValidationError):
-            kernel(t, tau, unit_beta(1), 1)
-
     def test_reproducing_property(self, rng):
         # <p, K(., tau)>_HK evaluated spectrally equals p(tau)
         M = 6
@@ -100,14 +64,13 @@ class TestKernel:
         beta = linear_beta(M)
         rule = sphere_rule(M, rho)
         p = HarmonicCoefficients(M=M, radius=rho, values=rng.standard_normal(49))
-        tau_dir = random_directions(rng, 1)[0]
-        tau = SpherePoint(UnitVector(*tau_dir), rho)
+        tau = rho * random_directions(rng, 1)
         kernel_coeffs = np.repeat(
             beta.beta**-2.0, 2 * np.arange(M + 1) + 1
-        ) * eval_basis(M, tau)
+        ) * basis_matrix(M, tau, rho)[0]
         b2 = np.repeat(beta.beta**2.0, 2 * np.arange(M + 1) + 1)
         inner = float(np.sum(b2 * p.values * kernel_coeffs))
-        value = float(synthesize(p, tau.xyz()[None, :])[0])
+        value = float(synthesize(p, tau)[0])
         assert inner == pytest.approx(value, abs=1e-10)
 
 
@@ -168,7 +131,7 @@ class TestSmoothOracle:
         out = smooth_oracle(
             np.full(rule.n_points, c), rule, SmoothingParams(1.0, unit_beta(0))
         )
-        assert out.get(0, 1) == pytest.approx(c * math.sqrt(FOUR_PI) / 2.0, abs=1e-12)
+        assert out.values[0] == pytest.approx(c * math.sqrt(FOUR_PI) / 2.0, abs=1e-12)
 
     def test_oracle_pairing(self, rng):
         for M in (2, 5, 8):
