@@ -24,7 +24,7 @@ from .experiments import (
     run_case,
     simulate_problem,
 )
-from .harmonics import basis_matrix, harmonic_blocks, legendre_table, sph_harm_matrix
+from .harmonics import basis_matrix, harmonic_blocks, legendre_table
 from .operators import (
     HarmonicCoefficients,
     SphericalSymbol,
@@ -89,7 +89,6 @@ __all__ = [
     "simulate_problem",
     "smooth",
     "smooth_oracle",
-    "sph_harm_matrix",
     "sphere_rule",
     "sup_norm",
     "symbol_preset",

@@ -4,8 +4,9 @@ Subcommands: ``experiment`` (run a configured case, write results CSV and
 an optional SVG strip plot), ``solve`` (solve one problem from a sample
 file), ``rule`` (dump a cubature rule), ``verify`` (run the embedded
 invariant suite).  Exit codes: 0 ok, 1 verification failure, 2 missing
-input, 3 invalid input, 4 numerical failure.  Every failure prints a
-single diagnostic line starting with ``error:`` to stderr.
+input, 3 invalid input (an unreadable input or unwritable output path
+too), 4 numerical failure.  Every failure prints a single diagnostic line
+starting with ``error:`` to stderr.
 
 Numeric CSV fields are written with 17 significant digits, which
 round-trips IEEE doubles exactly and keeps output diffable; files are
@@ -15,6 +16,7 @@ written to a temporary name and renamed into place.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import math
 import os
@@ -56,10 +58,30 @@ def _fmt(x: float) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to path.tmp and rename it; on failure remove path.tmp."""
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    opened = False
+    try:
+        with open(tmp, "w", newline="") as fh:
+            opened = True
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if opened:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _read_text(path: str) -> str:
+    """Contents of a text input file; undecodable bytes are invalid input."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not a text file (byte {exc.start}: {exc.reason})"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +112,7 @@ def write_samples_csv(path: str, rule: CubatureRule, samples: np.ndarray) -> Non
 
 def read_samples_csv(path: str, rule: CubatureRule) -> np.ndarray:
     """Read a sample file: finite values on the rule's points, in rule order."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != "x,y,z,value":
         raise ValidationError(f"{path}: line 1: expected header 'x,y,z,value'")
     rows = [ln for ln in lines[1:] if ln.strip()]
@@ -289,9 +310,7 @@ def config_to_case(cfg: dict[str, str]) -> tuple[ExperimentCase, str, str | None
 
 
 def cmd_experiment(args) -> int:
-    with open(args.config) as fh:
-        text = fh.read()
-    case, output, plot = config_to_case(parse_config(text))
+    case, output, plot = config_to_case(parse_config(_read_text(args.config)))
     results = run_case(case)
     summary = leader_following_summary(case.name, results)
     write_results_csv(output, case.name, results, summary)
@@ -360,7 +379,7 @@ def cmd_rule(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = run_checks(quick=args.quick, corrupt_weight=args.inject_fault)
+    checks = run_checks(quick=args.quick)
     width = max(len(c.name) for c in checks)
     failed = [c for c in checks if not c.passed]
     for c in checks:
@@ -447,9 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--quick", action="store_true", help="smaller degrees, finishes in seconds"
     )
-    p_verify.add_argument(
-        "--inject-fault", action="store_true", help=argparse.SUPPRESS
-    )
     p_verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -463,6 +479,9 @@ def main(argv=None) -> int:
         name = exc.filename if exc.filename else exc
         print(f"error: missing input file: {name}", file=sys.stderr)
         return EXIT_MISSING_INPUT
+    except OSError as exc:
+        print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .harmonics import radius_mismatch
-from .operators import HarmonicCoefficients, SphericalSymbol
+from .harmonics import basis_matrix, radius_mismatch
+from .operators import HarmonicCoefficients, SphericalSymbol, analyze
 from .quadrature import CubatureRule
-from .smoothing import SmoothingParams, smooth
+from .smoothing import SmoothingParams
 
 _BOUND_CHUNK = 512
 
@@ -62,6 +62,26 @@ def invert_regularized(
     return p.scaled_by_degree(factors, radius=symbol.R)
 
 
+def _solve_from_coefficients(
+    coeffs: HarmonicCoefficients, sp: SmoothingParams, cp: CollocationParams
+) -> HarmonicCoefficients:
+    """The two-parameter solution from the samples' Fourier coefficients.
+
+    Row k is damped by 1/(1 + lam beta_k^2), then inverted by
+    a_k/(alpha + a_k^2): the products of invert_regularized(smooth(...)).
+    Raises NumericalError if the solution is not finite.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        smoothed = coeffs.scaled_by_degree(sp.damping(coeffs.M))
+        solution = invert_regularized(smoothed, cp)
+    if not np.all(np.isfinite(solution.values)):
+        raise NumericalError(
+            f"non-finite solution at alpha = {float(cp.alpha)!r}, "
+            f"lambda = {float(sp.lam)!r}"
+        )
+    return solution
+
+
 def two_step_solve(
     samples: np.ndarray,
     rule: CubatureRule,
@@ -77,14 +97,9 @@ def two_step_solve(
     Raises NumericalError if the solution is not finite (the analysis
     overflows, a_k^2 underflows at alpha = 0, or a factor overflows).
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        solution = invert_regularized(smooth(samples, rule, sp), cp)
-    if not np.all(np.isfinite(solution.values)):
-        raise NumericalError(
-            f"non-finite solution at alpha = {float(cp.alpha)!r}, "
-            f"lambda = {float(sp.lam)!r}"
-        )
-    return solution
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = analyze(samples, rule, rule.M)
+    return _solve_from_coefficients(coeffs, sp, cp)
 
 
 def composite_norm_bound(
@@ -95,14 +110,15 @@ def composite_norm_bound(
 ) -> float:
     """Grid estimate of the uniform-norm bound of the composed two-step map.
 
-    Evaluates, at every grid point t on the solution sphere,
+    The map sends samples y_i to sum_i w_i K(t, t_i) y_i, with the kernel
 
-        (1/(R rho)) |sum_i w_i sum_k (2k+1) a_k
-                     / (4 pi (alpha + a_k^2)(1 + lam beta_k^2))
-                     * P_k(t . t_i / (R rho))|
+        K(t, t_i) = sum_k sum_j f_k (1/R) Y_{k,j}(t/R) (1/rho) Y_{k,j}(t_i/rho)
+                  = sum_k (2k+1) f_k / (4 pi R rho) P_k(t . t_i / (R rho))
 
-    and returns the maximum.  This is a lower estimate of the true supremum
-    over the whole sphere, sharpening as the grid refines.
+    and f_k = a_k / ((alpha + a_k^2)(1 + lam beta_k^2)).  From sample values
+    (max norm) to the uniform norm, its norm is the discrete Lebesgue constant
+    sup_t sum_i w_i |K(t, t_i)|; the maximum over the grid points is a lower
+    estimate of it.
     """
     grid = np.atleast_2d(np.asarray(eval_grid, dtype=float))
     if grid.size == 0:
@@ -117,30 +133,11 @@ def composite_norm_bound(
         )
 
     M = rule.M
-    k = np.arange(M + 1)
-    coeff = (
-        (2 * k + 1)
-        * cp.inversion_factors(M)
-        * sp.damping(M)
-        / (4.0 * math.pi)
-    )
-
-    grid_dirs = grid / R
-    rule_dirs = rule.directions()
-    w = rule.weights
+    f = np.repeat(cp.inversion_factors(M) * sp.damping(M), 2 * np.arange(M + 1) + 1)
+    rule_basis = basis_matrix(M, rule.points, rho)
     best = 0.0
-    for start in range(0, grid_dirs.shape[0], _BOUND_CHUNK):
-        u = grid_dirs[start : start + _BOUND_CHUNK] @ rule_dirs.T
-        np.clip(u, -1.0, 1.0, out=u)
-        # accumulate sum_k coeff_k P_k(u) by the three-term recurrence
-        p_prev = np.ones_like(u)
-        acc = coeff[0] * p_prev
-        if M >= 1:
-            p = u.copy()
-            acc += coeff[1] * p
-            for n in range(1, M):
-                p_prev, p = p, ((2 * n + 1) * u * p - n * p_prev) / (n + 1)
-                acc += coeff[n + 1] * p
-        vals = acc @ w
-        best = max(best, float(np.max(np.abs(vals))))
-    return best / (R * rho)
+    for start in range(0, grid.shape[0], _BOUND_CHUNK):
+        chunk = basis_matrix(M, grid[start : start + _BOUND_CHUNK], R)
+        kernel = (chunk * f) @ rule_basis.T
+        best = max(best, float(np.max(np.abs(kernel) @ rule.weights)))
+    return best

@@ -12,8 +12,8 @@ Conventions used throughout the package:
   flat position ``k^2 + j - 1``.
 * Associated Legendre values are computed by upward recurrence in degree
   with prenormalized coefficients, stable well past degree 100, one degree
-  block at a time (``harmonic_blocks``); the dense basis matrices are fills
-  from that stream.
+  block at a time (``harmonic_blocks``); the dense ``basis_matrix`` is a
+  fill from that stream.
 """
 
 from __future__ import annotations
@@ -50,16 +50,6 @@ def legendre_table(k_max: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit_directions(directions) -> np.ndarray:
-    """(T, 3) float array of the directions; each row must have norm 1 within 1e-9."""
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    if dirs.shape[1] != 3:
-        raise ValidationError(f"directions must be (T, 3), got {dirs.shape}")
-    if radius_mismatch(np.linalg.norm(dirs, axis=1), 1.0):
-        raise ValidationError("direction rows must be unit vectors")
-    return dirs
-
-
 def _exact_unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a float array by bit pattern, and each row's position."""
     bits = keys.reshape(keys.shape[0], -1).view(np.uint64)
@@ -71,17 +61,22 @@ def harmonic_blocks(M: int, directions: np.ndarray) -> Iterator[tuple[int, np.nd
     """Yield (k, block) for k = 0..M; block is the (T, 2k+1) array of Y_{k,j}.
 
     Column j - 1 of the block holds Y_{k,j} at every direction, so block k
-    is columns k^2..(k+1)^2 - 1 of sph_harm_matrix, and one block at a time
-    needs O(T M) memory.  The associated Legendre values Q[k, m] follow the
-    upward recurrence in degree with prenormalized coefficients, for every
-    order at once, keeping only degrees k-1 and k-2; seed Q[0, 0] =
-    1/sqrt(4 pi), and Y_{k,m!=0} = sqrt(2) Q[k, |m|] cos/sin(|m| phi).  They
-    are computed once per distinct (cos, sin) polar pair and the trig values
-    once per distinct longitude, then gathered to the points.  Duplicates
-    are exact (bitwise): along a ring of a product grid, hypot and arctan2
-    differ in the last bit.
+    is columns k^2..(k+1)^2 - 1 of basis_matrix(M, directions, 1.0), and
+    one block at a time needs O(T M) memory.  The associated Legendre
+    values Q[k, m] follow the upward recurrence in degree with
+    prenormalized coefficients, for every order at once, keeping only
+    degrees k-1 and k-2; seed Q[0, 0] = 1/sqrt(4 pi), and Y_{k,m!=0} =
+    sqrt(2) Q[k, |m|] cos/sin(|m| phi).  They are computed once per
+    distinct (cos, sin) polar pair and the trig values once per distinct
+    longitude, then gathered to the points.  Duplicates are exact
+    (bitwise): along a ring of a product grid, hypot and arctan2 differ in
+    the last bit.  Each direction row must have norm 1 within 1e-9.
     """
-    dirs = _unit_directions(directions)
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    if dirs.shape[1] != 3:
+        raise ValidationError(f"directions must be (T, 3), got {dirs.shape}")
+    if radius_mismatch(np.linalg.norm(dirs, axis=1), 1.0):
+        raise ValidationError("direction rows must be unit vectors")
     polar, at_polar = _exact_unique(
         np.stack([dirs[:, 2], np.hypot(dirs[:, 0], dirs[:, 1])], axis=1)
     )
@@ -123,40 +118,18 @@ def harmonic_blocks(M: int, directions: np.ndarray) -> Iterator[tuple[int, np.nd
         yield k, block
 
 
-def sph_harm_matrix(M: int, directions: np.ndarray) -> np.ndarray:
-    """Evaluate all Y_{k,j}, k <= M, at unit vectors.
-
-    Parameters
-    ----------
-    M : int
-        Maximum degree.
-    directions : ndarray, shape (T, 3)
-        Unit vectors; each row must have norm 1 within 1e-9.
-
-    Returns
-    -------
-    ndarray, shape (T, (M+1)**2)
-        Column k^2 + j - 1 holds Y_{k,j} at every point.
-    """
-    dirs = _unit_directions(directions)
-    Y = np.empty((dirs.shape[0], (M + 1) * (M + 1)))
-    for k, block in harmonic_blocks(M, dirs):
-        Y[:, k * k : (k + 1) * (k + 1)] = block
-    return Y
-
-
 def basis_matrix(M: int, points: np.ndarray, radius: float) -> np.ndarray:
     """Radius-scaled basis values (1/radius) Y_{k,j}(t/radius) at points.
 
-    ``points`` is an (N, 3) array of Cartesian coordinates; every row must
-    lie on the sphere of the given radius (relative tolerance 1e-9).
+    ``points`` is an (N, 3) array of Cartesian coordinates; every row of
+    points / radius must be a unit vector within 1e-9.  Column k^2 + j - 1
+    holds Y_{k,j}: the blocks of harmonic_blocks side by side.
     """
     if not radius > 0:
         raise ValidationError(f"radius must be positive, got {radius!r}")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if radius_mismatch(np.linalg.norm(pts, axis=1), radius):
-        raise ValidationError(f"points do not lie on sphere of radius {radius}")
-    Y = sph_harm_matrix(M, pts / radius)
+    dirs = np.atleast_2d(np.asarray(points, dtype=float)) / radius
+    Y = np.empty((dirs.shape[0], (M + 1) * (M + 1)))
+    for k, block in harmonic_blocks(M, dirs):
+        Y[:, k * k : (k + 1) * (k + 1)] = block
     Y /= radius
     return Y
-

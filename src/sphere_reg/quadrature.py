@@ -50,9 +50,6 @@ class CubatureRule:
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    def directions(self) -> np.ndarray:
-        return self.points / self.rho
-
 
 def _legendre_and_derivative(n: int, t: np.ndarray):
     """P_n(t) and P_n'(t) for interior t and n >= 1."""

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .collocation import CollocationParams, two_step_solve
+from .collocation import CollocationParams, _solve_from_coefficients
 from .errors import NumericalError, ValidationError
 from .harmonics import basis_matrix, harmonic_blocks, radius_mismatch
 from .operators import HarmonicCoefficients, SphericalSymbol, analyze
@@ -136,15 +136,8 @@ def default_eval_grid(M: int, R: float) -> EvalGrid:
     return EvalGrid(sphere_rule(2 * M, R).points)
 
 
-def _as_eval_grid(eval_grid) -> EvalGrid:
-    if isinstance(eval_grid, EvalGrid):
-        return eval_grid
-    return EvalGrid(eval_grid)
-
-
-def sup_norm(c: HarmonicCoefficients, eval_grid) -> float:
+def sup_norm(c: HarmonicCoefficients, grid: EvalGrid) -> float:
     """Max of |synthesized function| over the grid; approximates the sup norm."""
-    grid = _as_eval_grid(eval_grid)
     if radius_mismatch(grid.radius, c.radius):
         raise ValidationError(
             f"grid radius {grid.radius} does not match coefficients on {c.radius}"
@@ -220,7 +213,7 @@ class SelectionResult:
 
 def select_single(
     solutions: Sequence[HarmonicCoefficients],
-    eval_grid,
+    grid: EvalGrid,
     values: Sequence[float] | None = None,
 ) -> SelectionResult:
     """Pick the solution minimizing the consecutive sup-norm difference.
@@ -234,7 +227,6 @@ def select_single(
         raise ValidationError("quasi-optimality needs at least 2 solutions")
     if values is not None and len(values) != len(solutions):
         raise ValidationError("values and solutions must align")
-    grid = _as_eval_grid(eval_grid)
     M = solutions[0].M
     radius = solutions[0].radius
     for s in solutions[1:]:
@@ -336,7 +328,7 @@ def select_two_step(
     beta: PenaltyWeights,
     alpha_grid,
     lambda_grid,
-    eval_grid,
+    grid: EvalGrid,
 ) -> TwoStepSelection:
     """Nested quasi-optimality over (alpha, lambda), plus both one-parameter picks.
 
@@ -353,15 +345,15 @@ def select_two_step(
     sums once and rescales those instead of rebuilding each solution; each
     selected pair is identical to running select_single over explicit
     two_step_solve outputs, and the one-parameter pairs are those of a
-    degenerate {0} grid on the other side.  Single-element grids are
-    allowed: their pass picks the only value.
+    degenerate {0} grid on the other side.  The three picked solutions
+    rescale the same analysis, bit-identical to two_step_solve.
+    Single-element grids are allowed: their pass picks the only value.
 
     Raises NumericalError if the field sums, any candidate's per-degree
     factors or field, or any of the three picked solutions are not finite.
     """
     alphas = grid_values(alpha_grid)
     lambdas = grid_values(lambda_grid)
-    grid = _as_eval_grid(eval_grid)
     M = rule.M
     if radius_mismatch(grid.radius, symbol.R):
         raise ValidationError(
@@ -414,9 +406,8 @@ def select_two_step(
     collocation_idx = _first_minimum(outer_diffs[:, 1])
 
     def pick(alpha, lam) -> ParameterPick:
-        solution = two_step_solve(
-            samples,
-            rule,
+        solution = _solve_from_coefficients(
+            coeffs,
             SmoothingParams(lam=float(lam), beta=beta),
             CollocationParams(alpha=float(alpha), symbol=symbol),
         )

@@ -24,7 +24,6 @@ from sphere_reg import (
     legendre_table,
     smooth,
     smooth_oracle,
-    sph_harm_matrix,
     sphere_rule,
     symbol_preset,
     synthesize,
@@ -76,8 +75,8 @@ def test_criterion_2_addition_theorem():
     n_pairs, k_max = 100, 61
     u = random_directions(rng, n_pairs)
     v = random_directions(rng, n_pairs)
-    Yu = sph_harm_matrix(k_max, u)
-    Yv = sph_harm_matrix(k_max, v)
+    Yu = basis_matrix(k_max, u, 1.0)
+    Yv = basis_matrix(k_max, v, 1.0)
     p = legendre_table(k_max, np.clip(np.sum(u * v, axis=1), -1.0, 1.0))
     dev = 0.0
     for k in range(k_max + 1):

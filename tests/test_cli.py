@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import sphere_reg.verify
 from sphere_reg import (
+    CubatureRule,
     HarmonicCoefficients,
     apply_forward,
     sphere_rule,
@@ -525,14 +527,111 @@ class TestExperimentCommand:
         assert data[0].startswith("custom,0,two_step,")
 
 
+class TestPathFailures:
+    """Unreadable inputs and unwritable outputs: one error line, no .tmp left."""
+
+    @staticmethod
+    def solve_args(samples, out):
+        return [
+            "solve", str(samples),
+            "--M", "4",
+            "--symbol", "geometric(1.48)",
+            "--lambda", "0", "--alpha", "0",
+            "-o", str(out),
+        ]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "rule-to-directory",
+            "rule-to-missing-directory",
+            "solve-from-directory",
+            "solve-to-directory",
+            "solve-from-binary",
+            "experiment-from-directory",
+            "experiment-from-binary",
+            "solve-from-missing-file",
+        ],
+    )
+    def test_one_error_line_and_no_temporary_file(self, tmp_path, capsys, case):
+        directory = tmp_path / "existing"
+        directory.mkdir()
+        binary = tmp_path / "binary.dat"
+        binary.write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff\xfe")
+        samples, _, _ = make_samples(tmp_path, M=4)
+        argv, code, where = {
+            "rule-to-directory": (
+                ["rule", "--M", "3", "-o", str(directory)],
+                EXIT_INVALID_INPUT,
+                directory,
+            ),
+            "rule-to-missing-directory": (
+                ["rule", "--M", "3", "-o", str(tmp_path / "nodir" / "x.csv")],
+                EXIT_INVALID_INPUT,
+                tmp_path / "nodir" / "x.csv",
+            ),
+            "solve-from-directory": (
+                self.solve_args(directory, tmp_path / "c.csv"),
+                EXIT_INVALID_INPUT,
+                directory,
+            ),
+            "solve-to-directory": (
+                self.solve_args(samples, directory),
+                EXIT_INVALID_INPUT,
+                directory,
+            ),
+            "solve-from-binary": (
+                self.solve_args(binary, tmp_path / "c.csv"),
+                EXIT_INVALID_INPUT,
+                binary,
+            ),
+            "experiment-from-directory": (
+                ["experiment", str(directory)],
+                EXIT_INVALID_INPUT,
+                directory,
+            ),
+            "experiment-from-binary": (
+                ["experiment", str(binary)],
+                EXIT_INVALID_INPUT,
+                binary,
+            ),
+            "solve-from-missing-file": (
+                self.solve_args(tmp_path / "nope.csv", tmp_path / "c.csv"),
+                EXIT_MISSING_INPUT,
+                tmp_path / "nope.csv",
+            ),
+        }[case]
+        assert main(argv) == code
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:")
+        assert str(where) in line
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert not (tmp_path / "c.csv").exists()
+
+
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):
         assert main(["verify", "--quick"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_injected_fault_detected(self, capsys):
-        assert main(["verify", "--quick", "--inject-fault"]) == EXIT_VERIFY_FAILED
+    def test_injected_fault_detected(self, capsys, monkeypatch):
+        def faulty_rule(M, rho):
+            rule = sphere_rule(M, rho)
+            weights = rule.weights.copy()
+            weights[0] *= 1.0 + 1e-6
+            return CubatureRule(
+                points=rule.points,
+                weights=weights,
+                rho=rule.rho,
+                M=rule.M,
+                exactness_degree=rule.exactness_degree,
+            )
+
+        monkeypatch.setattr(sphere_reg.verify, "sphere_rule", faulty_rule)
+        assert main(["verify", "--quick"]) == EXIT_VERIFY_FAILED
         captured = capsys.readouterr()
-        assert "cubature-gram" in captured.err
+        [line] = captured.err.splitlines()
+        failed = line.split("failed: ", 1)[1].split(", ")
+        assert any(name.startswith("cubature-gram") for name in failed)
         assert "FAIL" in captured.out

@@ -14,6 +14,7 @@ from sphere_reg import (
     apply_forward,
     composite_norm_bound,
     invert_regularized,
+    legendre_table,
     smooth,
     sphere_rule,
     symbol_preset,
@@ -24,6 +25,22 @@ from sphere_reg import (
 
 def unit_beta(M):
     return PenaltyWeights(beta=np.ones(M + 1))
+
+
+def lebesgue_constant_oracle(sp, cp, rule, grid):
+    """max_t sum_i w_i |sum_k (2k+1) f_k / (4 pi R rho) P_k(t . t_i / (R rho))|.
+
+    f_k = a_k / ((alpha + a_k^2)(1 + lam beta_k^2)); the double sum runs
+    through the addition theorem on a full Legendre table.
+    """
+    M = rule.M
+    R, rho = cp.symbol.R, cp.symbol.rho
+    k = np.arange(M + 1)
+    f = cp.inversion_factors(M) * sp.damping(M)
+    coeff = (2 * k + 1) * f / (4.0 * math.pi * R * rho)
+    cosines = np.clip(grid @ rule.points.T / (R * rho), -1.0, 1.0)
+    kernel = np.tensordot(coeff, legendre_table(M, cosines), axes=1)
+    return float(np.max(np.abs(kernel) @ rule.weights))
 
 
 class TestInvertRegularized:
@@ -186,6 +203,22 @@ class TestCompositeNormBound:
         fine = composite_norm_bound(sp, cp, rule, sphere_rule(20 * M, 1.0).points)
         assert coarse <= fine * (1.0 + 1e-12)
         assert abs(fine - coarse) <= 0.02 * fine
+
+    @pytest.mark.parametrize(
+        "R, rho, grid_degree",
+        [(1.0, 1.0, 6), (1.0, 1.0, 60), (0.8, 1.5, 6)],
+    )
+    def test_matches_lebesgue_constant_oracle(self, R, rho, grid_degree):
+        M = 3
+        rule = sphere_rule(M, rho)
+        sym = symbol_preset("polynomial(2)", R, rho, M)
+        sp = SmoothingParams(lam=0.05, beta=unit_beta(M))
+        cp = CollocationParams(alpha=0.01, symbol=sym)
+        grid = sphere_rule(grid_degree, R).points
+        bound = composite_norm_bound(sp, cp, rule, grid)
+        assert bound == pytest.approx(
+            lebesgue_constant_oracle(sp, cp, rule, grid), rel=1e-12
+        )
 
     def test_monotone_in_each_parameter(self):
         M = 4

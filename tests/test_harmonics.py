@@ -14,7 +14,6 @@ from sphere_reg import (
     basis_matrix,
     harmonic_blocks,
     legendre_table,
-    sph_harm_matrix,
     sphere_rule,
 )
 from sphere_reg.harmonics import radius_mismatch
@@ -30,7 +29,7 @@ def legendre(k, t):
 
 def harmonic(k, j, u):
     """Y_{k,j}(u) for one unit vector u: column k^2 + j - 1 of the matrix."""
-    return float(sph_harm_matrix(k, np.asarray(u)[None, :])[0, k * k + j - 1])
+    return float(basis_matrix(k, np.asarray(u)[None, :], 1.0)[0, k * k + j - 1])
 
 
 def rodrigues_p5(t):
@@ -120,7 +119,7 @@ class TestSphHarm:
         # scipy lpmv carries the Condon-Shortley phase; ours does not
         dirs = random_directions(rng, 6)
         M = 10
-        Y = sph_harm_matrix(M, dirs)
+        Y = basis_matrix(M, dirs, 1.0)
         ct = dirs[:, 2]
         phi = np.arctan2(dirs[:, 1], dirs[:, 0])
         for k in range(M + 1):
@@ -152,7 +151,7 @@ class TestSphHarm:
     def test_discrete_inner_product_orthonormal(self):
         # <Y_{2,1}, Y_{2,1}> under a degree-4 rule is 1
         rule = sphere_rule(2, 1.0)
-        vals = sph_harm_matrix(2, rule.directions())[:, 2 * 2 + 1 - 1]
+        vals = basis_matrix(2, rule.points / rule.rho, 1.0)[:, 2 * 2 + 1 - 1]
         assert rule.weights @ (vals * vals) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -161,8 +160,8 @@ class TestAdditionTheorem:
         M = 20
         u = random_directions(rng, 30)
         v = random_directions(rng, 30)
-        Yu = sph_harm_matrix(M, u)
-        Yv = sph_harm_matrix(M, v)
+        Yu = basis_matrix(M, u, 1.0)
+        Yv = basis_matrix(M, v, 1.0)
         cos_uv = np.clip(np.sum(u * v, axis=1), -1.0, 1.0)
         p = legendre_table(M, cos_uv)
         for k in range(M + 1):
@@ -182,8 +181,8 @@ class TestAdditionTheorem:
         u = np.asarray(raw_u) / np.linalg.norm(raw_u)
         v = np.asarray(raw_v) / np.linalg.norm(raw_v)
         k = data.draw(st.integers(min_value=0, max_value=15))
-        Yu = sph_harm_matrix(k, u[None, :])[0]
-        Yv = sph_harm_matrix(k, v[None, :])[0]
+        Yu = basis_matrix(k, u[None, :], 1.0)[0]
+        Yv = basis_matrix(k, v[None, :], 1.0)[0]
         lo, hi = k * k, (k + 1) * (k + 1)
         lhs = float(np.sum(Yu[lo:hi] * Yv[lo:hi]))
         rhs = (2 * k + 1) / FOUR_PI * legendre(k, float(np.clip(u @ v, -1, 1)))
@@ -302,7 +301,7 @@ def oracle_points(rng, M, R):
         [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0]]
     )
     dirs = np.vstack(
-        [sphere_rule(2 * M, 1.0).directions(), poles, random_directions(rng, 40)]
+        [sphere_rule(2 * M, 1.0).points, poles, random_directions(rng, 40)]
     )
     return dirs * R
 

@@ -7,8 +7,8 @@ import scipy.special
 from sphere_reg import (
     HarmonicCoefficients,
     ValidationError,
+    basis_matrix,
     gauss_legendre,
-    sph_harm_matrix,
     sphere_rule,
     synthesize,
 )
@@ -63,7 +63,7 @@ class TestSphereRule:
     def test_gram_identity_on_scaled_sphere(self):
         M, rho = 5, 2.0
         rule = sphere_rule(M, rho)
-        Y = sph_harm_matrix(M, rule.directions()) / rho
+        Y = basis_matrix(M, rule.points / rule.rho, 1.0) / rho
         gram = Y.T @ (rule.weights[:, None] * Y)
         assert np.max(np.abs(gram - np.eye((M + 1) ** 2))) < 1e-10
 
@@ -117,11 +117,11 @@ class TestIntegrate:
 
     def test_mean_zero_harmonic(self):
         rule = sphere_rule(2, 1.0)
-        vals = sph_harm_matrix(2, rule.directions())[:, 2 * 2 + 3 - 1]
+        vals = basis_matrix(2, rule.points / rule.rho, 1.0)[:, 2 * 2 + 3 - 1]
         assert rule.weights @ vals == pytest.approx(0.0, abs=1e-10)
 
     def test_orthonormal_square(self):
         rule = sphere_rule(3, 1.0)  # exact to degree 6
-        vals = sph_harm_matrix(3, rule.directions())[:, 3 * 3 + 1 - 1]
+        vals = basis_matrix(3, rule.points / rule.rho, 1.0)[:, 3 * 3 + 1 - 1]
         assert rule.weights @ (vals * vals) == pytest.approx(1.0, abs=1e-10)
 

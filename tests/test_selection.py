@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -89,12 +90,6 @@ class TestSupNorm:
         c = HarmonicCoefficients(M=6, radius=1.0, values=np.zeros(49))
         c.values[0] = math.sqrt(4.0 * math.pi)
         assert sup_norm(c, grid_m6) == pytest.approx(1.0, abs=1e-12)
-
-    def test_accepts_raw_point_array(self):
-        c = HarmonicCoefficients(M=2, radius=1.0, values=np.zeros(9))
-        c.values[0] = math.sqrt(4.0 * math.pi)
-        pts = sphere_rule(4, 1.0).points
-        assert sup_norm(c, pts) == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_refinement(self, rng):
         M = 5
@@ -513,6 +508,44 @@ def assert_one_parameter_picks_match_separate_calls(
     assert_same_pick(both.smoothing_only, smoothing)
     assert_same_pick(both.collocation_only, collocation)
     return both
+
+
+class TestOneAnalysis:
+    @pytest.mark.parametrize("name", sorted(ex.FIGURE1_CASES))
+    def test_figure1_picks_rescale_the_sweep_analysis(self, name, monkeypatch):
+        case = ex.FIGURE1_CASES[name]
+        _, _, noisy = ex.simulate_problem(case, ex.trial_seed(case.seed, 0))
+        symbol = case.build_symbol()
+        beta = ex.penalty_from_symbol(symbol, case.beta_exponent)
+        rule = ex.canonical_rule(case.M, case.rho)
+        grid = ex._shared_eval_grid(case.M, case.R)
+
+        calls = []
+
+        def counting_analyze(*args, **kwargs):
+            calls.append(args)
+            return analyze(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "sphere_reg" and (
+                getattr(module, "analyze", None) is analyze
+            ):
+                monkeypatch.setattr(module, "analyze", counting_analyze)
+        result = select_two_step(
+            noisy, rule, symbol, beta, case.alpha_grid, case.lambda_grid, grid
+        )
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+        for pick in (result, result.smoothing_only, result.collocation_only):
+            ref = two_step_solve(
+                noisy,
+                rule,
+                SmoothingParams(lam=pick.lam, beta=beta),
+                CollocationParams(alpha=pick.alpha, symbol=symbol),
+            )
+            assert np.array_equal(pick.solution.values, ref.values)
+            assert pick.solution.radius == ref.radius
 
 
 class TestOneParameterPicks:
