@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
-import math
 import os
 import sys
 
@@ -73,6 +73,20 @@ def _atomic_write(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _check_writable(path: str) -> None:
+    """Fail now, as _atomic_write would later, if path cannot take a file."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValidationError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _read_text(path: str) -> str:
     """Contents of a text input file; undecodable bytes are invalid input."""
     try:
@@ -121,30 +135,36 @@ def read_samples_csv(path: str, rule: CubatureRule) -> np.ndarray:
             f"{path}: expected {rule.n_points} data rows for this rule, "
             f"got {len(rows)}"
         )
-    tol = _POINT_MATCH_TOL * max(1.0, rule.rho)
-    samples = np.empty(rule.n_points)
+    # Parse up to the first malformed row, then check the parsed rows' points
+    # and values in one pass; the earliest failing line is reported, and on
+    # one line a point mismatch comes before a non-finite value.
+    parsed, malformed = [], None
     for i, ln in enumerate(rows):
-        lineno = i + 2
         parts = ln.split(",")
         if len(parts) != 4:
-            raise ValidationError(
-                f"{path}: line {lineno}: expected 4 fields, got {len(parts)}"
-            )
+            malformed = (i, f"expected 4 fields, got {len(parts)}")
+            break
         try:
-            x, y, z, v = (float(p) for p in parts)
+            parsed.append([float(p) for p in parts])
         except ValueError:
-            raise ValidationError(
-                f"{path}: line {lineno}: non-numeric field"
-            ) from None
-        if not np.max(np.abs(np.array([x, y, z]) - rule.points[i])) <= tol:
-            raise ValidationError(
-                f"{path}: line {lineno}: point does not match the canonical "
-                f"rule point {i}"
-            )
-        if not math.isfinite(v):
-            raise ValidationError(f"{path}: line {lineno}: non-finite sample value")
-        samples[i] = v
-    return samples
+            malformed = (i, "non-numeric field")
+            break
+    table = np.array(parsed, dtype=float).reshape(-1, 4)
+    tol = _POINT_MATCH_TOL * max(1.0, rule.rho)
+    off_rule = ~(
+        np.max(np.abs(table[:, :3] - rule.points[: len(table)]), axis=1) <= tol
+    )
+    bad = np.flatnonzero(off_rule | ~np.isfinite(table[:, 3]))
+    if bad.size:
+        i = int(bad[0])
+        if off_rule[i]:
+            reason = f"point does not match the canonical rule point {i}"
+        else:
+            reason = "non-finite sample value"
+        raise ValidationError(f"{path}: line {i + 2}: {reason}")
+    if malformed is not None:
+        raise ValidationError(f"{path}: line {malformed[0] + 2}: {malformed[1]}")
+    return table[:, 3].copy()
 
 
 def write_coeffs_csv(coeffs: HarmonicCoefficients, path: str) -> None:
@@ -311,6 +331,9 @@ def config_to_case(cfg: dict[str, str]) -> tuple[ExperimentCase, str, str | None
 
 def cmd_experiment(args) -> int:
     case, output, plot = config_to_case(parse_config(_read_text(args.config)))
+    for path in (output, plot):
+        if path is not None:
+            _check_writable(path)
     results = run_case(case)
     summary = leader_following_summary(case.name, results)
     write_results_csv(output, case.name, results, summary)

@@ -28,8 +28,8 @@ from .operators import (
 )
 from .quadrature import CubatureRule, sphere_rule
 from .selection import (
-    EvalGrid,
     ParameterGrid,
+    default_eval_grid,
     grid_values,
     select_two_step,
     sup_norm,
@@ -141,11 +141,6 @@ def canonical_rule(M: int, rho: float) -> CubatureRule:
     return sphere_rule(M, rho)
 
 
-@functools.lru_cache(maxsize=8)
-def _shared_eval_grid(M: int, R: float) -> EvalGrid:
-    return EvalGrid(canonical_rule(2 * M, R).points)
-
-
 def trial_seed(case_seed: int, trial: int) -> int:
     """Deterministic per-trial seed; derived, not sequential, so cases with
     nearby seeds do not share noise streams."""
@@ -201,9 +196,10 @@ def run_case(case: ExperimentCase) -> list[TrialResult]:
     symbol = case.build_symbol()
     beta = penalty_from_symbol(symbol, case.beta_exponent)
     rule = canonical_rule(case.M, case.rho)
-    grid = _shared_eval_grid(case.M, case.R)
-    # The error evaluations need the grid's dense basis; built first, it also
-    # serves the sweep's field sums, which would otherwise stream the harmonics.
+    grid = default_eval_grid(case.M, case.R)
+    # Only the error evaluations use the grid's dense basis (the sweep's field
+    # sums run a ring FFT); the grid is cached, so every case at this (M, R)
+    # builds the basis once per process.
     grid.basis(case.M)
 
     results: list[TrialResult] = []

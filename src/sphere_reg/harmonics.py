@@ -10,10 +10,11 @@ Conventions used throughout the package:
 * Coefficient vectors are stored flat in canonical order: degree ``k``
   ascending, ``j = 1..2k+1`` within each degree, so ``(k, j)`` sits at
   flat position ``k^2 + j - 1``.
-* Associated Legendre values are computed by upward recurrence in degree
-  with prenormalized coefficients, stable well past degree 100, one degree
-  block at a time (``harmonic_blocks``); the dense ``basis_matrix`` is a
-  fill from that stream.
+* Associated Legendre values are computed by one upward recurrence in
+  degree with prenormalized coefficients, stable well past degree 100, one
+  degree at a time (``_associated_legendre``).  It feeds both the harmonic
+  blocks at scattered points (``harmonic_blocks``, of which the dense
+  ``basis_matrix`` is a fill) and the ring FFT of ``EvalGrid.degree_fields``.
 """
 
 from __future__ import annotations
@@ -57,46 +58,25 @@ def _exact_unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct.view(float), inverse.reshape(-1)
 
 
-def harmonic_blocks(M: int, directions: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (k, block) for k = 0..M; block is the (T, 2k+1) array of Y_{k,j}.
+def _associated_legendre(
+    M: int, ct: np.ndarray, st: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (k, Q) for k = 0..M; Q[:, m] = Q_k^m at the polar pairs (ct, st).
 
-    Column j - 1 of the block holds Y_{k,j} at every direction, so block k
-    is columns k^2..(k+1)^2 - 1 of basis_matrix(M, directions, 1.0), and
-    one block at a time needs O(T M) memory.  The associated Legendre
-    values Q[k, m] follow the upward recurrence in degree with
-    prenormalized coefficients, for every order at once, keeping only
-    degrees k-1 and k-2; seed Q[0, 0] = 1/sqrt(4 pi), and Y_{k,m!=0} =
-    sqrt(2) Q[k, |m|] cos/sin(|m| phi).  They are computed once per
-    distinct (cos, sin) polar pair and the trig values once per distinct
-    longitude, then gathered to the points.  Duplicates are exact
-    (bitwise): along a ring of a product grid, hypot and arctan2 differ in
-    the last bit.  Each direction row must have norm 1 within 1e-9.
+    ``ct`` and ``st`` are (n, 1) columns of polar cosines and sines.  Q_k^m
+    are the L2-normalized associated Legendre values, so that Y_{k,0} =
+    Q_k^0 and Y_{k,+-m} = sqrt(2) Q_k^m cos/sin(m phi).  They follow the
+    upward recurrence in degree with prenormalized coefficients, for every
+    order at once, keeping only degrees k-1 and k-2; seed Q_0^0 =
+    1/sqrt(4 pi).  The yielded Q seeds the next degrees, so callers must not
+    modify it.
     """
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    if dirs.shape[1] != 3:
-        raise ValidationError(f"directions must be (T, 3), got {dirs.shape}")
-    if radius_mismatch(np.linalg.norm(dirs, axis=1), 1.0):
-        raise ValidationError("direction rows must be unit vectors")
-    polar, at_polar = _exact_unique(
-        np.stack([dirs[:, 2], np.hypot(dirs[:, 0], dirs[:, 1])], axis=1)
-    )
-    ct, st = polar[:, :1], polar[:, 1:]
-    phi, at_phi = _exact_unique(np.arctan2(dirs[:, 1], dirs[:, 0]))
-    m_range = np.arange(1, M + 1)
-    angles = phi * m_range  # (distinct longitudes, M)
-    cos_m = np.cos(angles)[at_phi]  # (T, M)
-    sin_m = np.sin(angles)[at_phi]
-
-    sqrt2 = math.sqrt(2.0)
-    T = dirs.shape[0]
-    # Q[:, m] = Q[k, m] at the distinct pairs; prev and older are degrees
-    # k-1 and k-2.
-    Q = np.full((polar.shape[0], 1), 1.0 / math.sqrt(4.0 * math.pi))
+    Q = np.full((ct.shape[0], 1), 1.0 / math.sqrt(4.0 * math.pi))
     prev = None
     for k in range(M + 1):
         if k:
             older, prev = prev, Q
-            Q = np.empty((polar.shape[0], k + 1))
+            Q = np.empty((ct.shape[0], k + 1))
             m = np.arange(k - 1)
             a = np.sqrt((2 * k - 1) * (2 * k + 1) / ((k - m) * (k + m)))
             b = np.sqrt(
@@ -107,6 +87,38 @@ def harmonic_blocks(M: int, directions: np.ndarray) -> Iterator[tuple[int, np.nd
                 Q[:, : k - 1] = (a * ct) * prev[:, : k - 1] - b * older[:, : k - 1]
             Q[:, k - 1 : k] = (math.sqrt(2 * k + 1) * ct) * prev[:, k - 1 :]
             Q[:, k:] = (math.sqrt((2 * k + 1) / (2.0 * k)) * st) * prev[:, k - 1 :]
+        yield k, Q
+
+
+def harmonic_blocks(M: int, directions: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (k, block) for k = 0..M; block is the (T, 2k+1) array of Y_{k,j}.
+
+    Column j - 1 of the block holds Y_{k,j} at every direction, so block k
+    is columns k^2..(k+1)^2 - 1 of basis_matrix(M, directions, 1.0), and
+    one block at a time needs O(T M) memory.  The associated Legendre
+    values come from _associated_legendre, once per distinct (cos, sin)
+    polar pair, and the trig values once per distinct longitude; both are
+    then gathered to the points.  Duplicates are exact (bitwise): along a
+    ring of a product grid, hypot and arctan2 differ in the last bit.  Each
+    direction row must have norm 1 within 1e-9.
+    """
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    if dirs.shape[1] != 3:
+        raise ValidationError(f"directions must be (T, 3), got {dirs.shape}")
+    if radius_mismatch(np.linalg.norm(dirs, axis=1), 1.0):
+        raise ValidationError("direction rows must be unit vectors")
+    polar, at_polar = _exact_unique(
+        np.stack([dirs[:, 2], np.hypot(dirs[:, 0], dirs[:, 1])], axis=1)
+    )
+    phi, at_phi = _exact_unique(np.arctan2(dirs[:, 1], dirs[:, 0]))
+    m_range = np.arange(1, M + 1)
+    angles = phi * m_range  # (distinct longitudes, M)
+    cos_m = np.cos(angles)[at_phi]  # (T, M)
+    sin_m = np.sin(angles)[at_phi]
+
+    sqrt2 = math.sqrt(2.0)
+    T = dirs.shape[0]
+    for k, Q in _associated_legendre(M, polar[:, :1], polar[:, 1:]):
         scaled = Q.copy()
         scaled[:, 1:] *= sqrt2
         at_points = scaled[at_polar]  # (T, k+1)

@@ -95,7 +95,9 @@ def sphere_rule(M: int, rho: float) -> CubatureRule:
     Polar cosines are the M+1 Gauss-Legendre nodes; longitudes sit at
     phi_l = pi l / (M+1) for l = 0..2M+1.  The weight of point (i, l) is
     rho^2 * pi/(M+1) * w_i, so the rule integrates every spherical
-    polynomial of degree <= 2M exactly over the surface.
+    polynomial of degree <= 2M exactly over the surface.  Points are stored
+    ring by ring: row i * 2(M+1) + l is point (i, l), with the nodes
+    ascending.
     """
     if M < 0:
         raise ValidationError(f"M must be nonnegative, got {M}")

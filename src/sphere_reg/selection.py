@@ -9,6 +9,7 @@ over the per-alpha winners.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -17,7 +18,7 @@ import numpy as np
 
 from .collocation import CollocationParams, _solve_from_coefficients
 from .errors import NumericalError, ValidationError
-from .harmonics import basis_matrix, harmonic_blocks, radius_mismatch
+from .harmonics import _associated_legendre, basis_matrix, radius_mismatch
 from .operators import HarmonicCoefficients, SphericalSymbol, analyze
 from .quadrature import CubatureRule, sphere_rule
 from .smoothing import PenaltyWeights, SmoothingParams
@@ -72,14 +73,19 @@ def grid_values(g) -> np.ndarray:
 class EvalGrid:
     """Point grid for uniform-norm estimates, with a cached basis matrix.
 
-    Wraps an (T, 3) array of points on a common sphere.  The dense
+    Built from a CubatureRule (the rule's points, ring by ring) or from a
+    plain (T, 3) array of points on a common sphere.  The dense
     (T, (M+1)^2) synthesis matrix is built on the first ``basis`` call for a
     degree and reused, which is what makes repeated sup-norm evaluations
-    cheap; ``degree_fields`` streams the basis one degree at a time instead,
-    unless the grid already holds it.
+    cheap.  ``degree_fields`` never builds it: it runs a longitude FFT per
+    ring of the rule, so it needs a rule-backed grid.  The array form is
+    kept for point clouds passed to ``sup_norm`` and ``select_single``.
     """
 
-    def __init__(self, points: np.ndarray):
+    def __init__(self, points: CubatureRule | np.ndarray):
+        self.rule = points if isinstance(points, CubatureRule) else None
+        if self.rule is not None:
+            points = self.rule.points
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.size == 0:
             raise ValidationError("evaluation grid must be nonempty")
@@ -112,28 +118,50 @@ class EvalGrid:
 
         Column k holds sum_j c_{k,j} (1/radius) Y_{k,j}; any per-degree
         rescaling of the coefficients then synthesizes as Z @ factors.  The
-        degree blocks come from the cached basis when the grid holds it and
-        are streamed otherwise, with the same bits either way; streaming
-        never builds the dense matrix.
+        rule's points are rings of n_phi = 2(rule.M + 1) longitudes
+        phi_l = 2 pi l / n_phi, so per degree one (rings, n_phi/2 + 1)
+        table X[:, m] = Q_k^m (c_{k,m} - i c_{k,-m}) / sqrt(2) (X[:, 0] =
+        Q_k^0 c_{k,0}) and one inverse real FFT along each ring give the
+        column: O(T) working memory per degree, and no dense basis.
         """
-        M = coeffs.M
-        B = self._basis.get(M)
-        if B is None:
-            blocks = (
-                (k, block / self.radius)
-                for k, block in harmonic_blocks(M, self.points / self.radius)
+        if self.rule is None:
+            raise ValidationError(
+                "degree_fields needs a rule-backed grid, not a point array"
             )
-        else:
-            blocks = ((k, B[:, k * k : (k + 1) * (k + 1)]) for k in range(M + 1))
+        M = coeffs.M
+        if M > self.rule.M:
+            raise ValidationError(
+                f"degree {M} exceeds the grid rule's degree {self.rule.M}"
+            )
+        n_phi = 2 * (self.rule.M + 1)
+        # The phi = 0 point of every ring.
+        first = self.points[::n_phi] / self.radius
+        ct = first[:, 2:]
+        st = np.hypot(first[:, :1], first[:, 1:2])
+        X = np.zeros((ct.shape[0], n_phi // 2 + 1), dtype=complex)
         Z = np.empty((self.n_points, M + 1))
-        for k, block in blocks:
-            Z[:, k] = block @ coeffs.row(k)
+        half_sqrt2 = math.sqrt(2.0) / 2
+        for k, Q in _associated_legendre(M, ct, st):
+            row = coeffs.row(k)
+            X[:, 0] = Q[:, 0] * row[k]
+            if k:
+                orders = half_sqrt2 * (row[k + 1 :] - 1j * row[k - 1 :: -1])
+                np.multiply(Q[:, 1:], orders, out=X[:, 1 : k + 1])
+            # norm="forward" leaves the inverse unscaled: X[:, m] is the
+            # coefficient of exp(i m phi) as it stands, with no factor n_phi
+            # that could overflow.
+            ring_values = np.fft.irfft(X, n=n_phi, axis=1, norm="forward")
+            np.divide(ring_values.reshape(-1), self.radius, out=Z[:, k])
         return Z
 
 
+@functools.lru_cache(maxsize=8)
 def default_eval_grid(M: int, R: float) -> EvalGrid:
-    """Default uniform-norm grid: the points of sphere_rule(2M, R)."""
-    return EvalGrid(sphere_rule(2 * M, R).points)
+    """Default uniform-norm grid on sphere_rule(2M, R), one per (M, R).
+
+    Cached, so callers at one (M, R) share the grid and its dense basis.
+    """
+    return EvalGrid(sphere_rule(2 * M, R))
 
 
 def sup_norm(c: HarmonicCoefficients, grid: EvalGrid) -> float:

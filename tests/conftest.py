@@ -11,7 +11,7 @@ def rule_m6():
 
 @pytest.fixture(scope="session")
 def grid_m6():
-    return EvalGrid(sphere_rule(12, 1.0).points)
+    return EvalGrid(sphere_rule(12, 1.0))
 
 
 @pytest.fixture()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import sphere_reg.cli
 import sphere_reg.verify
 from sphere_reg import (
     CubatureRule,
@@ -89,6 +90,42 @@ def read_coeffs(path):
     k, j, values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, unpack=True)
     np.testing.assert_array_equal(k * k + j - 1, np.arange(values.size))
     return values
+
+
+def loop_read_samples_csv(path, rule):
+    """The row-by-row sample reader, kept as the reference for read_samples_csv."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != "x,y,z,value":
+        raise ValidationError(f"{path}: line 1: expected header 'x,y,z,value'")
+    rows = [ln for ln in lines[1:] if ln.strip()]
+    if len(rows) != rule.n_points:
+        raise ValidationError(
+            f"{path}: expected {rule.n_points} data rows for this rule, "
+            f"got {len(rows)}"
+        )
+    tol = 1e-9 * max(1.0, rule.rho)
+    samples = np.empty(rule.n_points)
+    for i, ln in enumerate(rows):
+        lineno = i + 2
+        parts = ln.split(",")
+        if len(parts) != 4:
+            raise ValidationError(
+                f"{path}: line {lineno}: expected 4 fields, got {len(parts)}"
+            )
+        try:
+            x, y, z, v = (float(p) for p in parts)
+        except ValueError:
+            raise ValidationError(f"{path}: line {lineno}: non-numeric field") from None
+        if not np.max(np.abs(np.array([x, y, z]) - rule.points[i])) <= tol:
+            raise ValidationError(
+                f"{path}: line {lineno}: point does not match the canonical "
+                f"rule point {i}"
+            )
+        if not math.isfinite(v):
+            raise ValidationError(f"{path}: line {lineno}: non-finite sample value")
+        samples[i] = v
+    return samples
 
 
 class TestSolveCommand:
@@ -246,6 +283,49 @@ class TestSampleIO:
         path.write_text("a,b,c,d\n" + "0,0,1,5\n" * rule.n_points)
         with pytest.raises(ValidationError):
             read_samples_csv(str(path), rule)
+
+    @pytest.mark.parametrize(
+        "bad_lines, expected",
+        [
+            # (line number, field index, replacement) edits; the earliest
+            # failing line wins, and on one line the point check comes first.
+            ([(5, 3, "nan"), (8, 0, "9")], "line 5: non-finite sample value"),
+            ([(5, 0, "9"), (8, 3, "inf")], "line 5: point does not match the "
+             "canonical rule point 3"),
+            ([(6, 3, "-inf"), (6, 2, "9")], "line 6: point does not match the "
+             "canonical rule point 4"),
+            ([(4, 3, "nan"), (7, 1, "x")], "line 4: non-finite sample value"),
+            ([(7, 2, "9"), (4, 1, "x")], "line 4: non-numeric field"),
+            ([(3, 0, "9"), (5, None, "1,2")], "line 3: point does not match the "
+             "canonical rule point 1"),
+            ([(5, None, "1,2"), (9, 0, "9")], "line 5: expected 4 fields, got 2"),
+        ],
+    )
+    def test_first_bad_line_is_reported(self, tmp_path, bad_lines, expected):
+        path, rule, _ = make_samples(tmp_path, M=4)
+        lines = path.read_text().splitlines()
+        for lineno, field, text in bad_lines:
+            if field is None:
+                lines[lineno - 1] = text
+            else:
+                parts = lines[lineno - 1].split(",")
+                parts[field] = text
+                lines[lineno - 1] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as info:
+            read_samples_csv(str(path), rule)
+        assert str(info.value) == f"{path}: {expected}"
+        with pytest.raises(ValidationError) as reference:
+            loop_read_samples_csv(str(path), rule)
+        assert str(info.value) == str(reference.value)
+
+    def test_values_equal_the_row_by_row_reader(self, tmp_path, rng):
+        rule = sphere_rule(6, 1.7)
+        path = tmp_path / "s.csv"
+        write_samples_csv(str(path), rule, awkward_values(rng, rule.n_points))
+        got = read_samples_csv(str(path), rule)
+        want = loop_read_samples_csv(str(path), rule)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestNonFiniteSelection:
@@ -525,6 +605,38 @@ class TestExperimentCommand:
         ]
         assert len(data) == 3
         assert data[0].startswith("custom,0,two_step,")
+
+
+class TestExperimentOutputChecked:
+    @pytest.mark.parametrize("key", ["output", "plot"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory", "file-parent"])
+    def test_unwritable_path_fails_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, key, where
+    ):
+        (tmp_path / "existing").mkdir()
+        (tmp_path / "afile").write_text("")
+        bad = {
+            "missing-directory": tmp_path / "nodir" / "x",
+            "directory": tmp_path / "existing",
+            "file-parent": tmp_path / "afile" / "x",
+        }[where]
+        paths = {"output": tmp_path / "r.csv", "plot": tmp_path / "p.svg", key: bad}
+        cfg = write_config(
+            tmp_path,
+            f"case = fig1a\noutput = {paths['output']}\nplot = {paths['plot']}\n",
+        )
+        calls = []
+        monkeypatch.setattr(
+            sphere_reg.cli, "run_case", lambda case: calls.append(case) or []
+        )
+        assert main(["experiment", str(cfg)]) == EXIT_INVALID_INPUT
+        assert calls == []
+        [line] = capsys.readouterr().err.splitlines()
+        # The same line a late write would have printed.
+        with pytest.raises(ValidationError) as late:
+            sphere_reg.cli._atomic_write(str(bad), "")
+        assert line == f"error: {late.value}"
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 class TestPathFailures:

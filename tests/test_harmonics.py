@@ -317,17 +317,47 @@ class TestStreamedBlocks:
         assert_blocks_match_oracle(M, pts / R)
         assert_same_bits(basis_matrix(M, pts, R), dense_sph_harm_matrix(M, pts / R) / R)
 
-    @pytest.mark.parametrize("M", ORACLE_DEGREES)
+    @pytest.mark.parametrize("M", ORACLE_DEGREES + [56])
     @pytest.mark.parametrize("R", [1.0, 1.7])
     def test_streamed_degree_fields_equal_cached(self, rng, M, R):
-        grid = EvalGrid(oracle_points(rng, M, R))
+        # The ring FFT against per-degree sums over the blocks of the cached
+        # dense basis (a fill of harmonic_blocks), column by column.
+        grid = EvalGrid(sphere_rule(2 * M, R))
         coeffs = HarmonicCoefficients(
             M=M, radius=R, values=rng.standard_normal((M + 1) ** 2)
         )
-        streamed = grid.degree_fields(coeffs)
+        fields = grid.degree_fields(coeffs)
         assert grid._basis == {}
-        grid.basis(M)
-        assert_same_bits(streamed, grid.degree_fields(coeffs))
+        B = grid.basis(M)
+        oracle = np.column_stack(
+            [B[:, k * k : (k + 1) * (k + 1)] @ coeffs.row(k) for k in range(M + 1)]
+        )
+        assert fields.shape == oracle.shape
+        error = np.max(np.abs(fields - oracle), axis=0)
+        assert np.all(error <= 1e-12 * np.max(np.abs(oracle), axis=0))
+
+    def test_degree_fields_of_huge_coefficients_stay_finite(self, rng):
+        # Unscaled inverse FFT: the table is not multiplied by the ring
+        # length (10 here), so coefficients near 1e307, and a degree-0 one
+        # whose field is 4.2e307, give finite fields.
+        M = 2
+        grid = EvalGrid(sphere_rule(2 * M, 1.0))
+        values = 1e307 * rng.choice([-1.0, 1.0], (M + 1) ** 2)
+        values[0] = 1.5e308
+        fields = grid.degree_fields(HarmonicCoefficients(M=M, radius=1.0, values=values))
+        assert np.all(np.isfinite(fields))
+        oracle = np.column_stack(
+            [block @ values[k * k : (k + 1) * (k + 1)]
+             for k, block in harmonic_blocks(M, grid.points / grid.radius)]
+        ) / grid.radius
+        np.testing.assert_allclose(fields, oracle, rtol=1e-12, atol=1e-12 * 1e307)
+
+    def test_degree_fields_need_a_rule_backed_grid(self, rng):
+        coeffs = HarmonicCoefficients(M=2, radius=1.0, values=rng.standard_normal(9))
+        with pytest.raises(ValidationError, match="rule-backed"):
+            EvalGrid(sphere_rule(4, 1.0).points).degree_fields(coeffs)
+        with pytest.raises(ValidationError, match="exceeds"):
+            EvalGrid(sphere_rule(1, 1.0)).degree_fields(coeffs)
 
     @given(
         dirs=st.integers(1, 12).flatmap(

@@ -98,6 +98,21 @@ class TestSupNorm:
         fine = sup_norm(c, EvalGrid(sphere_rule(8 * M, 1.0).points))
         assert abs(fine - coarse) <= 0.01 * fine
 
+    def test_point_array_grid_matches_rule_grid(self, rng):
+        # The array form stays for point clouds; on the same points it
+        # gives the same bits as the rule-backed grid.
+        rule = sphere_rule(12, 1.0)
+        sols = [
+            HarmonicCoefficients(M=6, radius=1.0, values=rng.standard_normal(49))
+            for _ in range(3)
+        ]
+        cloud, ringed = EvalGrid(rule.points), EvalGrid(rule)
+        assert sup_norm(sols[0], cloud) == sup_norm(sols[0], ringed)
+        np.testing.assert_array_equal(
+            select_single(sols, cloud).differences,
+            select_single(sols, ringed).differences,
+        )
+
     def test_radius_mismatch(self, grid_m6):
         c = HarmonicCoefficients(M=6, radius=2.0, values=np.zeros(49))
         with pytest.raises(ValidationError):
@@ -261,7 +276,7 @@ def make_problem(M=6, seed=7, noise=0.05):
 
     clean = synthesize(apply_forward(symbol, x), rule.points)
     noisy = clean + noise * rng.standard_normal(rule.n_points)
-    grid = EvalGrid(sphere_rule(2 * M, 1.0).points)
+    grid = EvalGrid(sphere_rule(2 * M, 1.0))
     return rule, symbol, beta, noisy, grid
 
 
@@ -397,7 +412,7 @@ class TestSelectTwoStep:
             ex.penalty_from_symbol(symbol, case.beta_exponent),
             case.alpha_grid,
             case.lambda_grid,
-            ex._shared_eval_grid(case.M, case.R),
+            default_eval_grid(case.M, case.R),
         )
 
     def test_matches_straight_line_reimplementation(self):
@@ -518,7 +533,7 @@ class TestOneAnalysis:
         symbol = case.build_symbol()
         beta = ex.penalty_from_symbol(symbol, case.beta_exponent)
         rule = ex.canonical_rule(case.M, case.rho)
-        grid = ex._shared_eval_grid(case.M, case.R)
+        grid = default_eval_grid(case.M, case.R)
 
         calls = []
 
@@ -561,7 +576,7 @@ class TestOneParameterPicks:
             ex.penalty_from_symbol(symbol, case.beta_exponent),
             case.alpha_grid,
             case.lambda_grid,
-            ex._shared_eval_grid(case.M, case.R),
+            default_eval_grid(case.M, case.R),
         )
 
     def test_grids_without_zero(self):
@@ -587,7 +602,7 @@ class TestNonFiniteSelection:
         rule = sphere_rule(M, 1.0)
         symbol = symbol_preset("polynomial(160)", 1.0, 1.0, M)
         samples = np.random.default_rng(1).standard_normal(rule.n_points)
-        grid = EvalGrid(sphere_rule(2 * M, 1.0).points)
+        grid = EvalGrid(sphere_rule(2 * M, 1.0))
         alphas = expand_grid(ParameterGrid(1e-4, 4.0, 5, include_zero=True))
         with pytest.raises(NumericalError, match="alpha = 0.0"):
             select_two_step(
@@ -617,22 +632,23 @@ class TestNonFiniteSelection:
 
 class TestStreamedSweepMemory:
     def test_sweep_leaves_the_dense_basis_unbuilt(self):
-        rule, symbol, beta, noisy, _ = make_problem(seed=37)
-        grid = default_eval_grid(rule.M, 1.0)
+        rule, symbol, beta, noisy, grid = make_problem(seed=37)
         select_two_step(noisy, rule, symbol, beta, [0.0, 1e-3], [0.0, 1e-3], grid)
         assert grid._basis == {}
 
     def test_degree_fields_peak_is_a_fraction_of_the_dense_basis(self):
         M = 40
-        grid = default_eval_grid(M, 1.0)
+        grid = EvalGrid(sphere_rule(2 * M, 1.0))
         coeffs = HarmonicCoefficients(
             M=M, radius=1.0, values=np.random.default_rng(3).standard_normal((M + 1) ** 2)
         )
-        dense_bytes = grid.n_points * (M + 1) ** 2 * 8
+        # The result itself is T (M+1) doubles; the dense basis is M+1 times that.
+        field_bytes = grid.n_points * (M + 1) * 8
         tracemalloc.start()
         try:
             grid.degree_fields(coeffs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < dense_bytes / 4
+        assert peak < 3 * field_bytes
+        assert grid._basis == {}
