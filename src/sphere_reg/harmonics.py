@@ -14,7 +14,8 @@ Conventions used throughout the package:
   degree with prenormalized coefficients, stable well past degree 100, one
   degree at a time (``_associated_legendre``).  It feeds both the harmonic
   blocks at scattered points (``harmonic_blocks``, of which the dense
-  ``basis_matrix`` is a fill) and the ring FFT of ``EvalGrid.degree_fields``.
+  ``basis_matrix`` is a fill) and the per-rule ring tables of the FFT
+  transforms in ``operators``.
 """
 
 from __future__ import annotations

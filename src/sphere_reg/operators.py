@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ValidationError
-from .harmonics import basis_matrix, radius_mismatch
+from .harmonics import _associated_legendre, basis_matrix, radius_mismatch
 from .quadrature import CubatureRule
 
 
@@ -105,13 +106,56 @@ class SphericalSymbol:
         return self.a.size - 1
 
 
-def _rule_basis(rule: CubatureRule, M: int) -> np.ndarray:
-    """Basis values (1/rho) Y_{k,j}(t_i/rho) at the rule points, memoized."""
-    cached = rule._cache.get(M)
-    if cached is None:
-        cached = basis_matrix(M, rule.points, rule.rho)
-        rule._cache[M] = cached
-    return cached
+def _ring_legendre(rule: CubatureRule, M: int) -> list[np.ndarray]:
+    """Q_k^m at the rule's rings for k = 0..M, memoized in the rule.
+
+    Entry k is the (rings, k+1) table of _associated_legendre at the polar
+    cosine and sine of each ring, taken from its phi = 0 point.  Raises
+    ValidationError unless the rule has the 2(rule.M + 1)^2 points of
+    sphere_rule's rings, n_phi = 2(rule.M + 1) to a ring.
+    """
+    n_phi = 2 * (rule.M + 1)
+    if rule.n_points != n_phi * (rule.M + 1):
+        raise ValidationError(
+            f"rule of degree {rule.M} has {rule.n_points} points, not the "
+            f"{n_phi * (rule.M + 1)} of its rings"
+        )
+    tables = rule._cache.get(M)
+    if tables is None:
+        first = rule.points[::n_phi] / rule.rho
+        ct = first[:, 2:]
+        st = np.hypot(first[:, :1], first[:, 1:2])
+        tables = [Q for _, Q in _associated_legendre(M, ct, st)]
+        rule._cache[M] = tables
+    return tables
+
+
+def _ring_spectra(
+    coeffs: HarmonicCoefficients, rule: CubatureRule
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (k, X) for k = 0..M, X the longitude spectra of degree k's part.
+
+    The rule's points are rings of n_phi = 2(rule.M + 1) longitudes
+    phi_l = 2 pi l / n_phi, so on ring r, sum_j c_{k,j} Y_{k,j} is
+    irfft(X[r], n_phi, norm="forward") for the (rings, n_phi/2 + 1) table
+    X[:, 0] = Q_k^0 c_{k,0}, X[:, m] = Q_k^m (c_{k,m} - i c_{k,-m}) / sqrt(2)
+    for 0 < m <= k, and 0 above k.  norm="forward" leaves that inverse
+    unscaled, so nothing is multiplied by n_phi and can overflow.  One
+    buffer is refilled for every degree; callers must not keep it.
+    """
+    M = coeffs.M
+    if M > rule.M:
+        raise ValidationError(f"degree {M} exceeds the rule's degree {rule.M}")
+    tables = _ring_legendre(rule, M)
+    X = np.zeros((tables[0].shape[0], rule.M + 2), dtype=complex)
+    half_sqrt2 = math.sqrt(2.0) / 2
+    for k, Q in enumerate(tables):
+        row = coeffs.row(k)
+        X[:, 0] = Q[:, 0] * row[k]
+        if k:
+            orders = half_sqrt2 * (row[k + 1 :] - 1j * row[k - 1 :: -1])
+            np.multiply(Q[:, 1:], orders, out=X[:, 1 : k + 1])
+        yield k, X
 
 
 def analyze(samples: np.ndarray, rule: CubatureRule, M: int) -> HarmonicCoefficients:
@@ -122,8 +166,13 @@ def analyze(samples: np.ndarray, rule: CubatureRule, M: int) -> HarmonicCoeffici
     degree <= M, because the rule integrates products of two such
     polynomials without error.
 
-    Raises ValidationError if the rule is not exact to degree 2M or the
-    sample count does not match the rule.
+    The sums run as one real FFT along each ring of the weighted samples,
+    F = rfft(w * samples), and then per degree c_{k,0} = sum_r Q_k^0 Re F[r, 0],
+    c_{k,m} = sqrt(2) sum_r Q_k^m Re F[r, m] and c_{k,-m} = -sqrt(2) sum_r
+    Q_k^m Im F[r, m], divided by rho: O(M^3) work and no dense basis.
+
+    Raises ValidationError if the rule is not exact to degree 2M, is not
+    stored ring by ring, or the sample count does not match the rule.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (rule.n_points,):
@@ -134,20 +183,53 @@ def analyze(samples: np.ndarray, rule: CubatureRule, M: int) -> HarmonicCoeffici
         raise ValidationError(
             f"rule exact to degree {rule.exactness_degree} cannot analyze M={M}"
         )
-    B = _rule_basis(rule, M)
-    coeffs = B.T @ (rule.weights * samples)
+    tables = _ring_legendre(rule, M)
+    n_phi = 2 * (rule.M + 1)
+    # A ring sum of n_phi terms can overflow where every coefficient is
+    # finite; scaling by 2^-e <= 1/n_phi first is exact above the subnormals.
+    e = math.frexp(n_phi)[1]
+    weighted = np.ldexp(rule.weights * samples, -e)
+    F = np.fft.rfft(weighted.reshape(-1, n_phi), axis=1)
+    cosines, sines = F.real, F.imag
+    sqrt2 = math.sqrt(2.0)
+    coeffs = np.empty((M + 1) * (M + 1))
+    for k, Q in enumerate(tables):
+        row = coeffs[k * k : (k + 1) * (k + 1)]
+        row[k] = Q[:, 0] @ cosines[:, 0]
+        if k:
+            orders = slice(1, k + 1)
+            row[k + 1 :] = sqrt2 * np.sum(Q[:, 1:] * cosines[:, orders], axis=0)
+            row[k - 1 :: -1] = -sqrt2 * np.sum(Q[:, 1:] * sines[:, orders], axis=0)
+    coeffs = np.ldexp(coeffs / rule.rho, e)
     return HarmonicCoefficients(M=M, radius=rule.rho, values=coeffs)
 
 
-def synthesize(coeffs: HarmonicCoefficients, pts: np.ndarray) -> np.ndarray:
+def synthesize(
+    coeffs: HarmonicCoefficients, target: CubatureRule | np.ndarray
+) -> np.ndarray:
     """Evaluate the represented function at points on the coefficients' sphere.
 
-    ``pts`` is an (T, 3) array; every row must lie on the sphere of
-    ``coeffs.radius`` within 1e-9 relative.
+    ``target`` is either a CubatureRule stored ring by ring, of degree at
+    least ``coeffs.M``, or an (T, 3) array of points.  On a rule, the
+    degrees' longitude spectra (_ring_spectra) are summed and one inverse
+    real FFT per ring gives the values in the rule's point order, with no
+    dense basis; an array is evaluated through basis_matrix.  The rule's
+    sphere, or every row of the array, must be that of ``coeffs.radius``
+    within 1e-9 relative.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    B = basis_matrix(coeffs.M, pts, coeffs.radius)
-    return B @ coeffs.values
+    if not isinstance(target, CubatureRule):
+        pts = np.atleast_2d(np.asarray(target, dtype=float))
+        return basis_matrix(coeffs.M, pts, coeffs.radius) @ coeffs.values
+    if radius_mismatch(target.rho, coeffs.radius):
+        raise ValidationError(
+            f"rule sphere {target.rho} does not match coefficients on {coeffs.radius}"
+        )
+    n_phi = 2 * (target.M + 1)
+    spectra = np.zeros((target.M + 1, n_phi // 2 + 1), dtype=complex)
+    for k, X in _ring_spectra(coeffs, target):
+        spectra[:, : k + 1] += X[:, : k + 1]
+    values = np.fft.irfft(spectra, n=n_phi, axis=1, norm="forward")
+    return values.reshape(-1) / coeffs.radius
 
 
 def apply_forward(

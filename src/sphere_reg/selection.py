@@ -18,8 +18,14 @@ import numpy as np
 
 from .collocation import CollocationParams, _solve_from_coefficients
 from .errors import NumericalError, ValidationError
-from .harmonics import _associated_legendre, basis_matrix, radius_mismatch
-from .operators import HarmonicCoefficients, SphericalSymbol, analyze
+from .harmonics import basis_matrix, radius_mismatch
+from .operators import (
+    HarmonicCoefficients,
+    SphericalSymbol,
+    _ring_spectra,
+    analyze,
+    synthesize,
+)
 from .quadrature import CubatureRule, sphere_rule
 from .smoothing import PenaltyWeights, SmoothingParams
 
@@ -71,15 +77,15 @@ def grid_values(g) -> np.ndarray:
 
 
 class EvalGrid:
-    """Point grid for uniform-norm estimates, with a cached basis matrix.
+    """Point grid for uniform-norm estimates.
 
     Built from a CubatureRule (the rule's points, ring by ring) or from a
-    plain (T, 3) array of points on a common sphere.  The dense
-    (T, (M+1)^2) synthesis matrix is built on the first ``basis`` call for a
-    degree and reused, which is what makes repeated sup-norm evaluations
-    cheap.  ``degree_fields`` never builds it: it runs a longitude FFT per
-    ring of the rule, so it needs a rule-backed grid.  The array form is
-    kept for point clouds passed to ``sup_norm`` and ``select_single``.
+    plain (T, 3) array of points on a common sphere.  ``sup_norm`` and
+    ``degree_fields`` run longitude FFTs along the rule's rings, so they
+    need a rule-backed grid and never build a dense basis.  The dense
+    (T, (M+1)^2) synthesis matrix of ``basis`` is built on its first call
+    for a degree and cached; only ``select_single``, which also accepts
+    the array form for point clouds, uses it.
     """
 
     def __init__(self, points: CubatureRule | np.ndarray):
@@ -117,60 +123,44 @@ class EvalGrid:
         """Per-degree partial sums of the synthesis, shape (T, M+1).
 
         Column k holds sum_j c_{k,j} (1/radius) Y_{k,j}; any per-degree
-        rescaling of the coefficients then synthesizes as Z @ factors.  The
-        rule's points are rings of n_phi = 2(rule.M + 1) longitudes
-        phi_l = 2 pi l / n_phi, so per degree one (rings, n_phi/2 + 1)
-        table X[:, m] = Q_k^m (c_{k,m} - i c_{k,-m}) / sqrt(2) (X[:, 0] =
-        Q_k^0 c_{k,0}) and one inverse real FFT along each ring give the
+        rescaling of the coefficients then synthesizes as Z @ factors.  Per
+        degree, one inverse real FFT along each ring of the rule turns that
+        degree's longitude spectra (operators._ring_spectra) into the
         column: O(T) working memory per degree, and no dense basis.
         """
-        if self.rule is None:
-            raise ValidationError(
-                "degree_fields needs a rule-backed grid, not a point array"
-            )
-        M = coeffs.M
-        if M > self.rule.M:
-            raise ValidationError(
-                f"degree {M} exceeds the grid rule's degree {self.rule.M}"
-            )
-        n_phi = 2 * (self.rule.M + 1)
-        # The phi = 0 point of every ring.
-        first = self.points[::n_phi] / self.radius
-        ct = first[:, 2:]
-        st = np.hypot(first[:, :1], first[:, 1:2])
-        X = np.zeros((ct.shape[0], n_phi // 2 + 1), dtype=complex)
-        Z = np.empty((self.n_points, M + 1))
-        half_sqrt2 = math.sqrt(2.0) / 2
-        for k, Q in _associated_legendre(M, ct, st):
-            row = coeffs.row(k)
-            X[:, 0] = Q[:, 0] * row[k]
-            if k:
-                orders = half_sqrt2 * (row[k + 1 :] - 1j * row[k - 1 :: -1])
-                np.multiply(Q[:, 1:], orders, out=X[:, 1 : k + 1])
-            # norm="forward" leaves the inverse unscaled: X[:, m] is the
-            # coefficient of exp(i m phi) as it stands, with no factor n_phi
-            # that could overflow.
+        rule = self._rule()
+        n_phi = 2 * (rule.M + 1)
+        Z = np.empty((self.n_points, coeffs.M + 1))
+        for k, X in _ring_spectra(coeffs, rule):
             ring_values = np.fft.irfft(X, n=n_phi, axis=1, norm="forward")
             np.divide(ring_values.reshape(-1), self.radius, out=Z[:, k])
         return Z
+
+    def _rule(self) -> CubatureRule:
+        if self.rule is None:
+            raise ValidationError(
+                "sup_norm and degree_fields need a rule-backed grid, not a point array"
+            )
+        return self.rule
 
 
 @functools.lru_cache(maxsize=8)
 def default_eval_grid(M: int, R: float) -> EvalGrid:
     """Default uniform-norm grid on sphere_rule(2M, R), one per (M, R).
 
-    Cached, so callers at one (M, R) share the grid and its dense basis.
+    Cached, so callers at one (M, R) share the grid and the Legendre
+    table its rule memoizes for the ring FFTs.
     """
     return EvalGrid(sphere_rule(2 * M, R))
 
 
 def sup_norm(c: HarmonicCoefficients, grid: EvalGrid) -> float:
-    """Max of |synthesized function| over the grid; approximates the sup norm."""
-    if radius_mismatch(grid.radius, c.radius):
-        raise ValidationError(
-            f"grid radius {grid.radius} does not match coefficients on {c.radius}"
-        )
-    return float(np.max(np.abs(grid.basis(c.M) @ c.values)))
+    """Max of |synthesized function| over the grid; approximates the sup norm.
+
+    The grid must be rule-backed and on the coefficients' sphere: the
+    values come from synthesize on the grid's rule, one inverse FFT per ring.
+    """
+    return float(np.max(np.abs(synthesize(c, grid._rule()))))
 
 
 def _sup_difference(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 import sphere_reg.cli
+import sphere_reg.experiments
+import sphere_reg.harmonics
+import sphere_reg.operators
+import sphere_reg.selection
 import sphere_reg.verify
 from sphere_reg import (
     CubatureRule,
@@ -719,6 +723,43 @@ class TestPathFailures:
         assert str(where) in line
         assert list(tmp_path.rglob("*.tmp")) == []
         assert not (tmp_path / "c.csv").exists()
+
+
+def refuse_dense_basis(monkeypatch):
+    """Make every basis_matrix the pipeline can reach raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense basis built")
+
+    for module in (sphere_reg.harmonics, sphere_reg.operators, sphere_reg.selection):
+        monkeypatch.setattr(module, "basis_matrix", refuse)
+    # No grid or rule cached by an earlier test, whatever it holds.
+    sphere_reg.selection.default_eval_grid.cache_clear()
+    sphere_reg.experiments.canonical_rule.cache_clear()
+
+
+class TestNoDenseBasis:
+    """solve --auto and run_case make no basis_matrix call."""
+
+    def test_solve_auto(self, tmp_path, capsys, monkeypatch):
+        path, _, _ = make_samples(tmp_path, M=6, noise=0.01)
+        refuse_dense_basis(monkeypatch)
+        out = tmp_path / "coeffs.csv"
+        code = main(
+            ["solve", str(path), "--M", "6", "--symbol", "geometric(1.48)", "--auto"]
+            + ["-o", str(out), "--trace", str(tmp_path / "trace.csv")]
+        )
+        assert code == EXIT_OK, capsys.readouterr().err
+        assert np.all(np.isfinite(read_coeffs(out)))
+
+    def test_run_case_trial(self, monkeypatch):
+        refuse_dense_basis(monkeypatch)
+        case = sphere_reg.experiments.case_with_overrides(
+            sphere_reg.experiments.FIGURE1_CASES["fig1d"], M=6, trials=1
+        )
+        results = sphere_reg.experiments.run_case(case)
+        assert len(results) == 3
+        assert all(math.isfinite(r.relative_error) for r in results)
 
 
 class TestVerifyCommand:

@@ -135,12 +135,13 @@ class TestSimulateProblem:
         assert rest < 1e-10 * max(top, 1.0)
 
     def test_clean_samples_match_a_fresh_synthesis(self):
-        # The cached rule basis gives the same bits as synthesize's rebuild.
+        # The shared rule's cached ring table gives the same bits as a ring
+        # synthesis on a fresh rule.
         case = tiny_case()
         x, clean, _ = simulate_problem(case, trial_seed(case.seed, 4))
         symbol = case.build_symbol()
         rule = sphere_rule(case.M, case.rho)
-        fresh = synthesize(apply_forward(symbol, x), rule.points)
+        fresh = synthesize(apply_forward(symbol, x), rule)
         np.testing.assert_array_equal(clean, fresh)
 
     def test_decay_envelope(self):

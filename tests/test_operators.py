@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from sphere_reg import (
+    CubatureRule,
     HarmonicCoefficients,
     SphericalSymbol,
     ValidationError,
     analyze,
     apply_forward,
+    basis_matrix,
     sphere_rule,
     symbol_preset,
     synthesize,
 )
+from sphere_reg.operators import _ring_legendre
 
 FOUR_PI = 4.0 * math.pi
 
@@ -100,6 +103,113 @@ class TestSynthesize:
         pts = sphere_rule(1, 2.0).points
         with pytest.raises(ValidationError):
             synthesize(c, pts)
+
+
+# (rule degree, analysis degree, rho): analysis at and below the rule's degree.
+RING_CASES = [
+    (0, 0, 1.0),
+    (1, 1, 1.0),
+    (5, 5, 1.7),
+    (30, 30, 1.0),
+    (56, 56, 1.0),
+    (12, 5, 2.0),
+    (30, 1, 0.6),
+]
+RING_IDS = [f"rule{r}-M{m}-rho{rho}" for r, m, rho in RING_CASES]
+
+
+def without_last_point(rule):
+    return CubatureRule(
+        points=rule.points[:-1],
+        weights=rule.weights[:-1],
+        rho=rule.rho,
+        M=rule.M,
+        exactness_degree=rule.exactness_degree,
+    )
+
+
+class TestRingTransforms:
+    """The ring FFTs against the dense basis paths they replace."""
+
+    @pytest.mark.parametrize("rule_M, M, rho", RING_CASES, ids=RING_IDS)
+    def test_analyze_matches_dense_oracle(self, rng, rule_M, M, rho):
+        rule = sphere_rule(rule_M, rho)
+        samples = rng.standard_normal(rule.n_points)
+        dense = basis_matrix(M, rule.points, rho).T @ (rule.weights * samples)
+        c = analyze(samples, rule, M)
+        assert c.M == M and c.radius == rho
+        assert np.max(np.abs(c.values - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("rule_M, M, rho", RING_CASES, ids=RING_IDS)
+    def test_ring_synthesis_matches_point_synthesis(self, rng, rule_M, M, rho):
+        rule = sphere_rule(rule_M, rho)
+        c = HarmonicCoefficients(
+            M=M, radius=rho, values=rng.standard_normal((M + 1) ** 2)
+        )
+        dense = synthesize(c, rule.points)
+        ringed = synthesize(c, rule)
+        assert ringed.shape == (rule.n_points,)
+        assert np.max(np.abs(ringed - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("rule_M, M, rho", RING_CASES, ids=RING_IDS)
+    def test_round_trip(self, rng, rule_M, M, rho):
+        rule = sphere_rule(rule_M, rho)
+        c = HarmonicCoefficients(
+            M=M, radius=rho, values=rng.standard_normal((M + 1) ** 2)
+        )
+        back = analyze(synthesize(c, rule), rule, M)
+        assert np.max(np.abs(back.values - c.values)) <= 1e-13 * np.max(
+            np.abs(c.values)
+        )
+
+    def test_weights_apply_per_point(self, rng):
+        # Weights that vary along a ring, as a perturbed rule has, weight
+        # each sample as the dense sum does.
+        base = sphere_rule(5, 1.0)
+        rule = CubatureRule(
+            points=base.points,
+            weights=base.weights * rng.uniform(0.9, 1.1, base.n_points),
+            rho=base.rho,
+            M=base.M,
+            exactness_degree=base.exactness_degree,
+        )
+        samples = rng.standard_normal(rule.n_points)
+        dense = basis_matrix(5, rule.points, 1.0).T @ (rule.weights * samples)
+        c = analyze(samples, rule, 5)
+        assert np.max(np.abs(c.values - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_huge_samples_analyze_to_finite_coefficients(self):
+        # A ring sum of these samples overflows; the coefficients (the
+        # degree-0 one is 1.4e308) do not.
+        rule = sphere_rule(6, 2.0)
+        samples = np.full(rule.n_points, 2e307)
+        c = analyze(samples, rule, 6).values
+        assert np.all(np.isfinite(c))
+        assert c[0] == pytest.approx(math.sqrt(FOUR_PI) * 2.0 * 2e307, rel=1e-13)
+
+    def test_legendre_table_is_computed_once_per_degree(self):
+        rule = sphere_rule(8, 1.0)
+        tables = _ring_legendre(rule, 8)
+        assert _ring_legendre(rule, 8) is tables
+        assert [Q.shape for Q in tables] == [(9, k + 1) for k in range(9)]
+        analyze(np.ones(rule.n_points), rule, 8)
+        synthesize(HarmonicCoefficients(M=8, radius=1.0, values=np.ones(81)), rule)
+        assert list(rule._cache) == [8] and rule._cache[8] is tables
+
+    def test_rule_without_rings_rejected(self):
+        rule = without_last_point(sphere_rule(4, 1.0))
+        c = HarmonicCoefficients(M=4, radius=1.0, values=np.ones(25))
+        with pytest.raises(ValidationError, match="rings"):
+            analyze(np.ones(rule.n_points), rule, 4)
+        with pytest.raises(ValidationError, match="rings"):
+            synthesize(c, rule)
+
+    def test_ring_synthesis_checks_degree_and_radius(self):
+        c = HarmonicCoefficients(M=3, radius=1.0, values=np.ones(16))
+        with pytest.raises(ValidationError, match="exceeds"):
+            synthesize(c, sphere_rule(2, 1.0))
+        with pytest.raises(ValidationError, match="does not match"):
+            synthesize(c, sphere_rule(3, 2.0))
 
 
 class TestSymbolRadii:

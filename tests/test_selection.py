@@ -19,6 +19,7 @@ from sphere_reg import (
     SmoothingParams,
     ValidationError,
     analyze,
+    basis_matrix,
     default_eval_grid,
     expand_grid,
     select_single,
@@ -94,20 +95,22 @@ class TestSupNorm:
     def test_grid_refinement(self, rng):
         M = 5
         c = HarmonicCoefficients(M=M, radius=1.0, values=rng.standard_normal(36))
-        coarse = sup_norm(c, EvalGrid(sphere_rule(4 * M, 1.0).points))
-        fine = sup_norm(c, EvalGrid(sphere_rule(8 * M, 1.0).points))
+        coarse = sup_norm(c, EvalGrid(sphere_rule(4 * M, 1.0)))
+        fine = sup_norm(c, EvalGrid(sphere_rule(8 * M, 1.0)))
         assert abs(fine - coarse) <= 0.01 * fine
 
     def test_point_array_grid_matches_rule_grid(self, rng):
-        # The array form stays for point clouds; on the same points it
-        # gives the same bits as the rule-backed grid.
+        # The array form stays for select_single's point clouds, where it
+        # gives the same bits as the rule-backed grid; sup_norm runs ring
+        # FFTs and refuses it.
         rule = sphere_rule(12, 1.0)
         sols = [
             HarmonicCoefficients(M=6, radius=1.0, values=rng.standard_normal(49))
             for _ in range(3)
         ]
         cloud, ringed = EvalGrid(rule.points), EvalGrid(rule)
-        assert sup_norm(sols[0], cloud) == sup_norm(sols[0], ringed)
+        with pytest.raises(ValidationError, match="rule-backed"):
+            sup_norm(sols[0], cloud)
         np.testing.assert_array_equal(
             select_single(sols, cloud).differences,
             select_single(sols, ringed).differences,
@@ -117,6 +120,18 @@ class TestSupNorm:
         c = HarmonicCoefficients(M=6, radius=2.0, values=np.zeros(49))
         with pytest.raises(ValidationError):
             sup_norm(c, grid_m6)
+
+    @pytest.mark.parametrize("M", [0, 1, 5, 30])
+    @pytest.mark.parametrize("R", [1.0, 1.7])
+    def test_matches_the_dense_maximum(self, rng, M, R):
+        # The ring synthesis against the dense basis it replaces.
+        grid = EvalGrid(sphere_rule(2 * M, R))
+        c = HarmonicCoefficients(
+            M=M, radius=R, values=rng.standard_normal((M + 1) ** 2)
+        )
+        dense = np.max(np.abs(basis_matrix(M, grid.points, R) @ c.values))
+        assert sup_norm(c, grid) == pytest.approx(dense, rel=1e-13)
+        assert grid._basis == {}
 
 
 class TestQuasiOptimal:
