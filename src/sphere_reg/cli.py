@@ -349,6 +349,19 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+def _solve_grid(args, name: str) -> ParameterGrid:
+    """The grid of --{name}0, --{name}-factor and --{name}-count; errors name it."""
+    try:
+        return ParameterGrid(
+            base=getattr(args, f"{name}0"),
+            factor=getattr(args, f"{name}_factor"),
+            count=getattr(args, f"{name}_count"),
+            include_zero=not args.no_zero,
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{name} grid: {exc}") from None
+
+
 def cmd_solve(args) -> int:
     rule = canonical_rule(args.M, args.rho)
     samples = read_samples_csv(args.samples, rule)
@@ -356,25 +369,13 @@ def cmd_solve(args) -> int:
     beta = penalty_from_symbol(symbol, args.beta_exponent)
 
     if args.auto:
-        grid_a = ParameterGrid(
-            base=args.alpha0,
-            factor=args.alpha_factor,
-            count=args.alpha_count,
-            include_zero=not args.no_zero,
-        )
-        grid_l = ParameterGrid(
-            base=args.lambda0,
-            factor=args.lambda_factor,
-            count=args.lambda_count,
-            include_zero=not args.no_zero,
-        )
         chosen = select_two_step(
             samples,
             rule,
             symbol,
             beta,
-            grid_a,
-            grid_l,
+            _solve_grid(args, "alpha"),
+            _solve_grid(args, "lambda"),
             default_eval_grid(args.M, args.R),
         )
         solution = chosen.solution

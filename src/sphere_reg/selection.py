@@ -50,6 +50,13 @@ class ParameterGrid:
             )
         if self.count < 1:
             raise ValidationError(f"grid count must be >= 1, got {self.count}")
+        with np.errstate(over="ignore"):
+            top = self.base * np.float64(self.factor) ** self.count
+        if not np.isfinite(top):
+            raise ValidationError(
+                f"grid top value base * factor**count overflows: "
+                f"{self.base!r} * {self.factor!r}**{self.count}"
+            )
 
 
 def expand_grid(g: ParameterGrid) -> np.ndarray:
@@ -163,14 +170,14 @@ def sup_norm(c: HarmonicCoefficients, grid: EvalGrid) -> float:
     return float(np.max(np.abs(synthesize(c, grid._rule()))))
 
 
-def _sup_difference(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    """max_t |later[t] - earlier[t]|, per column for (T, n) arguments."""
-    return np.max(np.abs(later - earlier), axis=0)
+def _sup_difference(later: np.ndarray, earlier: np.ndarray) -> float:
+    """max_t |later[t] - earlier[t]| of two fields."""
+    return float(np.max(np.abs(later - earlier)))
 
 
 def _sup_differences(fields: np.ndarray) -> np.ndarray:
     """d_i = max_t |fields[t, i] - fields[t, i-1]| for consecutive columns."""
-    return _sup_difference(fields[:, 1:], fields[:, :-1])
+    return np.max(np.abs(fields[:, 1:] - fields[:, :-1]), axis=0)
 
 
 def _first_minimum(differences: np.ndarray) -> int:
@@ -195,28 +202,34 @@ def _quasi_optimal(fields: np.ndarray) -> tuple[int, np.ndarray]:
 _BOUND_STRIDE = 16
 
 
-def _pruned_quasi_optimal(fields: np.ndarray) -> tuple[int, float]:
-    """The winner of _quasi_optimal and its difference, pruning hopeless columns.
+def _pruned_quasi_optimal(
+    Z: np.ndarray, zmax: np.ndarray, factors: np.ndarray, alpha: float
+) -> tuple[int, float, np.ndarray]:
+    """_quasi_optimal's winner over the fields Z @ factors.T, never built.
 
-    The differences over every 16th row are exact lower bounds on the full
-    ones (a maximum over a subset of the same values).  Candidates are
-    evaluated in ascending bound order until a bound exceeds the best exact
-    difference so far; no later candidate can then win or tie, so the
-    winner and its difference are bit-identical to the dense pass.  A
-    single column wins with a NaN difference.
+    Returns the winning row of the (L, M+1) factors, its difference and
+    its field.  Differences over every 16th row of Z are exact lower
+    bounds on the full ones.  Pairs are evaluated in ascending bound order,
+    each as one (T, 2) product, until a bound exceeds the best exact
+    difference so far; no later pair can then win or tie.  On OpenBLAS the
+    bound and pair products equal slices of the full GEMM, so all three
+    results are bit-identical to the dense pass.  A single row wins with a
+    NaN difference.  Raises NumericalError on a non-finite field.
     """
-    if fields.shape[1] == 1:
-        return 0, math.nan
-    bounds = _sup_differences(fields[::_BOUND_STRIDE])
-    differences = np.full(bounds.size, np.inf)
-    best = math.inf
-    for i in np.argsort(bounds):
+    _check_fields(Z, zmax, factors, alpha)
+    if factors.shape[0] == 1:
+        return 0, math.nan, (Z @ factors.T)[:, 0]
+    bounds = _sup_differences(Z[::_BOUND_STRIDE] @ factors.T)
+    chosen, best, winner = 0, math.inf, None
+    for i in np.argsort(bounds).tolist():
         if bounds[i] > best:
             break
-        differences[i] = _sup_differences(fields[:, i : i + 2])[0]
-        best = min(best, differences[i])
-    chosen = _first_minimum(differences)
-    return chosen, float(differences[chosen - 1])
+        pair = Z @ factors[i : i + 2].T
+        d = _sup_difference(pair[:, 1], pair[:, 0])
+        # Ties go to the smaller index, as in _first_minimum.
+        if d < best or (d == best and i + 1 < chosen):
+            chosen, best, winner = i + 1, d, pair[:, 1].copy()
+    return chosen, best, winner
 
 
 @dataclass(frozen=True)
@@ -320,23 +333,23 @@ def _candidate_factors(
 _FIELD_SCAN_BOUND = np.finfo(float).max / 4
 
 
-def _candidate_fields(
-    Z: np.ndarray, zmax: np.ndarray, factors: np.ndarray, alpha: float, out=None
-) -> np.ndarray:
-    """The candidates' fields Z @ factors.T, checked to be finite.
+def _check_fields(
+    Z: np.ndarray, zmax: np.ndarray, factors: np.ndarray, alpha: float
+) -> None:
+    """Raise NumericalError unless the fields Z @ factors.T are all finite.
 
     With zmax[k] = max_t |Z[t, k]|, sum_k |factors[l, k]| zmax[k] bounds
-    |fields[t, l]|, so the fields are scanned only when that bound is not
-    far below the float maximum.  Raises NumericalError on a non-finite field.
+    |fields[t, l]|, so the fields are built and scanned only when that
+    bound is not far below the float maximum.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        fields = np.matmul(Z, factors.T, out=out)
-        bound = np.max(np.abs(factors) @ zmax)
-    if not bound < _FIELD_SCAN_BOUND and not np.all(np.isfinite(fields)):
+        if np.max(np.abs(factors) @ zmax) < _FIELD_SCAN_BOUND:
+            return
+        fields = Z @ factors.T
+    if not np.all(np.isfinite(fields)):
         raise NumericalError(
             f"non-finite candidate fields at alpha = {float(alpha)!r}"
         )
-    return fields
 
 
 def select_two_step(
@@ -390,36 +403,30 @@ def select_two_step(
     b = beta.beta[: M + 1]
     damping = 1.0 / (1.0 + np.outer(lambdas, b * b))  # (L, M+1)
 
-    # One (T, L) table, refilled for every alpha.  The outer passes compare
-    # each alpha's columns with the previous alpha's, so no (T, A) table of
-    # winners is kept; the differences are those of _quasi_optimal.
-    fields = np.empty((grid.n_points, len(lambdas)))
-
     # Smoothing-only: the inner pass at alpha = 0.
     _, direct = _candidate_factors(a, damping, 0.0)
-    smoothing_idx, _ = _pruned_quasi_optimal(
-        _candidate_fields(Z, zmax, direct, 0.0, out=fields)
-    )
+    smoothing_idx, _, _ = _pruned_quasi_optimal(Z, zmax, direct, 0.0)
 
     chosen_lams = np.empty(len(alphas))
     inner_mins = np.empty(len(alphas))
-    # Row i - 1: sup differences of the winners and of the lambda = 0 fields.
+    # The outer passes compare each alpha's two fields with the previous
+    # alpha's, so no (T, A) table is kept.  Row i - 1: sup differences of
+    # the winners and of the lambda = 0 fields.
     outer_diffs = np.empty((len(alphas) - 1, 2))
     for i, alpha in enumerate(alphas):
         inversion, factors = _candidate_factors(a, damping, alpha)
-        idx, inner_mins[i] = _pruned_quasi_optimal(
-            _candidate_fields(Z, zmax, factors, alpha, out=fields)
-        )
+        idx, inner_mins[i], winner = _pruned_quasi_optimal(Z, zmax, factors, alpha)
         chosen_lams[i] = lambdas[idx]
         # The lambda = 0 field is the same matrix-vector product as a {0}
-        # lambda grid, which can differ in the last bits from column 0 of
-        # the GEMM above.
-        columns = np.column_stack(
-            (fields[:, idx], _candidate_fields(Z, zmax, inversion, alpha))
-        )
+        # lambda grid, which can differ in the last bits from a GEMM column.
+        _check_fields(Z, zmax, inversion, alpha)
+        unsmoothed = Z @ inversion
         if i:
-            outer_diffs[i - 1] = _sup_difference(columns, previous)
-        previous = columns
+            outer_diffs[i - 1] = (
+                _sup_difference(winner, previous[0]),
+                _sup_difference(unsmoothed, previous[1]),
+            )
+        previous = winner, unsmoothed
     alpha_idx = _first_minimum(outer_diffs[:, 0])
     collocation_idx = _first_minimum(outer_diffs[:, 1])
 

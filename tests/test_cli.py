@@ -332,6 +332,42 @@ class TestSampleIO:
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+class TestOverflowingGrid:
+    @pytest.mark.parametrize("name", ["alpha", "lambda"])
+    def test_solve_grid_rejected_before_selection(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        path, _, _ = make_samples(tmp_path, M=4)
+        calls = []
+        monkeypatch.setattr(sphere_reg.cli, "select_two_step", lambda *a: calls.append(a))
+        code = main(
+            ["solve", str(path), "--M", "4", "--symbol", "geometric(1.48)", "--auto"]
+            + [f"--{name}0", "1e-5", f"--{name}-factor", "1e100", f"--{name}-count", "4"]
+            + ["-o", str(tmp_path / "c.csv")]
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert calls == []
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {name} grid: ") and "overflows" in line
+
+    @pytest.mark.parametrize("name", ["alpha", "lambda"])
+    def test_config_grid_rejected_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        cfg = write_config(
+            tmp_path,
+            f"case = fig1a\n{name}0 = 1e-5\n{name}_factor = 1e100\n"
+            f"{name}_count = 4\noutput = {tmp_path / 'r.csv'}\n",
+        )
+        calls = []
+        monkeypatch.setattr(sphere_reg.cli, "run_case", lambda case: calls.append(case))
+        assert main(["experiment", str(cfg)]) == EXIT_INVALID_INPUT
+        assert calls == []
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: config field '{name}*': ")
+        assert "overflows" in line
+
+
 class TestNonFiniteSelection:
     def test_underflowing_symbol_exits_numerical(self, tmp_path, capsys):
         # a_k^2 underflows to 0 for the top degrees, so the alpha = 0

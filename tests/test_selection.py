@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +33,14 @@ from sphere_reg import (
     two_step_solve,
 )
 from sphere_reg import experiments as ex
-from sphere_reg.selection import _pruned_quasi_optimal, _quasi_optimal, grid_values
+from sphere_reg.selection import (
+    _BOUND_STRIDE,
+    _candidate_factors,
+    _pruned_quasi_optimal,
+    _quasi_optimal,
+    _sup_differences,
+    grid_values,
+)
 
 
 def linear_beta(M):
@@ -74,6 +84,12 @@ class TestExpandGrid:
             ParameterGrid(base=1.0, factor=bad, count=3)
         with pytest.raises(ValidationError, match="finite"):
             grid_values([0.0, 1.0, bad])
+
+    def test_overflowing_top_value_rejected(self):
+        assert expand_grid(ParameterGrid(base=1.0, factor=2.0, count=1023))[-1] == 2.0**1023
+        for base, factor, count in [(1.0, 2.0, 1024), (1e-5, 1e100, 4), (1e-300, 1e10, 40)]:
+            with pytest.raises(ValidationError, match="overflows"):
+                ParameterGrid(base=base, factor=factor, count=count)
 
     def test_explicit_sequences(self):
         np.testing.assert_array_equal(grid_values([0.0]), [0.0])
@@ -154,9 +170,27 @@ class TestQuasiOptimal:
         assert idx == 1
 
 
+def pruned(fields):
+    """The pruned kernel on a (T, L) table: the table as Z, identity factors.
+
+    Returns the winner and its difference, after checking that the winning
+    field is the table's column, bit for bit.
+    """
+    idx, diff, winner = _pruned_quasi_optimal(
+        fields, np.max(np.abs(fields), axis=0), np.eye(fields.shape[1]), 0.0
+    )
+    np.testing.assert_array_equal(winner, fields[:, idx])
+    return idx, diff
+
+
+def evaluation_order(fields):
+    """Pair order of the pruned pass: ascending subsample bound."""
+    return np.argsort(_sup_differences(fields[::_BOUND_STRIDE])).tolist()
+
+
 def assert_pruned_matches_dense(fields):
     """The dense full-reduction kernel is the oracle for the pruned one."""
-    idx, diff = _pruned_quasi_optimal(fields)
+    idx, diff = pruned(fields)
     ref_idx, ref_diffs = _quasi_optimal(fields)
     assert idx == ref_idx
     if ref_diffs.size:
@@ -189,15 +223,15 @@ class TestPrunedQuasiOptimal:
         assert_pruned_matches_dense(fields)
 
     def test_one_and_two_columns(self):
-        idx, diff = _pruned_quasi_optimal(np.array([[1.0], [2.0]]))
+        idx, diff = pruned(np.array([[1.0], [2.0]]))
         assert idx == 0 and math.isnan(diff)
         fields = np.array([[0.0, 3.0], [1.0, -1.0]])
-        assert _pruned_quasi_optimal(fields) == (1, 3.0)
+        assert pruned(fields) == (1, 3.0)
         assert_pruned_matches_dense(fields)
 
     def test_forced_ties_go_to_the_smallest_index(self):
         fields = np.tile([0.0, 1.0, 2.0, 1.0, 2.0], (40, 1))
-        assert _pruned_quasi_optimal(fields) == (1, 1.0)
+        assert pruned(fields) == (1, 1.0)
         assert_pruned_matches_dense(fields)
 
     def test_tie_with_a_larger_bound_at_the_smaller_index(self):
@@ -207,7 +241,35 @@ class TestPrunedQuasiOptimal:
         fields[:, 1] = 1.0
         fields[:, 2] = 1.5
         fields[5, 2] = 2.0
-        assert _pruned_quasi_optimal(fields) == (1, 1.0)
+        assert evaluation_order(fields) == [1, 0]
+        assert pruned(fields) == (1, 1.0)
+        assert_pruned_matches_dense(fields)
+
+    def test_winner_is_not_the_first_pair_evaluated(self):
+        # Pair (2, 3) has the smallest bound (0.125) but peaks at 3 off the
+        # subsample; pair (0, 1), evaluated second, wins with 1 and stops
+        # the pass before pair (1, 2) (bound 2).
+        fields = np.zeros((40, 4))
+        fields[:, 1] = 1.0
+        fields[:, 2] = 3.0
+        fields[:, 3] = 3.125
+        fields[7, 3] = 6.0
+        assert evaluation_order(fields) == [2, 0, 1]
+        assert pruned(fields) == (1, 1.0)
+        assert_pruned_matches_dense(fields)
+
+    def test_equal_difference_at_a_smaller_index_evaluated_later(self):
+        # Bounds 0.5, 0.375 and 0.25.  d_3 = 0.5 peaks off the subsample and
+        # is evaluated first; d_2 = 1 follows, then d_1 = 0.5 at a smaller
+        # index takes the tie.  All values are exact in binary.
+        fields = np.zeros((40, 4))
+        fields[:, 1] = 0.5
+        fields[:, 2] = 0.875
+        fields[3, 2] = 1.5
+        fields[:, 3] = fields[:, 2] + 0.25
+        fields[9, 3] = fields[9, 2] + 0.5
+        assert evaluation_order(fields) == [2, 1, 0]
+        assert pruned(fields) == (1, 0.5)
         assert_pruned_matches_dense(fields)
 
     def test_duplicate_columns_win_with_zero_difference(self):
@@ -215,7 +277,7 @@ class TestPrunedQuasiOptimal:
         fields = rng.standard_normal((50, 6))
         fields[:, 4] = fields[:, 3]
         fields[:, 2] = fields[:, 1]
-        assert _pruned_quasi_optimal(fields) == (2, 0.0)
+        assert pruned(fields) == (2, 0.0)
         assert_pruned_matches_dense(fields)
 
     def test_maxima_off_the_subsample(self):
@@ -227,7 +289,7 @@ class TestPrunedQuasiOptimal:
         fields[:, 2] = 0.5
         fields[:, 3] = 0.6
         fields[9, 3] = 2.5
-        assert _pruned_quasi_optimal(fields) == (3, 2.0)
+        assert pruned(fields) == (3, 2.0)
         assert_pruned_matches_dense(fields)
 
     @pytest.mark.parametrize("T", [1, 2, 15])
@@ -354,6 +416,22 @@ def dense_sweep(samples, rule, symbol, beta, alphas, lambdas, grid):
     )
 
 
+def figure1_trial():
+    """select_two_step's arguments for trial 0 of fig1d."""
+    case = ex.FIGURE1_CASES["fig1d"]
+    _, _, noisy = ex.simulate_problem(case, ex.trial_seed(case.seed, 0))
+    symbol = case.build_symbol()
+    return (
+        noisy,
+        ex.canonical_rule(case.M, case.rho),
+        symbol,
+        ex.penalty_from_symbol(symbol, case.beta_exponent),
+        case.alpha_grid,
+        case.lambda_grid,
+        default_eval_grid(case.M, case.R),
+    )
+
+
 def assert_sweep_matches_dense(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid):
     """The sweep's trace and picks equal the dense sweep's, bit for bit.
 
@@ -417,18 +495,63 @@ class TestSelectTwoStep:
         assert_sweep_matches_dense(*args)
 
     def test_figure1_trial_matches_dense_sweep(self):
-        case = ex.FIGURE1_CASES["fig1d"]
-        _, _, noisy = ex.simulate_problem(case, ex.trial_seed(case.seed, 0))
-        symbol = case.build_symbol()
-        assert_sweep_matches_dense(
-            noisy,
-            ex.canonical_rule(case.M, case.rho),
-            symbol,
-            ex.penalty_from_symbol(symbol, case.beta_exponent),
-            case.alpha_grid,
-            case.lambda_grid,
-            default_eval_grid(case.M, case.R),
+        assert_sweep_matches_dense(*figure1_trial())
+
+    def test_bound_and_pair_products_are_gemm_slices(self):
+        # The pruned kernel's products against the full (T, L) GEMM they
+        # replace, for every alpha and pair of a figure-1 trial.
+        samples, rule, symbol, beta, alphas, lambdas, grid = figure1_trial()
+        M = rule.M
+        coeffs = analyze(samples, rule, M)
+        Z = grid.degree_fields(coeffs.scaled_by_degree(np.ones(M + 1), radius=symbol.R))
+        b = beta.beta[: M + 1]
+        damping = 1.0 / (1.0 + np.outer(grid_values(lambdas), b * b))
+        for alpha in [0.0, *grid_values(alphas)]:
+            _, factors = _candidate_factors(symbol.a[: M + 1], damping, alpha)
+            full = Z @ factors.T
+            np.testing.assert_array_equal(Z[::_BOUND_STRIDE] @ factors.T, full[::_BOUND_STRIDE])
+            for i in range(len(factors) - 1):
+                np.testing.assert_array_equal(Z @ factors[i : i + 2].T, full[:, i : i + 2])
+
+    def test_figure1_bit_equality_under_one_blas_thread(self):
+        # The BLAS thread count is fixed at import, so the two checks above
+        # run again in a child with one OpenBLAS thread.
+        here = Path(__file__)
+        tests = [
+            f"{here}::TestSelectTwoStep::{name}"
+            for name in (
+                "test_figure1_trial_matches_dense_sweep",
+                "test_bound_and_pair_products_are_gemm_slices",
+            )
+        ]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(here.parents[1] / "src"), env.get("PYTHONPATH")])
         )
+        child = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=here.parents[1],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert child.returncode == 0, child.stdout + child.stderr
+        assert "2 passed" in child.stdout
+
+    def test_sweep_memory_stays_below_one_candidate_table(self):
+        # Past the caches the first call warms, the sweep holds the (T, M+1)
+        # field sums but never a (T, L) table of candidate fields.
+        args = figure1_trial()
+        select_two_step(*args)
+        T, L = args[-1].n_points, len(grid_values(args[-2]))
+        tracemalloc.start()
+        try:
+            select_two_step(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < T * (args[1].M + 1) * 8 + T * L * 8
 
     def test_matches_straight_line_reimplementation(self):
         rule, symbol, beta, noisy, grid = make_problem()
