@@ -24,7 +24,7 @@ from .experiments import (
     run_case,
     simulate_problem,
 )
-from .harmonics import basis_matrix, harmonic_blocks, legendre_table
+from .harmonics import basis_matrix, legendre_table
 from .operators import (
     HarmonicCoefficients,
     SphericalSymbol,
@@ -77,7 +77,6 @@ __all__ = [
     "default_eval_grid",
     "expand_grid",
     "gauss_legendre",
-    "harmonic_blocks",
     "invert_regularized",
     "leader_following_summary",
     "legendre_table",

@@ -129,7 +129,8 @@ def read_samples_csv(path: str, rule: CubatureRule) -> np.ndarray:
     lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != "x,y,z,value":
         raise ValidationError(f"{path}: line 1: expected header 'x,y,z,value'")
-    rows = [ln for ln in lines[1:] if ln.strip()]
+    # (file line number, text) of every nonblank data row.
+    rows = [(n, ln) for n, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(rows) != rule.n_points:
         raise ValidationError(
             f"{path}: expected {rule.n_points} data rows for this rule, "
@@ -139,15 +140,15 @@ def read_samples_csv(path: str, rule: CubatureRule) -> np.ndarray:
     # and values in one pass; the earliest failing line is reported, and on
     # one line a point mismatch comes before a non-finite value.
     parsed, malformed = [], None
-    for i, ln in enumerate(rows):
+    for lineno, ln in rows:
         parts = ln.split(",")
         if len(parts) != 4:
-            malformed = (i, f"expected 4 fields, got {len(parts)}")
+            malformed = (lineno, f"expected 4 fields, got {len(parts)}")
             break
         try:
             parsed.append([float(p) for p in parts])
         except ValueError:
-            malformed = (i, "non-numeric field")
+            malformed = (lineno, "non-numeric field")
             break
     table = np.array(parsed, dtype=float).reshape(-1, 4)
     tol = _POINT_MATCH_TOL * max(1.0, rule.rho)
@@ -161,9 +162,9 @@ def read_samples_csv(path: str, rule: CubatureRule) -> np.ndarray:
             reason = f"point does not match the canonical rule point {i}"
         else:
             reason = "non-finite sample value"
-        raise ValidationError(f"{path}: line {i + 2}: {reason}")
+        raise ValidationError(f"{path}: line {rows[i][0]}: {reason}")
     if malformed is not None:
-        raise ValidationError(f"{path}: line {malformed[0] + 2}: {malformed[1]}")
+        raise ValidationError(f"{path}: line {malformed[0]}: {malformed[1]}")
     return table[:, 3].copy()
 
 

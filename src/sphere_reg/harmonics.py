@@ -12,10 +12,9 @@ Conventions used throughout the package:
   flat position ``k^2 + j - 1``.
 * Associated Legendre values are computed by one upward recurrence in
   degree with prenormalized coefficients, stable well past degree 100, one
-  degree at a time (``_associated_legendre``).  It feeds both the harmonic
-  blocks at scattered points (``harmonic_blocks``, of which the dense
-  ``basis_matrix`` is a fill) and the per-rule ring tables of the FFT
-  transforms in ``operators``.
+  degree at a time (``_associated_legendre``).  It feeds both the dense
+  point-by-point evaluator ``basis_matrix`` and the per-rule ring tables
+  of the FFT transforms in ``operators``.
 """
 
 from __future__ import annotations
@@ -52,13 +51,6 @@ def legendre_table(k_max: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exact_unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a float array by bit pattern, and each row's position."""
-    bits = keys.reshape(keys.shape[0], -1).view(np.uint64)
-    distinct, inverse = np.unique(bits, axis=0, return_inverse=True)
-    return distinct.view(float), inverse.reshape(-1)
-
-
 def _associated_legendre(
     M: int, ct: np.ndarray, st: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -91,58 +83,35 @@ def _associated_legendre(
         yield k, Q
 
 
-def harmonic_blocks(M: int, directions: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (k, block) for k = 0..M; block is the (T, 2k+1) array of Y_{k,j}.
-
-    Column j - 1 of the block holds Y_{k,j} at every direction, so block k
-    is columns k^2..(k+1)^2 - 1 of basis_matrix(M, directions, 1.0), and
-    one block at a time needs O(T M) memory.  The associated Legendre
-    values come from _associated_legendre, once per distinct (cos, sin)
-    polar pair, and the trig values once per distinct longitude; both are
-    then gathered to the points.  Duplicates are exact (bitwise): along a
-    ring of a product grid, hypot and arctan2 differ in the last bit.  Each
-    direction row must have norm 1 within 1e-9.
-    """
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    if dirs.shape[1] != 3:
-        raise ValidationError(f"directions must be (T, 3), got {dirs.shape}")
-    if radius_mismatch(np.linalg.norm(dirs, axis=1), 1.0):
-        raise ValidationError("direction rows must be unit vectors")
-    polar, at_polar = _exact_unique(
-        np.stack([dirs[:, 2], np.hypot(dirs[:, 0], dirs[:, 1])], axis=1)
-    )
-    phi, at_phi = _exact_unique(np.arctan2(dirs[:, 1], dirs[:, 0]))
-    m_range = np.arange(1, M + 1)
-    angles = phi * m_range  # (distinct longitudes, M)
-    cos_m = np.cos(angles)[at_phi]  # (T, M)
-    sin_m = np.sin(angles)[at_phi]
-
-    sqrt2 = math.sqrt(2.0)
-    T = dirs.shape[0]
-    for k, Q in _associated_legendre(M, polar[:, :1], polar[:, 1:]):
-        scaled = Q.copy()
-        scaled[:, 1:] *= sqrt2
-        at_points = scaled[at_polar]  # (T, k+1)
-        block = np.empty((T, 2 * k + 1))
-        block[:, k] = at_points[:, 0]
-        np.multiply(at_points[:, 1:], cos_m[:, :k], out=block[:, k + 1 :])
-        if k:
-            np.multiply(at_points[:, :0:-1], sin_m[:, k - 1 :: -1], out=block[:, :k])
-        yield k, block
-
-
 def basis_matrix(M: int, points: np.ndarray, radius: float) -> np.ndarray:
     """Radius-scaled basis values (1/radius) Y_{k,j}(t/radius) at points.
 
     ``points`` is an (N, 3) array of Cartesian coordinates; every row of
     points / radius must be a unit vector within 1e-9.  Column k^2 + j - 1
-    holds Y_{k,j}: the blocks of harmonic_blocks side by side.
+    holds Y_{k,j}.  The associated Legendre values come from
+    _associated_legendre at each point's own polar pair, and the trig
+    values from each point's own longitude.
     """
     if not radius > 0:
         raise ValidationError(f"radius must be positive, got {radius!r}")
     dirs = np.atleast_2d(np.asarray(points, dtype=float)) / radius
+    if dirs.shape[1] != 3:
+        raise ValidationError(f"points must be (N, 3), got {dirs.shape}")
+    if radius_mismatch(np.linalg.norm(dirs, axis=1), 1.0):
+        raise ValidationError("points / radius must be unit vectors")
+    ct = dirs[:, 2:]
+    st = np.hypot(dirs[:, 0], dirs[:, 1])[:, None]
+    angles = np.arctan2(dirs[:, 1], dirs[:, 0])[:, None] * np.arange(1, M + 1)
+    cos_m, sin_m = np.cos(angles), np.sin(angles)  # (N, M)
+
+    sqrt2 = math.sqrt(2.0)
     Y = np.empty((dirs.shape[0], (M + 1) * (M + 1)))
-    for k, block in harmonic_blocks(M, dirs):
-        Y[:, k * k : (k + 1) * (k + 1)] = block
+    for k, Q in _associated_legendre(M, ct, st):
+        block = Y[:, k * k : (k + 1) * (k + 1)]
+        block[:, k] = Q[:, 0]
+        scaled = Q[:, 1:] * sqrt2
+        np.multiply(scaled, cos_m[:, :k], out=block[:, k + 1 :])
+        if k:
+            np.multiply(scaled[:, ::-1], sin_m[:, k - 1 :: -1], out=block[:, :k])
     Y /= radius
     return Y

@@ -310,22 +310,19 @@ class TwoStepSelection(ParameterPick):
     trace: list = field(default_factory=list)
 
 
-def _candidate_factors(
-    a: np.ndarray, damping: np.ndarray, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inversion factors a_k/(alpha + a_k^2) and the (L, M+1) candidate table.
+def _candidate_factors(a: np.ndarray, damping: np.ndarray, alpha: float) -> np.ndarray:
+    """The (L, M+1) candidate table damping * a_k/(alpha + a_k^2).
 
-    Raises NumericalError unless the table (and so the inversion) is finite.
+    Raises NumericalError unless the table is finite.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inversion = a / (alpha + a * a)
-        factors = damping * inversion
+        factors = damping * (a / (alpha + a * a))
     if not np.all(np.isfinite(factors)):
         raise NumericalError(
             f"non-finite solution factors at alpha = {float(alpha)!r} "
             "(a_k^2 underflows or a_k/(alpha + a_k^2) overflows)"
         )
-    return inversion, factors
+    return factors
 
 
 #: Fields whose a-priori bound is below this are finite, and so are their
@@ -352,6 +349,30 @@ def _check_fields(
         )
 
 
+def _nested_pass(
+    Z: np.ndarray, zmax: np.ndarray, a: np.ndarray, b: np.ndarray, alphas, lambdas
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Nested quasi-optimality over the fields Z @ factors.T of every pair.
+
+    Per alpha, the inner pass picks lambda by _pruned_quasi_optimal; the
+    outer pass compares each alpha's winning field with the previous
+    alpha's, so only two fields are kept.  Returns the winning alpha index
+    and, per alpha, the winning lambda index, its inner difference and its
+    outer difference (NaN for the first alpha).
+    """
+    damping = 1.0 / (1.0 + np.outer(lambdas, b * b))  # (L, M+1)
+    lam_idx = np.empty(len(alphas), dtype=int)
+    inner = np.empty(len(alphas))
+    outer = np.full(len(alphas), math.nan)
+    for i, alpha in enumerate(alphas):
+        factors = _candidate_factors(a, damping, alpha)
+        lam_idx[i], inner[i], winner = _pruned_quasi_optimal(Z, zmax, factors, alpha)
+        if i:
+            outer[i] = _sup_difference(winner, previous)
+        previous = winner
+    return _first_minimum(outer[1:]), lam_idx, inner, outer
+
+
 def select_two_step(
     samples: np.ndarray,
     rule: CubatureRule,
@@ -366,19 +387,18 @@ def select_two_step(
     For every alpha on the grid, the inner pass picks lambda(alpha) by
     quasi-optimality over the two-step solutions; the outer pass then picks
     alpha by quasi-optimality over the per-alpha winners.  All differences
-    are measured on the solution sphere.  The same sweep also gives the
-    smoothing-only pick (the inner pass at alpha = 0) and the
-    collocation-only pick (the outer pass over the lambda = 0 solutions),
+    are measured on the solution sphere.  The one-parameter picks are the
+    same nested pass on a {0} grid on the other side: the smoothing-only
+    pick over (0, lambdas) and the collocation-only pick over (alphas, 0),
     whether or not either grid contains 0.
 
     Every candidate solution is a per-degree rescaling of one Fourier
-    analysis of the samples, so the search synthesizes per-degree field
-    sums once and rescales those instead of rebuilding each solution; each
+    analysis of the samples, so the passes synthesize per-degree field
+    sums once and rescale those instead of rebuilding each solution; each
     selected pair is identical to running select_single over explicit
-    two_step_solve outputs, and the one-parameter pairs are those of a
-    degenerate {0} grid on the other side.  The three picked solutions
-    rescale the same analysis, bit-identical to two_step_solve.
-    Single-element grids are allowed: their pass picks the only value.
+    two_step_solve outputs.  The three picked solutions rescale the same
+    analysis, bit-identical to two_step_solve.  Single-element grids are
+    allowed: their pass picks the only value.
 
     Raises NumericalError if the field sums, any candidate's per-degree
     factors or field, or any of the three picked solutions are not finite.
@@ -398,37 +418,14 @@ def select_two_step(
     if not np.all(np.isfinite(Z)):
         raise NumericalError("non-finite per-degree field sums of the samples")
     zmax = np.max(np.abs(Z), axis=0)
-
     a = symbol.a[: M + 1]
     b = beta.beta[: M + 1]
-    damping = 1.0 / (1.0 + np.outer(lambdas, b * b))  # (L, M+1)
 
-    # Smoothing-only: the inner pass at alpha = 0.
-    _, direct = _candidate_factors(a, damping, 0.0)
-    smoothing_idx, _, _ = _pruned_quasi_optimal(Z, zmax, direct, 0.0)
-
-    chosen_lams = np.empty(len(alphas))
-    inner_mins = np.empty(len(alphas))
-    # The outer passes compare each alpha's two fields with the previous
-    # alpha's, so no (T, A) table is kept.  Row i - 1: sup differences of
-    # the winners and of the lambda = 0 fields.
-    outer_diffs = np.empty((len(alphas) - 1, 2))
-    for i, alpha in enumerate(alphas):
-        inversion, factors = _candidate_factors(a, damping, alpha)
-        idx, inner_mins[i], winner = _pruned_quasi_optimal(Z, zmax, factors, alpha)
-        chosen_lams[i] = lambdas[idx]
-        # The lambda = 0 field is the same matrix-vector product as a {0}
-        # lambda grid, which can differ in the last bits from a GEMM column.
-        _check_fields(Z, zmax, inversion, alpha)
-        unsmoothed = Z @ inversion
-        if i:
-            outer_diffs[i - 1] = (
-                _sup_difference(winner, previous[0]),
-                _sup_difference(unsmoothed, previous[1]),
-            )
-        previous = winner, unsmoothed
-    alpha_idx = _first_minimum(outer_diffs[:, 0])
-    collocation_idx = _first_minimum(outer_diffs[:, 1])
+    sweep = functools.partial(_nested_pass, Z, zmax, a, b)
+    # alpha = 0 first: an underflowing a_k^2 fails there.
+    _, (smoothing_idx,), _, _ = sweep([0.0], lambdas)
+    alpha_idx, lam_idx, inner_mins, outer_diffs = sweep(alphas, lambdas)
+    collocation_idx, _, _, _ = sweep(alphas, [0.0])
 
     def pick(alpha, lam) -> ParameterPick:
         solution = _solve_from_coefficients(
@@ -438,13 +435,13 @@ def select_two_step(
         )
         return ParameterPick(alpha=float(alpha), lam=float(lam), solution=solution)
 
-    nested = pick(alphas[alpha_idx], chosen_lams[alpha_idx])
+    nested = pick(alphas[alpha_idx], lambdas[lam_idx[alpha_idx]])
     trace = [
         TraceRecord(
             alpha=float(alphas[j]),
-            chosen_lambda=float(chosen_lams[j]),
+            chosen_lambda=float(lambdas[lam_idx[j]]),
             inner_min_diff=float(inner_mins[j]),
-            outer_diff=math.nan if j == 0 else float(outer_diffs[j - 1, 0]),
+            outer_diff=float(outer_diffs[j]),
         )
         for j in range(len(alphas))
     ]

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 from .harmonics import basis_matrix
@@ -101,8 +100,7 @@ def smooth_oracle(
         raise ValidationError(
             f"expected {rule.n_points} samples, got shape {samples.shape}"
         )
-    damping = params.damping(M)  # validates beta coverage
-    del damping
+    params.damping(M)  # validates beta coverage
 
     B = basis_matrix(M, rule.points, rule.rho)
     W = rule.weights
@@ -112,7 +110,7 @@ def smooth_oracle(
     system = gram + np.diag(penalty)
     rhs = B.T @ (W * samples)
     try:
-        coeffs = scipy.linalg.solve(system, rhs, assume_a="pos")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        coeffs = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular smoothing system: {exc}") from exc
     return HarmonicCoefficients(M=M, radius=rule.rho, values=coeffs)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,25 @@ from sphere_reg.cli import (
 )
 from sphere_reg.errors import ValidationError
 from sphere_reg.selection import TraceRecord
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only runtime dependency; scipy is for the tests.
+    root = Path(__file__).parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, sphere_reg.cli; print('scipy' in sys.modules)"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"
 
 
 class TestRuleCommand:
@@ -102,7 +125,7 @@ def loop_read_samples_csv(path, rule):
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "x,y,z,value":
         raise ValidationError(f"{path}: line 1: expected header 'x,y,z,value'")
-    rows = [ln for ln in lines[1:] if ln.strip()]
+    rows = [(n, ln) for n, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(rows) != rule.n_points:
         raise ValidationError(
             f"{path}: expected {rule.n_points} data rows for this rule, "
@@ -110,8 +133,7 @@ def loop_read_samples_csv(path, rule):
         )
     tol = 1e-9 * max(1.0, rule.rho)
     samples = np.empty(rule.n_points)
-    for i, ln in enumerate(rows):
-        lineno = i + 2
+    for i, (lineno, ln) in enumerate(rows):
         parts = ln.split(",")
         if len(parts) != 4:
             raise ValidationError(
@@ -291,8 +313,10 @@ class TestSampleIO:
     @pytest.mark.parametrize(
         "bad_lines, expected",
         [
-            # (line number, field index, replacement) edits; the earliest
-            # failing line wins, and on one line the point check comes first.
+            # (line number, field index, replacement) edits, in order; field
+            # None replaces the line and "insert" inserts one before it.  The
+            # earliest failing line wins, and on one line the point check
+            # comes first.
             ([(5, 3, "nan"), (8, 0, "9")], "line 5: non-finite sample value"),
             ([(5, 0, "9"), (8, 3, "inf")], "line 5: point does not match the "
              "canonical rule point 3"),
@@ -303,13 +327,17 @@ class TestSampleIO:
             ([(3, 0, "9"), (5, None, "1,2")], "line 3: point does not match the "
              "canonical rule point 1"),
             ([(5, None, "1,2"), (9, 0, "9")], "line 5: expected 4 fields, got 2"),
+            # A blank line 3 moves the NaN on line 5 to file line 6.
+            ([(5, 3, "nan"), (3, "insert", "")], "line 6: non-finite sample value"),
         ],
     )
     def test_first_bad_line_is_reported(self, tmp_path, bad_lines, expected):
         path, rule, _ = make_samples(tmp_path, M=4)
         lines = path.read_text().splitlines()
         for lineno, field, text in bad_lines:
-            if field is None:
+            if field == "insert":
+                lines.insert(lineno - 1, text)
+            elif field is None:
                 lines[lineno - 1] = text
             else:
                 parts = lines[lineno - 1].split(",")
@@ -371,23 +399,25 @@ class TestOverflowingGrid:
 class TestNonFiniteSelection:
     def test_underflowing_symbol_exits_numerical(self, tmp_path, capsys):
         # a_k^2 underflows to 0 for the top degrees, so the alpha = 0
-        # candidates are infinite.
+        # candidates are infinite; the smoothing-only pick evaluates
+        # alpha = 0 even when the alpha grid leaves it out.
         M = 20
         rule = sphere_rule(M, 1.0)
         path = tmp_path / "samples.csv"
         samples = np.random.default_rng(1).standard_normal(rule.n_points)
         write_samples_csv(str(path), rule, samples)
         out = tmp_path / "coeffs.csv"
-        code = main(
-            [
-                "solve", str(path), "--M", str(M), "--symbol", "polynomial(160)",
-                "--auto", "-o", str(out),
-            ]
-        )
-        assert code == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert err.startswith("error: numerical failure") and "alpha = 0.0" in err
-        assert not out.exists()
+        for extra in ([], ["--no-zero"]):
+            code = main(
+                [
+                    "solve", str(path), "--M", str(M), "--symbol", "polynomial(160)",
+                    "--auto", *extra, "-o", str(out),
+                ]
+            )
+            assert code == EXIT_NUMERICAL, extra
+            err = capsys.readouterr().err
+            assert err.startswith("error: numerical failure") and "alpha = 0.0" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "rho, symbol, value, params, message",

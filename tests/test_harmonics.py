@@ -12,7 +12,6 @@ from sphere_reg import (
     HarmonicCoefficients,
     ValidationError,
     basis_matrix,
-    harmonic_blocks,
     legendre_table,
     sphere_rule,
 )
@@ -286,13 +285,13 @@ def assert_same_bits(a, b):
 
 
 def assert_blocks_match_oracle(M, dirs):
-    Y = dense_sph_harm_matrix(M, dirs)
-    degrees = []
-    for k, block in harmonic_blocks(M, dirs):
-        degrees.append(k)
-        assert block.flags.c_contiguous
-        assert_same_bits(block, Y[:, k * k : (k + 1) * (k + 1)])
-    assert degrees == list(range(M + 1))
+    """Each degree's columns of basis_matrix equal the oracle's, bit for bit."""
+    Y = basis_matrix(M, dirs, 1.0)
+    oracle = dense_sph_harm_matrix(M, dirs)
+    assert Y.shape == oracle.shape
+    for k in range(M + 1):
+        block = slice(k * k, (k + 1) * (k + 1))
+        assert_same_bits(Y[:, block], oracle[:, block])
 
 
 def oracle_points(rng, M, R):
@@ -320,8 +319,8 @@ class TestStreamedBlocks:
     @pytest.mark.parametrize("M", ORACLE_DEGREES + [56])
     @pytest.mark.parametrize("R", [1.0, 1.7])
     def test_streamed_degree_fields_equal_cached(self, rng, M, R):
-        # The ring FFT against per-degree sums over the blocks of the cached
-        # dense basis (a fill of harmonic_blocks), column by column.
+        # The ring FFT against per-degree sums over the degree blocks of the
+        # cached dense basis, column by column.
         grid = EvalGrid(sphere_rule(2 * M, R))
         coeffs = HarmonicCoefficients(
             M=M, radius=R, values=rng.standard_normal((M + 1) ** 2)
@@ -346,9 +345,10 @@ class TestStreamedBlocks:
         values[0] = 1.5e308
         fields = grid.degree_fields(HarmonicCoefficients(M=M, radius=1.0, values=values))
         assert np.all(np.isfinite(fields))
+        Y = basis_matrix(M, grid.points / grid.radius, 1.0)
         oracle = np.column_stack(
-            [block @ values[k * k : (k + 1) * (k + 1)]
-             for k, block in harmonic_blocks(M, grid.points / grid.radius)]
+            [Y[:, k * k : (k + 1) * (k + 1)] @ values[k * k : (k + 1) * (k + 1)]
+             for k in range(M + 1)]
         ) / grid.radius
         np.testing.assert_allclose(fields, oracle, rtol=1e-12, atol=1e-12 * 1e307)
 
@@ -376,11 +376,11 @@ class TestStreamedBlocks:
         norms = np.linalg.norm(dirs, axis=1, keepdims=True)
         if np.any(norms < 1e-3):
             return
-        # Repeated rows exercise the deduplication of polar pairs and longitudes.
+        # Repeated rows must give repeated rows, bit for bit.
         assert_blocks_match_oracle(M, np.tile(dirs / norms, (repeats, 1)))
 
     def test_invalid_directions_rejected(self):
         with pytest.raises(ValidationError):
-            next(harmonic_blocks(2, np.array([[1.0, 1.0, 0.0]])))
+            basis_matrix(2, np.array([[1.0, 1.0, 0.0]]), 1.0)
         with pytest.raises(ValidationError):
-            next(harmonic_blocks(2, np.ones((3, 2))))
+            basis_matrix(2, np.ones((3, 2)), 1.0)

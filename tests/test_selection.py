@@ -507,7 +507,7 @@ class TestSelectTwoStep:
         b = beta.beta[: M + 1]
         damping = 1.0 / (1.0 + np.outer(grid_values(lambdas), b * b))
         for alpha in [0.0, *grid_values(alphas)]:
-            _, factors = _candidate_factors(symbol.a[: M + 1], damping, alpha)
+            factors = _candidate_factors(symbol.a[: M + 1], damping, alpha)
             full = Z @ factors.T
             np.testing.assert_array_equal(Z[::_BOUND_STRIDE] @ factors.T, full[::_BOUND_STRIDE])
             for i in range(len(factors) - 1):
