@@ -177,7 +177,15 @@ def _sup_difference(later: np.ndarray, earlier: np.ndarray) -> float:
 
 def _sup_differences(fields: np.ndarray) -> np.ndarray:
     """d_i = max_t |fields[t, i] - fields[t, i-1]| for consecutive columns."""
-    return np.max(np.abs(fields[:, 1:] - fields[:, :-1]), axis=0)
+    T, L = fields.shape
+    # One subtraction along the flattened table runs on contiguous memory;
+    # the step across each row's end lands in column L-1, which is dropped.
+    flat = np.ravel(fields)
+    steps = np.empty(T * L)
+    np.subtract(flat[1:], flat[:-1], out=steps[:-1])
+    np.abs(steps[:-1], out=steps[:-1])
+    # A reduction down the rows is slow for few columns; reduce along them.
+    return np.ascontiguousarray(steps.reshape(T, L)[:, :-1].T).max(axis=1)
 
 
 def _first_minimum(differences: np.ndarray) -> int:
@@ -200,36 +208,99 @@ def _quasi_optimal(fields: np.ndarray) -> tuple[int, np.ndarray]:
 
 #: Row stride of the subsample whose differences bound every d_i from below.
 _BOUND_STRIDE = 16
+#: Alphas per block of the nested pass, and the most column pairs per product.
+_BLOCK = 8
+#: Rows of Z per panel product.
+_PANEL_ROWS = 1024
+
+
+def _panels(n_rows: int, height: int):
+    """Row slices of the panel products over range(n_rows), height rows each.
+
+    The last panel ends at n_rows and takes rows of the one before it to
+    fill its height, so every panel product has one shape.  OpenBLAS runs a
+    product of few rows, such as a short remainder would be, on another
+    kernel whose sums differ from the full GEMM's once Z has 32 or more
+    columns.  The running maxima built from the panels do not mind
+    repeated rows.
+    """
+    for start in range(0, n_rows, height):
+        yield slice(max(0, min(start, n_rows - height)), start + height)
+
+
+def _panel_buffer(Z: np.ndarray) -> np.ndarray:
+    """The one buffer that every panel product of a pass over Z writes into."""
+    return np.empty((min(_PANEL_ROWS, len(Z)), 2 * _BLOCK))
+
+
+def _column_differences(
+    Z: np.ndarray, rows: np.ndarray, buffer: np.ndarray
+) -> np.ndarray:
+    """_sup_differences of the fields Z @ rows.T, never built.
+
+    ``rows`` holds up to 2 _BLOCK factor rows.  Z is read in panels of
+    len(buffer) rows; each panel's product goes into buffer, and only the
+    running maxima are kept.  On OpenBLAS a panel product equals its slice
+    of the full GEMM (``sphere-reg verify`` checks this), so the maxima are
+    bit-identical to those of the built fields.
+    """
+    c = len(rows)
+    d = np.zeros(c - 1)
+    for panel in _panels(len(Z), len(buffer)):
+        block = Z[panel]
+        out = buffer.reshape(-1)[: len(block) * c].reshape(len(block), c)
+        np.matmul(block, rows.T, out=out)
+        np.maximum(d, _sup_differences(out), out=d)
+    return d
 
 
 def _pruned_quasi_optimal(
-    Z: np.ndarray, zmax: np.ndarray, factors: np.ndarray, alpha: float
-) -> tuple[int, float, np.ndarray]:
-    """_quasi_optimal's winner over the fields Z @ factors.T, never built.
+    Z: np.ndarray, factors: np.ndarray, buffer: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """_quasi_optimal's winners over the fields Z @ factors[j].T, none built.
 
-    Returns the winning row of the (L, M+1) factors, its difference and
-    its field.  Differences over every 16th row of Z are exact lower
-    bounds on the full ones.  Pairs are evaluated in ascending bound order,
-    each as one (T, 2) product, until a bound exceeds the best exact
-    difference so far; no later pair can then win or tie.  On OpenBLAS the
-    bound and pair products equal slices of the full GEMM, so all three
-    results are bit-identical to the dense pass.  A single row wins with a
-    NaN difference.  Raises NumericalError on a non-finite field.
+    ``factors`` stacks the (L, M+1) tables of a block of at most _BLOCK
+    alphas; one alpha is the smallest block.  Returns per alpha the winning
+    row and its difference; a single row wins with a NaN difference.
+    Differences over every 16th row of Z, one product per alpha, are exact
+    lower bounds on the full ones.  Round 1 evaluates every alpha's
+    lowest-bound pair in one product.  Each later round evaluates up to
+    _BLOCK of the remaining pairs whose bound is at most their alpha's best
+    difference so far, in ascending bound order, until none is left.  A
+    pair never evaluated has a bound, and so a difference, above one
+    already found: it can neither win nor tie.  Ties go to the smaller
+    index, as in _first_minimum.  Every pair product streams Z through
+    buffer (_column_differences), so winners and differences are
+    bit-identical to the dense pass.
     """
-    _check_fields(Z, zmax, factors, alpha)
-    if factors.shape[0] == 1:
-        return 0, math.nan, (Z @ factors.T)[:, 0]
-    bounds = _sup_differences(Z[::_BOUND_STRIDE] @ factors.T)
-    chosen, best, winner = 0, math.inf, None
-    for i in np.argsort(bounds).tolist():
-        if bounds[i] > best:
-            break
-        pair = Z @ factors[i : i + 2].T
-        d = _sup_difference(pair[:, 1], pair[:, 0])
-        # Ties go to the smaller index, as in _first_minimum.
-        if d < best or (d == best and i + 1 < chosen):
-            chosen, best, winner = i + 1, d, pair[:, 1].copy()
-    return chosen, best, winner
+    n, L, _ = factors.shape
+    if L == 1:
+        return np.zeros(n, dtype=int), np.full(n, math.nan)
+    chosen = np.full(n, L)  # above every index, so the first pair wins even at inf
+    best = np.full(n, math.inf)
+    bounds = np.array([_sup_differences(Z[::_BOUND_STRIDE] @ f.T) for f in factors])
+    # Stable, so equal bounds keep ascending pair order, as the sort of
+    # pending pairs below does; each round then takes a prefix of an order.
+    order = np.argsort(bounds, axis=1, kind="stable")
+    sorted_bounds = np.take_along_axis(bounds, order, axis=1)
+    done = np.zeros(n, dtype=int)  # evaluated pairs per alpha: a prefix of its order
+    batch = [(j, order[j, 0]) for j in range(n)]
+    while batch:
+        alpha_idx, pair_idx = np.array(batch).T
+        rows = factors[alpha_idx[:, None], pair_idx[:, None] + [0, 1]]
+        d = _column_differences(Z, rows.reshape(-1, rows.shape[-1]), buffer)
+        for (j, i), dj in zip(batch, d[::2].tolist()):
+            done[j] += 1
+            if dj < best[j] or (dj == best[j] and i + 1 < chosen[j]):
+                chosen[j], best[j] = i + 1, dj
+        stop = np.sum(sorted_bounds <= best[:, None], axis=1)
+        pending = sorted(
+            (sorted_bounds[j, p], j, order[j, p])
+            for j in range(n)
+            for p in range(done[j], stop[j])
+        )
+        batch = [(j, i) for _, j, i in pending[:_BLOCK]]
+    return chosen, best
 
 
 @dataclass(frozen=True)
@@ -310,43 +381,40 @@ class TwoStepSelection(ParameterPick):
     trace: list = field(default_factory=list)
 
 
-def _candidate_factors(a: np.ndarray, damping: np.ndarray, alpha: float) -> np.ndarray:
-    """The (L, M+1) candidate table damping * a_k/(alpha + a_k^2).
-
-    Raises NumericalError unless the table is finite.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        factors = damping * (a / (alpha + a * a))
-    if not np.all(np.isfinite(factors)):
-        raise NumericalError(
-            f"non-finite solution factors at alpha = {float(alpha)!r} "
-            "(a_k^2 underflows or a_k/(alpha + a_k^2) overflows)"
-        )
-    return factors
-
-
 #: Fields whose a-priori bound is below this are finite, and so are their
 #: differences; above it, the sweep scans the fields.
 _FIELD_SCAN_BOUND = np.finfo(float).max / 4
 
 
-def _check_fields(
-    Z: np.ndarray, zmax: np.ndarray, factors: np.ndarray, alpha: float
-) -> None:
-    """Raise NumericalError unless the fields Z @ factors.T are all finite.
+def _candidate_factors(
+    Z: np.ndarray, zmax: np.ndarray, a: np.ndarray, damping: np.ndarray, alphas
+) -> np.ndarray:
+    """The (n, L, M+1) candidate tables damping * a_k/(alpha + a_k^2) of n alphas.
 
-    With zmax[k] = max_t |Z[t, k]|, sum_k |factors[l, k]| zmax[k] bounds
-    |fields[t, l]|, so the fields are built and scanned only when that
-    bound is not far below the float maximum.
+    Raises NumericalError at the first alpha, in order, whose table is not
+    finite or whose fields Z @ table.T are not.  With zmax[k] = max_t
+    |Z[t, k]|, sum_k |table[l, k]| zmax[k] bounds |fields[t, l]|, so an
+    alpha's fields are built and scanned only when that bound is not far
+    below the float maximum.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.max(np.abs(factors) @ zmax) < _FIELD_SCAN_BOUND:
-            return
-        fields = Z @ factors.T
-    if not np.all(np.isfinite(fields)):
-        raise NumericalError(
-            f"non-finite candidate fields at alpha = {float(alpha)!r}"
-        )
+    alphas = np.asarray(alphas, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        factors = damping * (a / (alphas[:, None] + a * a))[:, None, :]
+        finite = np.isfinite(factors).all(axis=(1, 2))
+        bounds = np.max(np.abs(factors) @ zmax, axis=1)
+    for alpha, table, ok, bound in zip(alphas.tolist(), factors, finite, bounds):
+        if not ok:
+            raise NumericalError(
+                f"non-finite solution factors at alpha = {alpha!r} "
+                "(a_k^2 underflows or a_k/(alpha + a_k^2) overflows)"
+            )
+        if bound < _FIELD_SCAN_BOUND:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            fields = Z @ table.T
+        if not np.all(np.isfinite(fields)):
+            raise NumericalError(f"non-finite candidate fields at alpha = {alpha!r}")
+    return factors
 
 
 def _nested_pass(
@@ -354,22 +422,39 @@ def _nested_pass(
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Nested quasi-optimality over the fields Z @ factors.T of every pair.
 
-    Per alpha, the inner pass picks lambda by _pruned_quasi_optimal; the
-    outer pass compares each alpha's winning field with the previous
-    alpha's, so only two fields are kept.  Returns the winning alpha index
-    and, per alpha, the winning lambda index, its inner difference and its
-    outer difference (NaN for the first alpha).
+    Alphas go in blocks of _BLOCK.  Per block, _pruned_quasi_optimal picks
+    every alpha's lambda, and each winner's outer difference from its
+    predecessor comes from one panel product over factor rows: the previous
+    block's last winner, then this block's winners.  No field is kept.
+    With a single lambda each winner's field is one GEMV, as in the dense
+    oracle; a GEMM column is not bit-equal to it.  Returns the winning
+    alpha index and, per alpha, the winning lambda index, its inner
+    difference and its outer difference (NaN for the first alpha).
     """
     damping = 1.0 / (1.0 + np.outer(lambdas, b * b))  # (L, M+1)
     lam_idx = np.empty(len(alphas), dtype=int)
     inner = np.empty(len(alphas))
     outer = np.full(len(alphas), math.nan)
-    for i, alpha in enumerate(alphas):
-        factors = _candidate_factors(a, damping, alpha)
-        lam_idx[i], inner[i], winner = _pruned_quasi_optimal(Z, zmax, factors, alpha)
-        if i:
-            outer[i] = _sup_difference(winner, previous)
-        previous = winner
+    buffer = _panel_buffer(Z)
+    previous = np.empty((0, len(a)))  # the previous block's last winner row
+    for start in range(0, len(alphas), _BLOCK):
+        block = alphas[start : start + _BLOCK]
+        stop = start + len(block)
+        factors = _candidate_factors(Z, zmax, a, damping, block)
+        chosen, inner[start:stop] = _pruned_quasi_optimal(Z, factors, buffer)
+        lam_idx[start:stop] = chosen
+        winners = factors[np.arange(len(block)), chosen]
+        if len(lambdas) == 1:
+            for i, row in enumerate(winners[:, None], start):
+                field = (Z @ row.T)[:, 0]
+                if i:
+                    outer[i] = _sup_difference(field, previous_field)
+                previous_field = field
+            continue
+        chain = np.concatenate([previous, winners])
+        if len(chain) > 1:
+            outer[stop - len(chain) + 1 : stop] = _column_differences(Z, chain, buffer)
+        previous = winners[-1:]
     return _first_minimum(outer[1:]), lam_idx, inner, outer
 
 
@@ -415,9 +500,11 @@ def select_two_step(
         coeffs = analyze(samples, rule, M)
         solution_shape = coeffs.scaled_by_degree(np.ones(M + 1), radius=symbol.R)
         Z = grid.degree_fields(solution_shape)
-    if not np.all(np.isfinite(Z)):
+    # max |Z| per column without a Z-sized temporary; NaN or inf anywhere in
+    # Z makes its column's entry non-finite.
+    zmax = np.maximum(Z.max(axis=0), -Z.min(axis=0))
+    if not np.all(np.isfinite(zmax)):
         raise NumericalError("non-finite per-degree field sums of the samples")
-    zmax = np.max(np.abs(Z), axis=0)
     a = symbol.a[: M + 1]
     b = beta.beta[: M + 1]
 

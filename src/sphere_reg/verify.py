@@ -22,6 +22,7 @@ from .operators import (
     synthesize,
 )
 from .quadrature import gauss_legendre, sphere_rule
+from .selection import _BLOCK, _BOUND_STRIDE, _PANEL_ROWS, EvalGrid, _panels
 from .smoothing import PenaltyWeights, SmoothingParams, smooth, smooth_oracle
 
 
@@ -164,11 +165,51 @@ def _check_norm_bound_constant() -> CheckResult:
     return CheckResult("norm-bound-constant", passed, f"|bound - 1| = {dev:.2e}")
 
 
+def _check_gemm_slices(M: int) -> CheckResult:
+    """The selection's bound, block and panel products against one full GEMM.
+
+    The pruned quasi-optimality kernel matches the dense oracle bit for bit,
+    near ties included, only while every smaller product it runs equals
+    the matching slice of the full matrix product; OpenBLAS keeps that,
+    but no BLAS promises it.  Panels are stacked back, so a row they miss
+    fails too.
+    """
+    rng = np.random.default_rng(6)
+    grid = EvalGrid(sphere_rule(2 * M, 1.0))
+    Z = grid.degree_fields(
+        HarmonicCoefficients(M=M, radius=1.0, values=rng.standard_normal((M + 1) ** 2))
+    )
+    factors = rng.standard_normal((4 * _BLOCK, M + 1))
+    full = Z @ factors.T
+    bound = Z[::_BOUND_STRIDE] @ factors[:_BLOCK].T
+    mismatched = int(not np.array_equal(bound, full[::_BOUND_STRIDE, :_BLOCK]))
+    T = len(Z)
+    # A round's gathered pairs, and an outer chain of consecutive winners.
+    for cols in (rng.permutation(len(factors))[: 2 * _BLOCK], np.arange(_BLOCK + 1)):
+        rows = factors[cols]
+        for height in (_PANEL_ROWS, T - 1):
+            stacked = np.full((T, len(cols)), np.nan)
+            for panel in _panels(T, height):
+                stacked[panel] = Z[panel] @ rows.T
+            mismatched += not np.array_equal(stacked, full[:, cols])
+    passed = not mismatched
+    detail = (
+        f"5 products equal slices of the full GEMM (T = {T})"
+        if passed
+        else f"{mismatched} of 5 products differ from slices of the full GEMM; "
+        "near-tie picks may differ from the dense oracle"
+    )
+    return CheckResult("blas-gemm-slices", passed, detail)
+
+
 def run_checks(quick: bool = False) -> list[CheckResult]:
     """Run the invariant suite; quick mode uses smaller degrees."""
     gram_M = 12 if quick else 30
     addition_k = 25 if quick else 61
     recovery_M = 10 if quick else 20
+    # From M = 31 on, Z has 32 or more columns, where OpenBLAS's kernel for
+    # small products sums differently from its GEMM.
+    slices_M = 31 if quick else 56
     return [
         _check_gauss_legendre(),
         _check_cubature_gram(gram_M),
@@ -177,4 +218,5 @@ def run_checks(quick: bool = False) -> list[CheckResult]:
         _check_limiting_identities(),
         _check_exact_recovery(recovery_M),
         _check_norm_bound_constant(),
+        _check_gemm_slices(slices_M),
     ]

@@ -15,6 +15,18 @@ def grid_m6():
 
 
 @pytest.fixture()
+def block_error_inputs():
+    """_nested_pass arguments where, within one block of alphas, alpha = 1e-4
+    has overflowing fields (factors near 50 on field sums of 1e307) and the
+    next alpha, 0.0, has a non-finite factor (0 / 0 at a_0 = 0).
+    """
+    Z = np.array([[1.0, 1e307, 1e307]] * 4)
+    zmax = np.max(np.abs(Z), axis=0)
+    a, b = np.array([0.0, 1e-2, 1e-2]), np.ones(3)
+    return Z, zmax, a, b, [1.0, 1e-2, 1e-4, 0.0], [0.0, 1.0]
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(20240901)
 

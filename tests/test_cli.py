@@ -476,6 +476,59 @@ class TestNonFiniteSelection:
         ]
         assert not out.exists() and not trace.exists()
 
+    def test_first_failing_alpha_of_a_block_exits_numerical(
+        self, tmp_path, capsys, monkeypatch, block_error_inputs
+    ):
+        # The nested pass raises inside a block of alphas (inputs no grid
+        # can reach, since a non-finite factor at alpha > 0 needs one at
+        # alpha = 0 first); the CLI reports the first failing alpha, exit 4.
+        real = sphere_reg.selection._nested_pass
+        monkeypatch.setattr(
+            sphere_reg.selection, "_nested_pass", lambda *args: real(*block_error_inputs)
+        )
+        path, _, _ = make_samples(tmp_path, M=6)
+        out = tmp_path / "coeffs.csv"
+        code = main(
+            ["solve", str(path), "--M", "6", "--symbol", "geometric(1.48)", "--auto"]
+            + ["-o", str(out)]
+        )
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err.splitlines() == [
+            "error: numerical failure: non-finite candidate fields at alpha = 0.0001"
+        ]
+        assert not out.exists()
+
+
+def test_solve_auto_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # Coefficient and trace CSVs from child processes with one OpenBLAS
+    # thread and with the default count; at M = 20 the sup grid's 3,362
+    # rows span several panels.
+    path, _, _ = make_samples(tmp_path, M=20, noise=0.01)
+    root = Path(__file__).parents[1]
+    outputs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
+        coeffs = tmp_path / f"coeffs-{threads}.csv"
+        trace = tmp_path / f"trace-{threads}.csv"
+        child = subprocess.run(
+            [sys.executable, "-m", "sphere_reg.cli", "solve", str(path), "--M", "20"]
+            + ["--symbol", "geometric(1.48)", "--auto", "--trace", str(trace)]
+            + ["-o", str(coeffs)],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        outputs.append((coeffs.read_bytes(), trace.read_bytes()))
+    assert outputs[0] == outputs[1]
+
 
 class TestCoeffsIO:
     def test_round_trip(self, tmp_path, rng):
@@ -833,6 +886,27 @@ class TestVerifyCommand:
         assert main(["verify", "--quick"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        assert any(
+            line.startswith("blas-gemm-slices") and "PASS" in line
+            for line in out.splitlines()
+        )
+
+    def test_missed_panel_rows_detected(self, capsys, monkeypatch):
+        # Panels that leave the last rows out stand for panel products that
+        # are not slices of the full GEMM.
+        panels = sphere_reg.verify._panels
+        monkeypatch.setattr(
+            sphere_reg.verify, "_panels", lambda n, height: list(panels(n, height))[:-1]
+        )
+        assert main(["verify", "--quick"]) == EXIT_VERIFY_FAILED
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.endswith("failed: blas-gemm-slices")
+        [report] = [
+            ln for ln in captured.out.splitlines() if ln.startswith("blas-gemm-slices")
+        ]
+        assert "FAIL" in report
+        assert "near-tie picks may differ from the dense oracle" in report
 
     def test_injected_fault_detected(self, capsys, monkeypatch):
         def faulty_rule(M, rho):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,9 +34,15 @@ from sphere_reg import (
     two_step_solve,
 )
 from sphere_reg import experiments as ex
+from sphere_reg import selection
 from sphere_reg.selection import (
+    _BLOCK,
     _BOUND_STRIDE,
+    _PANEL_ROWS,
     _candidate_factors,
+    _nested_pass,
+    _panel_buffer,
+    _panels,
     _pruned_quasi_optimal,
     _quasi_optimal,
     _sup_differences,
@@ -170,17 +177,29 @@ class TestQuasiOptimal:
         assert idx == 1
 
 
+#: Panel height that splits the small tables below into several panels,
+#: the last one overlapping the one before it for most row counts.
+FEW_ROWS = 3
+
+
+def block_pruned(Z, factors):
+    """The pruned kernel's winners and differences, with panels of FEW_ROWS rows."""
+    with mock.patch.object(selection, "_PANEL_ROWS", FEW_ROWS):
+        return _pruned_quasi_optimal(Z, factors, _panel_buffer(Z))
+
+
 def pruned(fields):
     """The pruned kernel on a (T, L) table: the table as Z, identity factors.
 
-    Returns the winner and its difference, after checking that the winning
-    field is the table's column, bit for bit.
+    Returns the winner and its difference, after checking that panels of
+    FEW_ROWS rows and of the default height give the same ones.
     """
-    idx, diff, winner = _pruned_quasi_optimal(
-        fields, np.max(np.abs(fields), axis=0), np.eye(fields.shape[1]), 0.0
-    )
-    np.testing.assert_array_equal(winner, fields[:, idx])
-    return idx, diff
+    factors = np.eye(fields.shape[1])[None]
+    (idx,), (diff,) = chosen, best = block_pruned(fields, factors)
+    default = _pruned_quasi_optimal(fields, factors, _panel_buffer(fields))
+    np.testing.assert_array_equal(default[0], chosen)
+    np.testing.assert_array_equal(default[1], best)
+    return int(idx), float(diff)
 
 
 def evaluation_order(fields):
@@ -199,21 +218,34 @@ def assert_pruned_matches_dense(fields):
         assert math.isnan(diff)
 
 
-@st.composite
-def field_tables(draw):
-    """(T, L) tables with few distinct values (ties) and repeated columns."""
-    T = draw(st.integers(1, 40))
-    L = draw(st.integers(1, 6))
-    elements = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) | st.floats(
-        -1e3, 1e3, allow_nan=False
-    )
-    columns = [draw(arrays(float, T, elements=elements))]
+ELEMENTS = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) | st.floats(
+    -1e3, 1e3, allow_nan=False
+)
+
+
+def draw_table(draw, T, L):
+    """A (T, L) table with few distinct values (ties) and repeated columns."""
+    columns = [draw(arrays(float, T, elements=ELEMENTS))]
     for _ in range(L - 1):
         if draw(st.booleans()):
             columns.append(columns[-1].copy())
         else:
-            columns.append(draw(arrays(float, T, elements=elements)))
+            columns.append(draw(arrays(float, T, elements=ELEMENTS)))
     return np.column_stack(columns)
+
+
+@st.composite
+def field_tables(draw):
+    """(T, L) tables with few distinct values (ties) and repeated columns."""
+    return draw_table(draw, draw(st.integers(1, 40)), draw(st.integers(1, 6)))
+
+
+@st.composite
+def alpha_blocks(draw):
+    """Up to _BLOCK alphas' (T, L) tables, side by side in one (T, n L) table."""
+    T, L = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    n = draw(st.integers(1, _BLOCK))
+    return L, np.hstack([draw_table(draw, T, L) for _ in range(n)])
 
 
 class TestPrunedQuasiOptimal:
@@ -296,6 +328,54 @@ class TestPrunedQuasiOptimal:
     def test_fewer_rows_than_the_stride(self, T):
         rng = np.random.default_rng(T)
         assert_pruned_matches_dense(rng.standard_normal((T, 7)))
+
+    def test_equal_bounds_over_several_rounds_reach_every_pair(self):
+        # Eleven pairs share one bound; all but pair 9 peak off the
+        # subsample at row 5.  Round 1 takes pair 0 and the later rounds
+        # take the other ten, _BLOCK at a time; the winner is the last but
+        # one of them.
+        steps = np.ones((40, 11))
+        steps[5, :] = 2.0
+        steps[5, 9] = 1.0
+        fields = np.hstack([np.zeros((40, 1)), np.cumsum(steps, axis=1)])
+        assert pruned(fields) == (10, 1.0)
+        assert_pruned_matches_dense(fields)
+
+    def test_overflowing_differences_match_dense_kernel(self):
+        # Finite fields whose differences overflow: the first pair evaluated
+        # must still win an all-inf tie, as in _first_minimum.
+        big = np.finfo(float).max
+        fields = np.array([[big, -big, big], [0.0, 0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            assert pruned(fields) == (1, math.inf)
+            assert_pruned_matches_dense(fields)
+
+    @given(block=alpha_blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_alpha_blocks_match_dense_kernel(self, block):
+        # Several alphas share round 1 and the later rounds' products; each
+        # alpha's winner is still the dense kernel's on its own table.
+        L, Z = block
+        n = Z.shape[1] // L
+        factors = np.eye(n * L).reshape(n, L, n * L)
+        chosen, best = block_pruned(Z, factors)
+        for j in range(n):
+            ref_idx, ref_diffs = _quasi_optimal(Z[:, j * L : (j + 1) * L])
+            assert chosen[j] == ref_idx
+            if ref_diffs.size:
+                assert best[j] == ref_diffs[ref_idx - 1]
+            else:
+                assert math.isnan(best[j])
+
+    @pytest.mark.parametrize("height", [2, FEW_ROWS, 7, _PANEL_ROWS])
+    @pytest.mark.parametrize("T", [1, 2, 3, 8, 15, 22])
+    def test_panels_cover_every_row_at_full_height(self, T, height):
+        # A short remainder would run on another BLAS kernel; the last panel
+        # takes rows of the one before it instead.
+        panels = [range(T)[p] for p in _panels(T, height)]
+        assert sorted(set().union(*panels)) == list(range(T))
+        assert all(len(p) == min(T, height) for p in panels)
+        assert len(panels) == -(-T // height)
 
 
 def single_mode(M, amplitude):
@@ -464,6 +544,25 @@ class TestSelectTwoStep:
         assert_sweep_matches_dense(noisy, rule, symbol, beta, [0.0], small, grid)
         assert_sweep_matches_dense(noisy, rule, symbol, beta, small, [0.0], grid)
 
+    @given(
+        seed=st.integers(0, 2**16),
+        n_alphas=st.integers(1, 3 * _BLOCK),
+        n_lambdas=st.integers(1, 6),
+        zero=st.booleans(),
+        height=st.sampled_from([2, 16, 37, _PANEL_ROWS]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_alpha_blocks_match_dense_sweep(
+        self, seed, n_alphas, n_lambdas, zero, height
+    ):
+        # Grids of up to three blocks of alphas, panels of a few rows to one.
+        rule, symbol, beta, noisy, grid = make_problem(seed=seed)
+        values = lambda n: [0.0] * zero + list(1e-5 * 3.0 ** np.arange(n - zero))
+        with mock.patch.object(selection, "_PANEL_ROWS", height):
+            assert_sweep_matches_dense(
+                noisy, rule, symbol, beta, values(n_alphas), values(n_lambdas), grid
+            )
+
     @pytest.mark.parametrize(
         "symbol, scale, lambdas",
         [
@@ -498,20 +597,47 @@ class TestSelectTwoStep:
         assert_sweep_matches_dense(*figure1_trial())
 
     def test_bound_and_pair_products_are_gemm_slices(self):
-        # The pruned kernel's products against the full (T, L) GEMM they
-        # replace, for every alpha and pair of a figure-1 trial.
+        # The pruned kernel's products against one full GEMM over a block's
+        # (alpha, lambda) rows, for every block of a figure-1 trial: the
+        # per-alpha bound products, and panel products over a round-1 block
+        # (each alpha's pair at its own index), a later round (_BLOCK
+        # overlapping pairs of one alpha) and an outer chain (the block's
+        # winners in turn), at the default panel height and at heights
+        # whose last panel overlaps the one before it by 558 rows and by
+        # all but one row.
         samples, rule, symbol, beta, alphas, lambdas, grid = figure1_trial()
         M = rule.M
         coeffs = analyze(samples, rule, M)
         Z = grid.degree_fields(coeffs.scaled_by_degree(np.ones(M + 1), radius=symbol.R))
+        zmax = np.max(np.abs(Z), axis=0)
         b = beta.beta[: M + 1]
         damping = 1.0 / (1.0 + np.outer(grid_values(lambdas), b * b))
-        for alpha in [0.0, *grid_values(alphas)]:
-            factors = _candidate_factors(symbol.a[: M + 1], damping, alpha)
-            full = Z @ factors.T
-            np.testing.assert_array_equal(Z[::_BOUND_STRIDE] @ factors.T, full[::_BOUND_STRIDE])
-            for i in range(len(factors) - 1):
-                np.testing.assert_array_equal(Z @ factors[i : i + 2].T, full[:, i : i + 2])
+        T, L = len(Z), len(damping)
+        alphas = grid_values(alphas)
+        blocks = [alphas[i : i + _BLOCK] for i in range(0, len(alphas), _BLOCK)]
+        for block in ([0.0], *blocks):
+            factors = _candidate_factors(Z, zmax, symbol.a[: M + 1], damping, block)
+            n = len(factors)
+            full = Z @ factors.reshape(n * L, -1).T
+            for j in range(n):
+                np.testing.assert_array_equal(
+                    Z[::_BOUND_STRIDE] @ factors[j].T,
+                    full[::_BOUND_STRIDE, j * L : (j + 1) * L],
+                )
+            diagonal = np.arange(n) * (L + 1)  # alpha j's row j
+            for cols in (
+                np.ravel([diagonal, diagonal + 1], order="F"),
+                np.ravel([(i, i + 1) for i in range(_BLOCK)]),
+                diagonal,
+            ):
+                if len(cols) < 2:
+                    continue  # one column would be a GEMV, which no pass runs
+                rows = factors.reshape(n * L, -1)[cols]
+                for height in (_PANEL_ROWS, 1000, T - 1):
+                    for panel in _panels(T, height):
+                        np.testing.assert_array_equal(
+                            Z[panel] @ rows.T, full[panel][:, cols]
+                        )
 
     def test_figure1_bit_equality_under_one_blas_thread(self):
         # The BLAS thread count is fixed at import, so the two checks above
@@ -552,6 +678,20 @@ class TestSelectTwoStep:
         finally:
             tracemalloc.stop()
         assert peak < T * (args[1].M + 1) * 8 + T * L * 8
+
+    def test_sweep_memory_stays_below_half_a_candidate_table(self):
+        # Neither |Z| nor a (T, L) product is ever built: the warm peak is
+        # the field sums and less than half a table of candidate fields.
+        args = figure1_trial()
+        select_two_step(*args)
+        T, L = args[-1].n_points, len(grid_values(args[-2]))
+        tracemalloc.start()
+        try:
+            select_two_step(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < T * (args[1].M + 1) * 8 + T * L * 4
 
     def test_matches_straight_line_reimplementation(self):
         rule, symbol, beta, noisy, grid = make_problem()
@@ -752,6 +892,16 @@ class TestNonFiniteSelection:
         huge = np.full_like(noisy, 1e308)
         with pytest.raises(NumericalError, match="field sums"):
             select_two_step(huge, rule, symbol, beta, [0.0, 1.0], [0.0, 1.0], grid)
+
+    def test_first_failing_alpha_of_a_block_is_named(self, block_error_inputs):
+        # One block holds an alpha with overflowing fields and, after it, one
+        # with a non-finite factor: the error names the first, as a pass
+        # checking alpha by alpha would.
+        *_, alphas, _ = block_error_inputs
+        assert len(alphas) <= _BLOCK
+        with pytest.raises(NumericalError) as err:
+            _nested_pass(*block_error_inputs)
+        assert str(err.value) == "non-finite candidate fields at alpha = 0.0001"
 
     def test_non_finite_pick_fails_loudly(self):
         # The field sums (4e307) and the sweep's fields stay finite, but the
