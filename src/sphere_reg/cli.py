@@ -364,6 +364,11 @@ def _solve_grid(args, name: str) -> ParameterGrid:
 
 
 def cmd_solve(args) -> int:
+    if args.trace is not None and not args.auto:
+        raise ValidationError("--trace needs --auto")
+    for path in (args.output, args.trace):
+        if path is not None:
+            _check_writable(path)
     rule = canonical_rule(args.M, args.rho)
     samples = read_samples_csv(args.samples, rule)
     symbol = symbol_preset(args.symbol, args.R, args.rho, args.M)

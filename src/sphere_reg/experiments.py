@@ -79,6 +79,8 @@ class ExperimentCase:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if self.M < 0:
             raise ValidationError(f"M must be nonnegative, got {self.M}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         grid_values(self.alpha_grid)
         grid_values(self.lambda_grid)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,8 +49,10 @@ class ParameterGrid:
             raise ValidationError(
                 f"grid factor must be finite and exceed 1, got {self.factor!r}"
             )
-        if self.count < 1:
-            raise ValidationError(f"grid count must be >= 1, got {self.count}")
+        if not isinstance(self.count, numbers.Integral) or self.count < 1:
+            raise ValidationError(
+                f"grid count must be an integer >= 1, got {self.count!r}"
+            )
         with np.errstate(over="ignore"):
             top = self.base * np.float64(self.factor) ** self.count
         if not np.isfinite(top):
@@ -168,11 +171,6 @@ def sup_norm(c: HarmonicCoefficients, grid: EvalGrid) -> float:
     values come from synthesize on the grid's rule, one inverse FFT per ring.
     """
     return float(np.max(np.abs(synthesize(c, grid._rule()))))
-
-
-def _sup_difference(later: np.ndarray, earlier: np.ndarray) -> float:
-    """max_t |later[t] - earlier[t]| of two fields."""
-    return float(np.max(np.abs(later - earlier)))
 
 
 def _sup_differences(fields: np.ndarray) -> np.ndarray:
@@ -426,10 +424,10 @@ def _nested_pass(
     every alpha's lambda, and each winner's outer difference from its
     predecessor comes from one panel product over factor rows: the previous
     block's last winner, then this block's winners.  No field is kept.
-    With a single lambda each winner's field is one GEMV, as in the dense
-    oracle; a GEMM column is not bit-equal to it.  Returns the winning
-    alpha index and, per alpha, the winning lambda index, its inner
-    difference and its outer difference (NaN for the first alpha).
+    A single lambda takes the same path: its kernel picks row 0 with a NaN
+    inner difference.  Returns the winning alpha index and, per alpha, the
+    winning lambda index, its inner difference and its outer difference
+    (NaN for the first alpha).
     """
     damping = 1.0 / (1.0 + np.outer(lambdas, b * b))  # (L, M+1)
     lam_idx = np.empty(len(alphas), dtype=int)
@@ -444,13 +442,6 @@ def _nested_pass(
         chosen, inner[start:stop] = _pruned_quasi_optimal(Z, factors, buffer)
         lam_idx[start:stop] = chosen
         winners = factors[np.arange(len(block)), chosen]
-        if len(lambdas) == 1:
-            for i, row in enumerate(winners[:, None], start):
-                field = (Z @ row.T)[:, 0]
-                if i:
-                    outer[i] = _sup_difference(field, previous_field)
-                previous_field = field
-            continue
         chain = np.concatenate([previous, winners])
         if len(chain) > 1:
             outer[stop - len(chain) + 1 : stop] = _column_differences(Z, chain, buffer)

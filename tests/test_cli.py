@@ -682,6 +682,15 @@ class TestExperimentCommand:
         assert main(["experiment", str(cfg)]) == EXIT_INVALID_INPUT
         assert "trials" in capsys.readouterr().err
 
+    def test_negative_seed_names_field(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, f"case = fig1a\nseed = -1\noutput = {tmp_path / 'r.csv'}\n"
+        )
+        assert main(["experiment", str(cfg)]) == EXIT_INVALID_INPUT
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and "seed must be nonnegative" in line
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("field", ["epsilon", "upsilon"])
     def test_infinite_noise_or_smoothness_names_field(self, tmp_path, capsys, field):
         cfg = write_config(
@@ -760,6 +769,45 @@ class TestExperimentOutputChecked:
             sphere_reg.cli._atomic_write(str(bad), "")
         assert line == f"error: {late.value}"
         assert list(tmp_path.rglob("*.tmp")) == []
+
+
+class TestSolveOutputChecked:
+    @staticmethod
+    def solve(samples, *flags):
+        return main(
+            ["solve", str(samples), "--M", "4", "--symbol", "geometric(1.48)", *flags]
+        )
+
+    @pytest.mark.parametrize("key", ["-o", "--trace"])
+    def test_unwritable_path_fails_before_selection(
+        self, tmp_path, capsys, monkeypatch, key
+    ):
+        samples, _, _ = make_samples(tmp_path, M=4)
+        bad = tmp_path / "nodir" / "x.csv"
+        paths = {"-o": tmp_path / "c.csv", "--trace": tmp_path / "t.csv", key: bad}
+        calls = []
+        monkeypatch.setattr(
+            sphere_reg.cli, "read_samples_csv", lambda *args: calls.append(args)
+        )
+        flags = ["--auto", "--trace", str(paths["--trace"]), "-o", str(paths["-o"])]
+        assert self.solve(samples, *flags) == EXIT_INVALID_INPUT
+        assert calls == []
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: cannot write {bad}: No such file or directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["samples.csv"]
+
+    def test_trace_without_auto_rejected(self, tmp_path, capsys):
+        samples, _, _ = make_samples(tmp_path, M=4)
+        code = self.solve(
+            samples,
+            "--alpha", "0.1", "--lambda", "0.1",
+            "--trace", str(tmp_path / "t.csv"),
+            "-o", str(tmp_path / "c.csv"),
+        )
+        assert code == EXIT_INVALID_INPUT
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: --trace needs --auto"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["samples.csv"]
 
 
 class TestPathFailures:

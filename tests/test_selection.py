@@ -82,6 +82,8 @@ class TestExpandGrid:
             ParameterGrid(base=1.0, factor=1.0, count=3)
         with pytest.raises(ValidationError):
             ParameterGrid(base=1.0, factor=2.0, count=0)
+        with pytest.raises(ValidationError, match="integer"):
+            ParameterGrid(base=1.0, factor=2.0, count=2.5)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_grids(self, bad):
@@ -465,9 +467,11 @@ def straight_line_two_step(samples, rule, symbol, beta, alphas, lambdas, grid):
 def dense_sweep(samples, rule, symbol, beta, alphas, lambdas, grid):
     """The sweep with every (T, L) and (T, A) table kept and the dense kernel.
 
-    Returns (nested alpha index, per-alpha chosen lambdas, inner minimum
-    differences, outer differences, smoothing-only lambda index,
-    collocation-only alpha index, whether every candidate field is finite).
+    Each table is one GEMM over factor rows; the (T, A) tables take the
+    winners' rows.  Returns (nested alpha index, per-alpha chosen lambdas,
+    inner minimum differences, outer differences, smoothing-only lambda
+    index, collocation-only alpha index, whether every candidate field is
+    finite).
     """
     M = rule.M
     coeffs = analyze(samples, rule, M)
@@ -481,15 +485,16 @@ def dense_sweep(samples, rule, symbol, beta, alphas, lambdas, grid):
     finite = np.isfinite(direct).all()
     for alpha in alphas:
         inversion = a / (alpha + a * a)
-        fields = Z @ (damping * inversion).T
+        factors = damping * inversion
+        fields = Z @ factors.T
         idx, diffs = _quasi_optimal(fields)
-        winners.append(fields[:, idx])
-        unsmoothed.append(Z @ inversion)
+        winners.append(factors[idx])
+        unsmoothed.append(inversion)
         chosen_lams.append(lambdas[idx])
         inner_mins.append(diffs[idx - 1] if diffs.size else math.nan)
-        finite &= np.isfinite(fields).all() & np.isfinite(unsmoothed[-1]).all()
-    alpha_idx, outer_diffs = _quasi_optimal(np.column_stack(winners))
-    collocation_idx, _ = _quasi_optimal(np.column_stack(unsmoothed))
+        finite &= np.isfinite(fields).all() & np.isfinite(Z @ inversion).all()
+    alpha_idx, outer_diffs = _quasi_optimal(Z @ np.array(winners).T)
+    collocation_idx, _ = _quasi_optimal(Z @ np.array(unsmoothed).T)
     return (
         alpha_idx, chosen_lams, inner_mins, outer_diffs, smoothing_idx, collocation_idx,
         finite,
@@ -604,40 +609,46 @@ class TestSelectTwoStep:
         # overlapping pairs of one alpha) and an outer chain (the block's
         # winners in turn), at the default panel height and at heights
         # whose last panel overlaps the one before it by 558 rows and by
-        # all but one row.
+        # all but one row.  The blocks of the collocation-only pass's [0.0]
+        # lambda grid form no bound or pair product, only the chain of their
+        # single-lambda winners.
         samples, rule, symbol, beta, alphas, lambdas, grid = figure1_trial()
         M = rule.M
         coeffs = analyze(samples, rule, M)
         Z = grid.degree_fields(coeffs.scaled_by_degree(np.ones(M + 1), radius=symbol.R))
         zmax = np.max(np.abs(Z), axis=0)
         b = beta.beta[: M + 1]
-        damping = 1.0 / (1.0 + np.outer(grid_values(lambdas), b * b))
-        T, L = len(Z), len(damping)
+        T = len(Z)
         alphas = grid_values(alphas)
         blocks = [alphas[i : i + _BLOCK] for i in range(0, len(alphas), _BLOCK)]
-        for block in ([0.0], *blocks):
-            factors = _candidate_factors(Z, zmax, symbol.a[: M + 1], damping, block)
-            n = len(factors)
-            full = Z @ factors.reshape(n * L, -1).T
-            for j in range(n):
-                np.testing.assert_array_equal(
-                    Z[::_BOUND_STRIDE] @ factors[j].T,
-                    full[::_BOUND_STRIDE, j * L : (j + 1) * L],
-                )
-            diagonal = np.arange(n) * (L + 1)  # alpha j's row j
-            for cols in (
-                np.ravel([diagonal, diagonal + 1], order="F"),
-                np.ravel([(i, i + 1) for i in range(_BLOCK)]),
-                diagonal,
-            ):
-                if len(cols) < 2:
-                    continue  # one column would be a GEMV, which no pass runs
-                rows = factors.reshape(n * L, -1)[cols]
-                for height in (_PANEL_ROWS, 1000, T - 1):
-                    for panel in _panels(T, height):
+        for lambda_values in (grid_values(lambdas), [0.0]):
+            damping = 1.0 / (1.0 + np.outer(lambda_values, b * b))
+            L = len(damping)
+            for block in ([0.0], *blocks):
+                factors = _candidate_factors(Z, zmax, symbol.a[: M + 1], damping, block)
+                n = len(factors)
+                full = Z @ factors.reshape(n * L, -1).T
+                diagonal = np.arange(n) * L + np.arange(n) % L  # alpha j's row j mod L
+                products = [diagonal]
+                if L > 1:
+                    for j in range(n):
                         np.testing.assert_array_equal(
-                            Z[panel] @ rows.T, full[panel][:, cols]
+                            Z[::_BOUND_STRIDE] @ factors[j].T,
+                            full[::_BOUND_STRIDE, j * L : (j + 1) * L],
                         )
+                    products += [
+                        np.ravel([diagonal, diagonal + 1], order="F"),
+                        np.ravel([(i, i + 1) for i in range(_BLOCK)]),
+                    ]
+                for cols in products:
+                    if len(cols) < 2:
+                        continue  # one column would be a GEMV, which no pass runs
+                    rows = factors.reshape(n * L, -1)[cols]
+                    for height in (_PANEL_ROWS, 1000, T - 1):
+                        for panel in _panels(T, height):
+                            np.testing.assert_array_equal(
+                                Z[panel] @ rows.T, full[panel][:, cols]
+                            )
 
     def test_figure1_bit_equality_under_one_blas_thread(self):
         # The BLAS thread count is fixed at import, so the two checks above
