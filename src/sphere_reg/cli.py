@@ -366,33 +366,27 @@ def _solve_grid(args, name: str) -> ParameterGrid:
 def cmd_solve(args) -> int:
     if args.trace is not None and not args.auto:
         raise ValidationError("--trace needs --auto")
+    if args.auto:
+        grids = _solve_grid(args, "alpha"), _solve_grid(args, "lambda")
+    elif args.alpha is None or args.lam is None:
+        raise ValidationError("either pass --auto or both --alpha and --lambda")
     for path in (args.output, args.trace):
         if path is not None:
             _check_writable(path)
     rule = canonical_rule(args.M, args.rho)
-    samples = read_samples_csv(args.samples, rule)
     symbol = symbol_preset(args.symbol, args.R, args.rho, args.M)
     beta = penalty_from_symbol(symbol, args.beta_exponent)
+    samples = read_samples_csv(args.samples, rule)
 
     if args.auto:
         chosen = select_two_step(
-            samples,
-            rule,
-            symbol,
-            beta,
-            _solve_grid(args, "alpha"),
-            _solve_grid(args, "lambda"),
-            default_eval_grid(args.M, args.R),
+            samples, rule, symbol, beta, *grids, default_eval_grid(args.M, args.R)
         )
         solution = chosen.solution
         print(f"selected alpha = {_fmt(chosen.alpha)}, lambda = {_fmt(chosen.lam)}")
         if args.trace is not None:
             write_trace_csv(args.trace, chosen.trace)
     else:
-        if args.alpha is None or args.lam is None:
-            raise ValidationError(
-                "either pass --auto or both --alpha and --lambda"
-            )
         solution = two_step_solve(
             samples,
             rule,

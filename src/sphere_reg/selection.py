@@ -206,77 +206,126 @@ def _quasi_optimal(fields: np.ndarray) -> tuple[int, np.ndarray]:
 
 #: Row stride of the subsample whose differences bound every d_i from below.
 _BOUND_STRIDE = 16
-#: Alphas per block of the nested pass, and the most column pairs per product.
-_BLOCK = 8
-#: Rows of Z per panel product.
+#: Most column pairs one round evaluates.
+_ROUND_PAIRS = 96
+#: Most columns per product.  OpenBLAS sums the last columns of a wider
+#: product differently from a narrower one's.
+_MAX_WIDTH = 2 * _ROUND_PAIRS
+#: Most rows, and most entries, per panel product.
 _PANEL_ROWS = 1024
+_PANEL_ENTRIES = 1024 * 16
+#: OpenBLAS runs a product of at most this many entries on its small-product
+#: kernel, whose sums differ from the GEMM's once Z has 32 or more columns.
+_SMALL_PRODUCT = 1200
+
+
+def _product_shape(n_rows: int, n_cols: int) -> tuple[int, int]:
+    """(height, width) of the panel products over n_rows rows and n_cols factor rows.
+
+    Every product of the sweep takes this shape.  The width pads the
+    n_cols <= _MAX_WIDTH factor rows with zero rows to a multiple of 8,
+    more where few rows need it to exceed _SMALL_PRODUCT entries; a width
+    that is not a multiple of 8 changes the GEMM's sums on some panel
+    heights.  Panels hold at most _PANEL_ENTRIES entries.  Given at least
+    _SMALL_PRODUCT // _MAX_WIDTH + 1 rows, every panel has more than
+    _SMALL_PRODUCT entries.
+    """
+    width = max(n_cols, _SMALL_PRODUCT // n_rows + 1)
+    width = min(_MAX_WIDTH, -(-width // 8) * 8)
+    return min(n_rows, _PANEL_ROWS, _PANEL_ENTRIES // width), width
+
+
+def _chunks(n_cols: int):
+    """Column slices of at most _MAX_WIDTH that together hold every adjacent pair.
+
+    Each slice starts at the last column of the one before it.
+    """
+    for start in range(0, n_cols - 1, _MAX_WIDTH - 1):
+        yield slice(start, start + _MAX_WIDTH)
 
 
 def _panels(n_rows: int, height: int):
     """Row slices of the panel products over range(n_rows), height rows each.
 
     The last panel ends at n_rows and takes rows of the one before it to
-    fill its height, so every panel product has one shape.  OpenBLAS runs a
-    product of few rows, such as a short remainder would be, on another
-    kernel whose sums differ from the full GEMM's once Z has 32 or more
-    columns.  The running maxima built from the panels do not mind
-    repeated rows.
+    fill its height, so every panel product has one shape.  The running
+    maxima built from the panels do not mind repeated rows.
     """
     for start in range(0, n_rows, height):
         yield slice(max(0, min(start, n_rows - height)), start + height)
 
 
-def _panel_buffer(Z: np.ndarray) -> np.ndarray:
-    """The one buffer that every panel product of a pass over Z writes into."""
-    return np.empty((min(_PANEL_ROWS, len(Z)), 2 * _BLOCK))
+def _panel_buffers(n_degrees: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scratch that every product of a pass writes into.
+
+    Zero-padded factor rows, and three flat tables for a panel's product,
+    its adjacent-column steps and their running maximum.
+    """
+    return np.zeros((_MAX_WIDTH, n_degrees)), np.empty((3, _PANEL_ENTRIES))
 
 
-def _column_differences(
-    Z: np.ndarray, rows: np.ndarray, buffer: np.ndarray
-) -> np.ndarray:
+def _column_differences(Z: np.ndarray, rows: np.ndarray, buffers) -> np.ndarray:
     """_sup_differences of the fields Z @ rows.T, never built.
 
-    ``rows`` holds up to 2 _BLOCK factor rows.  Z is read in panels of
-    len(buffer) rows; each panel's product goes into buffer, and only the
-    running maxima are kept.  On OpenBLAS a panel product equals its slice
-    of the full GEMM (``sphere-reg verify`` checks this), so the maxima are
-    bit-identical to those of the built fields.
+    Columns go _MAX_WIDTH at a time (_chunks) and rows in panels
+    (_panels), each product in the shape of _product_shape, written into
+    buffers (_panel_buffers).  Only the running maximum of each adjacent
+    column step is kept.  On OpenBLAS a product of that shape equals its
+    slice of the full GEMM (``sphere-reg verify`` checks this), so the
+    differences are bit-identical to those of the built fields.
     """
-    c = len(rows)
-    d = np.zeros(c - 1)
-    for panel in _panels(len(Z), len(buffer)):
-        block = Z[panel]
-        out = buffer.reshape(-1)[: len(block) * c].reshape(len(block), c)
-        np.matmul(block, rows.T, out=out)
-        np.maximum(d, _sup_differences(out), out=d)
+    padded, (product, steps, peak) = buffers
+    if len(Z) * _MAX_WIDTH <= _SMALL_PRODUCT:
+        # Too few rows for any width: repeat them, which the maxima do not mind.
+        Z = Z[np.arange(_SMALL_PRODUCT // _MAX_WIDTH + 1) % len(Z)]
+    d = np.empty(len(rows) - 1)
+    for cols in _chunks(len(rows)):
+        chunk = rows[cols]
+        c = len(chunk)
+        height, width = _product_shape(len(Z), c)
+        padded[:c] = chunk
+        padded[c:width] = 0.0
+        size = height * width
+        out = product[:size].reshape(height, width)
+        # Steps along the flattened panel run on contiguous memory; those
+        # into padding or across a row's end land in columns c-1 and up,
+        # which are dropped.
+        flat, step, running = product[:size], steps[: size - 1], peak[: size - 1]
+        running.fill(0.0)
+        for panel in _panels(len(Z), height):
+            np.matmul(Z[panel], padded[:width].T, out=out)
+            np.subtract(flat[1:], flat[:-1], out=step)
+            np.abs(step, out=step)
+            np.maximum(running, step, out=running)
+        by_row = peak[:size].reshape(height, width)
+        d[cols.start : cols.start + c - 1] = by_row[:, : c - 1].max(axis=0)
     return d
 
 
 def _pruned_quasi_optimal(
-    Z: np.ndarray, factors: np.ndarray, buffer: np.ndarray
+    Z: np.ndarray, damping: np.ndarray, q: np.ndarray, bounds: np.ndarray, buffers
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_quasi_optimal's winners over the fields Z @ factors[j].T, none built.
+    """_quasi_optimal's winners over the fields Z @ (damping * q[j]).T, none built.
 
-    ``factors`` stacks the (L, M+1) tables of a block of at most _BLOCK
-    alphas; one alpha is the smallest block.  Returns per alpha the winning
-    row and its difference; a single row wins with a NaN difference.
-    Differences over every 16th row of Z, one product per alpha, are exact
-    lower bounds on the full ones.  Round 1 evaluates every alpha's
+    Alpha j's factor rows are damping[i] * q[j], built when a product
+    needs them; ``bounds[j]`` holds its differences over every
+    _BOUND_STRIDE-th row of Z, exact lower bounds on the full ones.
+    Returns per alpha the winning row and its difference; a single row
+    wins with a NaN difference.  Round 1 evaluates every alpha's
     lowest-bound pair in one product.  Each later round evaluates up to
-    _BLOCK of the remaining pairs whose bound is at most their alpha's best
-    difference so far, in ascending bound order, until none is left.  A
-    pair never evaluated has a bound, and so a difference, above one
-    already found: it can neither win nor tie.  Ties go to the smaller
-    index, as in _first_minimum.  Every pair product streams Z through
-    buffer (_column_differences), so winners and differences are
-    bit-identical to the dense pass.
+    _ROUND_PAIRS of the remaining pairs whose bound is at most their
+    alpha's best difference so far, in ascending bound order, until none
+    is left.  A pair never evaluated has a bound, and so a difference,
+    above one already found: it can neither win nor tie.  Ties go to the
+    smaller index, as in _first_minimum.  Every pair product goes through
+    _column_differences, so winners and differences are bit-identical to
+    the dense pass.
     """
-    n, L, _ = factors.shape
+    n, L = len(q), len(damping)
     if L == 1:
         return np.zeros(n, dtype=int), np.full(n, math.nan)
     chosen = np.full(n, L)  # above every index, so the first pair wins even at inf
     best = np.full(n, math.inf)
-    bounds = np.array([_sup_differences(Z[::_BOUND_STRIDE] @ f.T) for f in factors])
     # Stable, so equal bounds keep ascending pair order, as the sort of
     # pending pairs below does; each round then takes a prefix of an order.
     order = np.argsort(bounds, axis=1, kind="stable")
@@ -285,8 +334,8 @@ def _pruned_quasi_optimal(
     batch = [(j, order[j, 0]) for j in range(n)]
     while batch:
         alpha_idx, pair_idx = np.array(batch).T
-        rows = factors[alpha_idx[:, None], pair_idx[:, None] + [0, 1]]
-        d = _column_differences(Z, rows.reshape(-1, rows.shape[-1]), buffer)
+        rows = damping[pair_idx[:, None] + [0, 1]] * q[alpha_idx, None]
+        d = _column_differences(Z, rows.reshape(-1, q.shape[1]), buffers)
         for (j, i), dj in zip(batch, d[::2].tolist()):
             done[j] += 1
             if dj < best[j] or (dj == best[j] and i + 1 < chosen[j]):
@@ -297,7 +346,7 @@ def _pruned_quasi_optimal(
             for j in range(n)
             for p in range(done[j], stop[j])
         )
-        batch = [(j, i) for _, j, i in pending[:_BLOCK]]
+        batch = [(j, i) for _, j, i in pending[:_ROUND_PAIRS]]
     return chosen, best
 
 
@@ -384,35 +433,30 @@ class TwoStepSelection(ParameterPick):
 _FIELD_SCAN_BOUND = np.finfo(float).max / 4
 
 
-def _candidate_factors(
-    Z: np.ndarray, zmax: np.ndarray, a: np.ndarray, damping: np.ndarray, alphas
-) -> np.ndarray:
-    """The (n, L, M+1) candidate tables damping * a_k/(alpha + a_k^2) of n alphas.
+def _check_candidates(
+    Z: np.ndarray, zmax: np.ndarray, damping: np.ndarray, q: np.ndarray, alphas
+) -> None:
+    """Raise NumericalError at the first alpha, in order, with a non-finite candidate.
 
-    Raises NumericalError at the first alpha, in order, whose table is not
-    finite or whose fields Z @ table.T are not.  With zmax[k] = max_t
-    |Z[t, k]|, sum_k |table[l, k]| zmax[k] bounds |fields[t, l]|, so an
-    alpha's fields are built and scanned only when that bound is not far
-    below the float maximum.
+    Alpha j's factor table is damping * q[j].  Finite damping lies in
+    [0, 1], so the table is finite exactly when damping and q[j] are.
+    With zmax[k] = max_t |Z[t, k]|, max_l sum_k damping[l, k] |q[j, k]|
+    zmax[k] bounds its fields |Z @ table.T|, so an alpha's fields are
+    built and scanned only when that bound is not far below the float
+    maximum.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        factors = damping * (a / (alphas[:, None] + a * a))[:, None, :]
-        finite = np.isfinite(factors).all(axis=(1, 2))
-        bounds = np.max(np.abs(factors) @ zmax, axis=1)
-    for alpha, table, ok, bound in zip(alphas.tolist(), factors, finite, bounds):
-        if not ok:
-            raise NumericalError(
-                f"non-finite solution factors at alpha = {alpha!r} "
-                "(a_k^2 underflows or a_k/(alpha + a_k^2) overflows)"
-            )
-        if bound < _FIELD_SCAN_BOUND:
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            fields = Z @ table.T
-        if not np.all(np.isfinite(fields)):
-            raise NumericalError(f"non-finite candidate fields at alpha = {alpha!r}")
-    return factors
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(q).all(axis=1) & np.isfinite(damping).all()
+        bounds = np.max(damping @ (np.abs(q) * zmax).T, axis=0)
+        for j in np.flatnonzero(~finite | ~(bounds < _FIELD_SCAN_BOUND)):
+            alpha = float(alphas[j])
+            if not finite[j]:
+                raise NumericalError(
+                    f"non-finite solution factors at alpha = {alpha!r} "
+                    "(a_k^2 underflows or a_k/(alpha + a_k^2) overflows)"
+                )
+            if not np.all(np.isfinite(Z @ (damping * q[j]).T)):
+                raise NumericalError(f"non-finite candidate fields at alpha = {alpha!r}")
 
 
 def _nested_pass(
@@ -420,32 +464,30 @@ def _nested_pass(
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Nested quasi-optimality over the fields Z @ factors.T of every pair.
 
-    Alphas go in blocks of _BLOCK.  Per block, _pruned_quasi_optimal picks
-    every alpha's lambda, and each winner's outer difference from its
-    predecessor comes from one panel product over factor rows: the previous
-    block's last winner, then this block's winners.  No field is kept.
-    A single lambda takes the same path: its kernel picks row 0 with a NaN
-    inner difference.  Returns the winning alpha index and, per alpha, the
-    winning lambda index, its inner difference and its outer difference
-    (NaN for the first alpha).
+    Alpha j's factor rows are damping[i] * q[j] with q = a/(alpha + a^2),
+    the same elementwise operations, and so the same bits, as a broadcast
+    of the whole (n, L, M+1) table, which is never built.  After the
+    checks (_check_candidates), each alpha's table is built for its bound
+    product alone.  _pruned_quasi_optimal then picks every alpha's lambda
+    in rounds over the whole grid, and the winners' outer differences come
+    from one chain product over their factor rows.  No field is kept.  A
+    single lambda takes the same path: each alpha's only row wins with a
+    NaN inner difference, and no bound or pair product is formed.  Returns
+    the winning alpha index and, per alpha, the winning lambda index, its
+    inner difference and its outer difference (NaN for the first alpha).
     """
     damping = 1.0 / (1.0 + np.outer(lambdas, b * b))  # (L, M+1)
-    lam_idx = np.empty(len(alphas), dtype=int)
-    inner = np.empty(len(alphas))
-    outer = np.full(len(alphas), math.nan)
-    buffer = _panel_buffer(Z)
-    previous = np.empty((0, len(a)))  # the previous block's last winner row
-    for start in range(0, len(alphas), _BLOCK):
-        block = alphas[start : start + _BLOCK]
-        stop = start + len(block)
-        factors = _candidate_factors(Z, zmax, a, damping, block)
-        chosen, inner[start:stop] = _pruned_quasi_optimal(Z, factors, buffer)
-        lam_idx[start:stop] = chosen
-        winners = factors[np.arange(len(block)), chosen]
-        chain = np.concatenate([previous, winners])
-        if len(chain) > 1:
-            outer[stop - len(chain) + 1 : stop] = _column_differences(Z, chain, buffer)
-        previous = winners[-1:]
+    alphas = np.asarray(alphas, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = a / (alphas[:, None] + a * a)  # (n, M+1)
+    _check_candidates(Z, zmax, damping, q, alphas)
+    buffers = _panel_buffers(len(a))
+    bounds = np.array(
+        [_column_differences(Z[::_BOUND_STRIDE], damping * qj, buffers) for qj in q]
+    )
+    lam_idx, inner = _pruned_quasi_optimal(Z, damping, q, bounds, buffers)
+    outer = np.full(len(q), math.nan)
+    outer[1:] = _column_differences(Z, damping[lam_idx] * q, buffers)
     return _first_minimum(outer[1:]), lam_idx, inner, outer
 
 

@@ -22,7 +22,13 @@ from .operators import (
     synthesize,
 )
 from .quadrature import gauss_legendre, sphere_rule
-from .selection import _BLOCK, _BOUND_STRIDE, _PANEL_ROWS, EvalGrid, _panels
+from .selection import (
+    _BOUND_STRIDE,
+    EvalGrid,
+    _chunks,
+    _panels,
+    _product_shape,
+)
 from .smoothing import PenaltyWeights, SmoothingParams, smooth, smooth_oracle
 
 
@@ -165,38 +171,59 @@ def _check_norm_bound_constant() -> CheckResult:
     return CheckResult("norm-bound-constant", passed, f"|bound - 1| = {dev:.2e}")
 
 
+def _stacked_product(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Z @ rows.T stacked back from the sweep's products over its chunks and panels."""
+    stacked = np.full((len(Z), len(rows)), np.nan)
+    for cols in _chunks(len(rows)):
+        chunk = rows[cols]
+        height, width = _product_shape(len(Z), len(chunk))
+        padded = np.zeros((width, rows.shape[1]))
+        padded[: len(chunk)] = chunk
+        for panel in _panels(len(Z), height):
+            stacked[panel, cols] = (Z[panel] @ padded.T)[:, : len(chunk)]
+    return stacked
+
+
 def _check_gemm_slices(M: int) -> CheckResult:
-    """The selection's bound, block and panel products against one full GEMM.
+    """The selection's products against slices of one full GEMM.
 
     The pruned quasi-optimality kernel matches the dense oracle bit for bit,
-    near ties included, only while every smaller product it runs equals
-    the matching slice of the full matrix product; OpenBLAS keeps that,
-    but no BLAS promises it.  Panels are stacked back, so a row they miss
-    fails too.
+    near ties included, only while every product it forms equals the
+    matching slice of the full matrix product; OpenBLAS keeps that for the
+    shapes of selection._product_shape, but no BLAS promises it.  The
+    shapes checked are those of the default grids' sweep (52 lambdas and
+    alphas): bound products of 52 and 193 lambdas over every 16th row, a
+    104-column round, a 52-column chain, and every padded width from 8 to
+    192 at its panel height.  Products are stacked back, so a row their
+    panels miss fails too.
     """
     rng = np.random.default_rng(6)
     grid = EvalGrid(sphere_rule(2 * M, 1.0))
     Z = grid.degree_fields(
         HarmonicCoefficients(M=M, radius=1.0, values=rng.standard_normal((M + 1) ** 2))
     )
-    factors = rng.standard_normal((4 * _BLOCK, M + 1))
+    factors = rng.standard_normal((200, M + 1))
     full = Z @ factors.T
-    bound = Z[::_BOUND_STRIDE] @ factors[:_BLOCK].T
-    mismatched = int(not np.array_equal(bound, full[::_BOUND_STRIDE, :_BLOCK]))
-    T = len(Z)
-    # A round's gathered pairs, and an outer chain of consecutive winners.
-    for cols in (rng.permutation(len(factors))[: 2 * _BLOCK], np.arange(_BLOCK + 1)):
-        rows = factors[cols]
-        for height in (_PANEL_ROWS, T - 1):
-            stacked = np.full((T, len(cols)), np.nan)
-            for panel in _panels(T, height):
-                stacked[panel] = Z[panel] @ rows.T
-            mismatched += not np.array_equal(stacked, full[:, cols])
+    # (row stride, factor rows) of each product.
+    products = [
+        (_BOUND_STRIDE, np.arange(52)),
+        (_BOUND_STRIDE, np.arange(193)),
+        (1, rng.permutation(len(factors))[:104]),
+        (1, np.arange(52)),
+        *((1, rng.permutation(len(factors))[:width]) for width in range(8, 193, 8)),
+    ]
+    mismatched = sum(
+        not np.array_equal(
+            _stacked_product(Z[::stride], factors[cols]), full[::stride, cols]
+        )
+        for stride, cols in products
+    )
     passed = not mismatched
+    n = len(products)
     detail = (
-        f"5 products equal slices of the full GEMM (T = {T})"
+        f"{n} products equal slices of the full GEMM (T = {len(Z)})"
         if passed
-        else f"{mismatched} of 5 products differ from slices of the full GEMM; "
+        else f"{mismatched} of {n} products differ from slices of the full GEMM; "
         "near-tie picks may differ from the dense oracle"
     )
     return CheckResult("blas-gemm-slices", passed, detail)

@@ -15,9 +15,9 @@ def grid_m6():
 
 
 @pytest.fixture()
-def block_error_inputs():
-    """_nested_pass arguments where, within one block of alphas, alpha = 1e-4
-    has overflowing fields (factors near 50 on field sums of 1e307) and the
+def grid_error_inputs():
+    """_nested_pass arguments where alpha = 1e-4, the third of four, has
+    overflowing fields (factors near 50 on field sums of 1e307) and the
     next alpha, 0.0, has a non-finite factor (0 / 0 at a_0 = 0).
     """
     Z = np.array([[1.0, 1e307, 1e307]] * 4)

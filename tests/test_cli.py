@@ -213,6 +213,29 @@ class TestSolveCommand:
         )
         assert code == EXIT_INVALID_INPUT
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ([], "either pass --auto or both --alpha and --lambda"),
+            (["--alpha", "0"], "either pass --auto or both --alpha and --lambda"),
+            (["--auto", "--alpha-factor", "1"], "alpha grid: "),
+            (["--auto", "--lambda-count", "0"], "lambda grid: "),
+            (["--alpha", "0", "--lambda", "0", "--symbol", "nope"], "symbol"),
+        ],
+        ids=["no-parameters", "no-lambda", "alpha-grid", "lambda-grid", "symbol"],
+    )
+    def test_parameters_checked_before_the_samples_are_read(
+        self, tmp_path, capsys, options, message
+    ):
+        # A missing sample file would exit 2; the parameters are named first.
+        code = main(
+            ["solve", str(tmp_path / "nope.csv"), "--M", "4"]
+            + ["--symbol", "geometric(1.48)", *options, "-o", str(tmp_path / "c.csv")]
+        )
+        assert code == EXIT_INVALID_INPUT
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and message in line
+
     def test_truncated_file_reports_line(self, tmp_path, capsys):
         path, rule, _ = make_samples(tmp_path)
         lines = path.read_text().splitlines()
@@ -285,7 +308,7 @@ class TestSolveCommand:
             [
                 "solve", str(tmp_path / "nope.csv"),
                 "--M", "4",
-                "--symbol", "sst",
+                "--symbol", "geometric(1.48)",
                 "--lambda", "0", "--alpha", "0",
                 "-o", str(tmp_path / "c.csv"),
             ]
@@ -477,14 +500,14 @@ class TestNonFiniteSelection:
         assert not out.exists() and not trace.exists()
 
     def test_first_failing_alpha_of_a_block_exits_numerical(
-        self, tmp_path, capsys, monkeypatch, block_error_inputs
+        self, tmp_path, capsys, monkeypatch, grid_error_inputs
     ):
-        # The nested pass raises inside a block of alphas (inputs no grid
+        # The nested pass raises inside its alpha grid (inputs no grid
         # can reach, since a non-finite factor at alpha > 0 needs one at
         # alpha = 0 first); the CLI reports the first failing alpha, exit 4.
         real = sphere_reg.selection._nested_pass
         monkeypatch.setattr(
-            sphere_reg.selection, "_nested_pass", lambda *args: real(*block_error_inputs)
+            sphere_reg.selection, "_nested_pass", lambda *args: real(*grid_error_inputs)
         )
         path, _, _ = make_samples(tmp_path, M=6)
         out = tmp_path / "coeffs.csv"

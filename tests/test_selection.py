@@ -36,18 +36,24 @@ from sphere_reg import (
 from sphere_reg import experiments as ex
 from sphere_reg import selection
 from sphere_reg.selection import (
-    _BLOCK,
     _BOUND_STRIDE,
+    _MAX_WIDTH,
+    _PANEL_ENTRIES,
     _PANEL_ROWS,
-    _candidate_factors,
+    _ROUND_PAIRS,
+    _SMALL_PRODUCT,
+    _chunks,
+    _column_differences,
     _nested_pass,
-    _panel_buffer,
+    _panel_buffers,
     _panels,
+    _product_shape,
     _pruned_quasi_optimal,
     _quasi_optimal,
     _sup_differences,
     grid_values,
 )
+from sphere_reg.verify import _stacked_product
 
 
 def linear_beta(M):
@@ -184,21 +190,37 @@ class TestQuasiOptimal:
 FEW_ROWS = 3
 
 
-def block_pruned(Z, factors):
+def kernel(Z, L):
+    """The pruned kernel over n = Z.shape[1] // L alphas' (T, L) tables side by side.
+
+    Z is its own field sums: alpha j's factor row i, damping[i] * q[j], is
+    the unit row of column j L + i, so its fields are those columns, exactly.
+    """
+    n = Z.shape[1] // L
+    damping = np.tile(np.eye(L), n)
+    q = np.repeat(np.eye(n), L, axis=1)
+    buffers = _panel_buffers(n * L)
+    bounds = np.array(
+        [_column_differences(Z[::_BOUND_STRIDE], damping * qj, buffers) for qj in q]
+    )
+    return _pruned_quasi_optimal(Z, damping, q, bounds, buffers)
+
+
+def few_row_kernel(Z, L):
     """The pruned kernel's winners and differences, with panels of FEW_ROWS rows."""
     with mock.patch.object(selection, "_PANEL_ROWS", FEW_ROWS):
-        return _pruned_quasi_optimal(Z, factors, _panel_buffer(Z))
+        return kernel(Z, L)
 
 
 def pruned(fields):
-    """The pruned kernel on a (T, L) table: the table as Z, identity factors.
+    """The pruned kernel on one alpha's (T, L) table.
 
     Returns the winner and its difference, after checking that panels of
     FEW_ROWS rows and of the default height give the same ones.
     """
-    factors = np.eye(fields.shape[1])[None]
-    (idx,), (diff,) = chosen, best = block_pruned(fields, factors)
-    default = _pruned_quasi_optimal(fields, factors, _panel_buffer(fields))
+    L = fields.shape[1]
+    (idx,), (diff,) = chosen, best = few_row_kernel(fields, L)
+    default = kernel(fields, L)
     np.testing.assert_array_equal(default[0], chosen)
     np.testing.assert_array_equal(default[1], best)
     return int(idx), float(diff)
@@ -243,10 +265,10 @@ def field_tables(draw):
 
 
 @st.composite
-def alpha_blocks(draw):
-    """Up to _BLOCK alphas' (T, L) tables, side by side in one (T, n L) table."""
+def alpha_grids(draw):
+    """Up to 12 alphas' (T, L) tables, side by side in one (T, n L) table."""
     T, L = draw(st.integers(1, 40)), draw(st.integers(1, 6))
-    n = draw(st.integers(1, _BLOCK))
+    n = draw(st.integers(1, 12))
     return L, np.hstack([draw_table(draw, T, L) for _ in range(n)])
 
 
@@ -333,9 +355,8 @@ class TestPrunedQuasiOptimal:
 
     def test_equal_bounds_over_several_rounds_reach_every_pair(self):
         # Eleven pairs share one bound; all but pair 9 peak off the
-        # subsample at row 5.  Round 1 takes pair 0 and the later rounds
-        # take the other ten, _BLOCK at a time; the winner is the last but
-        # one of them.
+        # subsample at row 5.  Round 1 takes pair 0 and round 2 the other
+        # ten, in pair order; the winner is the last but one of them.
         steps = np.ones((40, 11))
         steps[5, :] = 2.0
         steps[5, 9] = 1.0
@@ -352,22 +373,68 @@ class TestPrunedQuasiOptimal:
             assert pruned(fields) == (1, math.inf)
             assert_pruned_matches_dense(fields)
 
-    @given(block=alpha_blocks())
+    @given(grid=alpha_grids())
     @settings(max_examples=200, deadline=None)
-    def test_alpha_blocks_match_dense_kernel(self, block):
+    def test_alpha_grids_match_dense_kernel(self, grid):
         # Several alphas share round 1 and the later rounds' products; each
         # alpha's winner is still the dense kernel's on its own table.
-        L, Z = block
-        n = Z.shape[1] // L
-        factors = np.eye(n * L).reshape(n, L, n * L)
-        chosen, best = block_pruned(Z, factors)
-        for j in range(n):
+        L, Z = grid
+        chosen, best = few_row_kernel(Z, L)
+        for j in range(Z.shape[1] // L):
             ref_idx, ref_diffs = _quasi_optimal(Z[:, j * L : (j + 1) * L])
             assert chosen[j] == ref_idx
             if ref_diffs.size:
                 assert best[j] == ref_diffs[ref_idx - 1]
             else:
                 assert math.isnan(best[j])
+
+    def test_rounds_of_more_pending_pairs_than_one_product_takes(self):
+        # Two alphas of 120 pairs that all share one bound; every pair but
+        # one per alpha peaks off the subsample at row 5.  Round 1 takes each
+        # alpha's pair 0; the 238 pending pairs then take three rounds of at
+        # most _ROUND_PAIRS, and each alpha's winner is in the last.
+        steps = np.ones((40, 120))
+        steps[5, :] = 2.0
+        tables = []
+        for winner in (117, 110):
+            s = steps.copy()
+            s[5, winner] = 1.0
+            tables.append(np.hstack([np.zeros((40, 1)), np.cumsum(s, axis=1)]))
+        Z = np.hstack(tables)
+        widths = []
+        real = selection._column_differences
+
+        def record(Z, rows, buffers):
+            if len(Z) == 40:
+                widths.append(len(rows))
+            return real(Z, rows, buffers)
+
+        with mock.patch.object(selection, "_column_differences", record):
+            chosen, best = kernel(Z, 121)
+        assert widths == [4, 2 * _ROUND_PAIRS, 2 * _ROUND_PAIRS, 2 * 46]
+        np.testing.assert_array_equal(chosen, [118, 111])
+        np.testing.assert_array_equal(best, [1.0, 1.0])
+        for j in range(2):
+            assert_pruned_matches_dense(Z[:, j * 121 : (j + 1) * 121])
+
+    def test_round_one_of_more_alphas_than_one_product_takes(self):
+        # 100 alphas' first pairs are 200 columns: round 1 takes two
+        # chunks, the second starting at the last column of the first.
+        Z = np.random.default_rng(9).standard_normal((50, 100 * 3))
+        chosen, best = kernel(Z, 3)
+        for j in range(100):
+            ref_idx, ref_diffs = _quasi_optimal(Z[:, 3 * j : 3 * j + 3])
+            assert (chosen[j], best[j]) == (ref_idx, ref_diffs[ref_idx - 1])
+
+    @pytest.mark.parametrize("n_rows", [7, 8, 50, 128, 466, 1000, 1024, 7442])
+    def test_every_product_shape_follows_the_rule(self, n_rows):
+        # Widths a multiple of 8 up to _MAX_WIDTH; panels within the buffer
+        # and above the small-product kernel's size.
+        for n_cols in range(2, _MAX_WIDTH + 1):
+            height, width = _product_shape(n_rows, n_cols)
+            assert width % 8 == 0 and n_cols <= width <= _MAX_WIDTH
+            assert height == min(n_rows, _PANEL_ROWS, _PANEL_ENTRIES // width)
+            assert _SMALL_PRODUCT < height * width <= _PANEL_ENTRIES
 
     @pytest.mark.parametrize("height", [2, FEW_ROWS, 7, _PANEL_ROWS])
     @pytest.mark.parametrize("T", [1, 2, 3, 8, 15, 22])
@@ -517,6 +584,46 @@ def figure1_trial():
     )
 
 
+def recorded_products(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid):
+    """(Z, row stride, factor rows) of every product select_two_step forms.
+
+    Z is the call's field sums in full; the product's rows are Z[::stride].
+    """
+    M = rule.M
+    coeffs = analyze(samples, rule, M)
+    Z = grid.degree_fields(coeffs.scaled_by_degree(np.ones(M + 1), radius=symbol.R))
+    products = []
+    real = selection._column_differences
+
+    def record(rows_of_z, rows, buffers):
+        stride = _BOUND_STRIDE if len(rows_of_z) < len(Z) else 1
+        assert np.array_equal(rows_of_z, Z[::stride])
+        products.append((Z, stride, rows.copy()))
+        return real(rows_of_z, rows, buffers)
+
+    with mock.patch.object(selection, "_column_differences", record):
+        select_two_step(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid)
+    return [p for p in products if len(p[2]) > 1]  # one row forms no product
+
+
+def assert_products_are_gemm_slices(products):
+    """Each product equals its slice of the full GEMM, and so do its differences.
+
+    The full GEMM takes the factor rows padded with zero rows to a multiple
+    of 8: OpenBLAS sums the last columns of an unpadded product wider than
+    _MAX_WIDTH differently.
+    """
+    for Z, stride, rows in products:
+        padded = np.zeros((-(-len(rows) // 8) * 8, rows.shape[1]))
+        padded[: len(rows)] = rows
+        full = (Z @ padded.T)[::stride, : len(rows)]
+        np.testing.assert_array_equal(_stacked_product(Z[::stride], rows), full)
+        np.testing.assert_array_equal(
+            _column_differences(Z[::stride], rows, _panel_buffers(rows.shape[1])),
+            _sup_differences(full),
+        )
+
+
 def assert_sweep_matches_dense(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid):
     """The sweep's trace and picks equal the dense sweep's, bit for bit.
 
@@ -551,16 +658,16 @@ class TestSelectTwoStep:
 
     @given(
         seed=st.integers(0, 2**16),
-        n_alphas=st.integers(1, 3 * _BLOCK),
+        n_alphas=st.integers(1, 24),
         n_lambdas=st.integers(1, 6),
         zero=st.booleans(),
         height=st.sampled_from([2, 16, 37, _PANEL_ROWS]),
     )
     @settings(max_examples=30, deadline=None)
-    def test_alpha_blocks_match_dense_sweep(
+    def test_alpha_grids_match_dense_sweep(
         self, seed, n_alphas, n_lambdas, zero, height
     ):
-        # Grids of up to three blocks of alphas, panels of a few rows to one.
+        # Grids of up to 24 alphas, panels of a few rows to the default.
         rule, symbol, beta, noisy, grid = make_problem(seed=seed)
         values = lambda n: [0.0] * zero + list(1e-5 * 3.0 ** np.arange(n - zero))
         with mock.patch.object(selection, "_PANEL_ROWS", height):
@@ -602,56 +709,57 @@ class TestSelectTwoStep:
         assert_sweep_matches_dense(*figure1_trial())
 
     def test_bound_and_pair_products_are_gemm_slices(self):
-        # The pruned kernel's products against one full GEMM over a block's
-        # (alpha, lambda) rows, for every block of a figure-1 trial: the
-        # per-alpha bound products, and panel products over a round-1 block
-        # (each alpha's pair at its own index), a later round (_BLOCK
-        # overlapping pairs of one alpha) and an outer chain (the block's
-        # winners in turn), at the default panel height and at heights
-        # whose last panel overlaps the one before it by 558 rows and by
-        # all but one row.  The blocks of the collocation-only pass's [0.0]
-        # lambda grid form no bound or pair product, only the chain of their
-        # single-lambda winners.
-        samples, rule, symbol, beta, alphas, lambdas, grid = figure1_trial()
-        M = rule.M
-        coeffs = analyze(samples, rule, M)
-        Z = grid.degree_fields(coeffs.scaled_by_degree(np.ones(M + 1), radius=symbol.R))
-        zmax = np.max(np.abs(Z), axis=0)
-        b = beta.beta[: M + 1]
-        T = len(Z)
-        alphas = grid_values(alphas)
-        blocks = [alphas[i : i + _BLOCK] for i in range(0, len(alphas), _BLOCK)]
-        for lambda_values in (grid_values(lambdas), [0.0]):
-            damping = 1.0 / (1.0 + np.outer(lambda_values, b * b))
-            L = len(damping)
-            for block in ([0.0], *blocks):
-                factors = _candidate_factors(Z, zmax, symbol.a[: M + 1], damping, block)
-                n = len(factors)
-                full = Z @ factors.reshape(n * L, -1).T
-                diagonal = np.arange(n) * L + np.arange(n) % L  # alpha j's row j mod L
-                products = [diagonal]
-                if L > 1:
-                    for j in range(n):
-                        np.testing.assert_array_equal(
-                            Z[::_BOUND_STRIDE] @ factors[j].T,
-                            full[::_BOUND_STRIDE, j * L : (j + 1) * L],
-                        )
-                    products += [
-                        np.ravel([diagonal, diagonal + 1], order="F"),
-                        np.ravel([(i, i + 1) for i in range(_BLOCK)]),
-                    ]
-                for cols in products:
-                    if len(cols) < 2:
-                        continue  # one column would be a GEMV, which no pass runs
-                    rows = factors.reshape(n * L, -1)[cols]
-                    for height in (_PANEL_ROWS, 1000, T - 1):
-                        for panel in _panels(T, height):
-                            np.testing.assert_array_equal(
-                                Z[panel] @ rows.T, full[panel][:, cols]
-                            )
+        # Every product of a figure-1 trial's sweep, and of the same trial
+        # on a 193-value lambda grid, whose bound products take two chunks
+        # of columns: each call's panel products, stacked back, equal the
+        # slice of one full GEMM over the trial's field sums, and its
+        # differences equal the dense reduction of that slice.  The round
+        # products are 2 to 104 columns wide, the chain 52.
+        args = figure1_trial()
+        products = recorded_products(*args)
+        products += recorded_products(*args[:5], np.geomspace(1e-5, 1.0, 193), args[6])
+        shapes = {(stride, len(rows)) for _, stride, rows in products}
+        assert {(_BOUND_STRIDE, 52), (_BOUND_STRIDE, 193), (1, 104), (1, 52)} <= shapes
+        assert all(len(rows) <= 2 * _ROUND_PAIRS for _, stride, rows in products if stride == 1)
+        assert_products_are_gemm_slices(products)
+
+    def test_bound_products_on_few_rows_or_many_lambdas_are_gemm_slices(self):
+        # Bound products that used to run on OpenBLAS's small-product kernel
+        # (a coarse sup grid: 128 subsample rows and up to 9 lambdas at
+        # M = 31) or to sum their last columns differently (193 and 250
+        # lambdas): each now takes the shape rule, so its sums are those of
+        # the full GEMM and its bounds are exact.
+        rule, symbol, beta, noisy, _ = make_problem(M=31, seed=41)
+        coarse = EvalGrid(sphere_rule(31, 1.0))
+        products = []
+        for L in range(2, 10):
+            products += recorded_products(
+                noisy, rule, symbol, beta, [0.0, 1e-3], np.geomspace(1e-5, 1.0, L), coarse
+            )
+        args = figure1_trial()
+        for L in (193, 250):
+            products += recorded_products(
+                *args[:4], [0.0, 1e-3], np.geomspace(1e-5, 1.0, L), args[6]
+            )
+        bounds = [p for p in products if p[1] == _BOUND_STRIDE]
+        # Two alphas per grid, and alpha = 0 of the smoothing-only pass.
+        assert len(bounds) == 3 * 10
+        assert_products_are_gemm_slices(bounds)
+
+    def test_warm_trial_streams_the_field_sums_at_most_six_times(self):
+        # A pass over Z is one chunk of one product at full height; the
+        # three nested passes of a figure-1 trial need at most six.
+        args = figure1_trial()
+        select_two_step(*args)
+        streams = [
+            len(list(_chunks(len(rows))))
+            for _, stride, rows in recorded_products(*args)
+            if stride == 1
+        ]
+        assert sum(streams) <= 6
 
     def test_figure1_bit_equality_under_one_blas_thread(self):
-        # The BLAS thread count is fixed at import, so the two checks above
+        # The BLAS thread count is fixed at import, so these three checks
         # run again in a child with one OpenBLAS thread.
         here = Path(__file__)
         tests = [
@@ -659,6 +767,7 @@ class TestSelectTwoStep:
             for name in (
                 "test_figure1_trial_matches_dense_sweep",
                 "test_bound_and_pair_products_are_gemm_slices",
+                "test_bound_products_on_few_rows_or_many_lambdas_are_gemm_slices",
             )
         ]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
@@ -674,7 +783,7 @@ class TestSelectTwoStep:
             timeout=300,
         )
         assert child.returncode == 0, child.stdout + child.stderr
-        assert "2 passed" in child.stdout
+        assert "3 passed" in child.stdout
 
     def test_sweep_memory_stays_below_one_candidate_table(self):
         # Past the caches the first call warms, the sweep holds the (T, M+1)
@@ -904,15 +1013,32 @@ class TestNonFiniteSelection:
         with pytest.raises(NumericalError, match="field sums"):
             select_two_step(huge, rule, symbol, beta, [0.0, 1.0], [0.0, 1.0], grid)
 
-    def test_first_failing_alpha_of_a_block_is_named(self, block_error_inputs):
-        # One block holds an alpha with overflowing fields and, after it, one
-        # with a non-finite factor: the error names the first, as a pass
-        # checking alpha by alpha would.
-        *_, alphas, _ = block_error_inputs
-        assert len(alphas) <= _BLOCK
-        with pytest.raises(NumericalError) as err:
-            _nested_pass(*block_error_inputs)
+    def test_first_failing_alpha_of_a_block_is_named(self, grid_error_inputs):
+        # The alpha grid holds an alpha with overflowing fields and, after
+        # it, one with a non-finite factor: the error names the first, as a
+        # pass checking alpha by alpha would, and comes before any product.
+        products = []
+        real = selection._column_differences
+
+        def record(*args):
+            products.append(args)
+            return real(*args)
+
+        with mock.patch.object(selection, "_column_differences", record):
+            with pytest.raises(NumericalError) as err:
+                _nested_pass(*grid_error_inputs)
         assert str(err.value) == "non-finite candidate fields at alpha = 0.0001"
+        assert products == []
+
+    def test_non_finite_damping_fails_at_the_first_alpha(self):
+        # An infinite penalty at lambda = 0 makes damping 1 / (1 + 0 * inf)
+        # NaN, so every alpha's factor table is non-finite, though q is not.
+        Z = np.ones((4, 3))
+        zmax = np.ones(3)
+        a, b = np.full(3, 0.5), np.array([1.0, math.inf, math.inf])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"factors at alpha = 1\.0 "):
+                _nested_pass(Z, zmax, a, b, [1.0, 1e-2], [0.0, 1.0])
 
     def test_non_finite_pick_fails_loudly(self):
         # The field sums (4e307) and the sweep's fields stay finite, but the
