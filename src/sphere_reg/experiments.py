@@ -67,9 +67,10 @@ class ExperimentCase:
     lambda_grid: ParameterGrid | Sequence[float] = _STANDARD_GRID
 
     def __post_init__(self):
-        if not 0 < self.upsilon < math.inf:
+        if not 0 < self.upsilon < 1024:
             raise ValidationError(
-                f"upsilon must be positive and finite, got {self.upsilon!r}"
+                f"upsilon must be positive and finite, and below 1024, where the "
+                f"degree-0 decay 2**upsilon overflows; got {self.upsilon!r}"
             )
         if not 0 <= self.epsilon < math.inf:
             raise ValidationError(
@@ -109,10 +110,12 @@ def penalty_from_symbol(
     """Penalties with beta_k^2 = (k+1/2)^exponent / a_k for k >= 1.
 
     The captions' rule starts at k = 1; beta_0 is set equal to beta_1 so
-    the sequence stays positive and nondecreasing.
+    the sequence stays positive and nondecreasing.  A beta_k^2 that
+    overflows (a_k below about 1e-308) fails PenaltyWeights' check.
     """
     k = np.arange(symbol.M + 1, dtype=float)
-    beta_sq = (k + 0.5) ** exponent / symbol.a
+    with np.errstate(over="ignore"):
+        beta_sq = (k + 0.5) ** exponent / symbol.a
     if symbol.M >= 1:
         beta_sq[0] = beta_sq[1]
     return PenaltyWeights(beta=np.sqrt(beta_sq))

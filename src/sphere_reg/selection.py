@@ -194,16 +194,6 @@ def _first_minimum(differences: np.ndarray) -> int:
     return int(np.argmin(differences)) + 1 if differences.size else 0
 
 
-def _quasi_optimal(fields: np.ndarray) -> tuple[int, np.ndarray]:
-    """Quasi-optimal column of a (T, L) table of fields, ascending parameter.
-
-    Returns the winning column and every difference d_i, i = 1..L-1.  A
-    single column wins with no differences.
-    """
-    differences = _sup_differences(fields)
-    return _first_minimum(differences), differences
-
-
 #: Row stride of the subsample whose differences bound every d_i from below.
 _BOUND_STRIDE = 16
 #: Most column pairs one round evaluates.
@@ -303,50 +293,49 @@ def _column_differences(Z: np.ndarray, rows: np.ndarray, buffers) -> np.ndarray:
 
 
 def _pruned_quasi_optimal(
-    Z: np.ndarray, damping: np.ndarray, q: np.ndarray, bounds: np.ndarray, buffers
+    Z: np.ndarray, damping: np.ndarray, q: np.ndarray, buffers
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_quasi_optimal's winners over the fields Z @ (damping * q[j]).T, none built.
+    """Quasi-optimal winners over the fields Z @ (damping * q[j]).T, none built.
 
-    Alpha j's factor rows are damping[i] * q[j], built when a product
-    needs them; ``bounds[j]`` holds its differences over every
-    _BOUND_STRIDE-th row of Z, exact lower bounds on the full ones.
-    Returns per alpha the winning row and its difference; a single row
-    wins with a NaN difference.  Round 1 evaluates every alpha's
-    lowest-bound pair in one product.  Each later round evaluates up to
-    _ROUND_PAIRS of the remaining pairs whose bound is at most their
-    alpha's best difference so far, in ascending bound order, until none
-    is left.  A pair never evaluated has a bound, and so a difference,
-    above one already found: it can neither win nor tie.  Ties go to the
-    smaller index, as in _first_minimum.  Every pair product goes through
-    _column_differences, so winners and differences are bit-identical to
-    the dense pass.
+    Alpha j's factor rows are damping[i] * q[j].  One product over every
+    _BOUND_STRIDE-th row of Z and all n L rows, alpha-major, gives each
+    alpha's differences there, exact lower bounds on the full ones; the
+    n - 1 steps from one alpha's last row to the next one's first are
+    dropped.  Returns per alpha the winning row and its difference; a
+    single row wins with a NaN difference.  Round 1 evaluates every
+    alpha's lowest-bound pair in one product.  Each later round evaluates
+    up to _ROUND_PAIRS of the pending pairs whose bound is at most their
+    alpha's best difference so far, in ascending (bound, alpha, pair)
+    order, until none is left.  A pair never evaluated has a bound, and so
+    a difference, above one already found: it can neither win nor tie.
+    Ties go to the smaller index, as in _first_minimum.  Every product
+    goes through _column_differences, so winners and differences are
+    bit-identical to the dense pass.
     """
     n, L = len(q), len(damping)
     if L == 1:
         return np.zeros(n, dtype=int), np.full(n, math.nan)
+    # The rows are the broadcast's elementwise products, freed after the call.
+    steps = _column_differences(
+        Z[::_BOUND_STRIDE], (q[:, None, :] * damping).reshape(n * L, -1), buffers
+    )
+    bounds = np.append(steps, math.nan).reshape(n, L)[:, :-1]  # no cross-alpha steps
+    pending = np.ones(bounds.shape, dtype=bool)
     chosen = np.full(n, L)  # above every index, so the first pair wins even at inf
     best = np.full(n, math.inf)
-    # Stable, so equal bounds keep ascending pair order, as the sort of
-    # pending pairs below does; each round then takes a prefix of an order.
-    order = np.argsort(bounds, axis=1, kind="stable")
-    sorted_bounds = np.take_along_axis(bounds, order, axis=1)
-    done = np.zeros(n, dtype=int)  # evaluated pairs per alpha: a prefix of its order
-    batch = [(j, order[j, 0]) for j in range(n)]
-    while batch:
-        alpha_idx, pair_idx = np.array(batch).T
+    alpha_idx, pair_idx = np.arange(n), np.argmin(bounds, axis=1)
+    while alpha_idx.size:
+        pending[alpha_idx, pair_idx] = False
         rows = damping[pair_idx[:, None] + [0, 1]] * q[alpha_idx, None]
         d = _column_differences(Z, rows.reshape(-1, q.shape[1]), buffers)
-        for (j, i), dj in zip(batch, d[::2].tolist()):
-            done[j] += 1
+        for j, i, dj in zip(alpha_idx.tolist(), pair_idx.tolist(), d[::2].tolist()):
             if dj < best[j] or (dj == best[j] and i + 1 < chosen[j]):
                 chosen[j], best[j] = i + 1, dj
-        stop = np.sum(sorted_bounds <= best[:, None], axis=1)
-        pending = sorted(
-            (sorted_bounds[j, p], j, order[j, p])
-            for j in range(n)
-            for p in range(done[j], stop[j])
-        )
-        batch = [(j, i) for _, j, i in pending[:_ROUND_PAIRS]]
+        alpha_idx, pair_idx = np.nonzero(pending & (bounds <= best[:, None]))
+        # lexsort sorts by its last key first: bound, then alpha, then pair.
+        order = np.lexsort((pair_idx, alpha_idx, bounds[alpha_idx, pair_idx]))
+        batch = order[:_ROUND_PAIRS]
+        alpha_idx, pair_idx = alpha_idx[batch], pair_idx[batch]
     return chosen, best
 
 
@@ -387,7 +376,8 @@ def select_single(
         )
 
     stacked = np.column_stack([s.values for s in solutions])
-    chosen, differences = _quasi_optimal(grid.basis(M) @ stacked)
+    differences = _sup_differences(grid.basis(M) @ stacked)
+    chosen = _first_minimum(differences)
     return SelectionResult(
         chosen_index=chosen,
         chosen_value=None if values is None else float(values[chosen]),
@@ -464,17 +454,17 @@ def _nested_pass(
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Nested quasi-optimality over the fields Z @ factors.T of every pair.
 
-    Alpha j's factor rows are damping[i] * q[j] with q = a/(alpha + a^2),
-    the same elementwise operations, and so the same bits, as a broadcast
-    of the whole (n, L, M+1) table, which is never built.  After the
-    checks (_check_candidates), each alpha's table is built for its bound
-    product alone.  _pruned_quasi_optimal then picks every alpha's lambda
-    in rounds over the whole grid, and the winners' outer differences come
-    from one chain product over their factor rows.  No field is kept.  A
-    single lambda takes the same path: each alpha's only row wins with a
-    NaN inner difference, and no bound or pair product is formed.  Returns
-    the winning alpha index and, per alpha, the winning lambda index, its
-    inner difference and its outer difference (NaN for the first alpha).
+    Alpha j's factor rows are damping[i] * q[j] with q = a/(alpha + a^2);
+    every product builds the rows it takes with these elementwise
+    operations, and so with the same bits.  After the checks
+    (_check_candidates), _pruned_quasi_optimal picks every alpha's lambda
+    from one bound product and rounds over the whole grid, and the
+    winners' outer differences come from one chain product over their
+    factor rows.  No field is kept.  A single lambda takes the same path:
+    each alpha's only row wins with a NaN inner difference, and no bound
+    or pair product is formed.  Returns the winning alpha index and, per
+    alpha, the winning lambda index, its inner difference and its outer
+    difference (NaN for the first alpha).
     """
     damping = 1.0 / (1.0 + np.outer(lambdas, b * b))  # (L, M+1)
     alphas = np.asarray(alphas, dtype=float)
@@ -482,10 +472,7 @@ def _nested_pass(
         q = a / (alphas[:, None] + a * a)  # (n, M+1)
     _check_candidates(Z, zmax, damping, q, alphas)
     buffers = _panel_buffers(len(a))
-    bounds = np.array(
-        [_column_differences(Z[::_BOUND_STRIDE], damping * qj, buffers) for qj in q]
-    )
-    lam_idx, inner = _pruned_quasi_optimal(Z, damping, q, bounds, buffers)
+    lam_idx, inner = _pruned_quasi_optimal(Z, damping, q, buffers)
     outer = np.full(len(q), math.nan)
     outer[1:] = _column_differences(Z, damping[lam_idx] * q, buffers)
     return _first_minimum(outer[1:]), lam_idx, inner, outer

@@ -26,7 +26,7 @@ _ORACLE_MAX_DEGREE = 12
 
 @dataclass(frozen=True, eq=False)
 class PenaltyWeights:
-    """Nondecreasing positive per-degree penalties beta_k."""
+    """Nondecreasing positive finite per-degree penalties beta_k."""
 
     beta: np.ndarray
 
@@ -35,6 +35,12 @@ class PenaltyWeights:
         object.__setattr__(self, "beta", beta)
         if beta.ndim != 1 or beta.size == 0:
             raise ValidationError("beta must be a nonempty vector")
+        bad = np.flatnonzero(~np.isfinite(beta))
+        if bad.size:
+            k = int(bad[0])
+            raise ValidationError(
+                f"beta entries must be finite, got beta_{k} = {float(beta[k])!r}"
+            )
         if np.any(beta <= 0):
             raise ValidationError("beta entries must be positive")
         if np.any(np.diff(beta) < 0):

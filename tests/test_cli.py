@@ -236,6 +236,25 @@ class TestSolveCommand:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and message in line
 
+    @pytest.mark.parametrize("mode", [["--auto"], ["--alpha", "0", "--lambda", "0"]])
+    def test_overflowing_penalty_exits_invalid(self, tmp_path, capsys, mode):
+        # a_20 of polynomial(234) is about 4e-310, so beta_20 = inf; this
+        # once printed two RuntimeWarnings and failed at alpha = 0 (exit 4).
+        rule = sphere_rule(20, 1.0)
+        path = tmp_path / "samples.csv"
+        samples = np.random.default_rng(1).standard_normal(rule.n_points)
+        write_samples_csv(str(path), rule, samples)
+        out = tmp_path / "coeffs.csv"
+        code = main(
+            ["solve", str(path), "--M", "20", "--symbol", "polynomial(234)", *mode]
+            + ["-o", str(out)]
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.splitlines() == [
+            "error: beta entries must be finite, got beta_20 = inf"
+        ]
+        assert not out.exists()
+
     def test_truncated_file_reports_line(self, tmp_path, capsys):
         path, rule, _ = make_samples(tmp_path)
         lines = path.read_text().splitlines()
@@ -834,7 +853,7 @@ class TestSolveOutputChecked:
 
 
 class TestPathFailures:
-    """Unreadable inputs and unwritable outputs: one error line, no .tmp left."""
+    """Unreadable inputs, unwritable outputs, bad configs: one error line, no .tmp."""
 
     @staticmethod
     def solve_args(samples, out):
@@ -857,6 +876,7 @@ class TestPathFailures:
             "experiment-from-directory",
             "experiment-from-binary",
             "solve-from-missing-file",
+            "experiment-overflowing-upsilon",
         ],
     )
     def test_one_error_line_and_no_temporary_file(self, tmp_path, capsys, case):
@@ -865,6 +885,12 @@ class TestPathFailures:
         binary = tmp_path / "binary.dat"
         binary.write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff\xfe")
         samples, _, _ = make_samples(tmp_path, M=4)
+        # 2**2000 overflows the degree-0 decay; this once ran and failed with
+        # a RuntimeWarning and a numerical failure (exit 4).
+        upsilon = write_config(
+            tmp_path,
+            f"case = fig1a\nupsilon = 2000\nM = 6\noutput = {tmp_path / 'c.csv'}\n",
+        )
         argv, code, where = {
             "rule-to-directory": (
                 ["rule", "--M", "3", "-o", str(directory)],
@@ -905,6 +931,11 @@ class TestPathFailures:
                 self.solve_args(tmp_path / "nope.csv", tmp_path / "c.csv"),
                 EXIT_MISSING_INPUT,
                 tmp_path / "nope.csv",
+            ),
+            "experiment-overflowing-upsilon": (
+                ["experiment", str(upsilon)],
+                EXIT_INVALID_INPUT,
+                "upsilon",
             ),
         }[case]
         assert main(argv) == code

@@ -64,6 +64,13 @@ class TestCaseValidation:
         with pytest.raises(ValidationError, match=f"{field} must be .* finite"):
             tiny_case(**{field: value})
 
+    def test_rejects_overflowing_degree_zero_decay(self):
+        # Degree 0 decays like (1/2)^-upsilon = 2^upsilon, inf from 1024 on.
+        tiny_case(upsilon=1023.5)
+        for value in (1024.0, 2000.0):
+            with pytest.raises(ValidationError, match=r"2\*\*upsilon overflows"):
+                tiny_case(upsilon=value)
+
     def test_figure1_presets_match_the_captions(self):
         assert set(FIGURE1_CASES) == {"fig1a", "fig1b", "fig1c", "fig1d", "fig1e"}
         a, b, c, d, e = (FIGURE1_CASES[k] for k in sorted(FIGURE1_CASES))
@@ -100,6 +107,13 @@ class TestPenaltyRule:
         np.testing.assert_allclose(
             beta.beta[1:] ** 2, (k + 0.5) ** 3.5 * (k + 1) ** 2, rtol=1e-13
         )
+
+    def test_overflowing_penalty_rejected_without_warning(self):
+        # a_20 = 20.5^-234 is about 4e-310, so beta_20^2 = 1 / a_20 overflows.
+        sym = symbol_preset("polynomial(234)", 1.0, 1.0, 20)
+        assert 0 < sym.a[20] < 1e-308
+        with pytest.raises(ValidationError, match="beta_20 = inf"):
+            penalty_from_symbol(sym, 0.0)
 
     def test_result_is_nondecreasing(self):
         for name in ("geometric(1.48)", "polynomial(2)"):

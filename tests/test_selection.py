@@ -44,12 +44,12 @@ from sphere_reg.selection import (
     _SMALL_PRODUCT,
     _chunks,
     _column_differences,
+    _first_minimum,
     _nested_pass,
     _panel_buffers,
     _panels,
     _product_shape,
     _pruned_quasi_optimal,
-    _quasi_optimal,
     _sup_differences,
     grid_values,
 )
@@ -165,22 +165,33 @@ class TestSupNorm:
         assert grid._basis == {}
 
 
+def quasi_optimal(fields):
+    """Quasi-optimal column of a (T, L) table of fields, ascending parameter.
+
+    The dense oracle of the pruned pass: returns the winning column and
+    every difference d_i, i = 1..L-1.  A single column wins with no
+    differences.
+    """
+    differences = _sup_differences(fields)
+    return _first_minimum(differences), differences
+
+
 class TestQuasiOptimal:
     def test_single_column_wins_without_differences(self):
-        idx, diffs = _quasi_optimal(np.array([[1.0], [2.0]]))
+        idx, diffs = quasi_optimal(np.array([[1.0], [2.0]]))
         assert idx == 0
         assert diffs.shape == (0,)
 
     def test_smallest_sup_difference_wins(self):
         # column differences: sup 3, sup 0.5, sup 2
         fields = np.array([[0.0, 3.0, 3.5, 1.5], [0.0, -1.0, -1.2, -1.0]])
-        idx, diffs = _quasi_optimal(fields)
+        idx, diffs = quasi_optimal(fields)
         np.testing.assert_allclose(diffs, [3.0, 0.5, 2.0])
         assert idx == 2
 
     def test_ties_go_to_the_smallest_index(self):
         fields = np.array([[0.0, 1.0, 2.0, 3.0]])
-        idx, diffs = _quasi_optimal(fields)
+        idx, diffs = quasi_optimal(fields)
         np.testing.assert_array_equal(diffs, [1.0, 1.0, 1.0])
         assert idx == 1
 
@@ -199,11 +210,7 @@ def kernel(Z, L):
     n = Z.shape[1] // L
     damping = np.tile(np.eye(L), n)
     q = np.repeat(np.eye(n), L, axis=1)
-    buffers = _panel_buffers(n * L)
-    bounds = np.array(
-        [_column_differences(Z[::_BOUND_STRIDE], damping * qj, buffers) for qj in q]
-    )
-    return _pruned_quasi_optimal(Z, damping, q, bounds, buffers)
+    return _pruned_quasi_optimal(Z, damping, q, _panel_buffers(n * L))
 
 
 def few_row_kernel(Z, L):
@@ -234,7 +241,7 @@ def evaluation_order(fields):
 def assert_pruned_matches_dense(fields):
     """The dense full-reduction kernel is the oracle for the pruned one."""
     idx, diff = pruned(fields)
-    ref_idx, ref_diffs = _quasi_optimal(fields)
+    ref_idx, ref_diffs = quasi_optimal(fields)
     assert idx == ref_idx
     if ref_diffs.size:
         assert diff == ref_diffs[ref_idx - 1]
@@ -381,7 +388,7 @@ class TestPrunedQuasiOptimal:
         L, Z = grid
         chosen, best = few_row_kernel(Z, L)
         for j in range(Z.shape[1] // L):
-            ref_idx, ref_diffs = _quasi_optimal(Z[:, j * L : (j + 1) * L])
+            ref_idx, ref_diffs = quasi_optimal(Z[:, j * L : (j + 1) * L])
             assert chosen[j] == ref_idx
             if ref_diffs.size:
                 assert best[j] == ref_diffs[ref_idx - 1]
@@ -423,7 +430,7 @@ class TestPrunedQuasiOptimal:
         Z = np.random.default_rng(9).standard_normal((50, 100 * 3))
         chosen, best = kernel(Z, 3)
         for j in range(100):
-            ref_idx, ref_diffs = _quasi_optimal(Z[:, 3 * j : 3 * j + 3])
+            ref_idx, ref_diffs = quasi_optimal(Z[:, 3 * j : 3 * j + 3])
             assert (chosen[j], best[j]) == (ref_idx, ref_diffs[ref_idx - 1])
 
     @pytest.mark.parametrize("n_rows", [7, 8, 50, 128, 466, 1000, 1024, 7442])
@@ -547,21 +554,21 @@ def dense_sweep(samples, rule, symbol, beta, alphas, lambdas, grid):
     b = beta.beta[: M + 1]
     damping = 1.0 / (1.0 + np.outer(lambdas, b * b))
     direct = Z @ (damping * (a / (a * a))).T
-    smoothing_idx, _ = _quasi_optimal(direct)
+    smoothing_idx, _ = quasi_optimal(direct)
     winners, unsmoothed, chosen_lams, inner_mins = [], [], [], []
     finite = np.isfinite(direct).all()
     for alpha in alphas:
         inversion = a / (alpha + a * a)
         factors = damping * inversion
         fields = Z @ factors.T
-        idx, diffs = _quasi_optimal(fields)
+        idx, diffs = quasi_optimal(fields)
         winners.append(factors[idx])
         unsmoothed.append(inversion)
         chosen_lams.append(lambdas[idx])
         inner_mins.append(diffs[idx - 1] if diffs.size else math.nan)
         finite &= np.isfinite(fields).all() & np.isfinite(Z @ inversion).all()
-    alpha_idx, outer_diffs = _quasi_optimal(Z @ np.array(winners).T)
-    collocation_idx, _ = _quasi_optimal(Z @ np.array(unsmoothed).T)
+    alpha_idx, outer_diffs = quasi_optimal(Z @ np.array(winners).T)
+    collocation_idx, _ = quasi_optimal(Z @ np.array(unsmoothed).T)
     return (
         alpha_idx, chosen_lams, inner_mins, outer_diffs, smoothing_idx, collocation_idx,
         finite,
@@ -710,16 +717,20 @@ class TestSelectTwoStep:
 
     def test_bound_and_pair_products_are_gemm_slices(self):
         # Every product of a figure-1 trial's sweep, and of the same trial
-        # on a 193-value lambda grid, whose bound products take two chunks
-        # of columns: each call's panel products, stacked back, equal the
-        # slice of one full GEMM over the trial's field sums, and its
-        # differences equal the dense reduction of that slice.  The round
-        # products are 2 to 104 columns wide, the chain 52.
+        # on a 193-value lambda grid, whose bound products take several
+        # chunks of columns: each call's panel products, stacked back, equal
+        # the slice of one full GEMM over the trial's field sums, and its
+        # differences equal the dense reduction of that slice.  The nested
+        # pass's bound product stacks 52 alphas' 52 (or 193) rows; the
+        # round products are 2 to 104 columns wide, the chain 52.
         args = figure1_trial()
         products = recorded_products(*args)
         products += recorded_products(*args[:5], np.geomspace(1e-5, 1.0, 193), args[6])
         shapes = {(stride, len(rows)) for _, stride, rows in products}
-        assert {(_BOUND_STRIDE, 52), (_BOUND_STRIDE, 193), (1, 104), (1, 52)} <= shapes
+        assert {
+            (_BOUND_STRIDE, 52), (_BOUND_STRIDE, 193), (_BOUND_STRIDE, 52 * 52),
+            (_BOUND_STRIDE, 52 * 193), (1, 104), (1, 52),
+        } <= shapes
         assert all(len(rows) <= 2 * _ROUND_PAIRS for _, stride, rows in products if stride == 1)
         assert_products_are_gemm_slices(products)
 
@@ -742,9 +753,20 @@ class TestSelectTwoStep:
                 *args[:4], [0.0, 1e-3], np.geomspace(1e-5, 1.0, L), args[6]
             )
         bounds = [p for p in products if p[1] == _BOUND_STRIDE]
-        # Two alphas per grid, and alpha = 0 of the smoothing-only pass.
-        assert len(bounds) == 3 * 10
+        # One per grid for the nested pass's two alphas, one for the
+        # smoothing-only pass's alpha = 0.
+        assert len(bounds) == 2 * 10
         assert_products_are_gemm_slices(bounds)
+
+    def test_figure1_trial_forms_one_bound_product_per_pass(self):
+        # The smoothing-only pass's 52 rows and the nested pass's 52 x 52;
+        # the collocation-only pass has one lambda and no bound.
+        bounds = [
+            len(rows)
+            for _, stride, rows in recorded_products(*figure1_trial())
+            if stride == _BOUND_STRIDE
+        ]
+        assert bounds == [52, 52 * 52]
 
     def test_warm_trial_streams_the_field_sums_at_most_six_times(self):
         # A pass over Z is one chunk of one product at full height; the

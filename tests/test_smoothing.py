@@ -46,6 +46,20 @@ class TestPenaltyWeights:
         with pytest.raises(ValidationError):
             PenaltyWeights(beta=np.array([2.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "beta, message",
+        [
+            ([1.0, math.nan, 2.0], "beta_1 = nan"),
+            ([1.0, 2.0, math.inf], "beta_2 = inf"),
+            ([-math.inf, 1.0], "beta_0 = -inf"),
+        ],
+    )
+    def test_rejects_non_finite_entries(self, beta, message):
+        # NaN passes both the sign and the order test, and inf passes them
+        # at the top degree; each is named by its degree.
+        with pytest.raises(ValidationError, match=f"must be finite, got {message}"):
+            PenaltyWeights(beta=np.array(beta))
+
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValidationError):
             SmoothingParams(lam=-0.1, beta=unit_beta(2))
