@@ -87,6 +87,19 @@ def _check_writable(path: str) -> None:
     raise ValidationError(f"cannot write {path}: {os.strerror(code)}")
 
 
+def _check_outputs(paths: dict[str, str | None]) -> None:
+    """Fail now if two named output paths are one file or one cannot take a file."""
+    seen: dict[str, str] = {}
+    for name, path in paths.items():
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValidationError(f"{seen[real]} and {name} name the same file: {path}")
+        seen[real] = name
+        _check_writable(path)
+
+
 def _read_text(path: str) -> str:
     """Contents of a text input file; undecodable bytes are invalid input."""
     try:
@@ -332,9 +345,7 @@ def config_to_case(cfg: dict[str, str]) -> tuple[ExperimentCase, str, str | None
 
 def cmd_experiment(args) -> int:
     case, output, plot = config_to_case(parse_config(_read_text(args.config)))
-    for path in (output, plot):
-        if path is not None:
-            _check_writable(path)
+    _check_outputs({"'output'": output, "'plot'": plot})
     results = run_case(case)
     summary = leader_following_summary(case.name, results)
     write_results_csv(output, case.name, results, summary)
@@ -370,12 +381,15 @@ def cmd_solve(args) -> int:
         grids = _solve_grid(args, "alpha"), _solve_grid(args, "lambda")
     elif args.alpha is None or args.lam is None:
         raise ValidationError("either pass --auto or both --alpha and --lambda")
-    for path in (args.output, args.trace):
-        if path is not None:
-            _check_writable(path)
+    _check_outputs({"-o": args.output, "--trace": args.trace})
     rule = canonical_rule(args.M, args.rho)
     symbol = symbol_preset(args.symbol, args.R, args.rho, args.M)
     beta = penalty_from_symbol(symbol, args.beta_exponent)
+    if not args.auto:
+        params = (
+            SmoothingParams(lam=args.lam, beta=beta),
+            CollocationParams(alpha=args.alpha, symbol=symbol),
+        )
     samples = read_samples_csv(args.samples, rule)
 
     if args.auto:
@@ -387,12 +401,7 @@ def cmd_solve(args) -> int:
         if args.trace is not None:
             write_trace_csv(args.trace, chosen.trace)
     else:
-        solution = two_step_solve(
-            samples,
-            rule,
-            SmoothingParams(lam=args.lam, beta=beta),
-            CollocationParams(alpha=args.alpha, symbol=symbol),
-        )
+        solution = two_step_solve(samples, rule, *params)
     write_coeffs_csv(solution, args.output)
     return EXIT_OK
 

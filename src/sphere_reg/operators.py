@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ValidationError
-from .harmonics import _associated_legendre, basis_matrix, radius_mismatch
+from .harmonics import _associated_legendre, radius_mismatch
 from .quadrature import CubatureRule
 
 
@@ -204,22 +204,20 @@ def analyze(samples: np.ndarray, rule: CubatureRule, M: int) -> HarmonicCoeffici
     return HarmonicCoefficients(M=M, radius=rule.rho, values=coeffs)
 
 
-def synthesize(
-    coeffs: HarmonicCoefficients, target: CubatureRule | np.ndarray
-) -> np.ndarray:
-    """Evaluate the represented function at points on the coefficients' sphere.
+def synthesize(coeffs: HarmonicCoefficients, target: CubatureRule) -> np.ndarray:
+    """Evaluate the represented function at the points of a rule.
 
-    ``target`` is either a CubatureRule stored ring by ring, of degree at
-    least ``coeffs.M``, or an (T, 3) array of points.  On a rule, the
+    ``target`` is a CubatureRule stored ring by ring, of degree at least
+    ``coeffs.M``, on the coefficients' sphere within 1e-9 relative.  The
     degrees' longitude spectra (_ring_spectra) are summed and one inverse
     real FFT per ring gives the values in the rule's point order, with no
-    dense basis; an array is evaluated through basis_matrix.  The rule's
-    sphere, or every row of the array, must be that of ``coeffs.radius``
-    within 1e-9 relative.
+    dense basis.  At free points, use basis_matrix(M, points, radius) @
+    values.
     """
     if not isinstance(target, CubatureRule):
-        pts = np.atleast_2d(np.asarray(target, dtype=float))
-        return basis_matrix(coeffs.M, pts, coeffs.radius) @ coeffs.values
+        raise ValidationError(
+            f"synthesize needs a CubatureRule, got {type(target).__name__}"
+        )
     if radius_mismatch(target.rho, coeffs.radius):
         raise ValidationError(
             f"rule sphere {target.rho} does not match coefficients on {coeffs.radius}"

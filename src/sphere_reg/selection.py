@@ -173,19 +173,6 @@ def sup_norm(c: HarmonicCoefficients, grid: EvalGrid) -> float:
     return float(np.max(np.abs(synthesize(c, grid._rule()))))
 
 
-def _sup_differences(fields: np.ndarray) -> np.ndarray:
-    """d_i = max_t |fields[t, i] - fields[t, i-1]| for consecutive columns."""
-    T, L = fields.shape
-    # One subtraction along the flattened table runs on contiguous memory;
-    # the step across each row's end lands in column L-1, which is dropped.
-    flat = np.ravel(fields)
-    steps = np.empty(T * L)
-    np.subtract(flat[1:], flat[:-1], out=steps[:-1])
-    np.abs(steps[:-1], out=steps[:-1])
-    # A reduction down the rows is slow for few columns; reduce along them.
-    return np.ascontiguousarray(steps.reshape(T, L)[:, :-1].T).max(axis=1)
-
-
 def _first_minimum(differences: np.ndarray) -> int:
     """Winning column: the i minimizing d_i, ties going to the smallest.
 
@@ -245,35 +232,31 @@ def _panels(n_rows: int, height: int):
         yield slice(max(0, min(start, n_rows - height)), start + height)
 
 
-def _panel_buffers(n_degrees: int) -> tuple[np.ndarray, np.ndarray]:
-    """The scratch that every product of a pass writes into.
+def _column_differences(
+    Z: np.ndarray, damping: np.ndarray, q: np.ndarray, alpha_idx, lam_idx
+) -> np.ndarray:
+    """Sup differences of adjacent columns of the fields Z @ rows.T, never built.
 
-    Zero-padded factor rows, and three flat tables for a panel's product,
-    its adjacent-column steps and their running maximum.
+    Row p is the factor row damping[lam_idx[p]] * q[alpha_idx[p]], and
+    d[p-1] = max_t |fields[t, p] - fields[t, p-1]|.  Columns go _MAX_WIDTH
+    at a time (_chunks): each chunk's rows are written into zero-padded
+    scratch and multiplied by row panels of Z (_panels), every product in
+    the shape of _product_shape.  Only the running maximum of each
+    adjacent column step is kept.  On OpenBLAS a product of that shape
+    equals its slice of the full GEMM (``sphere-reg verify`` checks
+    this), so the differences are bit-identical to those of the built
+    fields.
     """
-    return np.zeros((_MAX_WIDTH, n_degrees)), np.empty((3, _PANEL_ENTRIES))
-
-
-def _column_differences(Z: np.ndarray, rows: np.ndarray, buffers) -> np.ndarray:
-    """_sup_differences of the fields Z @ rows.T, never built.
-
-    Columns go _MAX_WIDTH at a time (_chunks) and rows in panels
-    (_panels), each product in the shape of _product_shape, written into
-    buffers (_panel_buffers).  Only the running maximum of each adjacent
-    column step is kept.  On OpenBLAS a product of that shape equals its
-    slice of the full GEMM (``sphere-reg verify`` checks this), so the
-    differences are bit-identical to those of the built fields.
-    """
-    padded, (product, steps, peak) = buffers
+    padded = np.empty((_MAX_WIDTH, q.shape[1]))
+    product, steps, peak = np.empty((3, _PANEL_ENTRIES))
     if len(Z) * _MAX_WIDTH <= _SMALL_PRODUCT:
         # Too few rows for any width: repeat them, which the maxima do not mind.
         Z = Z[np.arange(_SMALL_PRODUCT // _MAX_WIDTH + 1) % len(Z)]
-    d = np.empty(len(rows) - 1)
-    for cols in _chunks(len(rows)):
-        chunk = rows[cols]
-        c = len(chunk)
+    d = np.empty(len(alpha_idx) - 1)
+    for cols in _chunks(len(alpha_idx)):
+        c = len(alpha_idx[cols])
         height, width = _product_shape(len(Z), c)
-        padded[:c] = chunk
+        np.multiply(damping[lam_idx[cols]], q[alpha_idx[cols]], out=padded[:c])
         padded[c:width] = 0.0
         size = height * width
         out = product[:size].reshape(height, width)
@@ -293,12 +276,12 @@ def _column_differences(Z: np.ndarray, rows: np.ndarray, buffers) -> np.ndarray:
 
 
 def _pruned_quasi_optimal(
-    Z: np.ndarray, damping: np.ndarray, q: np.ndarray, buffers
+    Z: np.ndarray, damping: np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quasi-optimal winners over the fields Z @ (damping * q[j]).T, none built.
 
     Alpha j's factor rows are damping[i] * q[j].  One product over every
-    _BOUND_STRIDE-th row of Z and all n L rows, alpha-major, gives each
+    _BOUND_STRIDE-th row of Z and all n L pairs, alpha-major, gives each
     alpha's differences there, exact lower bounds on the full ones; the
     n - 1 steps from one alpha's last row to the next one's first are
     dropped.  Returns per alpha the winning row and its difference; a
@@ -315,9 +298,8 @@ def _pruned_quasi_optimal(
     n, L = len(q), len(damping)
     if L == 1:
         return np.zeros(n, dtype=int), np.full(n, math.nan)
-    # The rows are the broadcast's elementwise products, freed after the call.
     steps = _column_differences(
-        Z[::_BOUND_STRIDE], (q[:, None, :] * damping).reshape(n * L, -1), buffers
+        Z[::_BOUND_STRIDE], damping, q, *np.divmod(np.arange(n * L), L)
     )
     bounds = np.append(steps, math.nan).reshape(n, L)[:, :-1]  # no cross-alpha steps
     pending = np.ones(bounds.shape, dtype=bool)
@@ -326,8 +308,9 @@ def _pruned_quasi_optimal(
     alpha_idx, pair_idx = np.arange(n), np.argmin(bounds, axis=1)
     while alpha_idx.size:
         pending[alpha_idx, pair_idx] = False
-        rows = damping[pair_idx[:, None] + [0, 1]] * q[alpha_idx, None]
-        d = _column_differences(Z, rows.reshape(-1, q.shape[1]), buffers)
+        d = _column_differences(
+            Z, damping, q, np.repeat(alpha_idx, 2), (pair_idx[:, None] + [0, 1]).ravel()
+        )
         for j, i, dj in zip(alpha_idx.tolist(), pair_idx.tolist(), d[::2].tolist()):
             if dj < best[j] or (dj == best[j] and i + 1 < chosen[j]):
                 chosen[j], best[j] = i + 1, dj
@@ -375,8 +358,8 @@ def select_single(
             f"grid radius {grid.radius} does not match solutions on {radius}"
         )
 
-    stacked = np.column_stack([s.values for s in solutions])
-    differences = _sup_differences(grid.basis(M) @ stacked)
+    fields = grid.basis(M) @ np.column_stack([s.values for s in solutions])
+    differences = np.abs(np.diff(fields, axis=1)).max(axis=0)
     chosen = _first_minimum(differences)
     return SelectionResult(
         chosen_index=chosen,
@@ -455,12 +438,12 @@ def _nested_pass(
     """Nested quasi-optimality over the fields Z @ factors.T of every pair.
 
     Alpha j's factor rows are damping[i] * q[j] with q = a/(alpha + a^2);
-    every product builds the rows it takes with these elementwise
-    operations, and so with the same bits.  After the checks
-    (_check_candidates), _pruned_quasi_optimal picks every alpha's lambda
-    from one bound product and rounds over the whole grid, and the
-    winners' outer differences come from one chain product over their
-    factor rows.  No field is kept.  A single lambda takes the same path:
+    _column_differences builds every product's rows from the pairs'
+    indices with these elementwise operations, and so with the same bits.
+    After the checks (_check_candidates), _pruned_quasi_optimal picks
+    every alpha's lambda from one bound product and rounds over the whole
+    grid, and the winners' outer differences come from one chain product
+    over their factor rows.  No field is kept.  A single lambda takes the same path:
     each alpha's only row wins with a NaN inner difference, and no bound
     or pair product is formed.  Returns the winning alpha index and, per
     alpha, the winning lambda index, its inner difference and its outer
@@ -471,10 +454,9 @@ def _nested_pass(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = a / (alphas[:, None] + a * a)  # (n, M+1)
     _check_candidates(Z, zmax, damping, q, alphas)
-    buffers = _panel_buffers(len(a))
-    lam_idx, inner = _pruned_quasi_optimal(Z, damping, q, buffers)
+    lam_idx, inner = _pruned_quasi_optimal(Z, damping, q)
     outer = np.full(len(q), math.nan)
-    outer[1:] = _column_differences(Z, damping[lam_idx] * q, buffers)
+    outer[1:] = _column_differences(Z, damping, q, np.arange(len(q)), lam_idx)
     return _first_minimum(outer[1:]), lam_idx, inner, outer
 
 

@@ -147,7 +147,7 @@ def _check_exact_recovery(M: int) -> CheckResult:
     x = HarmonicCoefficients(
         M=M, radius=1.0, values=rng.uniform(-1.0, 1.0, (M + 1) ** 2)
     )
-    clean = synthesize(apply_forward(symbol, x), rule.points)
+    clean = synthesize(apply_forward(symbol, x), rule)
     sol = two_step_solve(
         clean,
         rule,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sphere_reg import EvalGrid, sphere_rule
+from sphere_reg import EvalGrid, basis_matrix, sphere_rule
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +34,8 @@ def rng():
 def random_directions(rng, n):
     v = rng.standard_normal((n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def at_points(c, points):
+    """The values of coefficients c at free (T, 3) points on c's sphere."""
+    return basis_matrix(c.M, points, c.radius) @ c.values

@@ -26,7 +26,6 @@ from sphere_reg import (
     smooth_oracle,
     sphere_rule,
     symbol_preset,
-    synthesize,
     two_step_solve,
 )
 from sphere_reg.cli import main
@@ -36,7 +35,7 @@ from sphere_reg.experiments import (
     run_case,
 )
 from sphere_reg.selection import default_eval_grid
-from conftest import random_directions
+from conftest import at_points, random_directions
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -127,7 +126,7 @@ def test_criterion_4_exact_recovery_limit():
         x = HarmonicCoefficients(
             M=M, radius=1.0, values=decay * rng.uniform(-1.0, 1.0, (M + 1) ** 2)
         )
-        clean = synthesize(apply_forward(sym, x), rule.points)
+        clean = at_points(apply_forward(sym, x), rule.points)
         sol = two_step_solve(
             clean,
             rule,
@@ -136,8 +135,8 @@ def test_criterion_4_exact_recovery_limit():
         )
         diff = sol - x
         err = float(
-            np.max(np.abs(synthesize(diff, grid.points)))
-            / np.max(np.abs(synthesize(x, grid.points)))
+            np.max(np.abs(at_points(diff, grid.points)))
+            / np.max(np.abs(at_points(x, grid.points)))
         )
         worst = max(worst, err)
     report(
@@ -322,7 +321,7 @@ def test_exact_recovery_sst_sgg_amplification_scaled():
         x = HarmonicCoefficients(
             M=M, radius=1.0, values=decay * rng.uniform(-1.0, 1.0, (M + 1) ** 2)
         )
-        clean = synthesize(apply_forward(sym, x), rule.points)
+        clean = at_points(apply_forward(sym, x), rule.points)
         sol = two_step_solve(
             clean,
             rule,
@@ -331,7 +330,7 @@ def test_exact_recovery_sst_sgg_amplification_scaled():
         )
         grid = default_eval_grid(M, 1.0)
         err = float(
-            np.max(np.abs(synthesize(sol - x, grid.points)))
-            / np.max(np.abs(synthesize(x, grid.points)))
+            np.max(np.abs(at_points(sol - x, grid.points)))
+            / np.max(np.abs(at_points(x, grid.points)))
         )
         assert err < 1e-13 / sym.a[-1], f"{name}: {err:.3g}"

@@ -19,7 +19,6 @@ from sphere_reg import (
     apply_forward,
     sphere_rule,
     symbol_preset,
-    synthesize,
 )
 from sphere_reg.cli import (
     EXIT_INVALID_INPUT,
@@ -37,6 +36,7 @@ from sphere_reg.cli import (
 )
 from sphere_reg.errors import ValidationError
 from sphere_reg.selection import TraceRecord
+from conftest import at_points
 
 
 def test_cli_import_leaves_scipy_out():
@@ -104,7 +104,7 @@ def make_samples(tmp_path, M=8, noise=0.0, seed=3):
     x = HarmonicCoefficients(
         M=M, radius=1.0, values=rng.uniform(-1.0, 1.0, (M + 1) ** 2)
     )
-    samples = synthesize(apply_forward(symbol, x), rule.points)
+    samples = at_points(apply_forward(symbol, x), rule.points)
     if noise:
         samples = samples + noise * rng.standard_normal(rule.n_points)
     path = tmp_path / "samples.csv"
@@ -221,8 +221,13 @@ class TestSolveCommand:
             (["--auto", "--alpha-factor", "1"], "alpha grid: "),
             (["--auto", "--lambda-count", "0"], "lambda grid: "),
             (["--alpha", "0", "--lambda", "0", "--symbol", "nope"], "symbol"),
+            (["--alpha", "-1", "--lambda", "0"], "alpha must be finite and nonnegative"),
+            (["--alpha", "0", "--lambda", "-1"], "lam must be finite and nonnegative"),
         ],
-        ids=["no-parameters", "no-lambda", "alpha-grid", "lambda-grid", "symbol"],
+        ids=[
+            "no-parameters", "no-lambda", "alpha-grid", "lambda-grid", "symbol",
+            "negative-alpha", "negative-lambda",
+        ],
     )
     def test_parameters_checked_before_the_samples_are_read(
         self, tmp_path, capsys, options, message
@@ -813,6 +818,25 @@ class TestExperimentOutputChecked:
         assert list(tmp_path.rglob("*.tmp")) == []
 
 
+    def test_output_and_plot_on_one_file_fail_before_any_trial(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Two spellings of one file: the plot would replace the results.
+        alias = f"{tmp_path}/./o.csv"
+        cfg = write_config(
+            tmp_path, f"case = fig1a\noutput = {tmp_path / 'o.csv'}\nplot = {alias}\n"
+        )
+        calls = []
+        monkeypatch.setattr(
+            sphere_reg.cli, "run_case", lambda case: calls.append(case) or []
+        )
+        assert main(["experiment", str(cfg)]) == EXIT_INVALID_INPUT
+        assert calls == []
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: 'output' and 'plot' name the same file: {alias}"
+        assert not (tmp_path / "o.csv").exists()
+
+
 class TestSolveOutputChecked:
     @staticmethod
     def solve(samples, *flags):
@@ -836,6 +860,21 @@ class TestSolveOutputChecked:
         assert calls == []
         [line] = capsys.readouterr().err.splitlines()
         assert line == f"error: cannot write {bad}: No such file or directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["samples.csv"]
+
+    def test_output_and_trace_on_one_file_rejected(self, tmp_path, capsys, monkeypatch):
+        # Two spellings of one file: the trace would replace the coefficients.
+        samples, _, _ = make_samples(tmp_path, M=4)
+        calls = []
+        monkeypatch.setattr(
+            sphere_reg.cli, "read_samples_csv", lambda *args: calls.append(args)
+        )
+        same, alias = tmp_path / "same.csv", f"{tmp_path}/./same.csv"
+        flags = ["--auto", "--trace", alias, "-o", str(same)]
+        assert self.solve(samples, *flags) == EXIT_INVALID_INPUT
+        assert calls == []
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: -o and --trace name the same file: {alias}"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["samples.csv"]
 
     def test_trace_without_auto_rejected(self, tmp_path, capsys):
@@ -952,7 +991,7 @@ def refuse_dense_basis(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense basis built")
 
-    for module in (sphere_reg.harmonics, sphere_reg.operators, sphere_reg.selection):
+    for module in (sphere_reg.harmonics, sphere_reg.selection):
         monkeypatch.setattr(module, "basis_matrix", refuse)
     # No grid or rule cached by an earlier test, whatever it holds.
     sphere_reg.selection.default_eval_grid.cache_clear()

@@ -18,9 +18,9 @@ from sphere_reg import (
     smooth,
     sphere_rule,
     symbol_preset,
-    synthesize,
     two_step_solve,
 )
+from conftest import at_points
 
 
 def unit_beta(M):
@@ -127,7 +127,7 @@ class TestTwoStepSolve:
         rule = sphere_rule(M, 1.0)
         sym = symbol_preset("geometric(1.48)", 1.0, 1.0, M)
         x = HarmonicCoefficients(M=M, radius=1.0, values=rng.uniform(-1, 1, 121))
-        clean = synthesize(apply_forward(sym, x), rule.points)
+        clean = at_points(apply_forward(sym, x), rule.points)
         sol = two_step_solve(
             clean,
             rule,

@@ -16,6 +16,7 @@ from sphere_reg import (
     synthesize,
 )
 from sphere_reg.operators import _ring_legendre
+from conftest import at_points
 
 FOUR_PI = 4.0 * math.pi
 
@@ -60,7 +61,7 @@ class TestAnalyze:
         rule = sphere_rule(6, rho)
         target = HarmonicCoefficients(M=6, radius=rho, values=np.zeros(49))
         target.values[4 * 4 + 2 - 1] = 1.0
-        samples = synthesize(target, rule.points)
+        samples = at_points(target, rule.points)
         c = analyze(samples, rule, 6)
         expected = np.zeros(49)
         expected[4 * 4 + 2 - 1] = 1.0
@@ -72,7 +73,7 @@ class TestAnalyze:
         values = rng.standard_normal((100, (M + 1) ** 2))
         for i in range(100):
             coeffs = HarmonicCoefficients(M=M, radius=1.0, values=values[i])
-            back = analyze(synthesize(coeffs, rule.points), rule, M)
+            back = analyze(at_points(coeffs, rule.points), rule, M)
             assert np.max(np.abs(back.values - coeffs.values)) < 1e-9
 
     def test_requires_exact_rule(self):
@@ -90,19 +91,24 @@ class TestSynthesize:
     def test_constant(self):
         c = HarmonicCoefficients(M=2, radius=1.0, values=np.zeros(9))
         c.values[0] = math.sqrt(FOUR_PI)
-        pts = sphere_rule(2, 1.0).points
-        np.testing.assert_allclose(synthesize(c, pts), np.ones(len(pts)), atol=1e-12)
+        rule = sphere_rule(2, 1.0)
+        np.testing.assert_allclose(synthesize(c, rule), np.ones(rule.n_points), atol=1e-12)
 
     def test_zero_coefficients(self):
         c = HarmonicCoefficients(M=3, radius=1.0, values=np.zeros(16))
-        pts = sphere_rule(1, 1.0).points
-        np.testing.assert_array_equal(synthesize(c, pts), np.zeros(len(pts)))
+        rule = sphere_rule(3, 1.0)
+        np.testing.assert_array_equal(synthesize(c, rule), np.zeros(rule.n_points))
 
     def test_radius_mismatch(self):
         c = HarmonicCoefficients(M=1, radius=1.0, values=np.zeros(4))
-        pts = sphere_rule(1, 2.0).points
         with pytest.raises(ValidationError):
-            synthesize(c, pts)
+            synthesize(c, sphere_rule(1, 2.0))
+
+    def test_point_array_rejected(self):
+        # Free points go through basis_matrix; synthesize takes a rule only.
+        c = HarmonicCoefficients(M=1, radius=1.0, values=np.ones(4))
+        with pytest.raises(ValidationError, match="CubatureRule"):
+            synthesize(c, sphere_rule(1, 1.0).points)
 
 
 # (rule degree, analysis degree, rho): analysis at and below the rule's degree.
@@ -146,7 +152,7 @@ class TestRingTransforms:
         c = HarmonicCoefficients(
             M=M, radius=rho, values=rng.standard_normal((M + 1) ** 2)
         )
-        dense = synthesize(c, rule.points)
+        dense = at_points(c, rule.points)
         ringed = synthesize(c, rule)
         assert ringed.shape == (rule.n_points,)
         assert np.max(np.abs(ringed - dense)) <= 1e-13 * np.max(np.abs(dense))

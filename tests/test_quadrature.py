@@ -10,8 +10,8 @@ from sphere_reg import (
     basis_matrix,
     gauss_legendre,
     sphere_rule,
-    synthesize,
 )
+from conftest import at_points
 
 
 class TestGaussLegendre:
@@ -76,7 +76,7 @@ class TestSphereRule:
             coeffs = HarmonicCoefficients(
                 M=2 * M, radius=rho, values=rng.standard_normal((2 * M + 1) ** 2)
             )
-            samples = synthesize(coeffs, rule.points)
+            samples = at_points(coeffs, rule.points)
             expected = coeffs.values[0] * rho * math.sqrt(4.0 * math.pi)
             assert rule.weights @ samples == pytest.approx(
                 expected, abs=1e-9 * max(1.0, abs(expected))
@@ -89,8 +89,8 @@ class TestSphereRule:
         )
         coarse = sphere_rule(M, rho)
         fine = sphere_rule(M + 5, rho)
-        i_coarse = coarse.weights @ synthesize(coeffs, coarse.points)
-        i_fine = fine.weights @ synthesize(coeffs, fine.points)
+        i_coarse = coarse.weights @ at_points(coeffs, coarse.points)
+        i_fine = fine.weights @ at_points(coeffs, fine.points)
         assert i_coarse == pytest.approx(i_fine, abs=1e-10)
 
     def test_positivity_large_degree(self):

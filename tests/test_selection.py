@@ -46,14 +46,13 @@ from sphere_reg.selection import (
     _column_differences,
     _first_minimum,
     _nested_pass,
-    _panel_buffers,
     _panels,
     _product_shape,
     _pruned_quasi_optimal,
-    _sup_differences,
     grid_values,
 )
 from sphere_reg.verify import _stacked_product
+from conftest import at_points
 
 
 def linear_beta(M):
@@ -165,6 +164,11 @@ class TestSupNorm:
         assert grid._basis == {}
 
 
+def sup_differences(fields):
+    """d_i = max_t |fields[t, i] - fields[t, i-1]| for consecutive columns."""
+    return np.abs(np.diff(fields, axis=1)).max(axis=0)
+
+
 def quasi_optimal(fields):
     """Quasi-optimal column of a (T, L) table of fields, ascending parameter.
 
@@ -172,7 +176,7 @@ def quasi_optimal(fields):
     every difference d_i, i = 1..L-1.  A single column wins with no
     differences.
     """
-    differences = _sup_differences(fields)
+    differences = sup_differences(fields)
     return _first_minimum(differences), differences
 
 
@@ -210,7 +214,7 @@ def kernel(Z, L):
     n = Z.shape[1] // L
     damping = np.tile(np.eye(L), n)
     q = np.repeat(np.eye(n), L, axis=1)
-    return _pruned_quasi_optimal(Z, damping, q, _panel_buffers(n * L))
+    return _pruned_quasi_optimal(Z, damping, q)
 
 
 def few_row_kernel(Z, L):
@@ -235,7 +239,7 @@ def pruned(fields):
 
 def evaluation_order(fields):
     """Pair order of the pruned pass: ascending subsample bound."""
-    return np.argsort(_sup_differences(fields[::_BOUND_STRIDE])).tolist()
+    return np.argsort(sup_differences(fields[::_BOUND_STRIDE])).tolist()
 
 
 def assert_pruned_matches_dense(fields):
@@ -411,10 +415,10 @@ class TestPrunedQuasiOptimal:
         widths = []
         real = selection._column_differences
 
-        def record(Z, rows, buffers):
+        def record(Z, damping, q, alpha_idx, lam_idx):
             if len(Z) == 40:
-                widths.append(len(rows))
-            return real(Z, rows, buffers)
+                widths.append(len(alpha_idx))
+            return real(Z, damping, q, alpha_idx, lam_idx)
 
         with mock.patch.object(selection, "_column_differences", record):
             chosen, best = kernel(Z, 121)
@@ -505,9 +509,9 @@ def make_problem(M=6, seed=7, noise=0.05):
         values=rng.uniform(-1, 1, (M + 1) ** 2)
         * np.repeat((np.arange(M + 1.0) + 0.5) ** -1.5, 2 * np.arange(M + 1) + 1),
     )
-    from sphere_reg import apply_forward, synthesize
+    from sphere_reg import apply_forward
 
-    clean = synthesize(apply_forward(symbol, x), rule.points)
+    clean = at_points(apply_forward(symbol, x), rule.points)
     noisy = clean + noise * rng.standard_normal(rule.n_points)
     grid = EvalGrid(sphere_rule(2 * M, 1.0))
     return rule, symbol, beta, noisy, grid
@@ -595,6 +599,7 @@ def recorded_products(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid
     """(Z, row stride, factor rows) of every product select_two_step forms.
 
     Z is the call's field sums in full; the product's rows are Z[::stride].
+    Its factor rows are rebuilt from the kernel's arguments.
     """
     M = rule.M
     coeffs = analyze(samples, rule, M)
@@ -602,11 +607,11 @@ def recorded_products(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid
     products = []
     real = selection._column_differences
 
-    def record(rows_of_z, rows, buffers):
+    def record(rows_of_z, damping, q, alpha_idx, lam_idx):
         stride = _BOUND_STRIDE if len(rows_of_z) < len(Z) else 1
         assert np.array_equal(rows_of_z, Z[::stride])
-        products.append((Z, stride, rows.copy()))
-        return real(rows_of_z, rows, buffers)
+        products.append((Z, stride, damping[lam_idx] * q[alpha_idx]))
+        return real(rows_of_z, damping, q, alpha_idx, lam_idx)
 
     with mock.patch.object(selection, "_column_differences", record):
         select_two_step(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid)
@@ -625,9 +630,11 @@ def assert_products_are_gemm_slices(products):
         padded[: len(rows)] = rows
         full = (Z @ padded.T)[::stride, : len(rows)]
         np.testing.assert_array_equal(_stacked_product(Z[::stride], rows), full)
+        # The kernel takes the rows as damping rows of one all-ones q row.
+        ones, n = np.ones((1, rows.shape[1])), len(rows)
         np.testing.assert_array_equal(
-            _column_differences(Z[::stride], rows, _panel_buffers(rows.shape[1])),
-            _sup_differences(full),
+            _column_differences(Z[::stride], rows, ones, np.zeros(n, int), np.arange(n)),
+            sup_differences(full),
         )
 
 
@@ -1078,6 +1085,25 @@ class TestNonFiniteSelection:
 
 
 class TestStreamedSweepMemory:
+    def test_nested_pass_peak_is_below_the_stacked_bound_rows(self):
+        # The bound product's n L factor rows are built a chunk at a time in
+        # the kernel: a warm nested pass at the figure-1 shape peaks below
+        # the n L (M+1) doubles of those rows stacked.
+        samples, rule, symbol, beta, alpha_grid, lambda_grid, grid = figure1_trial()
+        M = rule.M
+        coeffs = analyze(samples, rule, M)
+        Z = grid.degree_fields(coeffs.scaled_by_degree(np.ones(M + 1), radius=symbol.R))
+        alphas, lambdas = grid_values(alpha_grid), grid_values(lambda_grid)
+        args = Z, np.abs(Z).max(axis=0), symbol.a[: M + 1], beta.beta[: M + 1]
+        _nested_pass(*args, alphas, lambdas)
+        tracemalloc.start()
+        try:
+            _nested_pass(*args, alphas, lambdas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(alphas) * len(lambdas) * (M + 1) * 8
+
     def test_sweep_leaves_the_dense_basis_unbuilt(self):
         rule, symbol, beta, noisy, grid = make_problem(seed=37)
         select_two_step(noisy, rule, symbol, beta, [0.0, 1e-3], [0.0, 1e-3], grid)

@@ -13,9 +13,8 @@ from sphere_reg import (
     smooth,
     smooth_oracle,
     sphere_rule,
-    synthesize,
 )
-from conftest import random_directions
+from conftest import at_points, random_directions
 
 FOUR_PI = 4.0 * math.pi
 
@@ -30,7 +29,7 @@ def linear_beta(M):
 
 def objective(samples, rule, params, coeffs):
     """The penalized functional: weighted misfit plus the kernel-space norm."""
-    fitted = synthesize(coeffs, rule.points)
+    fitted = at_points(coeffs, rule.points)
     misfit = float(rule.weights @ (fitted - samples) ** 2)
     b = params.beta.beta[: coeffs.M + 1]
     per_entry = np.repeat(b * b, 2 * np.arange(coeffs.M + 1) + 1)
@@ -84,7 +83,7 @@ class TestKernel:
         ) * basis_matrix(M, tau, rho)[0]
         b2 = np.repeat(beta.beta**2.0, 2 * np.arange(M + 1) + 1)
         inner = float(np.sum(b2 * p.values * kernel_coeffs))
-        value = float(synthesize(p, tau)[0])
+        value = float(at_points(p, tau)[0])
         assert inner == pytest.approx(value, abs=1e-10)
 
 
@@ -134,7 +133,7 @@ class TestSmoothOracle:
         M = 5
         rule = sphere_rule(M, 1.0)
         coeffs = HarmonicCoefficients(M=M, radius=1.0, values=rng.standard_normal(36))
-        samples = synthesize(coeffs, rule.points)
+        samples = at_points(coeffs, rule.points)
         out = smooth_oracle(samples, rule, SmoothingParams(0.0, linear_beta(M)))
         np.testing.assert_allclose(out.values, coeffs.values, atol=1e-9)
 
