@@ -138,10 +138,52 @@ def write_samples_csv(path: str, rule: CubatureRule, samples: np.ndarray) -> Non
 
 
 def read_samples_csv(path: str, rule: CubatureRule) -> np.ndarray:
-    """Read a sample file: finite values on the rule's points, in rule order."""
+    """Read a sample file: finite values on the rule's points, in rule order.
+
+    A file of exactly one header and the rule's rows, none empty, is
+    parsed in one vectorized call (np.loadtxt skips empty lines).  Any
+    other file, or one whose parse or checks fail, goes through the line
+    scan (_scan_samples), which names its first failing line; both give
+    the values of Python's float().
+    """
     lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != "x,y,z,value":
         raise ValidationError(f"{path}: line 1: expected header 'x,y,z,value'")
+    table = None
+    if len(lines) == rule.n_points + 1 and "" not in lines:
+        try:
+            table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if table is None or table.shape != (rule.n_points, 4) or _first_bad_row(table, rule):
+        table = _scan_samples(path, lines, rule)
+    return table[:, 3].copy()
+
+
+def _first_bad_row(table: np.ndarray, rule: CubatureRule) -> tuple[int, str] | None:
+    """(index, reason) of the first row off the rule's points or with a non-finite value.
+
+    A point mismatch on a row comes before its non-finite value.
+    """
+    tol = _POINT_MATCH_TOL * max(1.0, rule.rho)
+    off_rule = ~(
+        np.max(np.abs(table[:, :3] - rule.points[: len(table)]), axis=1) <= tol
+    )
+    bad = np.flatnonzero(off_rule | ~np.isfinite(table[:, 3]))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    if off_rule[i]:
+        return i, f"point does not match the canonical rule point {i}"
+    return i, "non-finite sample value"
+
+
+def _scan_samples(path: str, lines: list[str], rule: CubatureRule) -> np.ndarray:
+    """The (n_points, 4) table of a sample file's lines, scanned line by line.
+
+    Raises ValidationError naming the earliest failing file line: a wrong
+    row count, a malformed row, a point off the rule or a non-finite value.
+    """
     # (file line number, text) of every nonblank data row.
     rows = [(n, ln) for n, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(rows) != rule.n_points:
@@ -150,8 +192,7 @@ def read_samples_csv(path: str, rule: CubatureRule) -> np.ndarray:
             f"got {len(rows)}"
         )
     # Parse up to the first malformed row, then check the parsed rows' points
-    # and values in one pass; the earliest failing line is reported, and on
-    # one line a point mismatch comes before a non-finite value.
+    # and values in one pass.
     parsed, malformed = [], None
     for lineno, ln in rows:
         parts = ln.split(",")
@@ -164,21 +205,12 @@ def read_samples_csv(path: str, rule: CubatureRule) -> np.ndarray:
             malformed = (lineno, "non-numeric field")
             break
     table = np.array(parsed, dtype=float).reshape(-1, 4)
-    tol = _POINT_MATCH_TOL * max(1.0, rule.rho)
-    off_rule = ~(
-        np.max(np.abs(table[:, :3] - rule.points[: len(table)]), axis=1) <= tol
-    )
-    bad = np.flatnonzero(off_rule | ~np.isfinite(table[:, 3]))
-    if bad.size:
-        i = int(bad[0])
-        if off_rule[i]:
-            reason = f"point does not match the canonical rule point {i}"
-        else:
-            reason = "non-finite sample value"
-        raise ValidationError(f"{path}: line {rows[i][0]}: {reason}")
+    bad = _first_bad_row(table, rule)
+    if bad is not None:
+        raise ValidationError(f"{path}: line {rows[bad[0]][0]}: {bad[1]}")
     if malformed is not None:
         raise ValidationError(f"{path}: line {malformed[0]}: {malformed[1]}")
-    return table[:, 3].copy()
+    return table
 
 
 def write_coeffs_csv(coeffs: HarmonicCoefficients, path: str) -> None:

@@ -32,7 +32,7 @@ from .selection import (
     default_eval_grid,
     grid_values,
     select_two_step,
-    sup_norm,
+    sup_norms,
 )
 from .smoothing import PenaltyWeights
 
@@ -175,20 +175,26 @@ def simulate_problem(case: ExperimentCase, trial_seed: int):
 
 
 def relative_sup_error(
-    x_true: HarmonicCoefficients,
-    x_approx: HarmonicCoefficients,
-    eval_grid,
-    true_sup: float | None = None,
+    x_true: HarmonicCoefficients, x_approx: HarmonicCoefficients, eval_grid
 ) -> float:
-    """sup|x_true - x_approx| / sup|x_true| over the grid.
+    """sup|x_true - x_approx| / sup|x_true| over the grid."""
+    return float(relative_sup_errors(x_true, [x_approx], eval_grid)[0])
 
-    ``true_sup``, when given, is sup_norm(x_true, eval_grid), computed once
-    by a caller that compares several approximations with one truth.
+
+def relative_sup_errors(
+    x_true: HarmonicCoefficients,
+    approximations: Sequence[HarmonicCoefficients],
+    eval_grid,
+) -> np.ndarray:
+    """relative_sup_error of each approximation, from one batched synthesis.
+
+    The sup norms of x_true and of every x_true - x come from one
+    sup_norms call, so each entry has the bits of a separate call.
     """
-    denom = sup_norm(x_true, eval_grid) if true_sup is None else true_sup
-    if denom == 0.0:
+    norms = sup_norms([x_true, *(x_true - x for x in approximations)], eval_grid)
+    if norms[0] == 0.0:
         raise ValidationError("true solution has zero sup norm")
-    return sup_norm(x_true - x_approx, eval_grid) / denom
+    return norms[1:] / norms[0]
 
 
 def run_case(case: ExperimentCase) -> list[TrialResult]:
@@ -210,15 +216,13 @@ def run_case(case: ExperimentCase) -> list[TrialResult]:
             noisy, rule, symbol, beta, case.alpha_grid, case.lambda_grid, grid
         )
         picks = (chosen, chosen.smoothing_only, chosen.collocation_only)
-        true_sup = sup_norm(x_true, grid)
-        for method, pick in zip(METHODS, picks):
+        errors = relative_sup_errors(x_true, [p.solution for p in picks], grid)
+        for method, pick, error in zip(METHODS, picks, errors.tolist()):
             results.append(
                 TrialResult(
                     trial=t,
                     method=method,
-                    relative_error=relative_sup_error(
-                        x_true, pick.solution, grid, true_sup
-                    ),
+                    relative_error=error,
                     chosen_alpha=float(pick.alpha),
                     chosen_lambda=float(pick.lam),
                 )

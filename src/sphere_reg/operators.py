@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -112,7 +112,7 @@ def _ring_legendre(rule: CubatureRule, M: int) -> list[np.ndarray]:
     Entry k is the (rings, k+1) table of _associated_legendre at the polar
     cosine and sine of each ring, taken from its phi = 0 point.  Raises
     ValidationError unless the rule has the 2(rule.M + 1)^2 points of
-    sphere_rule's rings, n_phi = 2(rule.M + 1) to a ring.
+    sphere_rule's rings, n_phi = 2(rule.M + 1) to a ring, and M <= rule.M.
     """
     n_phi = 2 * (rule.M + 1)
     if rule.n_points != n_phi * (rule.M + 1):
@@ -120,6 +120,8 @@ def _ring_legendre(rule: CubatureRule, M: int) -> list[np.ndarray]:
             f"rule of degree {rule.M} has {rule.n_points} points, not the "
             f"{n_phi * (rule.M + 1)} of its rings"
         )
+    if M > rule.M:
+        raise ValidationError(f"degree {M} exceeds the rule's degree {rule.M}")
     tables = rule._cache.get(M)
     if tables is None:
         first = rule.points[::n_phi] / rule.rho
@@ -130,31 +132,50 @@ def _ring_legendre(rule: CubatureRule, M: int) -> list[np.ndarray]:
     return tables
 
 
-def _ring_spectra(
-    coeffs: HarmonicCoefficients, rule: CubatureRule
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (k, X) for k = 0..M, X the longitude spectra of degree k's part.
+def _ring_dft(rule: CubatureRule, M: int) -> np.ndarray:
+    """(n_phi, 2M+1) table [1 | 2 cos(m phi_l) | 2 sin(m phi_l)], m = 1..M.
 
-    The rule's points are rings of n_phi = 2(rule.M + 1) longitudes
-    phi_l = 2 pi l / n_phi, so on ring r, sum_j c_{k,j} Y_{k,j} is
-    irfft(X[r], n_phi, norm="forward") for the (rings, n_phi/2 + 1) table
-    X[:, 0] = Q_k^0 c_{k,0}, X[:, m] = Q_k^m (c_{k,m} - i c_{k,-m}) / sqrt(2)
-    for 0 < m <= k, and 0 above k.  norm="forward" leaves that inverse
-    unscaled, so nothing is multiplied by n_phi and can overflow.  One
-    buffer is refilled for every degree; callers must not keep it.
+    phi_l = 2 pi l / n_phi are the longitudes of the rule's rings; the
+    table is memoized in the rule beside its Legendre tables.  Its
+    product with a ring's order coefficients is the real inverse DFT that
+    irfft(..., norm="forward") computes, for orders up to M < n_phi / 2.
     """
-    M = coeffs.M
-    if M > rule.M:
-        raise ValidationError(f"degree {M} exceeds the rule's degree {rule.M}")
+    key = ("dft", M)
+    table = rule._cache.get(key)
+    if table is None:
+        n_phi = 2 * (rule.M + 1)
+        # Reduced mod n_phi, so every angle is below 2 pi.
+        turns = np.outer(np.arange(n_phi), np.arange(1, M + 1)) % n_phi
+        angles = (2 * math.pi / n_phi) * turns
+        table = np.hstack((np.ones((n_phi, 1)), 2 * np.cos(angles), 2 * np.sin(angles)))
+        rule._cache[key] = table
+    return table
+
+
+def _ring_spectra(
+    values: np.ndarray, M: int, rule: CubatureRule
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (k, X) for k = 0..M, X the longitude spectra of degree k's parts.
+
+    ``values`` is a (B, (M+1)^2) stack of coefficient arrays, and X[b] is
+    set b's (rings, n_phi/2 + 1) table.  The rule's points are rings of
+    n_phi = 2(rule.M + 1) longitudes phi_l = 2 pi l / n_phi, so on ring r,
+    sum_j c_{k,j} Y_{k,j} is irfft(X[b, r], n_phi, norm="forward") for
+    X[b, :, 0] = Q_k^0 c_{k,0}, X[b, :, m] = Q_k^m (c_{k,m} - i c_{k,-m}) / sqrt(2)
+    for 0 < m <= k, and 0 above k.  norm="forward" leaves that inverse
+    unscaled, so nothing is multiplied by n_phi and can overflow.  Each
+    set's entries take the same operations whatever B is.  One buffer is
+    refilled for every degree; callers must not keep it.
+    """
     tables = _ring_legendre(rule, M)
-    X = np.zeros((tables[0].shape[0], rule.M + 2), dtype=complex)
+    X = np.zeros((len(values), tables[0].shape[0], rule.M + 2), dtype=complex)
     half_sqrt2 = math.sqrt(2.0) / 2
     for k, Q in enumerate(tables):
-        row = coeffs.row(k)
-        X[:, 0] = Q[:, 0] * row[k]
+        row = values[:, k * k : (k + 1) * (k + 1)]
+        X[:, :, 0] = Q[:, 0] * row[:, k : k + 1]
         if k:
-            orders = half_sqrt2 * (row[k + 1 :] - 1j * row[k - 1 :: -1])
-            np.multiply(Q[:, 1:], orders, out=X[:, 1 : k + 1])
+            orders = half_sqrt2 * (row[:, k + 1 :] - 1j * row[:, k - 1 :: -1])
+            np.multiply(Q[:, 1:], orders[:, None, :], out=X[:, :, 1 : k + 1])
         yield k, X
 
 
@@ -211,23 +232,40 @@ def synthesize(coeffs: HarmonicCoefficients, target: CubatureRule) -> np.ndarray
     ``coeffs.M``, on the coefficients' sphere within 1e-9 relative.  The
     degrees' longitude spectra (_ring_spectra) are summed and one inverse
     real FFT per ring gives the values in the rule's point order, with no
-    dense basis.  At free points, use basis_matrix(M, points, radius) @
-    values.
+    dense basis.  This is synthesize_stack's one-set case.  At free points,
+    use basis_matrix(M, points, radius) @ values.
+    """
+    return synthesize_stack([coeffs], target)[0]
+
+
+def synthesize_stack(
+    stack: Sequence[HarmonicCoefficients], target: CubatureRule
+) -> np.ndarray:
+    """(B, T) values of B coefficient sets of one degree and radius at a rule's points.
+
+    Row b equals synthesize(stack[b], target) bit for bit: every set takes
+    the same multiplies, the same in-order sum over degrees and the same
+    inverse FFT per ring, only batched.
     """
     if not isinstance(target, CubatureRule):
         raise ValidationError(
             f"synthesize needs a CubatureRule, got {type(target).__name__}"
         )
-    if radius_mismatch(target.rho, coeffs.radius):
+    M, radius = stack[0].M, stack[0].radius
+    for c in stack:
+        if c.M != M or radius_mismatch(c.radius, radius):
+            raise ValidationError("coefficient sets must share degree and radius")
+    if radius_mismatch(target.rho, radius):
         raise ValidationError(
-            f"rule sphere {target.rho} does not match coefficients on {coeffs.radius}"
+            f"rule sphere {target.rho} does not match coefficients on {radius}"
         )
     n_phi = 2 * (target.M + 1)
-    spectra = np.zeros((target.M + 1, n_phi // 2 + 1), dtype=complex)
-    for k, X in _ring_spectra(coeffs, target):
-        spectra[:, : k + 1] += X[:, : k + 1]
-    values = np.fft.irfft(spectra, n=n_phi, axis=1, norm="forward")
-    return values.reshape(-1) / coeffs.radius
+    values = np.stack([c.values for c in stack])
+    spectra = np.zeros((len(stack), target.M + 1, n_phi // 2 + 1), dtype=complex)
+    for k, X in _ring_spectra(values, M, target):
+        spectra[:, :, : k + 1] += X[:, :, : k + 1]
+    fields = np.fft.irfft(spectra, n=n_phi, axis=-1, norm="forward")
+    return fields.reshape(len(stack), -1) / radius
 
 
 def apply_forward(

@@ -23,9 +23,10 @@ from .harmonics import basis_matrix, radius_mismatch
 from .operators import (
     HarmonicCoefficients,
     SphericalSymbol,
-    _ring_spectra,
+    _ring_dft,
+    _ring_legendre,
     analyze,
-    synthesize,
+    synthesize_stack,
 )
 from .quadrature import CubatureRule, sphere_rule
 from .smoothing import PenaltyWeights, SmoothingParams
@@ -86,13 +87,17 @@ def grid_values(g) -> np.ndarray:
     return values
 
 
+#: Rings per product of EvalGrid.degree_fields.
+_RING_BLOCK = 16
+
+
 class EvalGrid:
     """Point grid for uniform-norm estimates.
 
     Built from a CubatureRule (the rule's points, ring by ring) or from a
     plain (T, 3) array of points on a common sphere.  ``sup_norm`` and
-    ``degree_fields`` run longitude FFTs along the rule's rings, so they
-    need a rule-backed grid and never build a dense basis.  The dense
+    ``degree_fields`` transform along the rule's rings in longitude, so
+    they need a rule-backed grid and never build a dense basis.  The dense
     (T, (M+1)^2) synthesis matrix of ``basis`` is built on its first call
     for a degree and cached; only ``select_single``, which also accepts
     the array form for point clouds, uses it.
@@ -133,17 +138,38 @@ class EvalGrid:
         """Per-degree partial sums of the synthesis, shape (T, M+1).
 
         Column k holds sum_j c_{k,j} (1/radius) Y_{k,j}; any per-degree
-        rescaling of the coefficients then synthesizes as Z @ factors.  Per
-        degree, one inverse real FFT along each ring of the rule turns that
-        degree's longitude spectra (operators._ring_spectra) into the
-        column: O(T) working memory per degree, and no dense basis.
+        rescaling of the coefficients then synthesizes as Z @ factors.  On
+        ring r of the rule, the ring's rows of Z are C @ S_r, one real
+        inverse DFT per column: C is the rule's (n_phi, 2M+1) table
+        [1 | 2 cos(m phi_l) | 2 sin(m phi_l)] (operators._ring_dft), and
+        column k of S_r holds Q_k^0 c_{k,0} and Q_k^m c_{k,+-m} / sqrt(2)
+        for 0 < m <= k, from the rule's Legendre tables, so nothing is
+        multiplied by sqrt(2) before the sum.  One product per block of
+        _RING_BLOCK rings writes the block's rows of Z in place: O(T M^2)
+        work in few passes, and no dense basis.
         """
         rule = self._rule()
-        n_phi = 2 * (rule.M + 1)
-        Z = np.empty((self.n_points, coeffs.M + 1))
-        for k, X in _ring_spectra(coeffs, rule):
-            ring_values = np.fft.irfft(X, n=n_phi, axis=1, norm="forward")
-            np.divide(ring_values.reshape(-1), self.radius, out=Z[:, k])
+        M = coeffs.M
+        tables = _ring_legendre(rule, M)
+        dft = _ring_dft(rule, M)
+        rings, n_phi = len(tables[0]), len(dft)
+        half_sqrt2 = math.sqrt(2.0) / 2
+        # Per degree k, the order coefficients of the cosine rows (m = 0..k)
+        # and of the sine rows (m = 1..k).
+        rows = [coeffs.row(k) for k in range(M + 1)]
+        cosines = [np.append(r[k], half_sqrt2 * r[k + 1 :]) for k, r in enumerate(rows)]
+        sines = [half_sqrt2 * r[:k][::-1] for k, r in enumerate(rows)]
+        Z = np.empty((rings * n_phi, M + 1))
+        by_ring = Z.reshape(rings, n_phi, M + 1)
+        S = np.zeros((_RING_BLOCK, 2 * M + 1, M + 1))  # orders above k stay 0
+        for start in range(0, rings, _RING_BLOCK):
+            block = slice(start, min(start + _RING_BLOCK, rings))
+            Sb = S[: block.stop - start]
+            for k, Q in enumerate(tables):
+                np.multiply(Q[block], cosines[k], out=Sb[:, : k + 1, k])
+                np.multiply(Q[block, 1:], sines[k], out=Sb[:, M + 1 : M + 1 + k, k])
+            np.matmul(dft, Sb, out=by_ring[block])
+        np.divide(Z, self.radius, out=Z)
         return Z
 
     def _rule(self) -> CubatureRule:
@@ -168,9 +194,18 @@ def sup_norm(c: HarmonicCoefficients, grid: EvalGrid) -> float:
     """Max of |synthesized function| over the grid; approximates the sup norm.
 
     The grid must be rule-backed and on the coefficients' sphere: the
-    values come from synthesize on the grid's rule, one inverse FFT per ring.
+    values come from synthesize on the grid's rule, one inverse FFT per
+    ring.  This is sup_norms' one-set case.
     """
-    return float(np.max(np.abs(synthesize(c, grid._rule()))))
+    return float(sup_norms([c], grid)[0])
+
+
+def sup_norms(stack: Sequence[HarmonicCoefficients], grid: EvalGrid) -> np.ndarray:
+    """sup_norm of each coefficient set, from one batched ring synthesis.
+
+    Entry b equals sup_norm(stack[b], grid) bit for bit (synthesize_stack).
+    """
+    return np.max(np.abs(synthesize_stack(stack, grid._rule())), axis=1)
 
 
 def _first_minimum(differences: np.ndarray) -> int:
@@ -392,8 +427,10 @@ class ParameterPick:
 class TwoStepSelection(ParameterPick):
     """The nested pick, the per-alpha trace, and both one-parameter picks.
 
-    ``smoothing_only`` is quasi-optimality over lambda at alpha = 0;
-    ``collocation_only`` is quasi-optimality over alpha at lambda = 0.
+    ``smoothing_only`` is quasi-optimality over lambda at alpha = 0, the
+    nested pass's inner pick on its alpha = 0 row; ``collocation_only`` is
+    quasi-optimality over alpha at lambda = 0, the same pass's outer pick
+    over its lambda = 0 rows.
     """
 
     smoothing_only: ParameterPick
@@ -433,31 +470,47 @@ def _check_candidates(
 
 
 def _nested_pass(
-    Z: np.ndarray, zmax: np.ndarray, a: np.ndarray, b: np.ndarray, alphas, lambdas
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    Z: np.ndarray, zmax: np.ndarray, a: np.ndarray, b: np.ndarray, alphas, lambdas,
+    first: int = 0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nested quasi-optimality over the fields Z @ factors.T of every pair.
 
     Alpha j's factor rows are damping[i] * q[j] with q = a/(alpha + a^2);
     _column_differences builds every product's rows from the pairs'
     indices with these elementwise operations, and so with the same bits.
-    After the checks (_check_candidates), _pruned_quasi_optimal picks
+    After the checks (_check_candidates: every pair, then the lambda = 0
+    rows of the outer alphas, alphas[first:]), _pruned_quasi_optimal picks
     every alpha's lambda from one bound product and rounds over the whole
-    grid, and the winners' outer differences come from one chain product
-    over their factor rows.  No field is kept.  A single lambda takes the same path:
-    each alpha's only row wins with a NaN inner difference, and no bound
-    or pair product is formed.  Returns the winning alpha index and, per
-    alpha, the winning lambda index, its inner difference and its outer
-    difference (NaN for the first alpha).
+    grid.  One chain product over the outer alphas' winner rows followed
+    by their lambda = 0 rows gives both outer passes' differences; the
+    step between the two chains is dropped.  A lambda grid without 0 takes
+    its damping row 1/(1 + 0 b^2), exactly 1 where b^2 is finite.  No
+    field is kept.  A single lambda takes the same path: each alpha's only
+    row wins with a NaN inner difference, and no bound or pair product is
+    formed.  Returns per alpha the winning lambda index and its inner
+    difference, and per outer alpha the outer differences of the winners
+    and of the lambda = 0 rows (NaN for the first).
     """
-    damping = 1.0 / (1.0 + np.outer(lambdas, b * b))  # (L, M+1)
+    lambdas = np.asarray(lambdas, dtype=float)
+    shift = int(lambdas[0] != 0)  # rows of damping before lambdas[0]
+    damping = 1.0 / (1.0 + np.outer(np.append(np.zeros(shift), lambdas), b * b))
     alphas = np.asarray(alphas, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = a / (alphas[:, None] + a * a)  # (n, M+1)
-    _check_candidates(Z, zmax, damping, q, alphas)
-    lam_idx, inner = _pruned_quasi_optimal(Z, damping, q)
-    outer = np.full(len(q), math.nan)
-    outer[1:] = _column_differences(Z, damping, q, np.arange(len(q)), lam_idx)
-    return _first_minimum(outer[1:]), lam_idx, inner, outer
+    _check_candidates(Z, zmax, damping[shift:], q, alphas)
+    _check_candidates(Z, zmax, damping[:1], q[first:], alphas[first:])
+    lam_idx, inner = _pruned_quasi_optimal(Z, damping[shift:], q)
+    n = len(q) - first
+    d = _column_differences(
+        Z,
+        damping,
+        q,
+        np.tile(np.arange(first, len(q)), 2),
+        np.concatenate((lam_idx[first:] + shift, np.zeros(n, dtype=int))),
+    )
+    outer, unsmoothed = np.full((2, n), math.nan)
+    outer[1:], unsmoothed[1:] = d[: n - 1], d[n:]
+    return lam_idx, inner, outer, unsmoothed
 
 
 def select_two_step(
@@ -474,10 +527,13 @@ def select_two_step(
     For every alpha on the grid, the inner pass picks lambda(alpha) by
     quasi-optimality over the two-step solutions; the outer pass then picks
     alpha by quasi-optimality over the per-alpha winners.  All differences
-    are measured on the solution sphere.  The one-parameter picks are the
-    same nested pass on a {0} grid on the other side: the smoothing-only
-    pick over (0, lambdas) and the collocation-only pick over (alphas, 0),
-    whether or not either grid contains 0.
+    are measured on the solution sphere.  One nested pass (_nested_pass)
+    gives all three picks, equal to those of separate calls on a {0} grid
+    on the other side, whether or not either grid contains 0: the
+    smoothing-only pick over (0, lambdas) is the inner pick of the alpha =
+    0 row, prepended when the alpha grid lacks 0 and kept out of the outer
+    pass, and the collocation-only pick over (alphas, 0) is the outer pick
+    over the lambda = 0 rows.
 
     Every candidate solution is a per-degree rescaling of one Fourier
     analysis of the samples, so the passes synthesize per-degree field
@@ -507,14 +563,18 @@ def select_two_step(
     zmax = np.maximum(Z.max(axis=0), -Z.min(axis=0))
     if not np.all(np.isfinite(zmax)):
         raise NumericalError("non-finite per-degree field sums of the samples")
-    a = symbol.a[: M + 1]
-    b = beta.beta[: M + 1]
 
-    sweep = functools.partial(_nested_pass, Z, zmax, a, b)
-    # alpha = 0 first: an underflowing a_k^2 fails there.
-    _, (smoothing_idx,), _, _ = sweep([0.0], lambdas)
-    alpha_idx, lam_idx, inner_mins, outer_diffs = sweep(alphas, lambdas)
-    collocation_idx, _, _, _ = sweep(alphas, [0.0])
+    # alpha = 0 first, prepended when the grid lacks it: an underflowing
+    # a_k^2 fails there, and its row gives the smoothing-only pick.
+    first = int(alphas[0] != 0)
+    lam_idx, inner_mins, outer_diffs, unsmoothed_diffs = _nested_pass(
+        Z, zmax, symbol.a[: M + 1], beta.beta[: M + 1],
+        np.append(np.zeros(first), alphas), lambdas, first,
+    )
+    smoothing_idx = lam_idx[0]
+    lam_idx, inner_mins = lam_idx[first:], inner_mins[first:]
+    alpha_idx = _first_minimum(outer_diffs[1:])
+    collocation_idx = _first_minimum(unsmoothed_diffs[1:])
 
     def pick(alpha, lam) -> ParameterPick:
         solution = _solve_from_coefficients(

@@ -193,9 +193,10 @@ def _check_gemm_slices(M: int) -> CheckResult:
     shapes of selection._product_shape, but no BLAS promises it.  The
     shapes checked are those of the default grids' sweep (52 lambdas and
     alphas): bound products of 52, 193 and 52 x 52 rows over every 16th
-    row, a 104-column round, a 52-column chain, and every padded width
-    from 8 to 192 at its panel height.  Products are stacked back, so a
-    row their panels miss fails too.
+    row, a 104-column round, a 52-column chain, the 104-column chain of
+    both outer passes (the 52 winners' rows, then the 52 lambda = 0 rows),
+    and every padded width from 8 to 192 at its panel height.  Products
+    are stacked back, so a row their panels miss fails too.
     """
     rng = np.random.default_rng(6)
     grid = EvalGrid(sphere_rule(2 * M, 1.0))
@@ -211,6 +212,7 @@ def _check_gemm_slices(M: int) -> CheckResult:
         (_BOUND_STRIDE, np.arange(52 * 52) % len(factors)),
         (1, rng.permutation(len(factors))[:104]),
         (1, np.arange(52)),
+        (1, np.r_[0:52, 100:152]),
         *((1, rng.permutation(len(factors))[:width]) for width in range(8, 193, 8)),
     ]
     mismatched = sum(

@@ -407,6 +407,35 @@ class TestSampleIO:
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+    def test_vectorized_parse_equals_the_line_scan(self, tmp_path, rng, monkeypatch):
+        # A well-formed M = 30 file takes the vectorized parse; the line scan
+        # gives the same bits, -0.0, a subnormal and the float maximum too.
+        rule = sphere_rule(30, 1.0)
+        values = rng.standard_normal(rule.n_points)
+        values[:3] = [-0.0, 5e-324 * 3, 1.7976931348623157e308]
+        path = tmp_path / "s.csv"
+        write_samples_csv(str(path), rule, values)
+        lines = path.read_text().splitlines()
+        scanned = sphere_reg.cli._scan_samples(str(path), lines, rule)[:, 3]
+
+        def no_scan(*args):
+            raise AssertionError("the line scan read a well-formed file")
+
+        monkeypatch.setattr(sphere_reg.cli, "_scan_samples", no_scan)
+        got = read_samples_csv(str(path), rule)
+        np.testing.assert_array_equal(got.view(np.uint64), values.view(np.uint64))
+        np.testing.assert_array_equal(got.view(np.uint64), scanned.view(np.uint64))
+
+    def test_header_and_empty_lines_count_no_rows(self, tmp_path):
+        # As many lines as the rule has points, all empty: the line count
+        # error, with no warning from a vectorized parse of no data.
+        rule = sphere_rule(2, 1.0)
+        path = tmp_path / "s.csv"
+        path.write_text("x,y,z,value\n" + "\n" * rule.n_points)
+        with pytest.raises(ValidationError, match="expected 18 data rows for this rule, got 0"):
+            read_samples_csv(str(path), rule)
+
+
 class TestOverflowingGrid:
     @pytest.mark.parametrize("name", ["alpha", "lambda"])
     def test_solve_grid_rejected_before_selection(

@@ -29,9 +29,10 @@ from sphere_reg.experiments import (
     TrialResult,
     canonical_rule,
     case_with_overrides,
+    relative_sup_errors,
     trial_seed,
 )
-from sphere_reg.selection import ParameterGrid, default_eval_grid
+from sphere_reg.selection import ParameterGrid, default_eval_grid, select_two_step
 
 
 def tiny_case(**overrides):
@@ -188,6 +189,41 @@ class TestRelativeSupError:
         zero = HarmonicCoefficients(M=2, radius=1.0, values=np.zeros(9))
         with pytest.raises(ValidationError):
             relative_sup_error(zero, zero, grid)
+
+
+class TestBatchedErrors:
+    def test_run_case_errors_equal_separate_calls(self):
+        # One batched synthesis per trial scores the three picks with the
+        # bits of one relative_sup_error call per pick.
+        case = case_with_overrides(FIGURE1_CASES["fig1d"], trials=2)
+        results = run_case(case)
+        symbol = case.build_symbol()
+        beta = penalty_from_symbol(symbol, case.beta_exponent)
+        grid = default_eval_grid(case.M, case.R)
+        want = []
+        for t in range(case.trials):
+            x_true, _, noisy = simulate_problem(case, trial_seed(case.seed, t))
+            chosen = select_two_step(
+                noisy, canonical_rule(case.M, case.rho), symbol, beta,
+                case.alpha_grid, case.lambda_grid, grid,
+            )
+            for pick in (chosen, chosen.smoothing_only, chosen.collocation_only):
+                want.append(relative_sup_error(x_true, pick.solution, grid))
+        got = [r.relative_error for r in results]
+        np.testing.assert_array_equal(
+            np.array(got).view(np.uint64), np.array(want).view(np.uint64)
+        )
+
+    def test_zero_truth_rejected_with_its_message(self, rng):
+        grid = default_eval_grid(2, 1.0)
+        zero = HarmonicCoefficients(M=2, radius=1.0, values=np.zeros(9))
+        x = HarmonicCoefficients(M=2, radius=1.0, values=rng.standard_normal(9))
+        for call in (
+            lambda: relative_sup_errors(zero, [x, zero, x], grid),
+            lambda: relative_sup_error(zero, x, grid),
+        ):
+            with pytest.raises(ValidationError, match="^true solution has zero sup norm$"):
+                call()
 
 
 class TestRunCase:

@@ -16,6 +16,7 @@ from sphere_reg import (
     sphere_rule,
 )
 from sphere_reg.harmonics import radius_mismatch
+from sphere_reg.operators import _ring_spectra
 from conftest import random_directions
 
 FOUR_PI = 4.0 * math.pi
@@ -308,6 +309,21 @@ def oracle_points(rng, M, R):
 ORACLE_DEGREES = [0, 1, 2, 5, 30]
 
 
+def irfft_degree_fields(coeffs, grid):
+    """The per-degree ring FFT that EvalGrid.degree_fields' DFT products replace.
+
+    Column k is one inverse real FFT along each ring of degree k's
+    longitude spectra (operators._ring_spectra), divided by the radius.
+    """
+    rule = grid.rule
+    n_phi = 2 * (rule.M + 1)
+    Z = np.empty((rule.n_points, coeffs.M + 1))
+    for k, X in _ring_spectra(coeffs.values[None], coeffs.M, rule):
+        ring_values = np.fft.irfft(X[0], n=n_phi, axis=1, norm="forward")
+        np.divide(ring_values.reshape(-1), grid.radius, out=Z[:, k])
+    return Z
+
+
 class TestStreamedBlocks:
     @pytest.mark.parametrize("M", ORACLE_DEGREES)
     @pytest.mark.parametrize("R", [1.0, 1.7])
@@ -334,6 +350,22 @@ class TestStreamedBlocks:
         assert fields.shape == oracle.shape
         error = np.max(np.abs(fields - oracle), axis=0)
         assert np.all(error <= 1e-12 * np.max(np.abs(oracle), axis=0))
+
+    @pytest.mark.parametrize("M", ORACLE_DEGREES + [56])
+    @pytest.mark.parametrize("R", [1.0, 1.7])
+    def test_degree_fields_match_the_ring_fft(self, rng, M, R):
+        # The ring-blocked DFT products against the per-degree inverse FFTs
+        # they replace, column by column; at M = 30 and 56 the 61 and 113
+        # rings end in a partial block.
+        grid = EvalGrid(sphere_rule(2 * M, R))
+        coeffs = HarmonicCoefficients(
+            M=M, radius=R, values=rng.standard_normal((M + 1) ** 2)
+        )
+        fields = grid.degree_fields(coeffs)
+        oracle = irfft_degree_fields(coeffs, grid)
+        assert fields.shape == oracle.shape and fields.flags.c_contiguous
+        error = np.max(np.abs(fields - oracle), axis=0)
+        assert np.all(error <= 1e-13 * np.max(np.abs(oracle), axis=0))
 
     def test_degree_fields_of_huge_coefficients_stay_finite(self, rng):
         # Unscaled inverse FFT: the table is not multiplied by the ring

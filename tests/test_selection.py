@@ -31,6 +31,7 @@ from sphere_reg import (
     sphere_rule,
     sup_norm,
     symbol_preset,
+    synthesize,
     two_step_solve,
 )
 from sphere_reg import experiments as ex
@@ -50,7 +51,9 @@ from sphere_reg.selection import (
     _product_shape,
     _pruned_quasi_optimal,
     grid_values,
+    sup_norms,
 )
+from sphere_reg.operators import _ring_spectra, synthesize_stack
 from sphere_reg.verify import _stacked_product
 from conftest import at_points
 
@@ -162,6 +165,44 @@ class TestSupNorm:
         dense = np.max(np.abs(basis_matrix(M, grid.points, R) @ c.values))
         assert sup_norm(c, grid) == pytest.approx(dense, rel=1e-13)
         assert grid._basis == {}
+
+
+def ring_synthesis(c, rule):
+    """synthesize for one coefficient set on unbatched (rings, n_phi/2 + 1) tables."""
+    n_phi = 2 * (rule.M + 1)
+    spectra = np.zeros((rule.M + 1, n_phi // 2 + 1), dtype=complex)
+    for k, X in _ring_spectra(c.values[None], c.M, rule):
+        spectra[:, : k + 1] += X[0, :, : k + 1]
+    return np.fft.irfft(spectra, n=n_phi, axis=1, norm="forward").reshape(-1) / c.radius
+
+
+class TestBatchedSupNorms:
+    @pytest.mark.parametrize("M", [0, 30])
+    @pytest.mark.parametrize("B", [1, 4])
+    def test_batched_sup_norms_equal_single_calls(self, rng, M, B):
+        grid = default_eval_grid(M, 1.3)
+        stack = [
+            HarmonicCoefficients(M=M, radius=1.3, values=rng.standard_normal((M + 1) ** 2))
+            for _ in range(B)
+        ]
+        bits = lambda values: np.asarray(values, dtype=float).view(np.uint64)
+        np.testing.assert_array_equal(
+            bits(sup_norms(stack, grid)), bits([sup_norm(c, grid) for c in stack])
+        )
+        values = synthesize_stack(stack, grid.rule)
+        for b, c in enumerate(stack):
+            np.testing.assert_array_equal(bits(values[b]), bits(synthesize(c, grid.rule)))
+            np.testing.assert_array_equal(bits(values[b]), bits(ring_synthesis(c, grid.rule)))
+
+    def test_sets_of_other_degree_or_radius_rejected(self, rng):
+        grid = default_eval_grid(3, 1.0)
+        c = HarmonicCoefficients(M=3, radius=1.0, values=rng.standard_normal(16))
+        for other in (
+            HarmonicCoefficients(M=2, radius=1.0, values=np.ones(9)),
+            HarmonicCoefficients(M=3, radius=2.0, values=np.ones(16)),
+        ):
+            with pytest.raises(ValidationError, match="share degree and radius"):
+                sup_norms([c, other], grid)
 
 
 def sup_differences(fields):
@@ -729,10 +770,16 @@ class TestSelectTwoStep:
         # the slice of one full GEMM over the trial's field sums, and its
         # differences equal the dense reduction of that slice.  The nested
         # pass's bound product stacks 52 alphas' 52 (or 193) rows; the
-        # round products are 2 to 104 columns wide, the chain 52.
+        # round products are 2 to 104 columns wide, the chain of both outer
+        # passes 104.  One-alpha sweeps form the bound products of 52 and
+        # 193 rows, and a 26-alpha sweep a chain of 52.
         args = figure1_trial()
+        lambdas_193 = np.geomspace(1e-5, 1.0, 193)
         products = recorded_products(*args)
-        products += recorded_products(*args[:5], np.geomspace(1e-5, 1.0, 193), args[6])
+        products += recorded_products(*args[:5], lambdas_193, args[6])
+        for lambda_grid in (args[5], lambdas_193):
+            products += recorded_products(*args[:4], [0.0], lambda_grid, args[6])
+        products += recorded_products(*args[:4], grid_values(args[4])[:26], *args[5:])
         shapes = {(stride, len(rows)) for _, stride, rows in products}
         assert {
             (_BOUND_STRIDE, 52), (_BOUND_STRIDE, 193), (_BOUND_STRIDE, 52 * 52),
@@ -759,25 +806,34 @@ class TestSelectTwoStep:
             products += recorded_products(
                 *args[:4], [0.0, 1e-3], np.geomspace(1e-5, 1.0, L), args[6]
             )
+        # The same grids' one-alpha bound products, of L rows.
+        for L in range(2, 10):
+            products += recorded_products(
+                noisy, rule, symbol, beta, [0.0], np.geomspace(1e-5, 1.0, L), coarse
+            )
+        for L in (193, 250):
+            products += recorded_products(
+                *args[:4], [0.0], np.geomspace(1e-5, 1.0, L), args[6]
+            )
         bounds = [p for p in products if p[1] == _BOUND_STRIDE]
-        # One per grid for the nested pass's two alphas, one for the
-        # smoothing-only pass's alpha = 0.
+        # One per grid for the nested pass's two alphas, one for its alpha = 0
+        # alone.
         assert len(bounds) == 2 * 10
         assert_products_are_gemm_slices(bounds)
 
     def test_figure1_trial_forms_one_bound_product_per_pass(self):
-        # The smoothing-only pass's 52 rows and the nested pass's 52 x 52;
-        # the collocation-only pass has one lambda and no bound.
+        # The one nested pass's 52 x 52 rows; its alpha = 0 row gives the
+        # smoothing-only pick, and the collocation-only pick needs no bound.
         bounds = [
             len(rows)
             for _, stride, rows in recorded_products(*figure1_trial())
             if stride == _BOUND_STRIDE
         ]
-        assert bounds == [52, 52 * 52]
+        assert bounds == [52 * 52]
 
     def test_warm_trial_streams_the_field_sums_at_most_six_times(self):
         # A pass over Z is one chunk of one product at full height; the
-        # three nested passes of a figure-1 trial need at most six.
+        # nested pass of a figure-1 trial needs at most six.
         args = figure1_trial()
         select_two_step(*args)
         streams = [
