@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -76,6 +77,10 @@ class ExperimentCase:
             raise ValidationError(
                 f"epsilon must be nonnegative and finite, got {self.epsilon!r}"
             )
+        for name in ("M", "trials", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if self.M < 0:

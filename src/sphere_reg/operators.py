@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,11 +106,16 @@ class SphericalSymbol:
         return self.a.size - 1
 
 
-def _ring_legendre(rule: CubatureRule, M: int) -> list[np.ndarray]:
-    """Q_k^m at the rule's rings for k = 0..M, memoized in the rule.
+#: Rings per product of ring_degree_sums.
+_RING_BLOCK = 16
 
-    Entry k is the (rings, k+1) table of _associated_legendre at the polar
-    cosine and sine of each ring, taken from its phi = 0 point.  Raises
+
+def _ring_legendre(rule: CubatureRule, M: int) -> np.ndarray:
+    """Q_k^m at the rule's rings for k = 0..M, packed and memoized in the rule.
+
+    Column k(k+1)/2 + m of the (rings, (M+1)(M+2)/2) table, the (k, m) of
+    np.tril_indices(M + 1), holds _associated_legendre at the polar cosine
+    and sine of each ring, taken from its phi = 0 point.  Raises
     ValidationError unless the rule has the 2(rule.M + 1)^2 points of
     sphere_rule's rings, n_phi = 2(rule.M + 1) to a ring, and M <= rule.M.
     """
@@ -122,21 +127,23 @@ def _ring_legendre(rule: CubatureRule, M: int) -> list[np.ndarray]:
         )
     if M > rule.M:
         raise ValidationError(f"degree {M} exceeds the rule's degree {rule.M}")
-    tables = rule._cache.get(M)
-    if tables is None:
+    table = rule._cache.get(M)
+    if table is None:
         first = rule.points[::n_phi] / rule.rho
         ct = first[:, 2:]
         st = np.hypot(first[:, :1], first[:, 1:2])
-        tables = [Q for _, Q in _associated_legendre(M, ct, st)]
-        rule._cache[M] = tables
-    return tables
+        table = np.empty((len(first), (M + 1) * (M + 2) // 2))
+        for k, Q in _associated_legendre(M, ct, st):
+            table[:, k * (k + 1) // 2 : (k + 1) * (k + 2) // 2] = Q
+        rule._cache[M] = table
+    return table
 
 
 def _ring_dft(rule: CubatureRule, M: int) -> np.ndarray:
     """(n_phi, 2M+1) table [1 | 2 cos(m phi_l) | 2 sin(m phi_l)], m = 1..M.
 
     phi_l = 2 pi l / n_phi are the longitudes of the rule's rings; the
-    table is memoized in the rule beside its Legendre tables.  Its
+    table is memoized in the rule beside its Legendre table.  Its
     product with a ring's order coefficients is the real inverse DFT that
     irfft(..., norm="forward") computes, for orders up to M < n_phi / 2.
     """
@@ -152,31 +159,48 @@ def _ring_dft(rule: CubatureRule, M: int) -> np.ndarray:
     return table
 
 
-def _ring_spectra(
-    values: np.ndarray, M: int, rule: CubatureRule
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (k, X) for k = 0..M, X the longitude spectra of degree k's parts.
+def _ring_orders(values: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Packed cosine and sine order coefficients of a (B, (M+1)^2) stack.
 
-    ``values`` is a (B, (M+1)^2) stack of coefficient arrays, and X[b] is
-    set b's (rings, n_phi/2 + 1) table.  The rule's points are rings of
-    n_phi = 2(rule.M + 1) longitudes phi_l = 2 pi l / n_phi, so on ring r,
-    sum_j c_{k,j} Y_{k,j} is irfft(X[b, r], n_phi, norm="forward") for
-    X[b, :, 0] = Q_k^0 c_{k,0}, X[b, :, m] = Q_k^m (c_{k,m} - i c_{k,-m}) / sqrt(2)
-    for 0 < m <= k, and 0 above k.  norm="forward" leaves that inverse
-    unscaled, so nothing is multiplied by n_phi and can overflow.  Each
-    set's entries take the same operations whatever B is.  One buffer is
-    refilled for every degree; callers must not keep it.
+    Column k(k+1)/2 + m holds, as in _ring_legendre's table, c_{k,0} and 0
+    at m = 0 and c_{k,m} and c_{k,-m} times sqrt(2)/2 above: one gather from
+    the flat coefficients, where c_{k,+-m} sits at k^2 + k +- m.
     """
-    tables = _ring_legendre(rule, M)
-    X = np.zeros((len(values), tables[0].shape[0], rule.M + 2), dtype=complex)
-    half_sqrt2 = math.sqrt(2.0) / 2
-    for k, Q in enumerate(tables):
-        row = values[:, k * k : (k + 1) * (k + 1)]
-        X[:, :, 0] = Q[:, 0] * row[:, k : k + 1]
-        if k:
-            orders = half_sqrt2 * (row[:, k + 1 :] - 1j * row[:, k - 1 :: -1])
-            np.multiply(Q[:, 1:], orders[:, None, :], out=X[:, :, 1 : k + 1])
-        yield k, X
+    k, m = np.tril_indices(M + 1)
+    scale = np.where(m > 0, math.sqrt(2.0) / 2, 1.0)
+    orders = values[:, [k * (k + 1) + m, k * (k + 1) - m]] * scale
+    orders[:, 1, m == 0] = 0.0
+    return orders[:, 0], orders[:, 1]
+
+
+def ring_degree_sums(coeffs: HarmonicCoefficients, rule: CubatureRule) -> np.ndarray:
+    """Per-degree partial sums of the synthesis on a rule, times the radius.
+
+    Column k of the (T, M+1) result holds sum_j c_{k,j} Y_{k,j} at the
+    rule's points.  A ring's rows are C @ S_r: C is the real inverse DFT
+    table (_ring_dft), S_r's column k holds Q_k^m times degree k's packed
+    orders (_ring_orders), cosines in rows m and sines in rows M + m.  Per
+    block of _RING_BLOCK rings, two scatters fill S and one matmul writes
+    its rows: O(T M^2) work, and no dense basis.
+    """
+    M = coeffs.M
+    table = _ring_legendre(rule, M)
+    dft = _ring_dft(rule, M)
+    rings, n_phi = len(table), len(dft)
+    cosines, sines = _ring_orders(coeffs.values[None], M)
+    k, m = np.tril_indices(M + 1)
+    sine = m > 0
+    sine_rows, sine_cols, sines = M + m[sine], k[sine], sines[0, sine]
+    Z = np.empty((rings * n_phi, M + 1))
+    by_ring = Z.reshape(rings, n_phi, M + 1)
+    S = np.zeros((_RING_BLOCK, 2 * M + 1, M + 1))  # orders above k stay 0
+    for start in range(0, rings, _RING_BLOCK):
+        block = slice(start, min(start + _RING_BLOCK, rings))
+        Sb = S[: block.stop - start]
+        Sb[:, m, k] = table[block] * cosines[0]
+        Sb[:, sine_rows, sine_cols] = table[block, sine] * sines
+        np.matmul(dft, Sb, out=by_ring[block])
+    return Z
 
 
 def analyze(samples: np.ndarray, rule: CubatureRule, M: int) -> HarmonicCoefficients:
@@ -204,7 +228,7 @@ def analyze(samples: np.ndarray, rule: CubatureRule, M: int) -> HarmonicCoeffici
         raise ValidationError(
             f"rule exact to degree {rule.exactness_degree} cannot analyze M={M}"
         )
-    tables = _ring_legendre(rule, M)
+    table = _ring_legendre(rule, M)
     n_phi = 2 * (rule.M + 1)
     # A ring sum of n_phi terms can overflow where every coefficient is
     # finite; scaling by 2^-e <= 1/n_phi first is exact above the subnormals.
@@ -214,7 +238,9 @@ def analyze(samples: np.ndarray, rule: CubatureRule, M: int) -> HarmonicCoeffici
     cosines, sines = F.real, F.imag
     sqrt2 = math.sqrt(2.0)
     coeffs = np.empty((M + 1) * (M + 1))
-    for k, Q in enumerate(tables):
+    # Degree by degree: one sum over the whole table moves the last bits.
+    for k in range(M + 1):
+        Q = table[:, k * (k + 1) // 2 : (k + 1) * (k + 2) // 2]
         row = coeffs[k * k : (k + 1) * (k + 1)]
         row[k] = Q[:, 0] @ cosines[:, 0]
         if k:
@@ -229,11 +255,9 @@ def synthesize(coeffs: HarmonicCoefficients, target: CubatureRule) -> np.ndarray
     """Evaluate the represented function at the points of a rule.
 
     ``target`` is a CubatureRule stored ring by ring, of degree at least
-    ``coeffs.M``, on the coefficients' sphere within 1e-9 relative.  The
-    degrees' longitude spectra (_ring_spectra) are summed and one inverse
-    real FFT per ring gives the values in the rule's point order, with no
-    dense basis.  This is synthesize_stack's one-set case.  At free points,
-    use basis_matrix(M, points, radius) @ values.
+    ``coeffs.M``, on the coefficients' sphere within 1e-9 relative.  This
+    is synthesize_stack's one-set case.  At free points, use
+    basis_matrix(M, points, radius) @ values.
     """
     return synthesize_stack([coeffs], target)[0]
 
@@ -243,9 +267,13 @@ def synthesize_stack(
 ) -> np.ndarray:
     """(B, T) values of B coefficient sets of one degree and radius at a rule's points.
 
-    Row b equals synthesize(stack[b], target) bit for bit: every set takes
-    the same multiplies, the same in-order sum over degrees and the same
-    inverse FFT per ring, only batched.
+    On ring r of n_phi = 2(rule.M + 1) longitudes, degree k's part is
+    irfft(X_k[r], n_phi, norm="forward"), unscaled so that nothing can
+    overflow, for X_k[r, m] = Q_k^m (c_{k,m} - i c_{k,-m}) / sqrt(2) at
+    0 < m <= k and Q_k^0 c_{k,0} at m = 0: the packed table's degree-k
+    columns times the packed orders (_ring_orders).  The X_k are summed in
+    ascending k before the FFT.  Row b equals synthesize(stack[b], target)
+    bit for bit.
     """
     if not isinstance(target, CubatureRule):
         raise ValidationError(
@@ -259,11 +287,14 @@ def synthesize_stack(
         raise ValidationError(
             f"rule sphere {target.rho} does not match coefficients on {radius}"
         )
+    table = _ring_legendre(target, M)
     n_phi = 2 * (target.M + 1)
-    values = np.stack([c.values for c in stack])
-    spectra = np.zeros((len(stack), target.M + 1, n_phi // 2 + 1), dtype=complex)
-    for k, X in _ring_spectra(values, M, target):
-        spectra[:, :, : k + 1] += X[:, :, : k + 1]
+    cosines, sines = _ring_orders(np.stack([c.values for c in stack]), M)
+    orders = cosines - 1j * sines
+    spectra = np.zeros((len(stack), len(table), n_phi // 2 + 1), dtype=complex)
+    for k in range(M + 1):
+        cols = slice(k * (k + 1) // 2, (k + 1) * (k + 2) // 2)
+        spectra[:, :, : k + 1] += table[:, cols] * orders[:, None, cols]
     fields = np.fft.irfft(spectra, n=n_phi, axis=-1, norm="forward")
     return fields.reshape(len(stack), -1) / radius
 

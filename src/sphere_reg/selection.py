@@ -23,9 +23,8 @@ from .harmonics import basis_matrix, radius_mismatch
 from .operators import (
     HarmonicCoefficients,
     SphericalSymbol,
-    _ring_dft,
-    _ring_legendre,
     analyze,
+    ring_degree_sums,
     synthesize_stack,
 )
 from .quadrature import CubatureRule, sphere_rule
@@ -87,10 +86,6 @@ def grid_values(g) -> np.ndarray:
     return values
 
 
-#: Rings per product of EvalGrid.degree_fields.
-_RING_BLOCK = 16
-
-
 class EvalGrid:
     """Point grid for uniform-norm estimates.
 
@@ -138,37 +133,10 @@ class EvalGrid:
         """Per-degree partial sums of the synthesis, shape (T, M+1).
 
         Column k holds sum_j c_{k,j} (1/radius) Y_{k,j}; any per-degree
-        rescaling of the coefficients then synthesizes as Z @ factors.  On
-        ring r of the rule, the ring's rows of Z are C @ S_r, one real
-        inverse DFT per column: C is the rule's (n_phi, 2M+1) table
-        [1 | 2 cos(m phi_l) | 2 sin(m phi_l)] (operators._ring_dft), and
-        column k of S_r holds Q_k^0 c_{k,0} and Q_k^m c_{k,+-m} / sqrt(2)
-        for 0 < m <= k, from the rule's Legendre tables, so nothing is
-        multiplied by sqrt(2) before the sum.  One product per block of
-        _RING_BLOCK rings writes the block's rows of Z in place: O(T M^2)
-        work in few passes, and no dense basis.
+        rescaling of the coefficients then synthesizes as Z @ factors: the
+        rule's ring_degree_sums over the measured radius of the grid.
         """
-        rule = self._rule()
-        M = coeffs.M
-        tables = _ring_legendre(rule, M)
-        dft = _ring_dft(rule, M)
-        rings, n_phi = len(tables[0]), len(dft)
-        half_sqrt2 = math.sqrt(2.0) / 2
-        # Per degree k, the order coefficients of the cosine rows (m = 0..k)
-        # and of the sine rows (m = 1..k).
-        rows = [coeffs.row(k) for k in range(M + 1)]
-        cosines = [np.append(r[k], half_sqrt2 * r[k + 1 :]) for k, r in enumerate(rows)]
-        sines = [half_sqrt2 * r[:k][::-1] for k, r in enumerate(rows)]
-        Z = np.empty((rings * n_phi, M + 1))
-        by_ring = Z.reshape(rings, n_phi, M + 1)
-        S = np.zeros((_RING_BLOCK, 2 * M + 1, M + 1))  # orders above k stay 0
-        for start in range(0, rings, _RING_BLOCK):
-            block = slice(start, min(start + _RING_BLOCK, rings))
-            Sb = S[: block.stop - start]
-            for k, Q in enumerate(tables):
-                np.multiply(Q[block], cosines[k], out=Sb[:, : k + 1, k])
-                np.multiply(Q[block, 1:], sines[k], out=Sb[:, M + 1 : M + 1 + k, k])
-            np.matmul(dft, Sb, out=by_ring[block])
+        Z = ring_degree_sums(coeffs, self._rule())
         np.divide(Z, self.radius, out=Z)
         return Z
 
@@ -543,8 +511,10 @@ def select_two_step(
     analysis, bit-identical to two_step_solve.  Single-element grids are
     allowed: their pass picks the only value.
 
-    Raises NumericalError if the field sums, any candidate's per-degree
-    factors or field, or any of the three picked solutions are not finite.
+    Raises ValidationError, with two_step_solve's message, if beta or the
+    symbol covers fewer degrees than the rule, and NumericalError if the
+    field sums, any candidate's per-degree factors or field, or any of the
+    three picked solutions are not finite.
     """
     alphas = grid_values(alpha_grid)
     lambdas = grid_values(lambda_grid)
@@ -553,6 +523,10 @@ def select_two_step(
         raise ValidationError(
             f"grid radius {grid.radius} does not match solution sphere R={symbol.R}"
         )
+    # two_step_solve's coverage checks, in its order, before any transform.
+    for name, covered in (("beta", beta.M), ("symbol", symbol.M)):
+        if covered < M:
+            raise ValidationError(f"{name} covers degrees 0..{covered}, need 0..{M}")
 
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = analyze(samples, rule, M)

@@ -171,6 +171,22 @@ def _check_norm_bound_constant() -> CheckResult:
     return CheckResult("norm-bound-constant", passed, f"|bound - 1| = {dev:.2e}")
 
 
+def _check_degree_fields(M: int) -> CheckResult:
+    """The field sums that rank candidates against the synthesis that scores them.
+
+    The row sums of EvalGrid.degree_fields, DFT products on the installed
+    BLAS, against synthesize, the ring FFTs, on sphere_rule(2M, 1.3).
+    """
+    rng = np.random.default_rng(7)
+    rule = sphere_rule(2 * M, 1.3)
+    c = HarmonicCoefficients(M=M, radius=1.3, values=rng.standard_normal((M + 1) ** 2))
+    values = synthesize(c, rule)
+    sums = EvalGrid(rule).degree_fields(c).sum(axis=1)
+    dev = float(np.max(np.abs(sums - values)) / np.max(np.abs(values)))
+    passed = dev < 1e-13
+    return CheckResult(f"degree-fields-M{M}", passed, f"relative deviation {dev:.2e}")
+
+
 def _stacked_product(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Z @ rows.T stacked back from the sweep's products over its chunks and panels."""
     stacked = np.full((len(Z), len(rows)), np.nan)
@@ -240,6 +256,7 @@ def run_checks(quick: bool = False) -> list[CheckResult]:
     # From M = 31 on, Z has 32 or more columns, where OpenBLAS's kernel for
     # small products sums differently from its GEMM.
     slices_M = 31 if quick else 56
+    fields_M = 12 if quick else 30
     return [
         _check_gauss_legendre(),
         _check_cubature_gram(gram_M),
@@ -248,5 +265,6 @@ def run_checks(quick: bool = False) -> list[CheckResult]:
         _check_limiting_identities(),
         _check_exact_recovery(recovery_M),
         _check_norm_bound_constant(),
+        _check_degree_fields(fields_M),
         _check_gemm_slices(slices_M),
     ]

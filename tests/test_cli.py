@@ -1056,10 +1056,23 @@ class TestVerifyCommand:
         assert main(["verify", "--quick"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
-        assert any(
-            line.startswith("blas-gemm-slices") and "PASS" in line
-            for line in out.splitlines()
+        lines = out.splitlines()
+        for name in ("degree-fields-M12", "blas-gemm-slices"):
+            assert any(line.startswith(name) and "PASS" in line for line in lines)
+        assert lines[-1] == "all 9 checks passed"
+
+    def test_drifting_field_sums_detected(self, capsys, monkeypatch):
+        # Field sums 1e-12 off the ring synthesis, as a faulty BLAS or fill
+        # would give, fail the degree-fields check alone.
+        degree_fields = sphere_reg.verify.EvalGrid.degree_fields
+        monkeypatch.setattr(
+            sphere_reg.verify.EvalGrid,
+            "degree_fields",
+            lambda grid, c: degree_fields(grid, c) * (1.0 + 1e-12),
         )
+        assert main(["verify", "--quick"]) == EXIT_VERIFY_FAILED
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.endswith("1 check(s) failed: degree-fields-M12")
 
     def test_missed_panel_rows_detected(self, capsys, monkeypatch):
         # Panels that leave the last rows out stand for panel products that

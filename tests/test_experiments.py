@@ -59,6 +59,13 @@ class TestCaseValidation:
         with pytest.raises(ValidationError):
             tiny_case(upsilon=0.0)
 
+    @pytest.mark.parametrize("field", ["M", "trials", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    def test_rejects_non_integer_counts(self, field, value):
+        # Unchecked, a float fails only inside run_case, with a TypeError.
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            tiny_case(**{field: value})
+
     @pytest.mark.parametrize("field", ["epsilon", "upsilon"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_non_finite_noise_and_smoothness(self, field, value):

@@ -16,8 +16,8 @@ from sphere_reg import (
     sphere_rule,
 )
 from sphere_reg.harmonics import radius_mismatch
-from sphere_reg.operators import _ring_spectra
-from conftest import random_directions
+from sphere_reg.operators import _ring_dft, _ring_legendre
+from conftest import random_directions, ring_spectra
 
 FOUR_PI = 4.0 * math.pi
 
@@ -313,14 +313,45 @@ def irfft_degree_fields(coeffs, grid):
     """The per-degree ring FFT that EvalGrid.degree_fields' DFT products replace.
 
     Column k is one inverse real FFT along each ring of degree k's
-    longitude spectra (operators._ring_spectra), divided by the radius.
+    longitude spectra (conftest.ring_spectra), divided by the radius.
     """
     rule = grid.rule
     n_phi = 2 * (rule.M + 1)
     Z = np.empty((rule.n_points, coeffs.M + 1))
-    for k, X in _ring_spectra(coeffs.values[None], coeffs.M, rule):
+    for k, X in ring_spectra(coeffs.values[None], coeffs.M, rule):
         ring_values = np.fft.irfft(X[0], n=n_phi, axis=1, norm="forward")
         np.divide(ring_values.reshape(-1), grid.radius, out=Z[:, k])
+    return Z
+
+
+def per_degree_fill_fields(coeffs, grid):
+    """The per-degree fill that EvalGrid.degree_fields' two scatters replace.
+
+    Per block of 16 rings, S is filled with two np.multiply calls per
+    degree, one for the cosine rows and one for the sine rows, then
+    multiplied by the rule's DFT table; the result is divided by the
+    grid's radius.
+    """
+    rule, M = grid.rule, coeffs.M
+    table = _ring_legendre(rule, M)
+    tables = [table[:, k * (k + 1) // 2 : (k + 1) * (k + 2) // 2] for k in range(M + 1)]
+    dft = _ring_dft(rule, M)
+    rings, n_phi = len(table), len(dft)
+    half_sqrt2 = math.sqrt(2.0) / 2
+    rows = [coeffs.row(k) for k in range(M + 1)]
+    cosines = [np.append(r[k], half_sqrt2 * r[k + 1 :]) for k, r in enumerate(rows)]
+    sines = [half_sqrt2 * r[:k][::-1] for k, r in enumerate(rows)]
+    Z = np.empty((rings * n_phi, M + 1))
+    by_ring = Z.reshape(rings, n_phi, M + 1)
+    S = np.zeros((16, 2 * M + 1, M + 1))
+    for start in range(0, rings, 16):
+        block = slice(start, min(start + 16, rings))
+        Sb = S[: block.stop - start]
+        for k, Q in enumerate(tables):
+            np.multiply(Q[block], cosines[k], out=Sb[:, : k + 1, k])
+            np.multiply(Q[block, 1:], sines[k], out=Sb[:, M + 1 : M + 1 + k, k])
+        np.matmul(dft, Sb, out=by_ring[block])
+    np.divide(Z, grid.radius, out=Z)
     return Z
 
 
@@ -366,6 +397,21 @@ class TestStreamedBlocks:
         assert fields.shape == oracle.shape and fields.flags.c_contiguous
         error = np.max(np.abs(fields - oracle), axis=0)
         assert np.all(error <= 1e-13 * np.max(np.abs(oracle), axis=0))
+
+    @pytest.mark.parametrize(
+        "M, R", [(M, R) for M in ORACLE_DEGREES + [56] for R in (1.0, 1.7)] + [(5, 1.3)]
+    )
+    def test_degree_fields_equal_the_per_degree_fill(self, rng, M, R):
+        # The packed fill against the per-degree one, bit for bit.  At M = 5,
+        # R = 1.3 the grid's measured radius is one ulp below rule.rho, and
+        # the fields are divided by the measured one.
+        grid = EvalGrid(sphere_rule(2 * M, R))
+        coeffs = HarmonicCoefficients(
+            M=M, radius=R, values=rng.standard_normal((M + 1) ** 2)
+        )
+        if (M, R) == (5, 1.3):
+            assert grid.radius < grid.rule.rho
+        assert_same_bits(grid.degree_fields(coeffs), per_degree_fill_fields(coeffs, grid))
 
     def test_degree_fields_of_huge_coefficients_stay_finite(self, rng):
         # Unscaled inverse FFT: the table is not multiplied by the ring

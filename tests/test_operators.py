@@ -195,12 +195,12 @@ class TestRingTransforms:
 
     def test_legendre_table_is_computed_once_per_degree(self):
         rule = sphere_rule(8, 1.0)
-        tables = _ring_legendre(rule, 8)
-        assert _ring_legendre(rule, 8) is tables
-        assert [Q.shape for Q in tables] == [(9, k + 1) for k in range(9)]
+        table = _ring_legendre(rule, 8)
+        assert _ring_legendre(rule, 8) is table
+        assert table.shape == (9, 45)
         analyze(np.ones(rule.n_points), rule, 8)
         synthesize(HarmonicCoefficients(M=8, radius=1.0, values=np.ones(81)), rule)
-        assert list(rule._cache) == [8] and rule._cache[8] is tables
+        assert list(rule._cache) == [8] and rule._cache[8] is table
 
     def test_rule_without_rings_rejected(self):
         rule = without_last_point(sphere_rule(4, 1.0))

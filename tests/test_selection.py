@@ -53,9 +53,9 @@ from sphere_reg.selection import (
     grid_values,
     sup_norms,
 )
-from sphere_reg.operators import _ring_spectra, synthesize_stack
+from sphere_reg.operators import synthesize_stack
 from sphere_reg.verify import _stacked_product
-from conftest import at_points
+from conftest import at_points, ring_spectra
 
 
 def linear_beta(M):
@@ -171,7 +171,7 @@ def ring_synthesis(c, rule):
     """synthesize for one coefficient set on unbatched (rings, n_phi/2 + 1) tables."""
     n_phi = 2 * (rule.M + 1)
     spectra = np.zeros((rule.M + 1, n_phi // 2 + 1), dtype=complex)
-    for k, X in _ring_spectra(c.values[None], c.M, rule):
+    for k, X in ring_spectra(c.values[None], c.M, rule):
         spectra[:, : k + 1] += X[0, :, : k + 1]
     return np.fft.irfft(spectra, n=n_phi, axis=1, norm="forward").reshape(-1) / c.radius
 
@@ -704,6 +704,24 @@ def assert_sweep_matches_dense(samples, rule, symbol, beta, alpha_grid, lambda_g
 
 
 class TestSelectTwoStep:
+    @pytest.mark.parametrize("short", ["symbol", "beta"])
+    def test_short_sequences_fail_like_two_step_solve(self, short):
+        # Degrees 0..2 against a degree-4 rule fail with two_step_solve's
+        # message before any transform, not with a numpy shape error.
+        rule = sphere_rule(4, 1.0)
+        symbol = symbol_preset("geometric(1.48)", 1.0, 1.0, 2 if short == "symbol" else 4)
+        beta = PenaltyWeights(beta=np.ones(3 if short == "beta" else 5))
+        samples = np.random.default_rng(3).standard_normal(rule.n_points)
+        message = f"{short} covers degrees 0..2, need 0..4"
+        with pytest.raises(ValidationError, match=message):
+            two_step_solve(
+                samples, rule, SmoothingParams(0.0, beta), CollocationParams(0.0, symbol)
+            )
+        with pytest.raises(ValidationError, match=message):
+            select_two_step(
+                samples, rule, symbol, beta, [0.0, 1.0], [0.0, 1.0], default_eval_grid(4, 1.0)
+            )
+
     def test_trace_and_picks_match_dense_sweep(self):
         rule, symbol, beta, noisy, grid = make_problem(seed=19)
         small = ParameterGrid(1e-5, 3.0, 9, include_zero=True)
