@@ -28,6 +28,7 @@ from .collocation import CollocationParams, two_step_solve
 from .errors import NumericalError, ValidationError
 from .experiments import (
     FIGURE1_CASES,
+    STANDARD_GRID,
     ExperimentCase,
     LeaderSummary,
     TrialResult,
@@ -506,12 +507,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="choose alpha and lambda by nested quasi-optimality",
     )
-    p_solve.add_argument("--alpha0", type=float, default=1.78e-5)
-    p_solve.add_argument("--alpha-factor", type=float, default=1.25)
-    p_solve.add_argument("--alpha-count", type=int, default=50)
-    p_solve.add_argument("--lambda0", type=float, default=1.78e-5)
-    p_solve.add_argument("--lambda-factor", type=float, default=1.25)
-    p_solve.add_argument("--lambda-count", type=int, default=50)
+    for name in ("alpha", "lambda"):
+        p_solve.add_argument(f"--{name}0", type=float, default=STANDARD_GRID.base)
+        p_solve.add_argument(
+            f"--{name}-factor", type=float, default=STANDARD_GRID.factor
+        )
+        p_solve.add_argument(f"--{name}-count", type=int, default=STANDARD_GRID.count)
     p_solve.add_argument(
         "--no-zero",
         action="store_true",

@@ -47,7 +47,8 @@ METHODS = (METHOD_TWO_STEP, METHOD_SMOOTHING, METHOD_COLLOCATION)
 #: Largest two-step / best-single median ratio that still follows the leader.
 LEADER_FACTOR = 1.2
 
-_STANDARD_GRID = ParameterGrid(base=1.78e-5, factor=1.25, count=50, include_zero=True)
+#: The paper's alpha and lambda grid, and the `solve --auto` default.
+STANDARD_GRID = ParameterGrid(base=1.78e-5, factor=1.25, count=50, include_zero=True)
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,8 @@ class ExperimentCase:
     rho: float = 1.0
     trials: int = 10
     seed: int = DEFAULT_SEED
-    alpha_grid: ParameterGrid | Sequence[float] = _STANDARD_GRID
-    lambda_grid: ParameterGrid | Sequence[float] = _STANDARD_GRID
+    alpha_grid: ParameterGrid | Sequence[float] = STANDARD_GRID
+    lambda_grid: ParameterGrid | Sequence[float] = STANDARD_GRID
 
     def __post_init__(self):
         if not 0 < self.upsilon < 1024:

@@ -20,6 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Iterator
 
 import numpy as np
@@ -37,8 +38,15 @@ def radius_mismatch(r, ref: float) -> bool:
     return bool(np.any(np.abs(np.asarray(r) - ref) > _RADIUS_RTOL * max(ref, 1.0)))
 
 
+def check_degree(M, name: str = "M") -> None:
+    """Raise ValidationError unless M is a nonnegative integer."""
+    if not isinstance(M, numbers.Integral) or M < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer, got {M!r}")
+
+
 def legendre_table(k_max: int, t: np.ndarray) -> np.ndarray:
     """Stack P_0(t)..P_kmax(t) for array argument t; shape (k_max+1,) + t.shape."""
+    check_degree(k_max, "k_max")
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0 + 1e-12):
         raise ValidationError("Legendre argument outside [-1, 1]")
@@ -92,6 +100,7 @@ def basis_matrix(M: int, points: np.ndarray, radius: float) -> np.ndarray:
     _associated_legendre at each point's own polar pair, and the trig
     values from each point's own longitude.
     """
+    check_degree(M)
     if not radius > 0:
         raise ValidationError(f"radius must be positive, got {radius!r}")
     dirs = np.atleast_2d(np.asarray(points, dtype=float)) / radius

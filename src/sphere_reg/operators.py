@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .harmonics import _associated_legendre, radius_mismatch
+from .harmonics import _associated_legendre, check_degree, radius_mismatch
 from .quadrature import CubatureRule
 
 
@@ -34,6 +34,7 @@ class HarmonicCoefficients:
     values: np.ndarray
 
     def __post_init__(self):
+        check_degree(self.M)
         if not self.radius > 0:
             raise ValidationError(f"radius must be positive, got {self.radius!r}")
         expected = (self.M + 1) * (self.M + 1)
@@ -173,21 +174,43 @@ def _ring_orders(values: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
     return orders[:, 0], orders[:, 1]
 
 
-def ring_degree_sums(coeffs: HarmonicCoefficients, rule: CubatureRule) -> np.ndarray:
-    """Per-degree partial sums of the synthesis on a rule, times the radius.
+def _ring_inputs(stack: Sequence[HarmonicCoefficients], target: CubatureRule):
+    """(table, cosines, sines) of a stack on a rule: both ring syntheses' gate.
 
-    Column k of the (T, M+1) result holds sum_j c_{k,j} Y_{k,j} at the
-    rule's points.  A ring's rows are C @ S_r: C is the real inverse DFT
+    Raises ValidationError unless target is a CubatureRule on the stack's
+    sphere and the sets share one degree and radius.
+    """
+    if not isinstance(target, CubatureRule):
+        raise ValidationError(
+            f"synthesize needs a CubatureRule, got {type(target).__name__}"
+        )
+    M, radius = stack[0].M, stack[0].radius
+    for c in stack:
+        if c.M != M or radius_mismatch(c.radius, radius):
+            raise ValidationError("coefficient sets must share degree and radius")
+    if radius_mismatch(target.rho, radius):
+        raise ValidationError(
+            f"rule sphere {target.rho} does not match coefficients on {radius}"
+        )
+    cosines, sines = _ring_orders(np.stack([c.values for c in stack]), M)
+    return _ring_legendre(target, M), cosines, sines
+
+
+def ring_degree_sums(coeffs: HarmonicCoefficients, rule: CubatureRule) -> np.ndarray:
+    """Per-degree partial sums of synthesize(coeffs, rule), shape (T, M+1).
+
+    Column k holds sum_j c_{k,j} (1/radius) Y_{k,j} at the rule's points, so
+    a per-degree rescaling synthesizes as Z @ factors; gate and divisor are
+    synthesize's.  A ring's rows are C @ S_r: C is the real inverse DFT
     table (_ring_dft), S_r's column k holds Q_k^m times degree k's packed
     orders (_ring_orders), cosines in rows m and sines in rows M + m.  Per
     block of _RING_BLOCK rings, two scatters fill S and one matmul writes
     its rows: O(T M^2) work, and no dense basis.
     """
     M = coeffs.M
-    table = _ring_legendre(rule, M)
+    table, cosines, sines = _ring_inputs([coeffs], rule)
     dft = _ring_dft(rule, M)
     rings, n_phi = len(table), len(dft)
-    cosines, sines = _ring_orders(coeffs.values[None], M)
     k, m = np.tril_indices(M + 1)
     sine = m > 0
     sine_rows, sine_cols, sines = M + m[sine], k[sine], sines[0, sine]
@@ -200,6 +223,7 @@ def ring_degree_sums(coeffs: HarmonicCoefficients, rule: CubatureRule) -> np.nda
         Sb[:, m, k] = table[block] * cosines[0]
         Sb[:, sine_rows, sine_cols] = table[block, sine] * sines
         np.matmul(dft, Sb, out=by_ring[block])
+    np.divide(Z, coeffs.radius, out=Z)
     return Z
 
 
@@ -217,8 +241,10 @@ def analyze(samples: np.ndarray, rule: CubatureRule, M: int) -> HarmonicCoeffici
     Q_k^m Im F[r, m], divided by rho: O(M^3) work and no dense basis.
 
     Raises ValidationError if the rule is not exact to degree 2M, is not
-    stored ring by ring, or the sample count does not match the rule.
+    stored ring by ring, M is not a nonnegative integer, or the sample
+    count does not match the rule.
     """
+    check_degree(M)
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (rule.n_points,):
         raise ValidationError(
@@ -275,28 +301,15 @@ def synthesize_stack(
     ascending k before the FFT.  Row b equals synthesize(stack[b], target)
     bit for bit.
     """
-    if not isinstance(target, CubatureRule):
-        raise ValidationError(
-            f"synthesize needs a CubatureRule, got {type(target).__name__}"
-        )
-    M, radius = stack[0].M, stack[0].radius
-    for c in stack:
-        if c.M != M or radius_mismatch(c.radius, radius):
-            raise ValidationError("coefficient sets must share degree and radius")
-    if radius_mismatch(target.rho, radius):
-        raise ValidationError(
-            f"rule sphere {target.rho} does not match coefficients on {radius}"
-        )
-    table = _ring_legendre(target, M)
+    table, cosines, sines = _ring_inputs(stack, target)
     n_phi = 2 * (target.M + 1)
-    cosines, sines = _ring_orders(np.stack([c.values for c in stack]), M)
     orders = cosines - 1j * sines
     spectra = np.zeros((len(stack), len(table), n_phi // 2 + 1), dtype=complex)
-    for k in range(M + 1):
+    for k in range(stack[0].M + 1):
         cols = slice(k * (k + 1) // 2, (k + 1) * (k + 2) // 2)
         spectra[:, :, : k + 1] += table[:, cols] * orders[:, None, cols]
     fields = np.fft.irfft(spectra, n=n_phi, axis=-1, norm="forward")
-    return fields.reshape(len(stack), -1) / radius
+    return fields.reshape(len(stack), -1) / stack[0].radius
 
 
 def apply_forward(
@@ -336,6 +349,7 @@ def symbol_preset(
     The parameter may be embedded in the name ("geometric(1.48)") or passed
     as the keyword ``q``/``s``.  Nonmonotone parameterizations are rejected.
     """
+    check_degree(M)
     match = _PRESET_RE.match(name)
     if match is None:
         raise ValidationError(f"unparseable symbol preset {name!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .harmonics import legendre_table
+from .harmonics import check_degree, legendre_table
 
 _NEWTON_MAX_STEPS = 100
 
@@ -71,6 +71,7 @@ def gauss_legendre(n: int) -> LineRule:
         If Newton iteration has not converged after 100 steps, which would
         signal a defect rather than a hard input.
     """
+    check_degree(n, "node count n")
     if n < 1:
         raise ValidationError(f"need at least one node, got n={n}")
     i = np.arange(n)
@@ -99,8 +100,7 @@ def sphere_rule(M: int, rho: float) -> CubatureRule:
     ring by ring: row i * 2(M+1) + l is point (i, l), with the nodes
     ascending.
     """
-    if M < 0:
-        raise ValidationError(f"M must be nonnegative, got {M}")
+    check_degree(M)
     if not 0 < rho < math.inf:
         raise ValidationError(f"rho must be positive and finite, got {rho!r}")
     line = gauss_legendre(M + 1)

@@ -130,15 +130,8 @@ class EvalGrid:
         return B
 
     def degree_fields(self, coeffs: HarmonicCoefficients) -> np.ndarray:
-        """Per-degree partial sums of the synthesis, shape (T, M+1).
-
-        Column k holds sum_j c_{k,j} (1/radius) Y_{k,j}; any per-degree
-        rescaling of the coefficients then synthesizes as Z @ factors: the
-        rule's ring_degree_sums over the measured radius of the grid.
-        """
-        Z = ring_degree_sums(coeffs, self._rule())
-        np.divide(Z, self.radius, out=Z)
-        return Z
+        """ring_degree_sums on the grid's rule, shape (T, M+1)."""
+        return ring_degree_sums(coeffs, self._rule())
 
     def _rule(self) -> CubatureRule:
         if self.rule is None:
@@ -512,17 +505,14 @@ def select_two_step(
     allowed: their pass picks the only value.
 
     Raises ValidationError, with two_step_solve's message, if beta or the
-    symbol covers fewer degrees than the rule, and NumericalError if the
+    symbol covers fewer degrees than the rule, with synthesize's if the
+    grid is not a rule on the sphere R, and NumericalError if the
     field sums, any candidate's per-degree factors or field, or any of the
     three picked solutions are not finite.
     """
     alphas = grid_values(alpha_grid)
     lambdas = grid_values(lambda_grid)
     M = rule.M
-    if radius_mismatch(grid.radius, symbol.R):
-        raise ValidationError(
-            f"grid radius {grid.radius} does not match solution sphere R={symbol.R}"
-        )
     # two_step_solve's coverage checks, in its order, before any transform.
     for name, covered in (("beta", beta.M), ("symbol", symbol.M)):
         if covered < M:

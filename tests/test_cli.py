@@ -436,6 +436,15 @@ class TestSampleIO:
             read_samples_csv(str(path), rule)
 
 
+def test_solve_grid_defaults_rebuild_the_standard_grid():
+    args = sphere_reg.cli.build_parser().parse_args(
+        ["solve", "s.csv", "--M", "4", "--symbol", "sst", "-o", "c.csv"]
+    )
+    for name in ("alpha", "lambda"):
+        grid = sphere_reg.cli._solve_grid(args, name)
+        assert grid == sphere_reg.experiments.STANDARD_GRID
+
+
 class TestOverflowingGrid:
     @pytest.mark.parametrize("name", ["alpha", "lambda"])
     def test_solve_grid_rejected_before_selection(

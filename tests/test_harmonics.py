@@ -14,9 +14,10 @@ from sphere_reg import (
     basis_matrix,
     legendre_table,
     sphere_rule,
+    sup_norm,
 )
 from sphere_reg.harmonics import radius_mismatch
-from sphere_reg.operators import _ring_dft, _ring_legendre
+from sphere_reg.operators import _ring_dft, _ring_legendre, ring_degree_sums
 from conftest import random_directions, ring_spectra
 
 FOUR_PI = 4.0 * math.pi
@@ -330,7 +331,7 @@ def per_degree_fill_fields(coeffs, grid):
     Per block of 16 rings, S is filled with two np.multiply calls per
     degree, one for the cosine rows and one for the sine rows, then
     multiplied by the rule's DFT table; the result is divided by the
-    grid's radius.
+    coefficients' radius.
     """
     rule, M = grid.rule, coeffs.M
     table = _ring_legendre(rule, M)
@@ -351,7 +352,7 @@ def per_degree_fill_fields(coeffs, grid):
             np.multiply(Q[block], cosines[k], out=Sb[:, : k + 1, k])
             np.multiply(Q[block, 1:], sines[k], out=Sb[:, M + 1 : M + 1 + k, k])
         np.matmul(dft, Sb, out=by_ring[block])
-    np.divide(Z, grid.radius, out=Z)
+    np.divide(Z, coeffs.radius, out=Z)
     return Z
 
 
@@ -404,7 +405,7 @@ class TestStreamedBlocks:
     def test_degree_fields_equal_the_per_degree_fill(self, rng, M, R):
         # The packed fill against the per-degree one, bit for bit.  At M = 5,
         # R = 1.3 the grid's measured radius is one ulp below rule.rho, and
-        # the fields are divided by the measured one.
+        # the fields are divided by the coefficients' radius, as synthesize's.
         grid = EvalGrid(sphere_rule(2 * M, R))
         coeffs = HarmonicCoefficients(
             M=M, radius=R, values=rng.standard_normal((M + 1) ** 2)
@@ -436,6 +437,18 @@ class TestStreamedBlocks:
             EvalGrid(sphere_rule(4, 1.0).points).degree_fields(coeffs)
         with pytest.raises(ValidationError, match="exceeds"):
             EvalGrid(sphere_rule(1, 1.0)).degree_fields(coeffs)
+
+    def test_field_sums_pass_synthesize_gate(self, rng):
+        # A grid on another sphere, or a point array where a rule belongs,
+        # is refused with synthesize's messages, as sup_norm refuses it.
+        coeffs = HarmonicCoefficients(M=2, radius=1.0, values=rng.standard_normal(9))
+        grid = EvalGrid(sphere_rule(6, 2.0))
+        message = "rule sphere 2.0 does not match coefficients on 1.0"
+        for call in (grid.degree_fields, lambda c: sup_norm(c, grid)):
+            with pytest.raises(ValidationError, match=message):
+                call(coeffs)
+        with pytest.raises(ValidationError, match="synthesize needs a CubatureRule"):
+            ring_degree_sums(coeffs, sphere_rule(4, 1.0).points)
 
     @given(
         dirs=st.integers(1, 12).flatmap(

@@ -11,6 +11,8 @@ from sphere_reg import (
     analyze,
     apply_forward,
     basis_matrix,
+    gauss_legendre,
+    legendre_table,
     sphere_rule,
     symbol_preset,
     synthesize,
@@ -19,6 +21,33 @@ from sphere_reg.operators import _ring_legendre
 from conftest import at_points
 
 FOUR_PI = 4.0 * math.pi
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: symbol_preset("geometric(1.48)", 1.0, 1.0, 2.5),
+        lambda: symbol_preset("geometric(1.48)", 1.0, 1.0, -1),
+        lambda: analyze(np.zeros(50), sphere_rule(4, 1.0), -1),
+        lambda: analyze(np.zeros(50), sphere_rule(4, 1.0), 1.0),
+        lambda: HarmonicCoefficients(M=-1, radius=1.0, values=np.zeros(0)),
+        lambda: HarmonicCoefficients(M=1.0, radius=1.0, values=np.zeros(4)),
+        lambda: sphere_rule(2.5, 1.0),
+        lambda: sphere_rule(-1, 1.0),
+        lambda: gauss_legendre(2.5),
+        lambda: basis_matrix(2.5, np.array([[0.0, 0.0, 1.0]]), 1.0),
+        lambda: basis_matrix(-1, np.array([[0.0, 0.0, 1.0]]), 1.0),
+        lambda: legendre_table(-1, np.array([0.3])),
+    ],
+    ids=[
+        "preset-2.5", "preset-neg", "analyze-neg", "analyze-float",
+        "coeffs-neg", "coeffs-float", "rule-2.5", "rule-neg", "gauss-2.5",
+        "basis-2.5", "basis-neg", "legendre-neg",
+    ],
+)
+def test_degree_that_is_not_a_nonnegative_integer_is_refused(build):
+    with pytest.raises(ValidationError, match="must be a nonnegative integer"):
+        build()
 
 
 class TestHarmonicCoefficients:

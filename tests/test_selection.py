@@ -722,6 +722,14 @@ class TestSelectTwoStep:
                 samples, rule, symbol, beta, [0.0, 1.0], [0.0, 1.0], default_eval_grid(4, 1.0)
             )
 
+    def test_grid_on_another_sphere_fails_like_synthesize(self):
+        # The field sums' gate refuses it, after the analysis of the samples.
+        rule, symbol, beta, noisy, _ = make_problem()
+        with pytest.raises(ValidationError, match="rule sphere 2.0 does not match"):
+            select_two_step(
+                noisy, rule, symbol, beta, [0.0, 1.0], [0.0, 1.0], default_eval_grid(6, 2.0)
+            )
+
     def test_trace_and_picks_match_dense_sweep(self):
         rule, symbol, beta, noisy, grid = make_problem(seed=19)
         small = ParameterGrid(1e-5, 3.0, 9, include_zero=True)
