@@ -508,11 +508,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="choose alpha and lambda by nested quasi-optimality",
     )
     for name in ("alpha", "lambda"):
-        p_solve.add_argument(f"--{name}0", type=float, default=STANDARD_GRID.base)
         p_solve.add_argument(
-            f"--{name}-factor", type=float, default=STANDARD_GRID.factor
+            f"--{name}0",
+            type=float,
+            default=STANDARD_GRID.base,
+            help=f"smallest positive {name} of the --auto grid (default %(default)s)",
         )
-        p_solve.add_argument(f"--{name}-count", type=int, default=STANDARD_GRID.count)
+        p_solve.add_argument(
+            f"--{name}-factor",
+            type=float,
+            default=STANDARD_GRID.factor,
+            help=f"ratio of consecutive {name} values (default %(default)s)",
+        )
+        p_solve.add_argument(
+            f"--{name}-count",
+            type=int,
+            default=STANDARD_GRID.count,
+            help=f"{name}0 * factor^i for i = 0..count, after a 0 unless --no-zero "
+            "(default %(default)s)",
+        )
     p_solve.add_argument(
         "--no-zero",
         action="store_true",

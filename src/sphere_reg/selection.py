@@ -177,8 +177,9 @@ def _first_minimum(differences: np.ndarray) -> int:
     return int(np.argmin(differences)) + 1 if differences.size else 0
 
 
-#: Row stride of the subsample whose differences bound every d_i from below.
-_BOUND_STRIDE = 16
+#: Row strides, coarse to fine, of the subsamples whose differences bound every
+#: d_i from below; each divides the one before, so refined bounds only grow.
+_BOUND_STRIDES = (96, 8)
 #: Most column pairs one round evaluates.
 _ROUND_PAIRS = 96
 #: Most columns per product.  OpenBLAS sums the last columns of a wider
@@ -277,40 +278,49 @@ def _pruned_quasi_optimal(
     """Quasi-optimal winners over the fields Z @ (damping * q[j]).T, none built.
 
     Alpha j's factor rows are damping[i] * q[j].  One product over every
-    _BOUND_STRIDE-th row of Z and all n L pairs, alpha-major, gives each
+    _BOUND_STRIDES[0]-th row of Z and all n L pairs, alpha-major, gives each
     alpha's differences there, exact lower bounds on the full ones; the
     n - 1 steps from one alpha's last row to the next one's first are
     dropped.  Returns per alpha the winning row and its difference; a
     single row wins with a NaN difference.  Round 1 evaluates every
-    alpha's lowest-bound pair in one product.  Each later round evaluates
-    up to _ROUND_PAIRS of the pending pairs whose bound is at most their
-    alpha's best difference so far, in ascending (bound, alpha, pair)
-    order, until none is left.  A pair never evaluated has a bound, and so
-    a difference, above one already found: it can neither win nor tie.
-    Ties go to the smaller index, as in _first_minimum.  Every product
-    goes through _column_differences, so winners and differences are
-    bit-identical to the dense pass.
+    alpha's lowest-bound pair on all of Z in one product.  Each later round
+    takes up to _ROUND_PAIRS of the pending pairs whose bound is at most
+    their alpha's best difference so far, in ascending (bound, alpha, pair)
+    order, until none is left, and moves each one stride finer: to a new
+    bound on the next subsample, or from the finest to its difference on
+    all of Z, in one product per stride.  A pair never evaluated has a
+    bound, and so a difference, above one already found: it can neither
+    win nor tie.  Ties go to the smaller index, as in _first_minimum.  Every
+    product goes through _column_differences, so winners and differences
+    are bit-identical to the dense pass.
     """
     n, L = len(q), len(damping)
     if L == 1:
         return np.zeros(n, dtype=int), np.full(n, math.nan)
     steps = _column_differences(
-        Z[::_BOUND_STRIDE], damping, q, *np.divmod(np.arange(n * L), L)
+        Z[:: _BOUND_STRIDES[0]], damping, q, *np.divmod(np.arange(n * L), L)
     )
     bounds = np.append(steps, math.nan).reshape(n, L)[:, :-1]  # no cross-alpha steps
-    pending = np.ones(bounds.shape, dtype=bool)
+    strides = _BOUND_STRIDES[1:] + (1,)  # a pair at level k goes to Z[::strides[k]]
+    level = np.zeros(bounds.shape, dtype=int)  # len(strides) once evaluated
     chosen = np.full(n, L)  # above every index, so the first pair wins even at inf
     best = np.full(n, math.inf)
     alpha_idx, pair_idx = np.arange(n), np.argmin(bounds, axis=1)
+    level[alpha_idx, pair_idx] = len(strides) - 1  # round 1 goes to all of Z
     while alpha_idx.size:
-        pending[alpha_idx, pair_idx] = False
-        d = _column_differences(
-            Z, damping, q, np.repeat(alpha_idx, 2), (pair_idx[:, None] + [0, 1]).ravel()
-        )
-        for j, i, dj in zip(alpha_idx.tolist(), pair_idx.tolist(), d[::2].tolist()):
-            if dj < best[j] or (dj == best[j] and i + 1 < chosen[j]):
-                chosen[j], best[j] = i + 1, dj
-        alpha_idx, pair_idx = np.nonzero(pending & (bounds <= best[:, None]))
+        at = level[alpha_idx, pair_idx]
+        level[alpha_idx, pair_idx] += 1
+        for k in sorted(set(at.tolist())):  # np.unique's first call costs 1 MB of RSS
+            a, p = alpha_idx[at == k], pair_idx[at == k]
+            pairs = np.repeat(a, 2), (p[:, None] + [0, 1]).ravel()
+            d = _column_differences(Z[:: strides[k]], damping, q, *pairs)[::2]
+            if strides[k] > 1:
+                bounds[a, p] = d
+                continue
+            for j, i, dj in zip(a.tolist(), p.tolist(), d.tolist()):
+                if dj < best[j] or (dj == best[j] and i + 1 < chosen[j]):
+                    chosen[j], best[j] = i + 1, dj
+        alpha_idx, pair_idx = np.nonzero((level < len(strides)) & (bounds <= best[:, None]))
         # lexsort sorts by its last key first: bound, then alpha, then pair.
         order = np.lexsort((pair_idx, alpha_idx, bounds[alpha_idx, pair_idx]))
         batch = order[:_ROUND_PAIRS]
@@ -522,9 +532,12 @@ def select_two_step(
         coeffs = analyze(samples, rule, M)
         solution_shape = coeffs.scaled_by_degree(np.ones(M + 1), radius=symbol.R)
         Z = grid.degree_fields(solution_shape)
-    # max |Z| per column without a Z-sized temporary; NaN or inf anywhere in
+    # max |Z| per column without a Z-sized temporary, over the rings first
+    # (long rows reduce faster than Z's short ones); NaN or inf anywhere in
     # Z makes its column's entry non-finite.
-    zmax = np.maximum(Z.max(axis=0), -Z.min(axis=0))
+    by_ring = Z.reshape(grid.rule.M + 1, -1)
+    zmax = np.maximum(by_ring.max(axis=0), -by_ring.min(axis=0))
+    zmax = zmax.reshape(-1, M + 1).max(axis=0)
     if not np.all(np.isfinite(zmax)):
         raise NumericalError("non-finite per-degree field sums of the samples")
 

@@ -23,7 +23,7 @@ from .operators import (
 )
 from .quadrature import gauss_legendre, sphere_rule
 from .selection import (
-    _BOUND_STRIDE,
+    _BOUND_STRIDES,
     EvalGrid,
     _chunks,
     _panels,
@@ -208,11 +208,13 @@ def _check_gemm_slices(M: int) -> CheckResult:
     matching slice of the full matrix product; OpenBLAS keeps that for the
     shapes of selection._product_shape, but no BLAS promises it.  The
     shapes checked are those of the default grids' sweep (52 lambdas and
-    alphas): bound products of 52, 193 and 52 x 52 rows over every 16th
-    row, a 104-column round, a 52-column chain, the 104-column chain of
-    both outer passes (the 52 winners' rows, then the 52 lambda = 0 rows),
-    and every padded width from 8 to 192 at its panel height.  Products
-    are stacked back, so a row their panels miss fails too.
+    alphas): coarse bound products of 52, 193 and 52 x 52 rows over every
+    _BOUND_STRIDES[0]-th row, refinement products of every even width
+    from 2 to 192 (pairs of columns) over every finer stride's rows,
+    a 104-column round, a 52-column chain, the 104-column chain of both
+    outer passes (the 52 winners' rows, then the 52 lambda = 0 rows), and
+    every padded width from 8 to 192 at its panel height.  Products are
+    stacked back, so a row their panels miss fails too.
     """
     rng = np.random.default_rng(6)
     grid = EvalGrid(sphere_rule(2 * M, 1.0))
@@ -222,10 +224,16 @@ def _check_gemm_slices(M: int) -> CheckResult:
     factors = rng.standard_normal((200, M + 1))
     full = Z @ factors.T
     # (row stride, factor rows) of each product.
+    coarse = _BOUND_STRIDES[0]
     products = [
-        (_BOUND_STRIDE, np.arange(52)),
-        (_BOUND_STRIDE, np.arange(193)),
-        (_BOUND_STRIDE, np.arange(52 * 52) % len(factors)),
+        (coarse, np.arange(52)),
+        (coarse, np.arange(193)),
+        (coarse, np.arange(52 * 52) % len(factors)),
+        *(
+            (fine, rng.permutation(len(factors))[:width])
+            for fine in _BOUND_STRIDES[1:]
+            for width in range(2, 193, 2)
+        ),
         (1, rng.permutation(len(factors))[:104]),
         (1, np.arange(52)),
         (1, np.r_[0:52, 100:152]),

@@ -37,7 +37,7 @@ from sphere_reg import (
 from sphere_reg import experiments as ex
 from sphere_reg import selection
 from sphere_reg.selection import (
-    _BOUND_STRIDE,
+    _BOUND_STRIDES,
     _MAX_WIDTH,
     _PANEL_ENTRIES,
     _PANEL_ROWS,
@@ -279,8 +279,8 @@ def pruned(fields):
 
 
 def evaluation_order(fields):
-    """Pair order of the pruned pass: ascending subsample bound."""
-    return np.argsort(sup_differences(fields[::_BOUND_STRIDE])).tolist()
+    """Pair order of the pruned pass: ascending coarsest-subsample bound."""
+    return np.argsort(sup_differences(fields[:: _BOUND_STRIDES[0]])).tolist()
 
 
 def assert_pruned_matches_dense(fields):
@@ -355,8 +355,8 @@ class TestPrunedQuasiOptimal:
 
     def test_winner_is_not_the_first_pair_evaluated(self):
         # Pair (2, 3) has the smallest bound (0.125) but peaks at 3 off the
-        # subsample; pair (0, 1), evaluated second, wins with 1 and stops
-        # the pass before pair (1, 2) (bound 2).
+        # subsamples; pair (0, 1), evaluated next in one product with pair
+        # (1, 2) (bound 2), wins with 1.
         fields = np.zeros((40, 4))
         fields[:, 1] = 1.0
         fields[:, 2] = 3.0
@@ -389,8 +389,9 @@ class TestPrunedQuasiOptimal:
         assert_pruned_matches_dense(fields)
 
     def test_maxima_off_the_subsample(self):
-        # Rows 0, 16 and 32 are sampled.  Column pair (0, 1) looks best on
-        # them but peaks at row 5; the winner (2, 3) peaks at row 9.
+        # Row 0 is the coarse subsample, rows 0, 8, ..., 32 the fine one.
+        # Column pair (0, 1) looks best on them but peaks at row 5; the
+        # winner (2, 3) peaks at row 9.
         fields = np.zeros((40, 4))
         fields[:, 1] = 0.01
         fields[5, 1] = 5.0
@@ -400,6 +401,34 @@ class TestPrunedQuasiOptimal:
         assert pruned(fields) == (3, 2.0)
         assert_pruned_matches_dense(fields)
 
+    def test_pair_dropped_by_its_refined_bound(self):
+        # Rows 0, 96 and 192 are the coarse subsample, every 8th row the
+        # fine one.  Pair (0, 1) has the lowest coarse bound (0.25) and wins
+        # round 1 with 1, peaking at row 5 off both subsamples.  Pair (1, 2)
+        # has coarse bound 0.5 but peaks with 3 at row 8, on the fine
+        # subsample only: it is refined and dropped, never evaluated on all
+        # rows.  Pair (2, 3) has bound 2 and is dropped unrefined.
+        assert _BOUND_STRIDES == (96, 8)
+        fields = np.zeros((200, 4))
+        fields[:, 1] = 0.25
+        fields[5, 1] = 1.0
+        fields[:, 2] = fields[:, 1] + 0.5
+        fields[8, 2] = fields[8, 1] + 3.0
+        fields[:, 3] = fields[:, 2] + 2.0
+        refined, evaluated = [], []
+        real = selection._column_differences
+
+        def record(Z, damping, q, alpha_idx, lam_idx):
+            pairs = lam_idx[::2].tolist()
+            {25: refined, 200: evaluated}.get(len(Z), []).extend(pairs)
+            return real(Z, damping, q, alpha_idx, lam_idx)
+
+        with mock.patch.object(selection, "_column_differences", record):
+            chosen, best = kernel(fields, 4)
+        assert (refined, evaluated) == ([1], [0])
+        ref_idx, ref_diffs = quasi_optimal(fields)
+        assert (chosen[0], best[0]) == (ref_idx, ref_diffs[ref_idx - 1]) == (1, 1.0)
+
     @pytest.mark.parametrize("T", [1, 2, 15])
     def test_fewer_rows_than_the_stride(self, T):
         rng = np.random.default_rng(T)
@@ -407,8 +436,9 @@ class TestPrunedQuasiOptimal:
 
     def test_equal_bounds_over_several_rounds_reach_every_pair(self):
         # Eleven pairs share one bound; all but pair 9 peak off the
-        # subsample at row 5.  Round 1 takes pair 0 and round 2 the other
-        # ten, in pair order; the winner is the last but one of them.
+        # subsamples at row 5.  Round 1 takes pair 0, round 2 refines the
+        # other ten and round 3 evaluates them, in pair order; the winner
+        # is the last but one of them.
         steps = np.ones((40, 11))
         steps[5, :] = 2.0
         steps[5, 9] = 1.0
@@ -442,9 +472,10 @@ class TestPrunedQuasiOptimal:
 
     def test_rounds_of_more_pending_pairs_than_one_product_takes(self):
         # Two alphas of 120 pairs that all share one bound; every pair but
-        # one per alpha peaks off the subsample at row 5.  Round 1 takes each
-        # alpha's pair 0; the 238 pending pairs then take three rounds of at
-        # most _ROUND_PAIRS, and each alpha's winner is in the last.
+        # one per alpha peaks off the subsamples at row 5.  Round 1 takes
+        # each alpha's pair 0; the 238 pending pairs then take three
+        # full-height products of at most _ROUND_PAIRS, each after the round
+        # that refines its pairs, and each alpha's winner is in the last.
         steps = np.ones((40, 120))
         steps[5, :] = 2.0
         tables = []
@@ -649,7 +680,7 @@ def recorded_products(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid
     real = selection._column_differences
 
     def record(rows_of_z, damping, q, alpha_idx, lam_idx):
-        stride = _BOUND_STRIDE if len(rows_of_z) < len(Z) else 1
+        stride = next(s for s in (*_BOUND_STRIDES, 1) if len(Z[::s]) == len(rows_of_z))
         assert np.array_equal(rows_of_z, Z[::stride])
         products.append((Z, stride, damping[lam_idx] * q[alpha_idx]))
         return real(rows_of_z, damping, q, alpha_idx, lam_idx)
@@ -806,18 +837,21 @@ class TestSelectTwoStep:
         for lambda_grid in (args[5], lambdas_193):
             products += recorded_products(*args[:4], [0.0], lambda_grid, args[6])
         products += recorded_products(*args[:4], grid_values(args[4])[:26], *args[5:])
+        coarse, fine = _BOUND_STRIDES
         shapes = {(stride, len(rows)) for _, stride, rows in products}
         assert {
-            (_BOUND_STRIDE, 52), (_BOUND_STRIDE, 193), (_BOUND_STRIDE, 52 * 52),
-            (_BOUND_STRIDE, 52 * 193), (1, 104), (1, 52),
+            (coarse, 52), (coarse, 193), (coarse, 52 * 52), (coarse, 52 * 193),
+            (fine, 2 * _ROUND_PAIRS), (1, 104), (1, 52),
         } <= shapes
-        assert all(len(rows) <= 2 * _ROUND_PAIRS for _, stride, rows in products if stride == 1)
+        assert all(
+            len(rows) <= 2 * _ROUND_PAIRS for _, stride, rows in products if stride != coarse
+        )
         assert_products_are_gemm_slices(products)
 
     def test_bound_products_on_few_rows_or_many_lambdas_are_gemm_slices(self):
         # Bound products that used to run on OpenBLAS's small-product kernel
-        # (a coarse sup grid: 128 subsample rows and up to 9 lambdas at
-        # M = 31) or to sum their last columns differently (193 and 250
+        # (a coarse sup grid: 22 coarse subsample rows and up to 9 lambdas
+        # at M = 31) or to sum their last columns differently (193 and 250
         # lambdas): each now takes the shape rule, so its sums are those of
         # the full GEMM and its bounds are exact.
         rule, symbol, beta, noisy, _ = make_problem(M=31, seed=41)
@@ -841,21 +875,24 @@ class TestSelectTwoStep:
             products += recorded_products(
                 *args[:4], [0.0], np.geomspace(1e-5, 1.0, L), args[6]
             )
-        bounds = [p for p in products if p[1] == _BOUND_STRIDE]
-        # One per grid for the nested pass's two alphas, one for its alpha = 0
-        # alone.
-        assert len(bounds) == 2 * 10
+        bounds = [p for p in products if p[1] != 1]
+        # One coarse product per grid for the nested pass's two alphas, one
+        # for its alpha = 0 alone; the refinement products ride along.
+        assert sum(p[1] == _BOUND_STRIDES[0] for p in bounds) == 2 * 10
         assert_products_are_gemm_slices(bounds)
 
     def test_figure1_trial_forms_one_bound_product_per_pass(self):
-        # The one nested pass's 52 x 52 rows; its alpha = 0 row gives the
-        # smoothing-only pick, and the collocation-only pick needs no bound.
-        bounds = [
-            len(rows)
-            for _, stride, rows in recorded_products(*figure1_trial())
-            if stride == _BOUND_STRIDE
-        ]
-        assert bounds == [52 * 52]
+        # The one nested pass's 52 x 52 rows on the coarse subsample; its
+        # alpha = 0 row gives the smoothing-only pick, and the
+        # collocation-only pick needs no bound.  Three refinement products
+        # on the fine subsample tighten the bounds of the pairs left.
+        products = recorded_products(*figure1_trial())
+        bounds = {
+            stride: [len(rows) for _, s, rows in products if s == stride]
+            for stride in _BOUND_STRIDES
+        }
+        assert bounds[_BOUND_STRIDES[0]] == [52 * 52]
+        assert len(bounds[_BOUND_STRIDES[1]]) == 3
 
     def test_warm_trial_streams_the_field_sums_at_most_six_times(self):
         # A pass over Z is one chunk of one product at full height; the
