@@ -39,6 +39,7 @@ from .experiments import (
     run_case,
 )
 from .figures import strip_plot_svg
+from .harmonics import _off_tolerance
 from .operators import HarmonicCoefficients, symbol_preset
 from .quadrature import CubatureRule, sphere_rule
 from .selection import ParameterGrid, default_eval_grid, select_two_step
@@ -50,8 +51,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_MISSING_INPUT = 2
 EXIT_INVALID_INPUT = 3
 EXIT_NUMERICAL = 4
-
-_POINT_MATCH_TOL = 1e-9
 
 
 def _fmt(x: float) -> str:
@@ -166,10 +165,8 @@ def _first_bad_row(table: np.ndarray, rule: CubatureRule) -> tuple[int, str] | N
 
     A point mismatch on a row comes before its non-finite value.
     """
-    tol = _POINT_MATCH_TOL * max(1.0, rule.rho)
-    off_rule = ~(
-        np.max(np.abs(table[:, :3] - rule.points[: len(table)]), axis=1) <= tol
-    )
+    points = rule.points[: len(table)]
+    off_rule = _off_tolerance(table[:, :3], points, rule.rho).any(axis=1)
     bad = np.flatnonzero(off_rule | ~np.isfinite(table[:, 3]))
     if not bad.size:
         return None
@@ -225,7 +222,7 @@ def write_results_csv(
     path: str,
     case_name: str,
     results: list[TrialResult],
-    summary: LeaderSummary | None = None,
+    summary: LeaderSummary,
 ) -> None:
     lines = ["case,trial,method,relative_error,alpha,lambda"]
     for r in results:
@@ -233,15 +230,14 @@ def write_results_csv(
             f"{case_name},{r.trial},{r.method},{_fmt(r.relative_error)},"
             f"{_fmt(r.chosen_alpha)},{_fmt(r.chosen_lambda)}"
         )
-    if summary is not None:
-        lines.append(
-            f"# leader_following case={summary.case} "
-            f"two_step_median={_fmt(summary.median_two_step)} "
-            f"smoothing_median={_fmt(summary.median_smoothing)} "
-            f"collocation_median={_fmt(summary.median_collocation)} "
-            f"ratio={_fmt(summary.ratio)} "
-            f"follows_leader={'true' if summary.follows_leader else 'false'}"
-        )
+    lines.append(
+        f"# leader_following case={summary.case} "
+        f"two_step_median={_fmt(summary.median_two_step)} "
+        f"smoothing_median={_fmt(summary.median_smoothing)} "
+        f"collocation_median={_fmt(summary.median_collocation)} "
+        f"ratio={_fmt(summary.ratio)} "
+        f"follows_leader={'true' if summary.follows_leader else 'false'}"
+    )
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -30,12 +30,17 @@ from .errors import ValidationError
 _RADIUS_RTOL = 1e-9
 
 
-def radius_mismatch(r, ref: float) -> bool:
-    """True if any radius in r is off the reference radius ref.
+def _off_tolerance(x, ref, scale: float) -> np.ndarray:
+    """Elementwise: not |x - ref| <= 1e-9 * max(scale, 1), so NaN is off.
 
-    The one tolerance rule of the package: |r - ref| > 1e-9 * max(ref, 1).
+    The one tolerance rule of the package, for radii and rule points.
     """
-    return bool(np.any(np.abs(np.asarray(r) - ref) > _RADIUS_RTOL * max(ref, 1.0)))
+    return ~(np.abs(x - ref) <= _RADIUS_RTOL * max(scale, 1.0))
+
+
+def radius_mismatch(r, ref: float) -> bool:
+    """True if any radius in r is off the reference radius ref, or NaN."""
+    return bool(np.any(_off_tolerance(np.asarray(r), ref, ref)))
 
 
 def check_degree(M, name: str = "M") -> None:
@@ -44,10 +49,20 @@ def check_degree(M, name: str = "M") -> None:
         raise ValidationError(f"{name} must be a nonnegative integer, got {M!r}")
 
 
+def check_finite(values: np.ndarray, what: str, name: str) -> None:
+    """Raise ValidationError naming the first non-finite entry, as name_i."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        value = float(values.flat[i])
+        raise ValidationError(f"{what} must be finite, got {name}_{i} = {value!r}")
+
+
 def legendre_table(k_max: int, t: np.ndarray) -> np.ndarray:
     """Stack P_0(t)..P_kmax(t) for array argument t; shape (k_max+1,) + t.shape."""
     check_degree(k_max, "k_max")
     t = np.asarray(t, dtype=float)
+    check_finite(t, "Legendre arguments", "t")
     if np.any(np.abs(t) > 1.0 + 1e-12):
         raise ValidationError("Legendre argument outside [-1, 1]")
     out = np.empty((k_max + 1,) + t.shape)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .harmonics import _associated_legendre, check_degree, radius_mismatch
+from .harmonics import _associated_legendre, check_degree, check_finite, radius_mismatch
 from .quadrature import CubatureRule
 
 
@@ -94,6 +94,7 @@ class SphericalSymbol:
             )
         if a.ndim != 1 or a.size == 0:
             raise ValidationError("symbol sequence must be a nonempty vector")
+        check_finite(a, f"symbol '{self.name}' entries", "a")
         if np.any(a <= 0):
             raise ValidationError(f"symbol '{self.name}' has nonpositive entries")
         if np.any(np.diff(a) > 0):
@@ -240,19 +241,16 @@ def analyze(samples: np.ndarray, rule: CubatureRule, M: int) -> HarmonicCoeffici
     c_{k,m} = sqrt(2) sum_r Q_k^m Re F[r, m] and c_{k,-m} = -sqrt(2) sum_r
     Q_k^m Im F[r, m], divided by rho: O(M^3) work and no dense basis.
 
-    Raises ValidationError if the rule is not exact to degree 2M, is not
-    stored ring by ring, M is not a nonnegative integer, or the sample
-    count does not match the rule.
+    Raises ValidationError if M is not a nonnegative integer, the sample
+    count does not match the rule, or the ring table (_ring_legendre)
+    refuses the rule: one not stored ring by ring, or of degree below M,
+    and so not exact to degree 2M.
     """
     check_degree(M)
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (rule.n_points,):
         raise ValidationError(
             f"expected {rule.n_points} samples, got shape {samples.shape}"
-        )
-    if rule.exactness_degree < 2 * M:
-        raise ValidationError(
-            f"rule exact to degree {rule.exactness_degree} cannot analyze M={M}"
         )
     table = _ring_legendre(rule, M)
     n_phi = 2 * (rule.M + 1)
@@ -328,15 +326,7 @@ def apply_forward(
 _PRESET_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*([^)]+)\s*\))?\s*$")
 
 
-def symbol_preset(
-    name: str,
-    R: float,
-    rho: float,
-    M: int,
-    *,
-    q: float | None = None,
-    s: float | None = None,
-) -> SphericalSymbol:
+def symbol_preset(name: str, R: float, rho: float, M: int) -> SphericalSymbol:
     """Build one of the named symbol families for degrees 0..M.
 
     Presets
@@ -346,24 +336,23 @@ def symbol_preset(
     ``geometric(q)``   : a_k = q^{-k}, q > 1
     ``polynomial(s)``  : a_k = (k+1)^{-s}, s > 0
 
-    The parameter may be embedded in the name ("geometric(1.48)") or passed
-    as the keyword ``q``/``s``.  Nonmonotone parameterizations are rejected.
+    The parameter of ``geometric`` and ``polynomial`` is part of the name,
+    as in "geometric(1.48)"; a number that does not parse is reported
+    before a parameter on another preset.  Nonmonotone parameterizations
+    are rejected.
     """
     check_degree(M)
     match = _PRESET_RE.match(name)
     if match is None:
         raise ValidationError(f"unparseable symbol preset {name!r}")
     tag, inline = match.group(1), match.group(2)
+    param = None
     if inline is not None:
         try:
-            inline_val = float(inline)
+            param = float(inline)
         except ValueError:
             raise ValidationError(f"bad parameter in symbol preset {name!r}") from None
-        if tag == "geometric":
-            q = inline_val
-        elif tag == "polynomial":
-            s = inline_val
-        else:
+        if tag not in ("geometric", "polynomial"):
             raise ValidationError(f"preset '{tag}' takes no parameter")
 
     k = np.arange(M + 1, dtype=float)
@@ -372,13 +361,15 @@ def symbol_preset(
     elif tag == "sgg":
         a = (k + 1) * (k + 2) / (rho * rho) * (R / rho) ** k
     elif tag == "geometric":
-        if q is None or not q > 1:
-            raise ValidationError(f"geometric preset needs base q > 1, got {q!r}")
-        a = q ** (-k)
+        if param is None or not param > 1:
+            raise ValidationError(f"geometric preset needs base q > 1, got {param!r}")
+        a = param ** (-k)
     elif tag == "polynomial":
-        if s is None or not s > 0:
-            raise ValidationError(f"polynomial preset needs exponent s > 0, got {s!r}")
-        a = (k + 1) ** (-s)
+        if param is None or not param > 0:
+            raise ValidationError(
+                f"polynomial preset needs exponent s > 0, got {param!r}"
+            )
+        a = (k + 1) ** (-param)
     else:
         raise ValidationError(f"unknown symbol preset {tag!r}")
     return SphericalSymbol(a=a, R=float(R), rho=float(rho), name=name.strip())

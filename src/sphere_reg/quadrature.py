@@ -43,8 +43,7 @@ class CubatureRule:
     weights: np.ndarray  # (N,) positive, units of area on the sphere
     rho: float
     M: int
-    exactness_degree: int
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_points(self) -> int:
@@ -112,11 +111,5 @@ def sphere_rule(M: int, rho: float) -> CubatureRule:
     ph = np.tile(phi, M + 1)
     points = rho * np.column_stack((st * np.cos(ph), st * np.sin(ph), ct))
     weights = rho * rho * (np.pi / (M + 1)) * np.repeat(line.weights, n_phi)
-    return CubatureRule(
-        points=points,
-        weights=weights,
-        rho=float(rho),
-        M=M,
-        exactness_degree=2 * M,
-    )
+    return CubatureRule(points=points, weights=weights, rho=float(rho), M=M)
 

@@ -515,7 +515,8 @@ def select_two_step(
     allowed: their pass picks the only value.
 
     Raises ValidationError, with two_step_solve's message, if beta or the
-    symbol covers fewer degrees than the rule, with synthesize's if the
+    symbol covers fewer degrees than the rule or the rule is off the
+    symbol's data sphere, with synthesize's if the
     grid is not a rule on the sphere R, and NumericalError if the
     field sums, any candidate's per-degree factors or field, or any of the
     three picked solutions are not finite.
@@ -523,10 +524,16 @@ def select_two_step(
     alphas = grid_values(alpha_grid)
     lambdas = grid_values(lambda_grid)
     M = rule.M
-    # two_step_solve's coverage checks, in its order, before any transform.
-    for name, covered in (("beta", beta.M), ("symbol", symbol.M)):
-        if covered < M:
-            raise ValidationError(f"{name} covers degrees 0..{covered}, need 0..{M}")
+    # two_step_solve's checks of beta, the data sphere and the symbol, in its
+    # order, before any transform.
+    if beta.M < M:
+        raise ValidationError(f"beta covers degrees 0..{beta.M}, need 0..{M}")
+    if radius_mismatch(rule.rho, symbol.rho):
+        raise ValidationError(
+            f"input lives on radius {rule.rho}, symbol expects rho={symbol.rho}"
+        )
+    if symbol.M < M:
+        raise ValidationError(f"symbol covers degrees 0..{symbol.M}, need 0..{M}")
 
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = analyze(samples, rule, M)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .harmonics import basis_matrix
+from .harmonics import basis_matrix, check_finite
 from .operators import HarmonicCoefficients, analyze
 from .quadrature import CubatureRule
 
@@ -35,12 +35,7 @@ class PenaltyWeights:
         object.__setattr__(self, "beta", beta)
         if beta.ndim != 1 or beta.size == 0:
             raise ValidationError("beta must be a nonempty vector")
-        bad = np.flatnonzero(~np.isfinite(beta))
-        if bad.size:
-            k = int(bad[0])
-            raise ValidationError(
-                f"beta entries must be finite, got beta_{k} = {float(beta[k])!r}"
-            )
+        check_finite(beta, "beta entries", "beta")
         if np.any(beta <= 0):
             raise ValidationError("beta entries must be positive")
         if np.any(np.diff(beta) < 0):

@@ -26,6 +26,7 @@ from sphere_reg.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    config_to_case,
     main,
     parse_config,
     read_samples_csv,
@@ -793,6 +794,40 @@ class TestExperimentCommand:
         assert main(["experiment", str(cfg)]) == EXIT_INVALID_INPUT
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("case = fig1a\nalpha_zero = maybe\n{out}",
+             "config field 'alpha_zero': expected a boolean, got 'maybe'"),
+            ("case = fig1a\n= 3\n{out}", "config line 2: empty key or value"),
+            ("case = fig1a\nseed =\n{out}", "config line 2: empty key or value"),
+            ("case = fig1a\nlambda_count = many\n{out}",
+             "config field 'lambda*': invalid literal for int() with base 10: 'many'"),
+            ("symbol = sst\n{out}",
+             "config needs either 'case' or both 'symbol' and 'upsilon'"),
+            ("case = fig1a\nM = big\n{out}", "config field 'M': expected int, got 'big'"),
+            ("case = fig1a\nsymbol = sst(2)\n{out}",
+             "config field 'symbol': preset 'sst' takes no parameter"),
+            ("case = fig1a\n", "config field 'output': required"),
+        ],
+        ids=[
+            "bool", "empty-key", "empty-value", "grid-count", "no-case",
+            "typed-field", "symbol", "no-output",
+        ],
+    )
+    def test_invalid_config_rejected(self, tmp_path, capsys, body, message):
+        out = tmp_path / "r.csv"
+        cfg = write_config(tmp_path, body.format(out=f"output = {out}\n"))
+        assert main(["experiment", str(cfg)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_zero_flags_set_the_grids(self):
+        case, _, _ = config_to_case(
+            parse_config("case = fig1a\nalpha_zero = no\nlambda_zero = YES\noutput = r\n")
+        )
+        assert not case.alpha_grid.include_zero and case.lambda_grid.include_zero
+
     def test_missing_config(self, tmp_path):
         assert main(["experiment", str(tmp_path / "no.config")]) == EXIT_MISSING_INPUT
 
@@ -1110,7 +1145,6 @@ class TestVerifyCommand:
                 weights=weights,
                 rho=rule.rho,
                 M=rule.M,
-                exactness_degree=rule.exactness_degree,
             )
 
         monkeypatch.setattr(sphere_reg.verify, "sphere_rule", faulty_rule)

@@ -260,6 +260,14 @@ class TestCompositeNormBound:
         with pytest.raises(ValidationError):
             composite_norm_bound(sp, cp, rule, np.empty((0, 3)))
 
+    def test_nan_grid_rejected(self):
+        rule = sphere_rule(1, 1.0)
+        sym = symbol_preset("polynomial(2)", 1.0, 1.0, 1)
+        sp = SmoothingParams(lam=0.0, beta=unit_beta(1))
+        cp = CollocationParams(alpha=0.0, symbol=sym)
+        with pytest.raises(ValidationError, match="must lie on radius 1.0"):
+            composite_norm_bound(sp, cp, rule, np.full((3, 3), math.nan))
+
     def test_solution_sphere_prefactor(self):
         # R < rho: the bound carries the 1/(R rho) prefactor of the estimate
         M = 0

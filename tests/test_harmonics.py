@@ -63,6 +63,11 @@ class TestLegendre:
         # within the 1e-12 slack is fine
         legendre(3, 1.0 + 1e-13)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_argument_named(self, bad):
+        with pytest.raises(ValidationError, match=f"must be finite, got t_1 = {bad}"):
+            legendre_table(2, np.array([0.5, bad, math.nan]))
+
     @given(
         k=st.integers(min_value=0, max_value=61),
         t=st.floats(min_value=-1.0, max_value=1.0),
@@ -201,6 +206,11 @@ class TestRadiusMismatch:
         assert not radius_mismatch(np.array([3.0, 3.0 + 1e-9]), 3.0)
         assert radius_mismatch(np.array([3.0, 3.0, 3.1]), 3.0)
 
+    def test_nan_is_a_mismatch(self):
+        assert radius_mismatch(math.nan, 1.0)
+        assert radius_mismatch(1.0, math.nan)
+        assert radius_mismatch(np.array([1.0, math.nan]), 1.0)
+
 
 class TestBasis:
     def test_single_entry_unit_radius(self):
@@ -229,6 +239,11 @@ class TestBasis:
     def test_basis_matrix_rejects_off_sphere_points(self):
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         with pytest.raises(ValidationError):
+            basis_matrix(2, pts, 1.0)
+
+    def test_basis_matrix_rejects_nan_points(self):
+        pts = np.array([[1.0, 0.0, 0.0], [math.nan, 0.0, 0.0]])
+        with pytest.raises(ValidationError, match="must be unit vectors"):
             basis_matrix(2, pts, 1.0)
 
     def test_discrete_gram_is_identity(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -159,7 +160,6 @@ def without_last_point(rule):
         weights=rule.weights[:-1],
         rho=rule.rho,
         M=rule.M,
-        exactness_degree=rule.exactness_degree,
     )
 
 
@@ -206,7 +206,6 @@ class TestRingTransforms:
             weights=base.weights * rng.uniform(0.9, 1.1, base.n_points),
             rho=base.rho,
             M=base.M,
-            exactness_degree=base.exactness_degree,
         )
         samples = rng.standard_normal(rule.n_points)
         dense = basis_matrix(5, rule.points, 1.0).T @ (rule.weights * samples)
@@ -231,6 +230,30 @@ class TestRingTransforms:
         synthesize(HarmonicCoefficients(M=8, radius=1.0, values=np.ones(81)), rule)
         assert list(rule._cache) == [8] and rule._cache[8] is table
 
+    def test_replaced_rule_starts_its_own_cache(self):
+        # The cache is no init field: replace neither copies nor shares it.
+        rule = sphere_rule(4, 1.0)
+        table = _ring_legendre(rule, 4)
+        init = [f.name for f in dataclasses.fields(CubatureRule) if f.init]
+        assert init == ["points", "weights", "rho", "M"]
+        moved = dataclasses.replace(rule, points=2.0 * rule.points, rho=2.0)
+        assert moved._cache == {}
+        assert _ring_legendre(moved, 4) is not table
+        assert list(rule._cache) == [4] and rule._cache[4] is table
+
+    def test_analyze_beyond_the_rule_degree_rejected(self):
+        # The ring table refuses it: the rule is exact to degree 2 rule.M only.
+        rule = sphere_rule(3, 1.0)
+        with pytest.raises(ValidationError, match="degree 4 exceeds the rule's degree 3"):
+            analyze(np.ones(rule.n_points), rule, 4)
+
+    def test_rule_on_a_nan_sphere_rejected(self):
+        base = sphere_rule(4, 1.0)
+        rule = CubatureRule(points=base.points, weights=base.weights, rho=math.nan, M=4)
+        c = HarmonicCoefficients(M=4, radius=1.0, values=np.ones(25))
+        with pytest.raises(ValidationError, match="rule sphere nan does not match"):
+            synthesize(c, rule)
+
     def test_rule_without_rings_rejected(self):
         rule = without_last_point(sphere_rule(4, 1.0))
         c = HarmonicCoefficients(M=4, radius=1.0, values=np.ones(25))
@@ -254,6 +277,20 @@ class TestSymbolRadii:
             SphericalSymbol(a=np.ones(3), R=1.0, rho=rho)
         with pytest.raises(ValidationError, match="rho < inf"):
             symbol_preset("polynomial(2)", 1.0, rho, 4)
+
+
+class TestSymbolEntries:
+    @pytest.mark.parametrize(
+        "a, named",
+        [([1.0, math.nan], "a_1 = nan"), ([math.inf, 1.0], "a_0 = inf")],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_entries_named(self, a, named):
+        # NaN passes both the sign and the order test, and inf passes them
+        # at degree 0.
+        message = f"symbol 'custom' entries must be finite, got {named}"
+        with pytest.raises(ValidationError, match=message):
+            SphericalSymbol(a=np.array(a), R=1.0, rho=1.0)
 
 
 class TestApplyForward:
@@ -303,9 +340,11 @@ class TestSymbolPresets:
         assert sym.a[0] == pytest.approx(1.0)
         assert sym.a[1] == pytest.approx(1.0 / 1.48, abs=1e-12)
 
-    def test_geometric_keyword(self):
-        sym = symbol_preset("geometric", 1.0, 1.0, 3, q=2.0)
-        np.testing.assert_allclose(sym.a, [1.0, 0.5, 0.25, 0.125])
+    def test_geometric_base_is_inline(self):
+        sym = symbol_preset("geometric(2)", 1.0, 1.0, 3)
+        np.testing.assert_array_equal(sym.a, [1.0, 0.5, 0.25, 0.125])
+        with pytest.raises(ValidationError, match="needs base q > 1, got None"):
+            symbol_preset("geometric", 1.0, 1.0, 3)
 
     def test_polynomial_value(self):
         sym = symbol_preset("polynomial(2)", 1.0, 1.0, 5)

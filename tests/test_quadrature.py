@@ -6,6 +6,7 @@ import scipy.special
 
 from sphere_reg import (
     HarmonicCoefficients,
+    LineRule,
     ValidationError,
     basis_matrix,
     gauss_legendre,
@@ -46,6 +47,21 @@ class TestGaussLegendre:
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValidationError):
             gauss_legendre(0)
+
+
+class TestLineRule:
+    @pytest.mark.parametrize(
+        "nodes, weights, message",
+        [
+            ([-0.5, 0.5], [2.0], "nodes and weights must have equal length"),
+            ([0.5, -0.5], [1.0, 1.0], "nodes must be strictly increasing"),
+            ([-0.5, 0.5], [2.0, 0.0], "weights must be positive"),
+        ],
+        ids=["lengths", "order", "weights"],
+    )
+    def test_invalid_rules_rejected(self, nodes, weights, message):
+        with pytest.raises(ValidationError, match=message):
+            LineRule(nodes=np.array(nodes), weights=np.array(weights))
 
 
 class TestSphereRule:

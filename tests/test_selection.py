@@ -154,6 +154,11 @@ class TestSupNorm:
         with pytest.raises(ValidationError):
             sup_norm(c, grid_m6)
 
+    def test_nan_point_rejected(self):
+        pts = np.array([[1.0, 0.0, 0.0], [0.0, math.nan, 0.0]])
+        with pytest.raises(ValidationError, match="share one sphere radius"):
+            EvalGrid(pts)
+
     @pytest.mark.parametrize("M", [0, 1, 5, 30])
     @pytest.mark.parametrize("R", [1.0, 1.7])
     def test_matches_the_dense_maximum(self, rng, M, R):
@@ -752,6 +757,34 @@ class TestSelectTwoStep:
             select_two_step(
                 samples, rule, symbol, beta, [0.0, 1.0], [0.0, 1.0], default_eval_grid(4, 1.0)
             )
+
+    def test_symbol_off_the_data_sphere_fails_like_two_step_solve(self):
+        # A rule on radius 1 under a symbol whose data sphere is 2 is refused
+        # with two_step_solve's message and in its order (beta, sphere,
+        # symbol), before any transform, even with samples that overflow.
+        rule = sphere_rule(4, 1.0)
+        samples = np.full(rule.n_points, 1e308)
+        off_sphere = "input lives on radius 1.0, symbol expects rho=2.0"
+        cases = [
+            (4, 4, off_sphere),
+            (2, 4, off_sphere),
+            (4, 2, "beta covers degrees 0..2, need 0..4"),
+        ]
+        no_transform = mock.patch.object(
+            selection, "analyze", side_effect=AssertionError("analyze called")
+        )
+        for symbol_M, beta_M, message in cases:
+            symbol = symbol_preset("sst", 1.0, 2.0, symbol_M)
+            beta = PenaltyWeights(beta=np.ones(beta_M + 1))
+            with pytest.raises(ValidationError, match=message):
+                two_step_solve(
+                    samples, rule, SmoothingParams(0.0, beta), CollocationParams(0.0, symbol)
+                )
+            with no_transform, pytest.raises(ValidationError, match=message):
+                select_two_step(
+                    samples, rule, symbol, beta, [0.0, 1.0], [0.0, 1.0],
+                    default_eval_grid(4, 1.0),
+                )
 
     def test_grid_on_another_sphere_fails_like_synthesize(self):
         # The field sums' gate refuses it, after the analysis of the samples.

@@ -37,12 +37,17 @@ def objective(samples, rule, params, coeffs):
 
 
 class TestPenaltyWeights:
+    @pytest.mark.parametrize("beta", [[], [[1.0, 2.0]]], ids=["empty", "matrix"])
+    def test_rejects_non_vectors(self, beta):
+        with pytest.raises(ValidationError, match="beta must be a nonempty vector"):
+            PenaltyWeights(beta=np.array(beta))
+
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="beta entries must be positive"):
             PenaltyWeights(beta=np.array([1.0, 0.0]))
 
     def test_rejects_decreasing(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="beta must be nondecreasing"):
             PenaltyWeights(beta=np.array([2.0, 1.0]))
 
     @pytest.mark.parametrize(
