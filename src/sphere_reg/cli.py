@@ -5,8 +5,9 @@ an optional SVG strip plot), ``solve`` (solve one problem from a sample
 file), ``rule`` (dump a cubature rule), ``verify`` (run the embedded
 invariant suite).  Exit codes: 0 ok, 1 verification failure, 2 missing
 input, 3 invalid input (an unreadable input or unwritable output path
-too), 4 numerical failure.  Every failure prints a single diagnostic line
-starting with ``error:`` to stderr.
+too), 4 numerical failure (a trial worker process that dies too).  Every
+failure prints a single diagnostic line starting with ``error:`` to
+stderr.
 
 Numeric CSV fields are written with 17 significant digits, which
 round-trips IEEE doubles exactly and keeps output diffable; files are

@@ -14,15 +14,18 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .operators import (
     HarmonicCoefficients,
     SphericalSymbol,
+    _ring_dft,
+    _ring_legendre,
     apply_forward,
     symbol_preset,
     synthesize,
@@ -203,37 +206,81 @@ def relative_sup_errors(
     return norms[1:] / norms[0]
 
 
+def _run_trial(case: ExperimentCase, t: int) -> list[TrialResult]:
+    """Trial t of run_case: its two_step, smoothing_only and collocation_only results.
+
+    The rule and the sup grid come from their caches, so a forked worker
+    reads the tables its parent built and only (case, t) is pickled.
+    """
+    symbol = case.build_symbol()
+    beta = penalty_from_symbol(symbol, case.beta_exponent)
+    rule = canonical_rule(case.M, case.rho)
+    grid = default_eval_grid(case.M, case.R)
+    x_true, _, noisy = simulate_problem(case, trial_seed(case.seed, t))
+    chosen = select_two_step(
+        noisy, rule, symbol, beta, case.alpha_grid, case.lambda_grid, grid
+    )
+    picks = (chosen, chosen.smoothing_only, chosen.collocation_only)
+    errors = relative_sup_errors(x_true, [p.solution for p in picks], grid)
+    return [
+        TrialResult(
+            trial=t,
+            method=method,
+            relative_error=error,
+            chosen_alpha=float(pick.alpha),
+            chosen_lambda=float(pick.lam),
+        )
+        for method, pick, error in zip(METHODS, picks, errors.tolist())
+    ]
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_case(case: ExperimentCase) -> list[TrialResult]:
     """Run every trial of a case with all three methods.
 
     Results are ordered by trial, then two_step / smoothing_only /
     collocation_only, and are deterministic given the case (seed included).
+    The trials run in min(trials, usable cores) forked worker processes,
+    or in this one where that is one or fork does not exist; each trial's
+    bytes are the same either way.  A worker that dies raises
+    NumericalError; any other error re-raises here, as in a serial run.
     """
-    symbol = case.build_symbol()
-    beta = penalty_from_symbol(symbol, case.beta_exponent)
-    rule = canonical_rule(case.M, case.rho)
-    # Cached, so every case at this (M, R) shares the grid's ring tables.
-    grid = default_eval_grid(case.M, case.R)
+    trial = functools.partial(_run_trial, case)
+    workers = min(case.trials, _usable_cores())
+    if workers == 1 or not hasattr(os, "fork"):
+        per_trial = list(map(trial, range(case.trials)))
+    else:
+        # Imported here, so `import sphere_reg.cli` loads neither module.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-    results: list[TrialResult] = []
-    for t in range(case.trials):
-        x_true, _, noisy = simulate_problem(case, trial_seed(case.seed, t))
-        chosen = select_two_step(
-            noisy, rule, symbol, beta, case.alpha_grid, case.lambda_grid, grid
-        )
-        picks = (chosen, chosen.smoothing_only, chosen.collocation_only)
-        errors = relative_sup_errors(x_true, [p.solution for p in picks], grid)
-        for method, pick, error in zip(METHODS, picks, errors.tolist()):
-            results.append(
-                TrialResult(
-                    trial=t,
-                    method=method,
-                    relative_error=error,
-                    chosen_alpha=float(pick.alpha),
-                    chosen_lambda=float(pick.lam),
-                )
-            )
-    return results
+        # Built before the fork, so the workers inherit them rather than
+        # each building its own: the ring tables a trial reads, and the
+        # numpy modules it imports on first use.
+        import numpy.fft
+        import numpy.random
+
+        grid_rule = default_eval_grid(case.M, case.R).rule
+        _ring_legendre(canonical_rule(case.M, case.rho), case.M)
+        _ring_legendre(grid_rule, case.M)
+        _ring_dft(grid_rule, case.M)
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            try:
+                per_trial = list(pool.map(trial, range(case.trials)))
+            except BrokenProcessPool as exc:
+                raise NumericalError(
+                    "a trial worker process died before returning its results"
+                ) from exc
+    return [r for results in per_trial for r in results]
 
 
 @dataclass(frozen=True)

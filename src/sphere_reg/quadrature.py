@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .harmonics import check_degree, legendre_table
+from .harmonics import check_degree, check_finite, legendre_table
 
 _NEWTON_MAX_STEPS = 100
 
@@ -35,6 +35,11 @@ class LineRule:
             raise ValidationError("weights must be positive")
 
 
+def _check_rho(rho) -> None:
+    if not 0 < rho < math.inf:
+        raise ValidationError(f"rho must be positive and finite, got {rho!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class CubatureRule:
     """Product cubature on the sphere of radius rho, exact to degree 2M."""
@@ -44,6 +49,11 @@ class CubatureRule:
     rho: float
     M: int
     _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        _check_rho(self.rho)
+        check_finite(self.points, "rule points", "coordinate")
+        check_finite(self.weights, "rule weights", "w")
 
     @property
     def n_points(self) -> int:
@@ -100,8 +110,7 @@ def sphere_rule(M: int, rho: float) -> CubatureRule:
     ascending.
     """
     check_degree(M)
-    if not 0 < rho < math.inf:
-        raise ValidationError(f"rho must be positive and finite, got {rho!r}")
+    _check_rho(rho)
     line = gauss_legendre(M + 1)
     n_phi = 2 * (M + 1)
     phi = np.pi * np.arange(n_phi) / (M + 1)

@@ -40,15 +40,16 @@ from sphere_reg.selection import TraceRecord
 from conftest import at_points
 
 
-def test_cli_import_leaves_scipy_out():
-    # numpy is the only runtime dependency; scipy is for the tests.
+def cli_import_loads(*modules):
+    """Which of modules a fresh `import sphere_reg.cli` puts in sys.modules."""
     root = Path(__file__).parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")])
     )
     child = subprocess.run(
-        [sys.executable, "-c", "import sys, sphere_reg.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", "import sys, sphere_reg.cli; "
+         "print(' '.join(m for m in sys.argv[1:] if m in sys.modules))", *modules],
         cwd=root,
         env=env,
         capture_output=True,
@@ -56,7 +57,17 @@ def test_cli_import_leaves_scipy_out():
         timeout=60,
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "False"
+    return child.stdout.split()
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only runtime dependency; scipy is for the tests.
+    assert cli_import_loads("scipy") == []
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # run_case imports them when it forks; `solve` never pays for them.
+    assert cli_import_loads("multiprocessing", "concurrent.futures") == []
 
 
 class TestRuleCommand:

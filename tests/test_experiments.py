@@ -1,8 +1,14 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sphere_reg.experiments
 from sphere_reg import (
     CollocationParams,
     ExperimentCase,
@@ -277,6 +283,111 @@ class TestRunCase:
         a = run_case(tiny_case())
         b = run_case(tiny_case(seed=6))
         assert a != b
+
+
+def fake_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+#: Runs `sphere-reg experiment` on argv[3] with argv[2] usable cores, trial
+#: 1 failing as argv[1] names: it raises ValidationError or NumericalError,
+#: or its process exits.  Prints the exit code and the live child count.
+FAILING_TRIAL = """
+import multiprocessing, os, sys
+import sphere_reg.experiments as ex
+from sphere_reg.cli import main
+from sphere_reg.errors import NumericalError, ValidationError
+
+kind, cores, config = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+os.sched_getaffinity = lambda pid: set(range(cores))
+simulate = ex.simulate_problem
+
+def failing(case, seed):
+    if seed == ex.trial_seed(case.seed, 1):
+        if kind == "exit":
+            os._exit(7)
+        error = ValidationError if kind == "validation" else NumericalError
+        raise error(f"trial seed {seed} refused")
+    return simulate(case, seed)
+
+ex.simulate_problem = failing
+code = main(["experiment", config])
+print(code, len(multiprocessing.active_children()))
+"""
+
+
+class TestTrialWorkers:
+    """run_case in forked workers gives what a serial run gives, errors too."""
+
+    def test_pool_results_equal_serial(self, monkeypatch, tmp_path):
+        case = tiny_case(M=6, trials=4)
+        canonical_rule.cache_clear()
+        default_eval_grid.cache_clear()
+        simulate = sphere_reg.experiments.simulate_problem
+
+        def logged(case, seed):
+            # Each process records whether the parent's ring tables reached it.
+            rule = canonical_rule(case.M, case.rho)
+            grid_rule = default_eval_grid(case.M, case.R).rule
+            keys = sorted(map(str, [*rule._cache, *grid_rule._cache]))
+            (tmp_path / f"{os.getpid()}-{seed}").write_text(" ".join(keys))
+            return simulate(case, seed)
+
+        monkeypatch.setattr(sphere_reg.experiments, "simulate_problem", logged)
+        fake_cores(monkeypatch, 2)
+        pooled = run_case(case)
+        assert multiprocessing.active_children() == []
+        runs = [p.name.split("-") for p in tmp_path.iterdir()]
+        assert len(runs) == 4
+        assert len({pid for pid, _ in runs}) == 2
+        assert str(os.getpid()) not in {pid for pid, _ in runs}
+        assert {p.read_text() for p in tmp_path.iterdir()} == {"('dft', 6) 6 6"}
+        monkeypatch.undo()
+
+        fake_cores(monkeypatch, 1)
+        serial = run_case(case)
+        monkeypatch.undo()
+        assert pooled == serial == run_case(case)
+
+    def failing_experiment(self, tmp_path, kind, cores):
+        root = Path(__file__).parents[1]
+        config = tmp_path / "case.config"
+        config.write_text(
+            f"case = fig1a\nM = 6\ntrials = 4\noutput = {tmp_path / 'r.csv'}\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", FAILING_TRIAL, kind, str(cores), str(config)],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert not (tmp_path / "r.csv").exists()
+        return child.stdout.split(), child.stderr
+
+    @pytest.mark.parametrize("kind, code", [("validation", "3"), ("numerical", "4")])
+    def test_worker_error_exits_as_in_a_serial_run(self, tmp_path, kind, code):
+        serial = self.failing_experiment(tmp_path, kind, 1)
+        pooled = self.failing_experiment(tmp_path, kind, 2)
+        assert pooled == serial
+        assert pooled[0] == [code, "0"]
+        prefix = "numerical failure: " if kind == "numerical" else ""
+        seed = trial_seed(FIGURE1_CASES["fig1a"].seed, 1)
+        assert pooled[1] == f"error: {prefix}trial seed {seed} refused\n"
+
+    def test_dead_worker_exits_as_a_numerical_failure(self, tmp_path):
+        (code, children), err = self.failing_experiment(tmp_path, "exit", 2)
+        assert (code, children) == ("4", "0")
+        assert err == (
+            "error: numerical failure: a trial worker process died "
+            "before returning its results\n"
+        )
 
 
 class TestLeaderSummary:

@@ -248,11 +248,10 @@ class TestRingTransforms:
             analyze(np.ones(rule.n_points), rule, 4)
 
     def test_rule_on_a_nan_sphere_rejected(self):
+        # The rule itself refuses the radius, so no transform receives it.
         base = sphere_rule(4, 1.0)
-        rule = CubatureRule(points=base.points, weights=base.weights, rho=math.nan, M=4)
-        c = HarmonicCoefficients(M=4, radius=1.0, values=np.ones(25))
-        with pytest.raises(ValidationError, match="rule sphere nan does not match"):
-            synthesize(c, rule)
+        with pytest.raises(ValidationError, match="rho must be positive and finite, got nan"):
+            CubatureRule(points=base.points, weights=base.weights, rho=math.nan, M=4)
 
     def test_rule_without_rings_rejected(self):
         rule = without_last_point(sphere_rule(4, 1.0))

@@ -5,6 +5,7 @@ import pytest
 import scipy.special
 
 from sphere_reg import (
+    CubatureRule,
     HarmonicCoefficients,
     LineRule,
     ValidationError,
@@ -123,6 +124,48 @@ class TestSphereRule:
     def test_non_finite_radius(self, rho):
         with pytest.raises(ValidationError, match="rho must be positive and finite"):
             sphere_rule(1, rho)
+
+
+class TestCubatureRuleFields:
+    """A hand-built rule is checked as sphere_rule's own output is."""
+
+    def fields(self):
+        base = sphere_rule(4, 1.0)
+        return dict(points=base.points.copy(), weights=base.weights.copy(), rho=1.0, M=4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        # Unchecked, a NaN coordinate made synthesize return 10 NaN values.
+        fields = self.fields()
+        fields["points"][3, 1] = bad
+        with pytest.raises(
+            ValidationError,
+            match=rf"^rule points must be finite, got coordinate_10 = {bad!r}$",
+        ):
+            CubatureRule(**fields)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # Unchecked, a NaN weight made analyze return 25 NaN coefficients.
+        fields = self.fields()
+        fields["weights"][7] = bad
+        with pytest.raises(
+            ValidationError, match=rf"^rule weights must be finite, got w_7 = {bad!r}$"
+        ):
+            CubatureRule(**fields)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_radius_rejected_with_sphere_rules_message(self, rho):
+        fields = dict(self.fields(), rho=rho)
+        with pytest.raises(
+            ValidationError, match=rf"^rho must be positive and finite, got {rho!r}$"
+        ):
+            CubatureRule(**fields)
+
+    def test_overflowing_weights_rejected(self):
+        # rho^2 overflows: the radius is finite, the area weights are not.
+        with pytest.raises(ValidationError, match=r"^rule weights must be finite"):
+            sphere_rule(1, 1e200)
 
 
 class TestIntegrate:
