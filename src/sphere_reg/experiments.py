@@ -11,6 +11,7 @@ polynomial one at two smoothness levels and three penalty growth rates.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import math
 import numbers
@@ -167,7 +168,8 @@ def simulate_problem(case: ExperimentCase, trial_seed: int):
     Returns (x_true, clean, noisy): the true solution coefficients with
     rows decaying like (k+1/2)^(-upsilon) and uniform [-1, 1] mode draws,
     the exact data samples at the canonical rule points, and the samples
-    with i.i.d. Gaussian noise of standard deviation epsilon added.
+    with i.i.d. Gaussian noise of standard deviation epsilon added.  An
+    epsilon whose noise overflows raises ValidationError.
     """
     symbol = case.build_symbol()
     rule = canonical_rule(case.M, case.rho)
@@ -179,8 +181,14 @@ def simulate_problem(case: ExperimentCase, trial_seed: int):
     x_true = HarmonicCoefficients(M=case.M, radius=case.R, values=decay * g)
 
     clean = synthesize(apply_forward(symbol, x_true), rule)
-    noisy = clean + case.epsilon * rng.standard_normal(rule.n_points)
-    return x_true, clean, noisy
+    with np.errstate(over="ignore"):
+        noise = case.epsilon * rng.standard_normal(rule.n_points)
+    if not np.all(np.isfinite(noise)):
+        raise ValidationError(
+            f"epsilon is too large: noise of standard deviation {case.epsilon!r} "
+            "overflows"
+        )
+    return x_true, clean, clean + noise
 
 
 def relative_sup_error(
@@ -242,6 +250,62 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+#: The trial pool this process keeps between run_case calls, with what its
+#: workers inherited at fork: (pid, workers, rule, grid, pool), or None.
+_pool = None
+
+
+def _trial_pool(case: ExperimentCase, workers: int):
+    """The kept pool if its workers hold this case's tables, else a new one.
+
+    A new pool replaces the old one when the worker count differs or when
+    canonical_rule or default_eval_grid returns another object than the
+    workers inherited, as after a cache_clear.
+    """
+    global _pool
+    rule = canonical_rule(case.M, case.rho)
+    grid = default_eval_grid(case.M, case.R)
+    if _pool is not None:
+        pid, count, old_rule, old_grid, pool = _pool
+        same_tables = old_rule is rule and old_grid is grid
+        if pid == os.getpid() and count == workers and same_tables:
+            return pool
+        _drop_pool()
+    # Imported here, so `import sphere_reg.cli` loads neither module.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Built before the fork, so the workers inherit them rather than each
+    # building its own: the ring tables a trial reads, and the numpy
+    # modules it imports on first use.
+    import numpy.fft
+    import numpy.random
+
+    _ring_legendre(rule, case.M)
+    _ring_legendre(grid.rule, case.M)
+    _ring_dft(grid.rule, case.M)
+    fork = multiprocessing.get_context("fork")
+    pool = ProcessPoolExecutor(workers, mp_context=fork)
+    _pool = (os.getpid(), workers, rule, grid, pool)
+    return pool
+
+
+def _drop_pool() -> None:
+    """Shut the kept pool down, joining its workers, and forget it.
+
+    A process forked from the one that made the pool only forgets it.
+    """
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[-1].shutdown(cancel_futures=True)
+    _pool = None
+
+
+# Shut down while the interpreter is whole: a pool first collected in its
+# teardown prints an ignored TypeError from concurrent.futures' callback.
+atexit.register(_drop_pool)
+
+
 def run_case(case: ExperimentCase) -> list[TrialResult]:
     """Run every trial of a case with all three methods.
 
@@ -249,37 +313,31 @@ def run_case(case: ExperimentCase) -> list[TrialResult]:
     collocation_only, and are deterministic given the case (seed included).
     The trials run in min(trials, usable cores) forked worker processes,
     or in this one where that is one or fork does not exist; each trial's
-    bytes are the same either way.  A worker that dies raises
-    NumericalError; any other error re-raises here, as in a serial run.
+    bytes are the same either way.  The pool lives for the process: later
+    calls reuse it while the worker count and the cached rule and sup grid
+    are the ones its workers inherited, and fork a new one otherwise.  So
+    workers see module state as of their fork, and a monkeypatch reaches
+    them only after such a re-fork.  Any error drops the pool: a worker
+    that dies raises NumericalError; any other error re-raises here, as in
+    a serial run.
     """
     trial = functools.partial(_run_trial, case)
     workers = min(case.trials, _usable_cores())
     if workers == 1 or not hasattr(os, "fork"):
         per_trial = list(map(trial, range(case.trials)))
     else:
-        # Imported here, so `import sphere_reg.cli` loads neither module.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        # Built before the fork, so the workers inherit them rather than
-        # each building its own: the ring tables a trial reads, and the
-        # numpy modules it imports on first use.
-        import numpy.fft
-        import numpy.random
-
-        grid_rule = default_eval_grid(case.M, case.R).rule
-        _ring_legendre(canonical_rule(case.M, case.rho), case.M)
-        _ring_legendre(grid_rule, case.M)
-        _ring_dft(grid_rule, case.M)
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-            try:
-                per_trial = list(pool.map(trial, range(case.trials)))
-            except BrokenProcessPool as exc:
-                raise NumericalError(
-                    "a trial worker process died before returning its results"
-                ) from exc
+        try:
+            per_trial = list(_trial_pool(case, workers).map(trial, range(case.trials)))
+        except BrokenProcessPool as exc:
+            _drop_pool()
+            raise NumericalError(
+                "a trial worker process died before returning its results"
+            ) from exc
+        except BaseException:
+            _drop_pool()
+            raise
     return [r for results in per_trial for r in results]
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .collocation import CollocationParams, _solve_from_coefficients
 from .errors import NumericalError, ValidationError
-from .harmonics import basis_matrix, radius_mismatch
+from .harmonics import basis_matrix, check_finite, radius_mismatch
 from .operators import (
     HarmonicCoefficients,
     SphericalSymbol,
@@ -107,6 +107,9 @@ class EvalGrid:
             raise ValidationError("evaluation grid must be nonempty")
         if pts.shape[1] != 3:
             raise ValidationError(f"grid must be (T, 3), got {pts.shape}")
+        # The radius is the first point's; a later non-finite point fails
+        # the shared-radius check.
+        check_finite(pts[0], "grid points", "coordinate")
         norms = np.linalg.norm(pts, axis=1)
         radius = float(norms[0])
         if not radius > 0:

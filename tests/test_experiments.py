@@ -14,6 +14,7 @@ from sphere_reg import (
     ExperimentCase,
     FIGURE1_CASES,
     HarmonicCoefficients,
+    NumericalError,
     SmoothingParams,
     ValidationError,
     apply_forward,
@@ -27,6 +28,7 @@ from sphere_reg import (
     synthesize,
     two_step_solve,
 )
+from sphere_reg.cli import main
 from sphere_reg.experiments import (
     METHOD_COLLOCATION,
     METHOD_SMOOTHING,
@@ -316,10 +318,67 @@ print(code, len(multiprocessing.active_children()))
 """
 
 
+#: Runs two pooled run_case calls at one M with two usable cores and exits
+#: normally; prints the pool's worker pids after each call.
+TWO_POOLED_CASES = """
+import multiprocessing, os
+import sphere_reg.experiments as ex
+os.sched_getaffinity = lambda pid: {0, 1}
+case = ex.case_with_overrides(ex.FIGURE1_CASES["fig1d"], M=6, trials=4)
+for seed in (1, 2):
+    ex.run_case(ex.case_with_overrides(case, seed=seed))
+    print(*sorted(p.pid for p in multiprocessing.active_children()))
+"""
+
+
+def logged_pids(directory, case_seed):
+    """Pids in the names of the files `pid-trialseed` logged for one case seed."""
+    names = (p.name.split("-") for p in directory.iterdir())
+    return {pid for pid, seed in names if int(seed) // 100000 == case_seed}
+
+
+def pid_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.fixture
+def fresh_pool():
+    """No pool and an uncached rule and grid, so the next pooled run_case
+    builds the tables and forks after the test's patches; the pool is
+    dropped afterwards, patches and all."""
+    sphere_reg.experiments._drop_pool()
+    canonical_rule.cache_clear()
+    default_eval_grid.cache_clear()
+    yield
+    sphere_reg.experiments._drop_pool()
+
+
 class TestTrialWorkers:
     """run_case in forked workers gives what a serial run gives, errors too."""
 
-    def test_pool_results_equal_serial(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_overflowing_noise_names_epsilon(
+        self, monkeypatch, tmp_path, capfd, fresh_pool, cores
+    ):
+        # capfd also reads the stderr of workers forked during the test.
+        config = tmp_path / "case.config"
+        config.write_text(
+            f"case = fig1a\nM = 6\ntrials = 4\nepsilon = 1e308\n"
+            f"output = {tmp_path / 'r.csv'}\n"
+        )
+        fake_cores(monkeypatch, cores)
+        assert main(["experiment", str(config)]) == 3
+        assert capfd.readouterr().err == (
+            "error: epsilon is too large: noise of standard deviation 1e+308 "
+            "overflows\n"
+        )
+        assert multiprocessing.active_children() == []
+
+    def test_pool_results_equal_serial(self, monkeypatch, tmp_path, fresh_pool):
         case = tiny_case(M=6, trials=4)
         canonical_rule.cache_clear()
         default_eval_grid.cache_clear()
@@ -336,18 +395,77 @@ class TestTrialWorkers:
         monkeypatch.setattr(sphere_reg.experiments, "simulate_problem", logged)
         fake_cores(monkeypatch, 2)
         pooled = run_case(case)
-        assert multiprocessing.active_children() == []
         runs = [p.name.split("-") for p in tmp_path.iterdir()]
         assert len(runs) == 4
         assert len({pid for pid, _ in runs}) == 2
         assert str(os.getpid()) not in {pid for pid, _ in runs}
         assert {p.read_text() for p in tmp_path.iterdir()} == {"('dft', 6) 6 6"}
+        first = {pid for pid, _ in runs}
+
+        # The same worker count, rule and grid: the same two workers.
+        run_case(case_with_overrides(case, seed=7))
+        assert logged_pids(tmp_path, 7) <= first
+        assert {str(p.pid) for p in multiprocessing.active_children()} == first
+
+        # A cleared cache is another rule and grid: a new pool, the old one gone.
+        canonical_rule.cache_clear()
+        default_eval_grid.cache_clear()
+        again = run_case(case_with_overrides(case, seed=8))
+        assert logged_pids(tmp_path, 8) and not logged_pids(tmp_path, 8) & first
+        assert not any(map(pid_alive, map(int, first)))
         monkeypatch.undo()
 
         fake_cores(monkeypatch, 1)
         serial = run_case(case)
+        assert again == run_case(case_with_overrides(case, seed=8))
         monkeypatch.undo()
         assert pooled == serial == run_case(case)
+
+    def test_dead_worker_leaves_the_next_call_fresh_workers(
+        self, monkeypatch, tmp_path, fresh_pool
+    ):
+        case = tiny_case(M=6, trials=4)
+        simulate = sphere_reg.experiments.simulate_problem
+
+        def dying(case, seed):
+            (tmp_path / f"{os.getpid()}-{seed}").touch()
+            if seed == trial_seed(5, 1):
+                os._exit(7)
+            return simulate(case, seed)
+
+        monkeypatch.setattr(sphere_reg.experiments, "simulate_problem", dying)
+        fake_cores(monkeypatch, 2)
+        with pytest.raises(NumericalError, match="trial worker process died"):
+            run_case(case)
+        assert multiprocessing.active_children() == []
+        dead = logged_pids(tmp_path, 5)
+
+        pooled = run_case(case_with_overrides(case, seed=6))
+        fresh = logged_pids(tmp_path, 6)
+        assert fresh and not fresh & dead and str(os.getpid()) not in fresh
+        monkeypatch.undo()
+        fake_cores(monkeypatch, 1)
+        assert pooled == run_case(case_with_overrides(case, seed=6))
+
+    def test_pool_workers_exit_with_the_process(self):
+        root = Path(__file__).parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", TWO_POOLED_CASES],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stderr == ""
+        first, second = child.stdout.splitlines()
+        assert first == second and len(first.split()) == 2
+        assert not any(pid_alive(int(pid)) for pid in first.split())
 
     def failing_experiment(self, tmp_path, kind, cores):
         root = Path(__file__).parents[1]

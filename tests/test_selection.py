@@ -159,6 +159,17 @@ class TestSupNorm:
         with pytest.raises(ValidationError, match="share one sphere radius"):
             EvalGrid(pts)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_first_point_named(self, value):
+        # The radius comes from the first point: it is refused as non-finite,
+        # not as on the origin or off the other points' sphere.
+        pts = np.array([[value, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(
+            ValidationError,
+            match=f"^grid points must be finite, got coordinate_0 = {value!r}$",
+        ):
+            EvalGrid(pts)
+
     @pytest.mark.parametrize("M", [0, 1, 5, 30])
     @pytest.mark.parametrize("R", [1.0, 1.7])
     def test_matches_the_dense_maximum(self, rng, M, R):
