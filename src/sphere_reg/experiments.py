@@ -206,12 +206,17 @@ def relative_sup_errors(
     """relative_sup_error of each approximation, from one batched synthesis.
 
     The sup norms of x_true and of every x_true - x come from one
-    sup_norms call, so each entry has the bits of a separate call.
+    sup_norms call, so each entry has the bits of a separate call.  An
+    error that overflows raises NumericalError.
     """
-    norms = sup_norms([x_true, *(x_true - x for x in approximations)], eval_grid)
-    if norms[0] == 0.0:
-        raise ValidationError("true solution has zero sup norm")
-    return norms[1:] / norms[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = sup_norms([x_true, *(x_true - x for x in approximations)], eval_grid)
+        if norms[0] == 0.0:
+            raise ValidationError("true solution has zero sup norm")
+        errors = norms[1:] / norms[0]
+    if not np.all(np.isfinite(errors)):
+        raise NumericalError("relative sup error sup|x_true - x| / sup|x_true| overflows")
+    return errors
 
 
 def _run_trial(case: ExperimentCase, t: int) -> list[TrialResult]:
@@ -356,13 +361,19 @@ class LeaderSummary:
 def leader_following_summary(
     case_name: str, results: Sequence[TrialResult]
 ) -> LeaderSummary:
-    """Check whether the two-step median tracks the better single method."""
+    """Check whether the two-step median tracks the better single method.
+
+    A median that is not finite, as when it overflows, raises NumericalError.
+    """
     medians = {}
     for method in METHODS:
         errs = [r.relative_error for r in results if r.method == method]
         if not errs:
             raise ValidationError(f"no results for method {method!r}")
-        medians[method] = float(np.median(errs))
+        with np.errstate(over="ignore"):
+            medians[method] = float(np.median(errs))
+        if not math.isfinite(medians[method]):
+            raise NumericalError(f"median relative error of {method} is not finite")
     best_single = min(medians[METHOD_SMOOTHING], medians[METHOD_COLLOCATION])
     ratio = medians[METHOD_TWO_STEP] / best_single if best_single > 0 else math.inf
     return LeaderSummary(

@@ -180,14 +180,14 @@ def _first_minimum(differences: np.ndarray) -> int:
     return int(np.argmin(differences)) + 1 if differences.size else 0
 
 
-#: Row strides, coarse to fine, of the subsamples whose differences bound every
+#: Row strides, coarse to fine, of the subsamples whose step maxima bound every
 #: d_i from below; each divides the one before, so refined bounds only grow.
 _BOUND_STRIDES = (96, 8)
-#: Most column pairs one round evaluates.
+#: Most pairs one round evaluates.
 _ROUND_PAIRS = 96
 #: Most columns per product.  OpenBLAS sums the last columns of a wider
 #: product differently from a narrower one's.
-_MAX_WIDTH = 2 * _ROUND_PAIRS
+_MAX_WIDTH = 192
 #: Most rows, and most entries, per panel product.
 _PANEL_ROWS = 1024
 _PANEL_ENTRIES = 1024 * 16
@@ -212,15 +212,6 @@ def _product_shape(n_rows: int, n_cols: int) -> tuple[int, int]:
     return min(n_rows, _PANEL_ROWS, _PANEL_ENTRIES // width), width
 
 
-def _chunks(n_cols: int):
-    """Column slices of at most _MAX_WIDTH that together hold every adjacent pair.
-
-    Each slice starts at the last column of the one before it.
-    """
-    for start in range(0, n_cols - 1, _MAX_WIDTH - 1):
-        yield slice(start, start + _MAX_WIDTH)
-
-
 def _panels(n_rows: int, height: int):
     """Row slices of the panel products over range(n_rows), height rows each.
 
@@ -232,46 +223,39 @@ def _panels(n_rows: int, height: int):
         yield slice(max(0, min(start, n_rows - height)), start + height)
 
 
-def _column_differences(
-    Z: np.ndarray, damping: np.ndarray, q: np.ndarray, alpha_idx, lam_idx
+def _step_maxima(
+    Z: np.ndarray, step: np.ndarray, q: np.ndarray, alpha_idx, pair_idx
 ) -> np.ndarray:
-    """Sup differences of adjacent columns of the fields Z @ rows.T, never built.
+    """max_t |Z @ rows.T| of each step row, the rows never stacked.
 
-    Row p is the factor row damping[lam_idx[p]] * q[alpha_idx[p]], and
-    d[p-1] = max_t |fields[t, p] - fields[t, p-1]|.  Columns go _MAX_WIDTH
-    at a time (_chunks): each chunk's rows are written into zero-padded
-    scratch and multiplied by row panels of Z (_panels), every product in
-    the shape of _product_shape.  Only the running maximum of each
-    adjacent column step is kept.  On OpenBLAS a product of that shape
-    equals its slice of the full GEMM (``sphere-reg verify`` checks
-    this), so the differences are bit-identical to those of the built
-    fields.
+    Row p is step[pair_idx[p]] * q[alpha_idx[p]].  Rows go _MAX_WIDTH at a
+    time: each chunk is written into zero-padded scratch and multiplied by
+    row panels of Z (_panels), every product in the shape of
+    _product_shape, and only each column's running maximum of |product| is
+    kept.  On OpenBLAS a product of that shape equals its slice of the
+    full GEMM (``sphere-reg verify`` checks this), so the maxima are
+    bit-identical to those of the dense product Z @ rows.T.
     """
     padded = np.empty((_MAX_WIDTH, q.shape[1]))
-    product, steps, peak = np.empty((3, _PANEL_ENTRIES))
+    product, peak = np.empty((2, _PANEL_ENTRIES))
     if len(Z) * _MAX_WIDTH <= _SMALL_PRODUCT:
         # Too few rows for any width: repeat them, which the maxima do not mind.
         Z = Z[np.arange(_SMALL_PRODUCT // _MAX_WIDTH + 1) % len(Z)]
-    d = np.empty(len(alpha_idx) - 1)
-    for cols in _chunks(len(alpha_idx)):
-        c = len(alpha_idx[cols])
+    d = np.empty(len(alpha_idx))
+    for start in range(0, len(d), _MAX_WIDTH):
+        cols = slice(start, start + _MAX_WIDTH)
+        c = len(d[cols])
         height, width = _product_shape(len(Z), c)
-        np.multiply(damping[lam_idx[cols]], q[alpha_idx[cols]], out=padded[:c])
+        np.multiply(step[pair_idx[cols]], q[alpha_idx[cols]], out=padded[:c])
         padded[c:width] = 0.0
-        size = height * width
-        out = product[:size].reshape(height, width)
-        # Steps along the flattened panel run on contiguous memory; those
-        # into padding or across a row's end land in columns c-1 and up,
-        # which are dropped.
-        flat, step, running = product[:size], steps[: size - 1], peak[: size - 1]
+        out = product[: height * width].reshape(height, width)
+        running = peak[: height * width].reshape(height, width)
         running.fill(0.0)
         for panel in _panels(len(Z), height):
             np.matmul(Z[panel], padded[:width].T, out=out)
-            np.subtract(flat[1:], flat[:-1], out=step)
-            np.abs(step, out=step)
-            np.maximum(running, step, out=running)
-        by_row = peak[:size].reshape(height, width)
-        d[cols.start : cols.start + c - 1] = by_row[:, : c - 1].max(axis=0)
+            np.abs(out, out=out)
+            np.maximum(running, out, out=running)
+        d[cols] = running[:, :c].max(axis=0)
     return d
 
 
@@ -280,11 +264,12 @@ def _pruned_quasi_optimal(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quasi-optimal winners over the fields Z @ (damping * q[j]).T, none built.
 
-    Alpha j's factor rows are damping[i] * q[j].  One product over every
-    _BOUND_STRIDES[0]-th row of Z and all n L pairs, alpha-major, gives each
-    alpha's differences there, exact lower bounds on the full ones; the
-    n - 1 steps from one alpha's last row to the next one's first are
-    dropped.  Returns per alpha the winning row and its difference; a
+    Alpha j's factor rows are damping[i] * q[j], so its step i, from row i
+    to row i + 1, is the step row step[i] * q[j] with step =
+    np.diff(damping), and d_{i+1} = max_t |Z @ step row|.  One product over
+    every _BOUND_STRIDES[0]-th row of Z and all n (L - 1) step rows,
+    alpha-major, gives every pair's maximum there, an exact lower bound on
+    the full one.  Returns per alpha the winning row and its difference; a
     single row wins with a NaN difference.  Round 1 evaluates every
     alpha's lowest-bound pair on all of Z in one product.  Each later round
     takes up to _ROUND_PAIRS of the pending pairs whose bound is at most
@@ -294,16 +279,15 @@ def _pruned_quasi_optimal(
     all of Z, in one product per stride.  A pair never evaluated has a
     bound, and so a difference, above one already found: it can neither
     win nor tie.  Ties go to the smaller index, as in _first_minimum.  Every
-    product goes through _column_differences, so winners and differences
-    are bit-identical to the dense pass.
+    product goes through _step_maxima, so winners and differences are
+    bit-identical to the dense step-row pass.
     """
     n, L = len(q), len(damping)
     if L == 1:
         return np.zeros(n, dtype=int), np.full(n, math.nan)
-    steps = _column_differences(
-        Z[:: _BOUND_STRIDES[0]], damping, q, *np.divmod(np.arange(n * L), L)
-    )
-    bounds = np.append(steps, math.nan).reshape(n, L)[:, :-1]  # no cross-alpha steps
+    step = np.diff(damping, axis=0)
+    pairs = np.divmod(np.arange(n * (L - 1)), L - 1)
+    bounds = _step_maxima(Z[:: _BOUND_STRIDES[0]], step, q, *pairs).reshape(n, L - 1)
     strides = _BOUND_STRIDES[1:] + (1,)  # a pair at level k goes to Z[::strides[k]]
     level = np.zeros(bounds.shape, dtype=int)  # len(strides) once evaluated
     chosen = np.full(n, L)  # above every index, so the first pair wins even at inf
@@ -315,8 +299,7 @@ def _pruned_quasi_optimal(
         level[alpha_idx, pair_idx] += 1
         for k in sorted(set(at.tolist())):  # np.unique's first call costs 1 MB of RSS
             a, p = alpha_idx[at == k], pair_idx[at == k]
-            pairs = np.repeat(a, 2), (p[:, None] + [0, 1]).ravel()
-            d = _column_differences(Z[:: strides[k]], damping, q, *pairs)[::2]
+            d = _step_maxima(Z[:: strides[k]], step, q, a, p)
             if strides[k] > 1:
                 bounds[a, p] = d
                 continue
@@ -449,15 +432,14 @@ def _nested_pass(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nested quasi-optimality over the fields Z @ factors.T of every pair.
 
-    Alpha j's factor rows are damping[i] * q[j] with q = a/(alpha + a^2);
-    _column_differences builds every product's rows from the pairs'
-    indices with these elementwise operations, and so with the same bits.
+    Alpha j's factor rows are damping[i] * q[j] with q = a/(alpha + a^2).
     After the checks (_check_candidates: every pair, then the lambda = 0
     rows of the outer alphas, alphas[first:]), _pruned_quasi_optimal picks
     every alpha's lambda from one bound product and rounds over the whole
-    grid.  One chain product over the outer alphas' winner rows followed
-    by their lambda = 0 rows gives both outer passes' differences; the
-    step between the two chains is dropped.  A lambda grid without 0 takes
+    grid.  One chain product gives both outer passes' differences: its
+    step rows are np.diff of the outer alphas' winner rows, then np.diff
+    of their lambda = 0 rows, taken by _step_maxima with a ones row as q,
+    which keeps their bits.  A lambda grid without 0 takes
     its damping row 1/(1 + 0 b^2), exactly 1 where b^2 is finite.  No
     field is kept.  A single lambda takes the same path: each alpha's only
     row wins with a NaN inner difference, and no bound or pair product is
@@ -475,15 +457,12 @@ def _nested_pass(
     _check_candidates(Z, zmax, damping[:1], q[first:], alphas[first:])
     lam_idx, inner = _pruned_quasi_optimal(Z, damping[shift:], q)
     n = len(q) - first
-    d = _column_differences(
-        Z,
-        damping,
-        q,
-        np.tile(np.arange(first, len(q)), 2),
-        np.concatenate((lam_idx[first:] + shift, np.zeros(n, dtype=int))),
-    )
+    rows = np.stack((damping[lam_idx[first:] + shift] * q[first:], damping[0] * q[first:]))
+    chain = np.diff(rows, axis=1).reshape(-1, len(b))
+    steps = np.arange(len(chain))
+    d = _step_maxima(Z, chain, np.ones((1, len(b))), np.zeros_like(steps), steps)
     outer, unsmoothed = np.full((2, n), math.nan)
-    outer[1:], unsmoothed[1:] = d[: n - 1], d[n:]
+    outer[1:], unsmoothed[1:] = d.reshape(2, n - 1)
     return lam_idx, inner, outer, unsmoothed
 
 

@@ -24,8 +24,9 @@ from .operators import (
 from .quadrature import gauss_legendre, sphere_rule
 from .selection import (
     _BOUND_STRIDES,
+    _MAX_WIDTH,
+    _ROUND_PAIRS,
     EvalGrid,
-    _chunks,
     _panels,
     _product_shape,
 )
@@ -190,7 +191,8 @@ def _check_degree_fields(M: int) -> CheckResult:
 def _stacked_product(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Z @ rows.T stacked back from the sweep's products over its chunks and panels."""
     stacked = np.full((len(Z), len(rows)), np.nan)
-    for cols in _chunks(len(rows)):
+    for start in range(0, len(rows), _MAX_WIDTH):
+        cols = slice(start, start + _MAX_WIDTH)
         chunk = rows[cols]
         height, width = _product_shape(len(Z), len(chunk))
         padded = np.zeros((width, rows.shape[1]))
@@ -203,18 +205,19 @@ def _stacked_product(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _check_gemm_slices(M: int) -> CheckResult:
     """The selection's products against slices of one full GEMM.
 
-    The pruned quasi-optimality kernel matches the dense oracle bit for bit,
-    near ties included, only while every product it forms equals the
-    matching slice of the full matrix product; OpenBLAS keeps that for the
-    shapes of selection._product_shape, but no BLAS promises it.  The
-    shapes checked are those of the default grids' sweep (52 lambdas and
-    alphas): coarse bound products of 52, 193 and 52 x 52 rows over every
-    _BOUND_STRIDES[0]-th row, refinement products of every even width
-    from 2 to 192 (pairs of columns) over every finer stride's rows,
-    a 104-column round, a 52-column chain, the 104-column chain of both
-    outer passes (the 52 winners' rows, then the 52 lambda = 0 rows), and
-    every padded width from 8 to 192 at its panel height.  Products are
-    stacked back, so a row their panels miss fails too.
+    The pruned quasi-optimality kernel matches the dense step-row oracle
+    bit for bit, near ties included, only while every product it forms
+    equals the matching slice of the full matrix product; OpenBLAS keeps
+    that for the shapes of selection._product_shape, but no BLAS promises
+    it.  The shapes checked are those of the default grids' step-row sweep
+    (52 lambdas and alphas, so 51 steps each): coarse bound products of 51
+    and 52 x 51 rows over every _BOUND_STRIDES[0]-th row, refinement
+    products of every width from 1 to _ROUND_PAIRS over every finer
+    stride's rows, round products of every such width over all rows, the
+    102-column chain of both outer passes (51 winner steps, then 51
+    lambda = 0 steps), and every wider padded width up to 192 over all
+    rows.  Products are stacked back, so a row their panels miss fails
+    too.
     """
     rng = np.random.default_rng(6)
     grid = EvalGrid(sphere_rule(2 * M, 1.0))
@@ -222,22 +225,17 @@ def _check_gemm_slices(M: int) -> CheckResult:
         HarmonicCoefficients(M=M, radius=1.0, values=rng.standard_normal((M + 1) ** 2))
     )
     factors = rng.standard_normal((200, M + 1))
-    full = Z @ factors.T
+    # Column-major, so the slices below gather contiguous columns.
+    full = np.asfortranarray(Z @ factors.T)
     # (row stride, factor rows) of each product.
     coarse = _BOUND_STRIDES[0]
+    narrow = [(s, w) for s in (*_BOUND_STRIDES[1:], 1) for w in range(1, _ROUND_PAIRS + 1)]
+    wide = [(1, w) for w in range(_ROUND_PAIRS + 8, _MAX_WIDTH + 1, 8)]
     products = [
-        (coarse, np.arange(52)),
-        (coarse, np.arange(193)),
-        (coarse, np.arange(52 * 52) % len(factors)),
-        *(
-            (fine, rng.permutation(len(factors))[:width])
-            for fine in _BOUND_STRIDES[1:]
-            for width in range(2, 193, 2)
-        ),
-        (1, rng.permutation(len(factors))[:104]),
-        (1, np.arange(52)),
-        (1, np.r_[0:52, 100:152]),
-        *((1, rng.permutation(len(factors))[:width]) for width in range(8, 193, 8)),
+        (coarse, np.arange(51)),
+        (coarse, np.arange(52 * 51) % len(factors)),
+        (1, np.r_[0:51, 100:151]),
+        *((s, rng.permutation(len(factors))[:w]) for s, w in narrow + wide),
     ]
     mismatched = sum(
         not np.array_equal(

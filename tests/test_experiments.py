@@ -378,6 +378,28 @@ class TestTrialWorkers:
         )
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_overflowing_errors_exit_numerical(
+        self, monkeypatch, tmp_path, capfd, fresh_pool, cores
+    ):
+        # The noise is finite, but trial 3's error sup norm over the true
+        # solution's overflows: one error line and exit 4, no warning and
+        # no results file.
+        config = tmp_path / "case.config"
+        config.write_text(
+            f"case = fig1a\nM = 6\ntrials = 4\nepsilon = 1e307\n"
+            f"output = {tmp_path / 'r.csv'}\n"
+        )
+        fake_cores(monkeypatch, cores)
+        assert main(["experiment", str(config)]) == 4
+        [line] = capfd.readouterr().err.splitlines()
+        assert line == (
+            "error: numerical failure: relative sup error "
+            "sup|x_true - x| / sup|x_true| overflows"
+        )
+        assert not (tmp_path / "r.csv").exists()
+        assert multiprocessing.active_children() == []
+
     def test_pool_results_equal_serial(self, monkeypatch, tmp_path, fresh_pool):
         case = tiny_case(M=6, trials=4)
         canonical_rule.cache_clear()
@@ -533,6 +555,18 @@ class TestLeaderSummary:
         assert s.median_collocation == pytest.approx(0.70)
         assert s.ratio == pytest.approx(0.32 / 0.33)
         assert s.follows_leader
+
+    def test_overflowing_median_rejected(self):
+        # Two finite errors whose mean overflows.
+        results = [
+            TrialResult(t, method, error, 0.0, 0.0)
+            for t, error in enumerate([1.5e308, 1.6e308])
+            for method in METHODS
+        ]
+        with pytest.raises(
+            NumericalError, match="^median relative error of two_step is not finite$"
+        ):
+            leader_following_summary("demo", results)
 
     def test_violation_detected(self):
         results = []

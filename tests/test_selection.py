@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -43,13 +44,12 @@ from sphere_reg.selection import (
     _PANEL_ROWS,
     _ROUND_PAIRS,
     _SMALL_PRODUCT,
-    _chunks,
-    _column_differences,
     _first_minimum,
     _nested_pass,
     _panels,
     _product_shape,
     _pruned_quasi_optimal,
+    _step_maxima,
     grid_values,
     sup_norms,
 )
@@ -432,14 +432,13 @@ class TestPrunedQuasiOptimal:
         fields[8, 2] = fields[8, 1] + 3.0
         fields[:, 3] = fields[:, 2] + 2.0
         refined, evaluated = [], []
-        real = selection._column_differences
+        real = selection._step_maxima
 
-        def record(Z, damping, q, alpha_idx, lam_idx):
-            pairs = lam_idx[::2].tolist()
-            {25: refined, 200: evaluated}.get(len(Z), []).extend(pairs)
-            return real(Z, damping, q, alpha_idx, lam_idx)
+        def record(Z, step, q, alpha_idx, pair_idx):
+            {25: refined, 200: evaluated}.get(len(Z), []).extend(pair_idx.tolist())
+            return real(Z, step, q, alpha_idx, pair_idx)
 
-        with mock.patch.object(selection, "_column_differences", record):
+        with mock.patch.object(selection, "_step_maxima", record):
             chosen, best = kernel(fields, 4)
         assert (refined, evaluated) == ([1], [0])
         ref_idx, ref_diffs = quasi_optimal(fields)
@@ -501,27 +500,27 @@ class TestPrunedQuasiOptimal:
             tables.append(np.hstack([np.zeros((40, 1)), np.cumsum(s, axis=1)]))
         Z = np.hstack(tables)
         widths = []
-        real = selection._column_differences
+        real = selection._step_maxima
 
-        def record(Z, damping, q, alpha_idx, lam_idx):
+        def record(Z, step, q, alpha_idx, pair_idx):
             if len(Z) == 40:
                 widths.append(len(alpha_idx))
-            return real(Z, damping, q, alpha_idx, lam_idx)
+            return real(Z, step, q, alpha_idx, pair_idx)
 
-        with mock.patch.object(selection, "_column_differences", record):
+        with mock.patch.object(selection, "_step_maxima", record):
             chosen, best = kernel(Z, 121)
-        assert widths == [4, 2 * _ROUND_PAIRS, 2 * _ROUND_PAIRS, 2 * 46]
+        assert widths == [2, _ROUND_PAIRS, _ROUND_PAIRS, 46]
         np.testing.assert_array_equal(chosen, [118, 111])
         np.testing.assert_array_equal(best, [1.0, 1.0])
         for j in range(2):
             assert_pruned_matches_dense(Z[:, j * 121 : (j + 1) * 121])
 
     def test_round_one_of_more_alphas_than_one_product_takes(self):
-        # 100 alphas' first pairs are 200 columns: round 1 takes two
-        # chunks, the second starting at the last column of the first.
-        Z = np.random.default_rng(9).standard_normal((50, 100 * 3))
+        # 200 alphas' first pairs are 200 step rows: round 1 takes two
+        # chunks, of _MAX_WIDTH and 8 columns.
+        Z = np.random.default_rng(9).standard_normal((50, 200 * 3))
         chosen, best = kernel(Z, 3)
-        for j in range(100):
+        for j in range(200):
             ref_idx, ref_diffs = quasi_optimal(Z[:, 3 * j : 3 * j + 3])
             assert (chosen[j], best[j]) == (ref_idx, ref_diffs[ref_idx - 1])
 
@@ -630,14 +629,35 @@ def straight_line_two_step(samples, rule, symbol, beta, alphas, lambdas, grid):
     return alphas[idx], winners[idx][0], winners[idx][1]
 
 
-def dense_sweep(samples, rule, symbol, beta, alphas, lambdas, grid):
-    """The sweep with every (T, L) and (T, A) table kept and the dense kernel.
+def gemm(Z, rows):
+    """Z @ rows.T, sliced from one GEMM over the rows padded to a multiple of 8.
 
-    Each table is one GEMM over factor rows; the (T, A) tables take the
-    winners' rows.  Returns (nested alpha index, per-alpha chosen lambdas,
-    inner minimum differences, outer differences, smoothing-only lambda
-    index, collocation-only alpha index, whether every candidate field is
-    finite).
+    OpenBLAS sums the last columns of an unpadded product wider than
+    _MAX_WIDTH differently, and runs a one-row product on GEMV, whose sums
+    differ from the GEMM's.
+    """
+    padded = np.zeros((-(-len(rows) // 8) * 8, rows.shape[1]))
+    padded[: len(rows)] = rows
+    return (Z @ padded.T)[:, : len(rows)]
+
+
+def step_maxima(Z, steps):
+    """max_t |Z @ steps.T| of each step row, from one GEMM: _step_maxima's oracle."""
+    return np.abs(gemm(Z, steps)).max(axis=0)
+
+
+def dense_sweep(samples, rule, symbol, beta, alphas, lambdas, grid):
+    """The sweep with every step of every (L, M+1) and (A, M+1) factor table.
+
+    Each table's differences come from one GEMM over its step rows; the
+    (A, M+1) tables stack the winners' rows.  The step rows are formed as
+    the sweep forms them, np.diff of the damping times q, so differences
+    stay exact up to the GEMM's rounding: differencing the built fields
+    instead cancels (off by up to 4.2e-12 relative on a figure-1 trial).
+    The candidate fields themselves are built only to check they are
+    finite.  Returns (nested alpha index, per-alpha chosen lambdas, inner
+    minimum differences, outer differences, smoothing-only lambda index,
+    collocation-only alpha index, whether every candidate field is finite).
     """
     M = rule.M
     coeffs = analyze(samples, rule, M)
@@ -645,22 +665,23 @@ def dense_sweep(samples, rule, symbol, beta, alphas, lambdas, grid):
     a = symbol.a[: M + 1]
     b = beta.beta[: M + 1]
     damping = 1.0 / (1.0 + np.outer(lambdas, b * b))
-    direct = Z @ (damping * (a / (a * a))).T
-    smoothing_idx, _ = quasi_optimal(direct)
+    step = np.diff(damping, axis=0)
+    smoothing_idx = _first_minimum(step_maxima(Z, step * (a / (a * a))))
     winners, unsmoothed, chosen_lams, inner_mins = [], [], [], []
-    finite = np.isfinite(direct).all()
+    finite = np.isfinite(Z @ (damping * (a / (a * a))).T).all()
     for alpha in alphas:
         inversion = a / (alpha + a * a)
-        factors = damping * inversion
-        fields = Z @ factors.T
-        idx, diffs = quasi_optimal(fields)
-        winners.append(factors[idx])
+        diffs = step_maxima(Z, step * inversion)
+        idx = _first_minimum(diffs)
+        winners.append(damping[idx] * inversion)
         unsmoothed.append(inversion)
         chosen_lams.append(lambdas[idx])
         inner_mins.append(diffs[idx - 1] if diffs.size else math.nan)
-        finite &= np.isfinite(fields).all() & np.isfinite(Z @ inversion).all()
-    alpha_idx, outer_diffs = quasi_optimal(Z @ np.array(winners).T)
-    collocation_idx, _ = quasi_optimal(Z @ np.array(unsmoothed).T)
+        finite &= np.isfinite(Z @ (damping * inversion).T).all()
+        finite &= np.isfinite(Z @ inversion).all()
+    outer_diffs = step_maxima(Z, np.diff(winners, axis=0))
+    alpha_idx = _first_minimum(outer_diffs)
+    collocation_idx = _first_minimum(step_maxima(Z, np.diff(unsmoothed, axis=0)))
     return (
         alpha_idx, chosen_lams, inner_mins, outer_diffs, smoothing_idx, collocation_idx,
         finite,
@@ -684,45 +705,38 @@ def figure1_trial():
 
 
 def recorded_products(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid):
-    """(Z, row stride, factor rows) of every product select_two_step forms.
+    """(Z, row stride, step rows) of every product select_two_step forms.
 
     Z is the call's field sums in full; the product's rows are Z[::stride].
-    Its factor rows are rebuilt from the kernel's arguments.
+    Its step rows are rebuilt from the kernel's arguments.
     """
     M = rule.M
     coeffs = analyze(samples, rule, M)
     Z = grid.degree_fields(coeffs.scaled_by_degree(np.ones(M + 1), radius=symbol.R))
     products = []
-    real = selection._column_differences
+    real = selection._step_maxima
 
-    def record(rows_of_z, damping, q, alpha_idx, lam_idx):
+    def record(rows_of_z, step, q, alpha_idx, pair_idx):
         stride = next(s for s in (*_BOUND_STRIDES, 1) if len(Z[::s]) == len(rows_of_z))
         assert np.array_equal(rows_of_z, Z[::stride])
-        products.append((Z, stride, damping[lam_idx] * q[alpha_idx]))
-        return real(rows_of_z, damping, q, alpha_idx, lam_idx)
+        products.append((Z, stride, step[pair_idx] * q[alpha_idx]))
+        return real(rows_of_z, step, q, alpha_idx, pair_idx)
 
-    with mock.patch.object(selection, "_column_differences", record):
+    with mock.patch.object(selection, "_step_maxima", record):
         select_two_step(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid)
-    return [p for p in products if len(p[2]) > 1]  # one row forms no product
+    return [p for p in products if len(p[2])]  # no step rows form no product
 
 
 def assert_products_are_gemm_slices(products):
-    """Each product equals its slice of the full GEMM, and so do its differences.
-
-    The full GEMM takes the factor rows padded with zero rows to a multiple
-    of 8: OpenBLAS sums the last columns of an unpadded product wider than
-    _MAX_WIDTH differently.
-    """
+    """Each product equals its slice of the full GEMM (gemm), and so do its maxima."""
     for Z, stride, rows in products:
-        padded = np.zeros((-(-len(rows) // 8) * 8, rows.shape[1]))
-        padded[: len(rows)] = rows
-        full = (Z @ padded.T)[::stride, : len(rows)]
+        full = gemm(Z, rows)[::stride]
         np.testing.assert_array_equal(_stacked_product(Z[::stride], rows), full)
-        # The kernel takes the rows as damping rows of one all-ones q row.
+        # The kernel takes the rows as step rows of one all-ones q row.
         ones, n = np.ones((1, rows.shape[1])), len(rows)
         np.testing.assert_array_equal(
-            _column_differences(Z[::stride], rows, ones, np.zeros(n, int), np.arange(n)),
-            sup_differences(full),
+            _step_maxima(Z[::stride], rows, ones, np.zeros(n, int), np.arange(n)),
+            np.abs(full).max(axis=0),
         )
 
 
@@ -869,11 +883,11 @@ class TestSelectTwoStep:
         # on a 193-value lambda grid, whose bound products take several
         # chunks of columns: each call's panel products, stacked back, equal
         # the slice of one full GEMM over the trial's field sums, and its
-        # differences equal the dense reduction of that slice.  The nested
-        # pass's bound product stacks 52 alphas' 52 (or 193) rows; the
-        # round products are 2 to 104 columns wide, the chain of both outer
-        # passes 104.  One-alpha sweeps form the bound products of 52 and
-        # 193 rows, and a 26-alpha sweep a chain of 52.
+        # maxima equal the dense reduction of that slice.  The nested
+        # pass's bound product stacks 52 alphas' 51 (or 192) step rows; the
+        # round products are 1 to 96 columns wide, the chain of both outer
+        # passes 102.  One-alpha sweeps form the bound products of 51 and
+        # 192 rows, and a 26-alpha sweep a chain of 50.
         args = figure1_trial()
         lambdas_193 = np.geomspace(1e-5, 1.0, 193)
         products = recorded_products(*args)
@@ -884,11 +898,11 @@ class TestSelectTwoStep:
         coarse, fine = _BOUND_STRIDES
         shapes = {(stride, len(rows)) for _, stride, rows in products}
         assert {
-            (coarse, 52), (coarse, 193), (coarse, 52 * 52), (coarse, 52 * 193),
-            (fine, 2 * _ROUND_PAIRS), (1, 104), (1, 52),
+            (coarse, 51), (coarse, 192), (coarse, 52 * 51), (coarse, 52 * 192),
+            (fine, _ROUND_PAIRS), (1, 102), (1, 50),
         } <= shapes
         assert all(
-            len(rows) <= 2 * _ROUND_PAIRS for _, stride, rows in products if stride != coarse
+            len(rows) <= _MAX_WIDTH for _, stride, rows in products if stride != coarse
         )
         assert_products_are_gemm_slices(products)
 
@@ -926,7 +940,7 @@ class TestSelectTwoStep:
         assert_products_are_gemm_slices(bounds)
 
     def test_figure1_trial_forms_one_bound_product_per_pass(self):
-        # The one nested pass's 52 x 52 rows on the coarse subsample; its
+        # The one nested pass's 52 x 51 step rows on the coarse subsample; its
         # alpha = 0 row gives the smoothing-only pick, and the
         # collocation-only pick needs no bound.  Three refinement products
         # on the fine subsample tighten the bounds of the pairs left.
@@ -935,7 +949,7 @@ class TestSelectTwoStep:
             stride: [len(rows) for _, s, rows in products if s == stride]
             for stride in _BOUND_STRIDES
         }
-        assert bounds[_BOUND_STRIDES[0]] == [52 * 52]
+        assert bounds[_BOUND_STRIDES[0]] == [52 * 51]
         assert len(bounds[_BOUND_STRIDES[1]]) == 3
 
     def test_warm_trial_streams_the_field_sums_at_most_six_times(self):
@@ -944,7 +958,7 @@ class TestSelectTwoStep:
         args = figure1_trial()
         select_two_step(*args)
         streams = [
-            len(list(_chunks(len(rows))))
+            -(-len(rows) // _MAX_WIDTH)
             for _, stride, rows in recorded_products(*args)
             if stride == 1
         ]
@@ -1210,13 +1224,13 @@ class TestNonFiniteSelection:
         # it, one with a non-finite factor: the error names the first, as a
         # pass checking alpha by alpha would, and comes before any product.
         products = []
-        real = selection._column_differences
+        real = selection._step_maxima
 
         def record(*args):
             products.append(args)
             return real(*args)
 
-        with mock.patch.object(selection, "_column_differences", record):
+        with mock.patch.object(selection, "_step_maxima", record):
             with pytest.raises(NumericalError) as err:
                 _nested_pass(*grid_error_inputs)
         assert str(err.value) == "non-finite candidate fields at alpha = 0.0001"
@@ -1247,11 +1261,68 @@ class TestNonFiniteSelection:
             )
 
 
+def scaled_integers(values):
+    """Integers n and one shift s with values == n / 2**s, exactly.
+
+    Binary floats, and their exact sums and products, have power-of-two
+    denominators, so one shift puts them all on integers.
+    """
+    fractions = [Fraction(v) for v in values]
+    shift = max(f.denominator for f in fractions).bit_length() - 1
+    return [f.numerator << (shift - f.denominator.bit_length() + 1) for f in fractions], shift
+
+
+def exact_step_maxima(Z, damping, q, alpha_idx, pair_idx):
+    """max_t |Z (damping[i+1] - damping[i]) q[j]| of each pair, in exact arithmetic."""
+    flat, z_shift = scaled_integers(Z.ravel().tolist())
+    width = Z.shape[1]
+    z_rows = [flat[t : t + width] for t in range(0, len(flat), width)]
+    maxima = []
+    for j, i in zip(alpha_idx.tolist(), pair_idx.tolist()):
+        row, shift = scaled_integers(
+            [
+                (Fraction(hi) - Fraction(lo)) * Fraction(qk)
+                for hi, lo, qk in zip(damping[i + 1].tolist(), damping[i].tolist(), q[j].tolist())
+            ]
+        )
+        peak = max(abs(sum(z * r for z, r in zip(z_row, row))) for z_row in z_rows)
+        maxima.append(Fraction(peak, 2 ** (z_shift + shift)))
+    return maxima
+
+
+class TestStepRowAccuracy:
+    def test_step_maxima_match_exact_arithmetic(self):
+        # Every 64th row of a figure-1 trial's field sums, every 5th alpha
+        # and every 5th pair: the kernel's maxima agree with the exact ones
+        # to 1e-14 relative.  Differencing the fields of both rows of a
+        # step, as the kernel once did, cancels: off by 4.2e-12 here.
+        samples, rule, symbol, beta, alpha_grid, lambda_grid, grid = figure1_trial()
+        M = rule.M
+        coeffs = analyze(samples, rule, M)
+        Z = grid.degree_fields(coeffs.scaled_by_degree(np.ones(M + 1), radius=symbol.R))
+        Z = Z[::64]
+        a, b = symbol.a[: M + 1], beta.beta[: M + 1]
+        alphas, lambdas = grid_values(alpha_grid), grid_values(lambda_grid)
+        damping = 1.0 / (1.0 + np.outer(lambdas, b * b))
+        q = a / (alphas[:, None] + a * a)
+        alpha_idx, pair_idx = (
+            idx.ravel()
+            for idx in np.meshgrid(
+                np.arange(0, len(alphas), 5), np.arange(0, len(lambdas) - 1, 5), indexing="ij"
+            )
+        )
+        got = _step_maxima(Z, np.diff(damping, axis=0), q, alpha_idx, pair_idx)
+        exact = exact_step_maxima(Z, damping, q, alpha_idx, pair_idx)
+        assert len(got) == len(exact) == 121
+        worst = max(abs(Fraction(g) - e) / e for g, e in zip(got.tolist(), exact))
+        assert worst <= 1e-14
+
+
 class TestStreamedSweepMemory:
     def test_nested_pass_peak_is_below_the_stacked_bound_rows(self):
-        # The bound product's n L factor rows are built a chunk at a time in
-        # the kernel: a warm nested pass at the figure-1 shape peaks below
-        # the n L (M+1) doubles of those rows stacked.
+        # The bound product's n (L - 1) step rows are built a chunk at a
+        # time in the kernel: a warm nested pass at the figure-1 shape peaks
+        # below the n L (M+1) doubles of the factor rows stacked.
         samples, rule, symbol, beta, alpha_grid, lambda_grid, grid = figure1_trial()
         M = rule.M
         coeffs = analyze(samples, rule, M)
