@@ -17,7 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .harmonics import _associated_legendre, check_degree, check_finite, radius_mismatch
+from .harmonics import (
+    _associated_legendre,
+    _off_tolerance,
+    check_degree,
+    check_finite,
+    radius_mismatch,
+)
 from .quadrature import CubatureRule
 
 
@@ -197,21 +203,60 @@ def _ring_inputs(stack: Sequence[HarmonicCoefficients], target: CubatureRule):
     return _ring_legendre(target, M), cosines, sines
 
 
-def ring_degree_sums(coeffs: HarmonicCoefficients, rule: CubatureRule) -> np.ndarray:
-    """Per-degree partial sums of synthesize(coeffs, rule), shape (T, M+1).
+def _parity(n: int) -> np.ndarray:
+    """(-1)^k for k < n: a degree-k field's sign at the antipode of a point."""
+    return np.where(np.arange(n) % 2, -1.0, 1.0)
 
-    Column k holds sum_j c_{k,j} (1/radius) Y_{k,j} at the rule's points, so
-    a per-degree rescaling synthesizes as Z @ factors; gate and divisor are
-    synthesize's.  A ring's rows are C @ S_r: C is the real inverse DFT
-    table (_ring_dft), S_r's column k holds Q_k^m times degree k's packed
-    orders (_ring_orders), cosines in rows m and sines in rows M + m.  Per
-    block of _RING_BLOCK rings, two scatters fill S and one matmul writes
-    its rows: O(T M^2) work, and no dense basis.
+
+def _check_antipodal(rule: CubatureRule) -> None:
+    """Raise ValidationError unless each point's antipode is in the rule.
+
+    Ring r's point l must have ring R - 1 - r's point l + n_phi/2 as its
+    negative, under _off_tolerance at the rule's radius, for the R rings of
+    n_phi points that _ring_legendre checks.  The first ring off its mirror
+    (-1 for none) is memoized in the rule, so each rule pays once.
+    """
+    bad = rule._cache.get("antipodes")
+    if bad is None:
+        by_ring = rule.points.reshape(-1, 2 * (rule.M + 1), 3)
+        # Each ring's first half against the mirror ring's second pairs every point.
+        sums = by_ring[:, : rule.M + 1] + by_ring[::-1, rule.M + 1 :]
+        off = np.flatnonzero(_off_tolerance(sums, 0.0, rule.rho).any(axis=(1, 2)))
+        bad = rule._cache["antipodes"] = int(off[0]) if off.size else -1
+    if bad >= 0:
+        raise ValidationError(
+            f"rule points are not antipodal: ring {rule.M - bad}'s point "
+            f"l + n_phi/2 is not the negative of ring {bad}'s point l"
+        )
+
+
+def ring_degree_sums(coeffs: HarmonicCoefficients, rule: CubatureRule) -> np.ndarray:
+    """Per-degree partial sums of synthesize(coeffs, rule) on its first rings.
+
+    Returns Z of shape (ceil(R/2) n_phi, M+1) for the rule's R rings of
+    n_phi points: the rows of rings 0..ceil(R/2) - 1.  Column k holds
+    sum_j c_{k,j} (1/radius) Y_{k,j} at those points, so a per-degree
+    rescaling synthesizes as Z @ factors; gate and divisor are
+    synthesize's.  The other rings hold the antipodes: the point of row
+    (ring r, point l) has its antipode at ring R - 1 - r, point l +
+    n_phi/2, where degree k's field is Z[row, k] * (-1)^k (_parity).  So
+    np.vstack((Z, Z * _parity(M + 1))) holds the values at every point,
+    the far rings' in mirrored order; with R odd it holds the equator ring
+    twice, once computed and once mirrored, the same points rounded
+    differently.  Raises ValidationError if the rule's points are not
+    antipodal so (_check_antipodal).
+
+    A ring's rows are C @ S_r: C is the real inverse DFT table
+    (_ring_dft), S_r's column k holds Q_k^m times degree k's packed orders
+    (_ring_orders), cosines in rows m and sines in rows M + m.  Per block
+    of _RING_BLOCK rings, two scatters fill S and one matmul writes its
+    rows: O(T M^2) work, and no dense basis.
     """
     M = coeffs.M
     table, cosines, sines = _ring_inputs([coeffs], rule)
+    _check_antipodal(rule)
     dft = _ring_dft(rule, M)
-    rings, n_phi = len(table), len(dft)
+    rings, n_phi = -(-len(table) // 2), len(dft)
     k, m = np.tril_indices(M + 1)
     sine = m > 0
     sine_rows, sine_cols, sines = M + m[sine], k[sine], sines[0, sine]

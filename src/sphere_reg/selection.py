@@ -23,6 +23,7 @@ from .harmonics import basis_matrix, check_finite, radius_mismatch
 from .operators import (
     HarmonicCoefficients,
     SphericalSymbol,
+    _parity,
     analyze,
     ring_degree_sums,
     synthesize_stack,
@@ -133,7 +134,7 @@ class EvalGrid:
         return B
 
     def degree_fields(self, coeffs: HarmonicCoefficients) -> np.ndarray:
-        """ring_degree_sums on the grid's rule, shape (T, M+1)."""
+        """ring_degree_sums on the grid's rule: its first half of rings."""
         return ring_degree_sums(coeffs, self._rule())
 
     def _rule(self) -> CubatureRule:
@@ -226,28 +227,35 @@ def _panels(n_rows: int, height: int):
 def _step_maxima(
     Z: np.ndarray, step: np.ndarray, q: np.ndarray, alpha_idx, pair_idx
 ) -> np.ndarray:
-    """max_t |Z @ rows.T| of each step row, the rows never stacked.
+    """max_t |full @ rows.T| of each step row, full = np.vstack((Z, Z * parity)).
 
-    Row p is step[pair_idx[p]] * q[alpha_idx[p]].  Rows go _MAX_WIDTH at a
-    time: each chunk is written into zero-padded scratch and multiplied by
+    Row p is step[pair_idx[p]] * q[alpha_idx[p]], and parity = (-1)^k over
+    Z's columns: the antipodes of Z's rows (ring_degree_sums) are never
+    built, but each row f comes with its copy f * parity, and max_t |Z f|
+    and max_t |Z (f * parity)| give the row's maximum.  Only signs flip,
+    which is exact, so each value is the same sum of the same terms as
+    in the dense product.  Rows go _MAX_WIDTH // 2 at a time: each chunk
+    and its copies are written into zero-padded scratch and multiplied by
     row panels of Z (_panels), every product in the shape of
     _product_shape, and only each column's running maximum of |product| is
     kept.  On OpenBLAS a product of that shape equals its slice of the
     full GEMM (``sphere-reg verify`` checks this), so the maxima are
-    bit-identical to those of the dense product Z @ rows.T.
+    bit-identical to those of the dense product full @ rows.T.
     """
+    parity = _parity(q.shape[1])
     padded = np.empty((_MAX_WIDTH, q.shape[1]))
     product, peak = np.empty((2, _PANEL_ENTRIES))
     if len(Z) * _MAX_WIDTH <= _SMALL_PRODUCT:
         # Too few rows for any width: repeat them, which the maxima do not mind.
         Z = Z[np.arange(_SMALL_PRODUCT // _MAX_WIDTH + 1) % len(Z)]
     d = np.empty(len(alpha_idx))
-    for start in range(0, len(d), _MAX_WIDTH):
-        cols = slice(start, start + _MAX_WIDTH)
+    for start in range(0, len(d), _MAX_WIDTH // 2):
+        cols = slice(start, start + _MAX_WIDTH // 2)
         c = len(d[cols])
-        height, width = _product_shape(len(Z), c)
+        height, width = _product_shape(len(Z), 2 * c)
         np.multiply(step[pair_idx[cols]], q[alpha_idx[cols]], out=padded[:c])
-        padded[c:width] = 0.0
+        np.multiply(padded[:c], parity, out=padded[c : 2 * c])
+        padded[2 * c : width] = 0.0
         out = product[: height * width].reshape(height, width)
         running = peak[: height * width].reshape(height, width)
         running.fill(0.0)
@@ -255,7 +263,8 @@ def _step_maxima(
             np.matmul(Z[panel], padded[:width].T, out=out)
             np.abs(out, out=out)
             np.maximum(running, out, out=running)
-        d[cols] = running[:, :c].max(axis=0)
+        maxima = running[:, : 2 * c].max(axis=0)
+        np.maximum(maxima[:c], maxima[c:], out=d[cols])
     return d
 
 
@@ -266,7 +275,8 @@ def _pruned_quasi_optimal(
 
     Alpha j's factor rows are damping[i] * q[j], so its step i, from row i
     to row i + 1, is the step row step[i] * q[j] with step =
-    np.diff(damping), and d_{i+1} = max_t |Z @ step row|.  One product over
+    np.diff(damping), and d_{i+1} = max_t |Z @ step row| over Z and its
+    antipodes (_step_maxima).  One product over
     every _BOUND_STRIDES[0]-th row of Z and all n (L - 1) step rows,
     alpha-major, gives every pair's maximum there, an exact lower bound on
     the full one.  Returns per alpha the winning row and its difference; a
@@ -408,9 +418,9 @@ def _check_candidates(
     Alpha j's factor table is damping * q[j].  Finite damping lies in
     [0, 1], so the table is finite exactly when damping and q[j] are.
     With zmax[k] = max_t |Z[t, k]|, max_l sum_k damping[l, k] |q[j, k]|
-    zmax[k] bounds its fields |Z @ table.T|, so an alpha's fields are
-    built and scanned only when that bound is not far below the float
-    maximum.
+    zmax[k] bounds its fields |Z @ table.T| and their antipodes' |Z @
+    (table * parity).T| (_step_maxima), so an alpha's fields are built and
+    scanned only when that bound is not far below the float maximum.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(q).all(axis=1) & np.isfinite(damping).all()
@@ -422,7 +432,9 @@ def _check_candidates(
                     f"non-finite solution factors at alpha = {alpha!r} "
                     "(a_k^2 underflows or a_k/(alpha + a_k^2) overflows)"
                 )
-            if not np.all(np.isfinite(Z @ (damping * q[j]).T)):
+            table = damping * q[j]
+            both = np.vstack((table, table * _parity(len(zmax))))
+            if not np.all(np.isfinite(Z @ both.T)):
                 raise NumericalError(f"non-finite candidate fields at alpha = {alpha!r}")
 
 
@@ -498,8 +510,9 @@ def select_two_step(
 
     Raises ValidationError, with two_step_solve's message, if beta or the
     symbol covers fewer degrees than the rule or the rule is off the
-    symbol's data sphere, with synthesize's if the
-    grid is not a rule on the sphere R, and NumericalError if the
+    symbol's data sphere, with synthesize's if the grid is not a rule on
+    the sphere R, with ring_degree_sums' if the grid's rule is not
+    antipodal, and NumericalError if the
     field sums, any candidate's per-degree factors or field, or any of the
     three picked solutions are not finite.
     """
@@ -523,8 +536,9 @@ def select_two_step(
         Z = grid.degree_fields(solution_shape)
     # max |Z| per column without a Z-sized temporary, over the rings first
     # (long rows reduce faster than Z's short ones); NaN or inf anywhere in
-    # Z makes its column's entry non-finite.
-    by_ring = Z.reshape(grid.rule.M + 1, -1)
+    # Z makes its column's entry non-finite.  The antipodes' values differ
+    # only in sign.
+    by_ring = Z.reshape(-1, 2 * (grid.rule.M + 1) * (M + 1))
     zmax = np.maximum(by_ring.max(axis=0), -by_ring.min(axis=0))
     zmax = zmax.reshape(-1, M + 1).max(axis=0)
     if not np.all(np.isfinite(zmax)):

@@ -16,6 +16,7 @@ from .collocation import CollocationParams, composite_norm_bound, two_step_solve
 from .harmonics import basis_matrix, legendre_table
 from .operators import (
     HarmonicCoefficients,
+    _parity,
     analyze,
     apply_forward,
     symbol_preset,
@@ -176,29 +177,45 @@ def _check_degree_fields(M: int) -> CheckResult:
     """The field sums that rank candidates against the synthesis that scores them.
 
     The row sums of EvalGrid.degree_fields, DFT products on the installed
-    BLAS, against synthesize, the ring FFTs, on sphere_rule(2M, 1.3).
+    BLAS, against synthesize, the ring FFTs, on sphere_rule(2M, 1.3): on
+    the first half of its rings, and mirrored (each ring times the degree
+    parity, half a turn on) on the far rings.
     """
     rng = np.random.default_rng(7)
     rule = sphere_rule(2 * M, 1.3)
     c = HarmonicCoefficients(M=M, radius=1.3, values=rng.standard_normal((M + 1) ** 2))
-    values = synthesize(c, rule)
-    sums = EvalGrid(rule).degree_fields(c).sum(axis=1)
-    dev = float(np.max(np.abs(sums - values)) / np.max(np.abs(values)))
+    values = synthesize(c, rule).reshape(rule.M + 1, -1)
+    Z = EvalGrid(rule).degree_fields(c)
+    near = Z.sum(axis=1).reshape(-1, values.shape[1])
+    far = np.roll((Z @ _parity(M + 1)).reshape(near.shape), rule.M + 1, axis=1)
+    rings = len(near)
+    dev = max(
+        float(np.max(np.abs(near - values[:rings]))),
+        float(np.max(np.abs(far - values[::-1][:rings]))),
+    ) / float(np.max(np.abs(values)))
     passed = dev < 1e-13
     return CheckResult(f"degree-fields-M{M}", passed, f"relative deviation {dev:.2e}")
 
 
 def _stacked_product(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Z @ rows.T stacked back from the sweep's products over its chunks and panels."""
-    stacked = np.full((len(Z), len(rows)), np.nan)
-    for start in range(0, len(rows), _MAX_WIDTH):
-        cols = slice(start, start + _MAX_WIDTH)
-        chunk = rows[cols]
-        height, width = _product_shape(len(Z), len(chunk))
+    """Z @ [rows | rows * parity].T stacked back from the sweep's products.
+
+    Column p holds Z @ rows[p] and column len(rows) + p holds Z @ (rows[p]
+    * parity), the antipodes' values (selection._step_maxima): formed as
+    the sweep forms them, in chunks of _MAX_WIDTH // 2 rows beside their
+    parity copies, over each chunk's panels.
+    """
+    n, parity = len(rows), _parity(rows.shape[1])
+    stacked = np.full((len(Z), 2 * n), np.nan)
+    for start in range(0, n, _MAX_WIDTH // 2):
+        chunk = rows[start : start + _MAX_WIDTH // 2]
+        c = len(chunk)
+        height, width = _product_shape(len(Z), 2 * c)
         padded = np.zeros((width, rows.shape[1]))
-        padded[: len(chunk)] = chunk
+        padded[:c], padded[c : 2 * c] = chunk, chunk * parity
+        cols = np.r_[start : start + c, n + start : n + start + c]
         for panel in _panels(len(Z), height):
-            stacked[panel, cols] = (Z[panel] @ padded.T)[:, : len(chunk)]
+            stacked[panel, cols] = (Z[panel] @ padded.T)[:, : 2 * c]
     return stacked
 
 
@@ -210,14 +227,13 @@ def _check_gemm_slices(M: int) -> CheckResult:
     equals the matching slice of the full matrix product; OpenBLAS keeps
     that for the shapes of selection._product_shape, but no BLAS promises
     it.  The shapes checked are those of the default grids' step-row sweep
-    (52 lambdas and alphas, so 51 steps each): coarse bound products of 51
-    and 52 x 51 rows over every _BOUND_STRIDES[0]-th row, refinement
-    products of every width from 1 to _ROUND_PAIRS over every finer
-    stride's rows, round products of every such width over all rows, the
-    102-column chain of both outer passes (51 winner steps, then 51
-    lambda = 0 steps), and every wider padded width up to 192 over all
-    rows.  Products are stacked back, so a row their panels miss fails
-    too.
+    (52 lambdas and alphas, so 51 steps each), each step row beside its
+    parity copy: coarse bound products of 51 and 52 x 51 rows over every
+    _BOUND_STRIDES[0]-th row, refinement products of every width from 1
+    to _ROUND_PAIRS rows over every finer stride's rows, round products of
+    every such width over all rows, and the 102-row chain of both outer
+    passes (51 winner steps, then 51 lambda = 0 steps).  Products are
+    stacked back, so a row their panels miss fails too.
     """
     rng = np.random.default_rng(6)
     grid = EvalGrid(sphere_rule(2 * M, 1.0))
@@ -225,21 +241,22 @@ def _check_gemm_slices(M: int) -> CheckResult:
         HarmonicCoefficients(M=M, radius=1.0, values=rng.standard_normal((M + 1) ** 2))
     )
     factors = rng.standard_normal((200, M + 1))
-    # Column-major, so the slices below gather contiguous columns.
-    full = np.asfortranarray(Z @ factors.T)
+    # Column-major, so the slices below gather contiguous columns; the
+    # parity copies' columns follow the factors'.
+    full = np.asfortranarray(Z @ np.vstack((factors, factors * _parity(M + 1))).T)
     # (row stride, factor rows) of each product.
     coarse = _BOUND_STRIDES[0]
     narrow = [(s, w) for s in (*_BOUND_STRIDES[1:], 1) for w in range(1, _ROUND_PAIRS + 1)]
-    wide = [(1, w) for w in range(_ROUND_PAIRS + 8, _MAX_WIDTH + 1, 8)]
     products = [
         (coarse, np.arange(51)),
         (coarse, np.arange(52 * 51) % len(factors)),
         (1, np.r_[0:51, 100:151]),
-        *((s, rng.permutation(len(factors))[:w]) for s, w in narrow + wide),
+        *((s, rng.permutation(len(factors))[:w]) for s, w in narrow),
     ]
     mismatched = sum(
         not np.array_equal(
-            _stacked_product(Z[::stride], factors[cols]), full[::stride, cols]
+            _stacked_product(Z[::stride], factors[cols]),
+            full[::stride, np.r_[cols, len(factors) + cols]],
         )
         for stride, cols in products
     )

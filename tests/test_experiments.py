@@ -407,7 +407,8 @@ class TestTrialWorkers:
         simulate = sphere_reg.experiments.simulate_problem
 
         def logged(case, seed):
-            # Each process records whether the parent's ring tables reached it.
+            # Each process records whether the parent's ring tables, and its
+            # antipode check of the sup grid, reached it.
             rule = canonical_rule(case.M, case.rho)
             grid_rule = default_eval_grid(case.M, case.R).rule
             keys = sorted(map(str, [*rule._cache, *grid_rule._cache]))
@@ -421,7 +422,7 @@ class TestTrialWorkers:
         assert len(runs) == 4
         assert len({pid for pid, _ in runs}) == 2
         assert str(os.getpid()) not in {pid for pid, _ in runs}
-        assert {p.read_text() for p in tmp_path.iterdir()} == {"('dft', 6) 6 6"}
+        assert {p.read_text() for p in tmp_path.iterdir()} == {"('dft', 6) 6 6 antipodes"}
         first = {pid for pid, _ in runs}
 
         # The same worker count, rule and grid: the same two workers.

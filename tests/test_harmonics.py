@@ -15,9 +15,10 @@ from sphere_reg import (
     legendre_table,
     sphere_rule,
     sup_norm,
+    synthesize,
 )
 from sphere_reg.harmonics import radius_mismatch
-from sphere_reg.operators import _ring_dft, _ring_legendre, ring_degree_sums
+from sphere_reg.operators import _parity, _ring_dft, _ring_legendre, ring_degree_sums
 from conftest import random_directions, ring_spectra
 
 FOUR_PI = 4.0 * math.pi
@@ -340,6 +341,16 @@ def irfft_degree_fields(coeffs, grid):
     return Z
 
 
+def near_rings(table, grid):
+    """The rows of a full-height table on the first half of the grid's rings.
+
+    EvalGrid.degree_fields computes the rings 0..ceil(R/2) - 1 of the R
+    rings of its rule; the other rings are their antipodes.
+    """
+    rings = grid.rule.M + 1
+    return table[: -(-rings // 2) * 2 * rings]
+
+
 def per_degree_fill_fields(coeffs, grid):
     """The per-degree fill that EvalGrid.degree_fields' two scatters replace.
 
@@ -391,8 +402,11 @@ class TestStreamedBlocks:
         fields = grid.degree_fields(coeffs)
         assert grid._basis == {}
         B = grid.basis(M)
-        oracle = np.column_stack(
-            [B[:, k * k : (k + 1) * (k + 1)] @ coeffs.row(k) for k in range(M + 1)]
+        oracle = near_rings(
+            np.column_stack(
+                [B[:, k * k : (k + 1) * (k + 1)] @ coeffs.row(k) for k in range(M + 1)]
+            ),
+            grid,
         )
         assert fields.shape == oracle.shape
         error = np.max(np.abs(fields - oracle), axis=0)
@@ -402,14 +416,15 @@ class TestStreamedBlocks:
     @pytest.mark.parametrize("R", [1.0, 1.7])
     def test_degree_fields_match_the_ring_fft(self, rng, M, R):
         # The ring-blocked DFT products against the per-degree inverse FFTs
-        # they replace, column by column; at M = 30 and 56 the 61 and 113
-        # rings end in a partial block.
+        # they replace, column by column, on the rings computed; at M = 30
+        # and 56 the first 31 and 57 of 61 and 113 rings end in a partial
+        # block.
         grid = EvalGrid(sphere_rule(2 * M, R))
         coeffs = HarmonicCoefficients(
             M=M, radius=R, values=rng.standard_normal((M + 1) ** 2)
         )
         fields = grid.degree_fields(coeffs)
-        oracle = irfft_degree_fields(coeffs, grid)
+        oracle = near_rings(irfft_degree_fields(coeffs, grid), grid)
         assert fields.shape == oracle.shape and fields.flags.c_contiguous
         error = np.max(np.abs(fields - oracle), axis=0)
         assert np.all(error <= 1e-13 * np.max(np.abs(oracle), axis=0))
@@ -427,7 +442,9 @@ class TestStreamedBlocks:
         )
         if (M, R) == (5, 1.3):
             assert grid.radius < grid.rule.rho
-        assert_same_bits(grid.degree_fields(coeffs), per_degree_fill_fields(coeffs, grid))
+        assert_same_bits(
+            grid.degree_fields(coeffs), near_rings(per_degree_fill_fields(coeffs, grid), grid)
+        )
 
     def test_degree_fields_of_huge_coefficients_stay_finite(self, rng):
         # Unscaled inverse FFT: the table is not multiplied by the ring
@@ -439,12 +456,42 @@ class TestStreamedBlocks:
         values[0] = 1.5e308
         fields = grid.degree_fields(HarmonicCoefficients(M=M, radius=1.0, values=values))
         assert np.all(np.isfinite(fields))
-        Y = basis_matrix(M, grid.points / grid.radius, 1.0)
+        Y = basis_matrix(M, near_rings(grid.points, grid) / grid.radius, 1.0)
         oracle = np.column_stack(
             [Y[:, k * k : (k + 1) * (k + 1)] @ values[k * k : (k + 1) * (k + 1)]
              for k in range(M + 1)]
         ) / grid.radius
         np.testing.assert_allclose(fields, oracle, rtol=1e-12, atol=1e-12 * 1e307)
+
+    @pytest.mark.parametrize("M", [0, 1, 2, 5, 30, 56])
+    def test_degree_fields_keep_the_first_half_of_rings(self, rng, M):
+        # sphere_rule(2M, R) has 2M + 1 rings of 2(2M + 1) points; the
+        # field sums hold the first M + 1 of them, the equator ring last.
+        grid = EvalGrid(sphere_rule(2 * M, 1.3))
+        coeffs = HarmonicCoefficients(
+            M=M, radius=1.3, values=rng.standard_normal((M + 1) ** 2)
+        )
+        rings, n_phi = 2 * M + 1, 2 * (2 * M + 1)
+        assert grid.degree_fields(coeffs).shape == (-(-rings // 2) * n_phi, M + 1)
+
+    @pytest.mark.parametrize("M", [1, 2, 5, 30, 56])
+    @pytest.mark.parametrize("R", [1.0, 1.7])
+    def test_mirrored_rows_match_synthesize_on_the_far_rings(self, rng, M, R):
+        # Ring r's rows times the degree parity, rolled half a turn, are the
+        # values on ring R - 1 - r: the rings the field sums leave out, and
+        # the equator ring again.
+        grid = EvalGrid(sphere_rule(2 * M, R))
+        coeffs = HarmonicCoefficients(
+            M=M, radius=R, values=rng.standard_normal((M + 1) ** 2)
+        )
+        n_phi = 2 * (grid.rule.M + 1)
+        fields = grid.degree_fields(coeffs)
+        mirrored = np.roll((fields * _parity(M + 1)).reshape(-1, n_phi, M + 1), n_phi // 2, 1)
+        assert mirrored.shape == (M + 1, n_phi, M + 1)
+        values = synthesize(coeffs, grid.rule).reshape(-1, n_phi)
+        far = values[::-1][: len(mirrored)]
+        error = np.max(np.abs(mirrored.sum(axis=2) - far))
+        assert error <= 1e-13 * np.max(np.abs(values))
 
     def test_degree_fields_need_a_rule_backed_grid(self, rng):
         coeffs = HarmonicCoefficients(M=2, radius=1.0, values=rng.standard_normal(9))

@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from sphere_reg import (
     CollocationParams,
+    CubatureRule,
     EvalGrid,
     HarmonicCoefficients,
     NumericalError,
@@ -53,7 +54,7 @@ from sphere_reg.selection import (
     grid_values,
     sup_norms,
 )
-from sphere_reg.operators import synthesize_stack
+from sphere_reg.operators import _parity, synthesize_stack
 from sphere_reg.verify import _stacked_product
 from conftest import at_points, ring_spectra
 
@@ -262,33 +263,54 @@ class TestQuasiOptimal:
 FEW_ROWS = 3
 
 
-def kernel(Z, L):
+def full_height(Z):
+    """Field sums Z over half the points with their antipodes' rows below.
+
+    The antipodes' values are Z's times the degree parity (ring_degree_sums):
+    the table the sweep's maxima reduce over.
+    """
+    return np.vstack((Z, Z * _parity(Z.shape[1])))
+
+
+def kernel(Z, L, spread=2):
     """The pruned kernel over n = Z.shape[1] // L alphas' (T, L) tables side by side.
 
     Z is its own field sums: alpha j's factor row i, damping[i] * q[j], is
-    the unit row of column j L + i, so its fields are those columns, exactly.
+    the unit row of column spread (j L + i) of a table holding Z's columns
+    there and zeros between, so its fields are those columns, exactly.  At
+    spread 2 each column is of even degree, so its antipodes' values equal
+    its own and the kernel reduces over Z, as the hand-built tables below
+    need.  At spread 1 odd columns flip sign on the antipodes, and the
+    kernel reduces over full_height(Z).
     """
     n = Z.shape[1] // L
-    damping = np.tile(np.eye(L), n)
-    q = np.repeat(np.eye(n), L, axis=1)
-    return _pruned_quasi_optimal(Z, damping, q)
+    table, damping, q = (np.zeros((rows, spread * Z.shape[1])) for rows in (len(Z), L, n))
+    table[:, ::spread] = Z
+    damping[:, ::spread] = np.tile(np.eye(L), n)
+    q[:, ::spread] = np.repeat(np.eye(n), L, axis=1)
+    return _pruned_quasi_optimal(table, damping, q)
 
 
-def few_row_kernel(Z, L):
+def few_row_kernel(Z, L, spread=2):
     """The pruned kernel's winners and differences, with panels of FEW_ROWS rows."""
     with mock.patch.object(selection, "_PANEL_ROWS", FEW_ROWS):
-        return kernel(Z, L)
+        return kernel(Z, L, spread)
 
 
-def pruned(fields):
+def kernel_fields(Z, spread):
+    """The table kernel(Z, L, spread) reduces over: Z, or Z over its antipodes."""
+    return Z if spread == 2 else full_height(Z)
+
+
+def pruned(fields, spread=2):
     """The pruned kernel on one alpha's (T, L) table.
 
     Returns the winner and its difference, after checking that panels of
     FEW_ROWS rows and of the default height give the same ones.
     """
     L = fields.shape[1]
-    (idx,), (diff,) = chosen, best = few_row_kernel(fields, L)
-    default = kernel(fields, L)
+    (idx,), (diff,) = chosen, best = few_row_kernel(fields, L, spread)
+    default = kernel(fields, L, spread)
     np.testing.assert_array_equal(default[0], chosen)
     np.testing.assert_array_equal(default[1], best)
     return int(idx), float(diff)
@@ -299,10 +321,10 @@ def evaluation_order(fields):
     return np.argsort(sup_differences(fields[:: _BOUND_STRIDES[0]])).tolist()
 
 
-def assert_pruned_matches_dense(fields):
+def assert_pruned_matches_dense(fields, spread=2):
     """The dense full-reduction kernel is the oracle for the pruned one."""
-    idx, diff = pruned(fields)
-    ref_idx, ref_diffs = quasi_optimal(fields)
+    idx, diff = pruned(fields, spread)
+    ref_idx, ref_diffs = quasi_optimal(kernel_fields(fields, spread))
     assert idx == ref_idx
     if ref_diffs.size:
         assert diff == ref_diffs[ref_idx - 1]
@@ -341,10 +363,10 @@ def alpha_grids(draw):
 
 
 class TestPrunedQuasiOptimal:
-    @given(fields=field_tables())
+    @given(fields=field_tables(), spread=st.sampled_from([1, 2]))
     @settings(max_examples=300, deadline=None)
-    def test_matches_dense_kernel(self, fields):
-        assert_pruned_matches_dense(fields)
+    def test_matches_dense_kernel(self, fields, spread):
+        assert_pruned_matches_dense(fields, spread)
 
     def test_one_and_two_columns(self):
         idx, diff = pruned(np.array([[1.0], [2.0]]))
@@ -446,8 +468,9 @@ class TestPrunedQuasiOptimal:
 
     @pytest.mark.parametrize("T", [1, 2, 15])
     def test_fewer_rows_than_the_stride(self, T):
-        rng = np.random.default_rng(T)
-        assert_pruned_matches_dense(rng.standard_normal((T, 7)))
+        fields = np.random.default_rng(T).standard_normal((T, 7))
+        for spread in (1, 2):
+            assert_pruned_matches_dense(fields, spread)
 
     def test_equal_bounds_over_several_rounds_reach_every_pair(self):
         # Eleven pairs share one bound; all but pair 9 peak off the
@@ -470,15 +493,16 @@ class TestPrunedQuasiOptimal:
             assert pruned(fields) == (1, math.inf)
             assert_pruned_matches_dense(fields)
 
-    @given(grid=alpha_grids())
+    @given(grid=alpha_grids(), spread=st.sampled_from([1, 2]))
     @settings(max_examples=200, deadline=None)
-    def test_alpha_grids_match_dense_kernel(self, grid):
+    def test_alpha_grids_match_dense_kernel(self, grid, spread):
         # Several alphas share round 1 and the later rounds' products; each
         # alpha's winner is still the dense kernel's on its own table.
         L, Z = grid
-        chosen, best = few_row_kernel(Z, L)
+        chosen, best = few_row_kernel(Z, L, spread)
+        fields = kernel_fields(Z, spread)
         for j in range(Z.shape[1] // L):
-            ref_idx, ref_diffs = quasi_optimal(Z[:, j * L : (j + 1) * L])
+            ref_idx, ref_diffs = quasi_optimal(fields[:, j * L : (j + 1) * L])
             assert chosen[j] == ref_idx
             if ref_diffs.size:
                 assert best[j] == ref_diffs[ref_idx - 1]
@@ -516,13 +540,16 @@ class TestPrunedQuasiOptimal:
             assert_pruned_matches_dense(Z[:, j * 121 : (j + 1) * 121])
 
     def test_round_one_of_more_alphas_than_one_product_takes(self):
-        # 200 alphas' first pairs are 200 step rows: round 1 takes two
-        # chunks, of _MAX_WIDTH and 8 columns.
+        # 200 alphas' first pairs are 200 step rows: round 1 takes three
+        # chunks, of _MAX_WIDTH // 2, _MAX_WIDTH // 2 and 8 step rows, each
+        # beside its parity copies.
         Z = np.random.default_rng(9).standard_normal((50, 200 * 3))
-        chosen, best = kernel(Z, 3)
-        for j in range(200):
-            ref_idx, ref_diffs = quasi_optimal(Z[:, 3 * j : 3 * j + 3])
-            assert (chosen[j], best[j]) == (ref_idx, ref_diffs[ref_idx - 1])
+        for spread in (1, 2):
+            chosen, best = kernel(Z, 3, spread)
+            fields = kernel_fields(Z, spread)
+            for j in range(200):
+                ref_idx, ref_diffs = quasi_optimal(fields[:, 3 * j : 3 * j + 3])
+                assert (chosen[j], best[j]) == (ref_idx, ref_diffs[ref_idx - 1])
 
     @pytest.mark.parametrize("n_rows", [7, 8, 50, 128, 466, 1000, 1024, 7442])
     def test_every_product_shape_follows_the_rule(self, n_rows):
@@ -655,13 +682,17 @@ def dense_sweep(samples, rule, symbol, beta, alphas, lambdas, grid):
     stay exact up to the GEMM's rounding: differencing the built fields
     instead cancels (off by up to 4.2e-12 relative on a figure-1 trial).
     The candidate fields themselves are built only to check they are
-    finite.  Returns (nested alpha index, per-alpha chosen lambdas, inner
-    minimum differences, outer differences, smoothing-only lambda index,
-    collocation-only alpha index, whether every candidate field is finite).
+    finite.  Every GEMM runs over the field sums of all points, the
+    antipodes' included (full_height).  Returns (nested alpha index,
+    per-alpha chosen lambdas, inner minimum differences, outer differences,
+    smoothing-only lambda index, collocation-only alpha index, whether
+    every candidate field is finite).
     """
     M = rule.M
     coeffs = analyze(samples, rule, M)
-    Z = grid.degree_fields(coeffs.scaled_by_degree(np.ones(M + 1), radius=symbol.R))
+    Z = full_height(
+        grid.degree_fields(coeffs.scaled_by_degree(np.ones(M + 1), radius=symbol.R))
+    )
     a = symbol.a[: M + 1]
     b = beta.beta[: M + 1]
     damping = 1.0 / (1.0 + np.outer(lambdas, b * b))
@@ -705,9 +736,9 @@ def figure1_trial():
 
 
 def recorded_products(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid):
-    """(Z, row stride, step rows) of every product select_two_step forms.
+    """(Z, row stride, step rows) of every _step_maxima call select_two_step makes.
 
-    Z is the call's field sums in full; the product's rows are Z[::stride].
+    Z is the call's field sums in full; the products' rows are Z[::stride].
     Its step rows are rebuilt from the kernel's arguments.
     """
     M = rule.M
@@ -728,15 +759,26 @@ def recorded_products(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid
 
 
 def assert_products_are_gemm_slices(products):
-    """Each product equals its slice of the full GEMM (gemm), and so do its maxima."""
+    """Each product equals its slice of the full GEMM (gemm), and so do the maxima.
+
+    _step_maxima multiplies Z[::stride] by each chunk of at most
+    _MAX_WIDTH // 2 step rows beside their parity copies.  Each chunk's
+    reference is one GEMM over all rows of Z and those at most _MAX_WIDTH
+    rows, sliced to the stride; the maxima of a call are those of its
+    chunks' references, over both copies of each row.
+    """
     for Z, stride, rows in products:
-        full = gemm(Z, rows)[::stride]
-        np.testing.assert_array_equal(_stacked_product(Z[::stride], rows), full)
+        n, maxima = len(rows), []
+        for start in range(0, n, _MAX_WIDTH // 2):
+            chunk = rows[start : start + _MAX_WIDTH // 2]
+            full = gemm(Z, np.vstack((chunk, chunk * _parity(rows.shape[1]))))[::stride]
+            np.testing.assert_array_equal(_stacked_product(Z[::stride], chunk), full)
+            maxima.append(np.abs(full).reshape(len(full), 2, len(chunk)).max(axis=(0, 1)))
         # The kernel takes the rows as step rows of one all-ones q row.
-        ones, n = np.ones((1, rows.shape[1])), len(rows)
+        ones = np.ones((1, rows.shape[1]))
         np.testing.assert_array_equal(
             _step_maxima(Z[::stride], rows, ones, np.zeros(n, int), np.arange(n)),
-            np.abs(full).max(axis=0),
+            np.concatenate(maxima),
         )
 
 
@@ -819,6 +861,37 @@ class TestSelectTwoStep:
                 noisy, rule, symbol, beta, [0.0, 1.0], [0.0, 1.0], default_eval_grid(6, 2.0)
             )
 
+    @pytest.mark.parametrize("nudge", [1e-6, 1e-12])
+    def test_rule_without_antipodes_is_refused(self, nudge):
+        # sphere_rule(12, 1)'s layout with ring 2's polar cosine nudged, its
+        # points kept on the sphere.  Moved by 1e-6, they have no antipodes
+        # on ring 10, and the field sums, which mirror ring 2 onto ring 10,
+        # refuse the rule, memoized, as select_two_step does; moved within
+        # the 1e-9 tolerance, they are accepted.
+        rule, symbol, beta, noisy, _ = make_problem()
+        sup = sphere_rule(12, 1.0)
+        points = sup.points.copy()
+        ring = points[2 * 26 : 3 * 26]
+        cosine = ring[0, 2] + nudge
+        ring[:, :2] *= math.sqrt(1.0 - cosine * cosine) / np.hypot(*ring[0, :2])
+        ring[:, 2] = cosine
+        grid = EvalGrid(CubatureRule(points=points, weights=sup.weights, rho=1.0, M=12))
+        coeffs = HarmonicCoefficients(M=6, radius=1.0, values=np.ones(49))
+        if nudge < 1e-9:
+            assert grid.degree_fields(coeffs).shape == (7 * 26, 7)
+            assert grid.rule._cache["antipodes"] == -1
+            return
+        message = (
+            "^rule points are not antipodal: ring 10's point l \\+ n_phi/2 "
+            "is not the negative of ring 2's point l$"
+        )
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=message):
+                grid.degree_fields(coeffs)
+        assert grid.rule._cache["antipodes"] == 2
+        with pytest.raises(ValidationError, match=message):
+            select_two_step(noisy, rule, symbol, beta, [0.0, 1.0], [0.0, 1.0], grid)
+
     def test_trace_and_picks_match_dense_sweep(self):
         rule, symbol, beta, noisy, grid = make_problem(seed=19)
         small = ParameterGrid(1e-5, 3.0, 9, include_zero=True)
@@ -881,13 +954,14 @@ class TestSelectTwoStep:
     def test_bound_and_pair_products_are_gemm_slices(self):
         # Every product of a figure-1 trial's sweep, and of the same trial
         # on a 193-value lambda grid, whose bound products take several
-        # chunks of columns: each call's panel products, stacked back, equal
-        # the slice of one full GEMM over the trial's field sums, and its
-        # maxima equal the dense reduction of that slice.  The nested
+        # chunks of step rows: each call's panel products, stacked back,
+        # equal the slice of one full GEMM over the trial's field sums, and
+        # its maxima equal the dense reduction of that slice.  The nested
         # pass's bound product stacks 52 alphas' 51 (or 192) step rows; the
-        # round products are 1 to 96 columns wide, the chain of both outer
-        # passes 102.  One-alpha sweeps form the bound products of 51 and
-        # 192 rows, and a 26-alpha sweep a chain of 50.
+        # round products take 1 to 96 step rows, the chain of both outer
+        # passes 102, each beside its parity copy.  One-alpha sweeps form
+        # the bound products of 51 and 192 rows, and a 26-alpha sweep a
+        # chain of 50.
         args = figure1_trial()
         lambdas_193 = np.geomspace(1e-5, 1.0, 193)
         products = recorded_products(*args)
@@ -958,7 +1032,7 @@ class TestSelectTwoStep:
         args = figure1_trial()
         select_two_step(*args)
         streams = [
-            -(-len(rows) // _MAX_WIDTH)
+            -(-len(rows) // (_MAX_WIDTH // 2))
             for _, stride, rows in recorded_products(*args)
             if stride == 1
         ]
@@ -992,8 +1066,9 @@ class TestSelectTwoStep:
         assert "3 passed" in child.stdout
 
     def test_sweep_memory_stays_below_one_candidate_table(self):
-        # Past the caches the first call warms, the sweep holds the (T, M+1)
-        # field sums but never a (T, L) table of candidate fields.
+        # Past the caches the first call warms, the sweep holds the field
+        # sums, at most (T, M+1), but never a (T, L) table of candidate
+        # fields.
         args = figure1_trial()
         select_two_step(*args)
         T, L = args[-1].n_points, len(grid_values(args[-2]))
@@ -1236,6 +1311,14 @@ class TestNonFiniteSelection:
         assert str(err.value) == "non-finite candidate fields at alpha = 0.0001"
         assert products == []
 
+    def test_fields_overflowing_at_the_antipodes_fail_loudly(self):
+        # The fields cancel on Z's rows, 1e308 - 1e308, but degree 1 flips
+        # sign at their antipodes, where they overflow to 2e308.
+        Z = np.array([[1e308, -1e308]] * 4)
+        a, b = np.ones(2), np.ones(2)
+        with pytest.raises(NumericalError, match=r"^non-finite candidate fields at alpha = 0\.0$"):
+            _nested_pass(Z, np.abs(Z).max(axis=0), a, b, [0.0, 1.0], [0.0, 1.0])
+
     def test_non_finite_damping_fails_at_the_first_alpha(self):
         # An infinite penalty at lambda = 0 makes damping 1 / (1 + 0 * inf)
         # NaN, so every alpha's factor table is non-finite, though q is not.
@@ -1292,10 +1375,11 @@ def exact_step_maxima(Z, damping, q, alpha_idx, pair_idx):
 
 class TestStepRowAccuracy:
     def test_step_maxima_match_exact_arithmetic(self):
-        # Every 64th row of a figure-1 trial's field sums, every 5th alpha
-        # and every 5th pair: the kernel's maxima agree with the exact ones
-        # to 1e-14 relative.  Differencing the fields of both rows of a
-        # step, as the kernel once did, cancels: off by 4.2e-12 here.
+        # Every 64th row of a figure-1 trial's field sums, and their
+        # antipodes' rows, every 5th alpha and every 5th pair: the kernel's
+        # maxima agree with the exact ones to 1e-14 relative.  Differencing
+        # the fields of both rows of a step, as the kernel once did,
+        # cancels: off by 4.2e-12 here.
         samples, rule, symbol, beta, alpha_grid, lambda_grid, grid = figure1_trial()
         M = rule.M
         coeffs = analyze(samples, rule, M)
@@ -1312,7 +1396,7 @@ class TestStepRowAccuracy:
             )
         )
         got = _step_maxima(Z, np.diff(damping, axis=0), q, alpha_idx, pair_idx)
-        exact = exact_step_maxima(Z, damping, q, alpha_idx, pair_idx)
+        exact = exact_step_maxima(full_height(Z), damping, q, alpha_idx, pair_idx)
         assert len(got) == len(exact) == 121
         worst = max(abs(Fraction(g) - e) / e for g, e in zip(got.tolist(), exact))
         assert worst <= 1e-14
@@ -1349,7 +1433,8 @@ class TestStreamedSweepMemory:
         coeffs = HarmonicCoefficients(
             M=M, radius=1.0, values=np.random.default_rng(3).standard_normal((M + 1) ** 2)
         )
-        # The result itself is T (M+1) doubles; the dense basis is M+1 times that.
+        # The result itself is at most T (M+1) doubles; the dense basis is
+        # M+1 times that.
         field_bytes = grid.n_points * (M + 1) * 8
         tracemalloc.start()
         try:
@@ -1359,3 +1444,21 @@ class TestStreamedSweepMemory:
             tracemalloc.stop()
         assert peak < 3 * field_bytes
         assert grid._basis == {}
+
+    def test_degree_fields_peak_is_below_the_full_height_table(self):
+        # The field sums keep the first 41 of the 81 rings, so a cold call,
+        # ring tables included, peaks below the (T, M+1) doubles of a table
+        # over every point: 3.6 MB against 4.3 MB (5.7 MB when every ring
+        # was computed).
+        M = 40
+        grid = EvalGrid(sphere_rule(2 * M, 1.0))
+        coeffs = HarmonicCoefficients(
+            M=M, radius=1.0, values=np.random.default_rng(3).standard_normal((M + 1) ** 2)
+        )
+        tracemalloc.start()
+        try:
+            grid.degree_fields(coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.n_points * (M + 1) * 8
