@@ -39,13 +39,11 @@ from .experiments import (
     penalty_from_symbol,
     run_case,
 )
-from .figures import strip_plot_svg
 from .harmonics import _off_tolerance
 from .operators import HarmonicCoefficients, symbol_preset
 from .quadrature import CubatureRule, sphere_rule
 from .selection import ParameterGrid, default_eval_grid, select_two_step
 from .smoothing import SmoothingParams
-from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -380,6 +378,9 @@ def cmd_experiment(args) -> int:
     summary = leader_following_summary(case.name, results)
     write_results_csv(output, case.name, results, summary)
     if plot is not None:
+        # Imported here and in cmd_verify: solve needs neither module.
+        from .figures import strip_plot_svg
+
         _atomic_write(plot, strip_plot_svg(case.name, results))
     print(
         f"{case.name}: {case.trials} trials, "
@@ -442,6 +443,8 @@ def cmd_rule(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_checks
+
     checks = run_checks(quick=args.quick)
     width = max(len(c.name) for c in checks)
     failed = [c for c in checks if not c.passed]

@@ -25,7 +25,6 @@ from .errors import NumericalError, ValidationError
 from .operators import (
     HarmonicCoefficients,
     SphericalSymbol,
-    _check_antipodal,
     _ring_dft,
     _ring_legendre,
     apply_forward,
@@ -282,15 +281,14 @@ def _trial_pool(case: ExperimentCase, workers: int):
     from concurrent.futures import ProcessPoolExecutor
 
     # Built before the fork, so the workers inherit them rather than each
-    # building its own: the ring tables a trial reads, the sup grid's
-    # antipode check, and the numpy modules it imports on first use.
+    # building its own: the ring tables a trial reads and the numpy modules
+    # it imports on first use.
     import numpy.fft
     import numpy.random
 
     _ring_legendre(rule, case.M)
     _ring_legendre(grid.rule, case.M)
     _ring_dft(grid.rule, case.M)
-    _check_antipodal(grid.rule)
     fork = multiprocessing.get_context("fork")
     pool = ProcessPoolExecutor(workers, mp_context=fork)
     _pool = (os.getpid(), workers, rule, grid, pool)

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ValidationError
 from .harmonics import (
     _associated_legendre,
-    _off_tolerance,
     check_degree,
     check_finite,
     radius_mismatch,
@@ -50,10 +49,6 @@ class HarmonicCoefficients:
                 f"need {expected} coefficients for M={self.M}, got shape {vals.shape}"
             )
         object.__setattr__(self, "values", vals)
-
-    def row(self, k: int) -> np.ndarray:
-        """Coefficients of degree k, i.e. j = 1..2k+1."""
-        return self.values[k * k : (k + 1) * (k + 1)]
 
     def scaled_by_degree(
         self, factors: np.ndarray, radius: float | None = None
@@ -124,15 +119,9 @@ def _ring_legendre(rule: CubatureRule, M: int) -> np.ndarray:
     Column k(k+1)/2 + m of the (rings, (M+1)(M+2)/2) table, the (k, m) of
     np.tril_indices(M + 1), holds _associated_legendre at the polar cosine
     and sine of each ring, taken from its phi = 0 point.  Raises
-    ValidationError unless the rule has the 2(rule.M + 1)^2 points of
-    sphere_rule's rings, n_phi = 2(rule.M + 1) to a ring, and M <= rule.M.
+    ValidationError if M exceeds rule.M.
     """
     n_phi = 2 * (rule.M + 1)
-    if rule.n_points != n_phi * (rule.M + 1):
-        raise ValidationError(
-            f"rule of degree {rule.M} has {rule.n_points} points, not the "
-            f"{n_phi * (rule.M + 1)} of its rings"
-        )
     if M > rule.M:
         raise ValidationError(f"degree {M} exceeds the rule's degree {rule.M}")
     table = rule._cache.get(M)
@@ -208,28 +197,6 @@ def _parity(n: int) -> np.ndarray:
     return np.where(np.arange(n) % 2, -1.0, 1.0)
 
 
-def _check_antipodal(rule: CubatureRule) -> None:
-    """Raise ValidationError unless each point's antipode is in the rule.
-
-    Ring r's point l must have ring R - 1 - r's point l + n_phi/2 as its
-    negative, under _off_tolerance at the rule's radius, for the R rings of
-    n_phi points that _ring_legendre checks.  The first ring off its mirror
-    (-1 for none) is memoized in the rule, so each rule pays once.
-    """
-    bad = rule._cache.get("antipodes")
-    if bad is None:
-        by_ring = rule.points.reshape(-1, 2 * (rule.M + 1), 3)
-        # Each ring's first half against the mirror ring's second pairs every point.
-        sums = by_ring[:, : rule.M + 1] + by_ring[::-1, rule.M + 1 :]
-        off = np.flatnonzero(_off_tolerance(sums, 0.0, rule.rho).any(axis=(1, 2)))
-        bad = rule._cache["antipodes"] = int(off[0]) if off.size else -1
-    if bad >= 0:
-        raise ValidationError(
-            f"rule points are not antipodal: ring {rule.M - bad}'s point "
-            f"l + n_phi/2 is not the negative of ring {bad}'s point l"
-        )
-
-
 def ring_degree_sums(coeffs: HarmonicCoefficients, rule: CubatureRule) -> np.ndarray:
     """Per-degree partial sums of synthesize(coeffs, rule) on its first rings.
 
@@ -243,8 +210,7 @@ def ring_degree_sums(coeffs: HarmonicCoefficients, rule: CubatureRule) -> np.nda
     np.vstack((Z, Z * _parity(M + 1))) holds the values at every point,
     the far rings' in mirrored order; with R odd it holds the equator ring
     twice, once computed and once mirrored, the same points rounded
-    differently.  Raises ValidationError if the rule's points are not
-    antipodal so (_check_antipodal).
+    differently.
 
     A ring's rows are C @ S_r: C is the real inverse DFT table
     (_ring_dft), S_r's column k holds Q_k^m times degree k's packed orders
@@ -254,7 +220,6 @@ def ring_degree_sums(coeffs: HarmonicCoefficients, rule: CubatureRule) -> np.nda
     """
     M = coeffs.M
     table, cosines, sines = _ring_inputs([coeffs], rule)
-    _check_antipodal(rule)
     dft = _ring_dft(rule, M)
     rings, n_phi = -(-len(table) // 2), len(dft)
     k, m = np.tril_indices(M + 1)
@@ -287,9 +252,8 @@ def analyze(samples: np.ndarray, rule: CubatureRule, M: int) -> HarmonicCoeffici
     Q_k^m Im F[r, m], divided by rho: O(M^3) work and no dense basis.
 
     Raises ValidationError if M is not a nonnegative integer, the sample
-    count does not match the rule, or the ring table (_ring_legendre)
-    refuses the rule: one not stored ring by ring, or of degree below M,
-    and so not exact to degree 2M.
+    count does not match the rule, or the rule's degree is below M, so
+    that it is not exact to degree 2M.
     """
     check_degree(M)
     samples = np.asarray(samples, dtype=float)
@@ -323,10 +287,10 @@ def analyze(samples: np.ndarray, rule: CubatureRule, M: int) -> HarmonicCoeffici
 def synthesize(coeffs: HarmonicCoefficients, target: CubatureRule) -> np.ndarray:
     """Evaluate the represented function at the points of a rule.
 
-    ``target`` is a CubatureRule stored ring by ring, of degree at least
-    ``coeffs.M``, on the coefficients' sphere within 1e-9 relative.  This
-    is synthesize_stack's one-set case.  At free points, use
-    basis_matrix(M, points, radius) @ values.
+    ``target`` is a CubatureRule of degree at least ``coeffs.M``, on the
+    coefficients' sphere within 1e-9 relative.  This is synthesize_stack's
+    one-set case.  At free points, use basis_matrix(M, points, radius) @
+    values.
     """
     return synthesize_stack([coeffs], target)[0]
 
@@ -371,6 +335,9 @@ def apply_forward(
 _PRESET_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*([^)]+)\s*\))?\s*$")
 
 
+# Bad radii can overflow a_k: SphericalSymbol names them, and then any
+# non-finite entry, so numpy's warnings would only precede its one error.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def symbol_preset(name: str, R: float, rho: float, M: int) -> SphericalSymbol:
     """Build one of the named symbol families for degrees 0..M.
 

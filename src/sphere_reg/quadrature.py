@@ -42,18 +42,41 @@ def _check_rho(rho) -> None:
 
 @dataclass(frozen=True, eq=False)
 class CubatureRule:
-    """Product cubature on the sphere of radius rho, exact to degree 2M."""
+    """Product cubature on the sphere of radius rho, exact to degree 2M.
 
-    points: np.ndarray  # (N, 3) Cartesian, all on radius rho
-    weights: np.ndarray  # (N,) positive, units of area on the sphere
-    rho: float
+    Polar cosines are the M+1 Gauss-Legendre nodes; longitudes sit at
+    phi_l = pi l / (M+1) for l = 0..2M+1.  The weight of point (i, l) is
+    rho^2 * pi/(M+1) * w_i, so the rule integrates every spherical
+    polynomial of degree <= 2M exactly over the surface.  Points are stored
+    ring by ring: row i * 2(M+1) + l is point (i, l), with the nodes
+    ascending, so ring M - i's point l + M + 1 is the antipode of ring i's
+    point l.  Both arrays are read-only, since tables derived from them are
+    memoized in the rule.
+    """
+
     M: int
+    rho: float
+    points: np.ndarray = field(init=False)  # (N, 3) Cartesian, on radius rho
+    weights: np.ndarray = field(init=False)  # (N,) positive, units of area
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        check_degree(self.M)
         _check_rho(self.rho)
-        check_finite(self.points, "rule points", "coordinate")
-        check_finite(self.weights, "rule weights", "w")
+        M, rho = self.M, self.rho
+        line = gauss_legendre(M + 1)
+        n_phi = 2 * (M + 1)
+        phi = np.pi * np.arange(n_phi) / (M + 1)
+
+        ct = np.repeat(line.nodes, n_phi)
+        st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+        ph = np.tile(phi, M + 1)
+        points = rho * np.column_stack((st * np.cos(ph), st * np.sin(ph), ct))
+        weights = rho * rho * (np.pi / (M + 1)) * np.repeat(line.weights, n_phi)
+        check_finite(weights, "rule weights", "w")
+        for name, values in (("points", points), ("weights", weights)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @property
     def n_points(self) -> int:
@@ -100,25 +123,5 @@ def gauss_legendre(n: int) -> LineRule:
 
 
 def sphere_rule(M: int, rho: float) -> CubatureRule:
-    """Product rule with N = 2(M+1)^2 points on the sphere of radius rho.
-
-    Polar cosines are the M+1 Gauss-Legendre nodes; longitudes sit at
-    phi_l = pi l / (M+1) for l = 0..2M+1.  The weight of point (i, l) is
-    rho^2 * pi/(M+1) * w_i, so the rule integrates every spherical
-    polynomial of degree <= 2M exactly over the surface.  Points are stored
-    ring by ring: row i * 2(M+1) + l is point (i, l), with the nodes
-    ascending.
-    """
-    check_degree(M)
-    _check_rho(rho)
-    line = gauss_legendre(M + 1)
-    n_phi = 2 * (M + 1)
-    phi = np.pi * np.arange(n_phi) / (M + 1)
-
-    ct = np.repeat(line.nodes, n_phi)
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    ph = np.tile(phi, M + 1)
-    points = rho * np.column_stack((st * np.cos(ph), st * np.sin(ph), ct))
-    weights = rho * rho * (np.pi / (M + 1)) * np.repeat(line.weights, n_phi)
-    return CubatureRule(points=points, weights=weights, rho=float(rho), M=M)
-
+    """CubatureRule(M, rho): N = 2(M+1)^2 points on the sphere of radius rho."""
+    return CubatureRule(M=M, rho=float(rho))

@@ -511,10 +511,9 @@ def select_two_step(
     Raises ValidationError, with two_step_solve's message, if beta or the
     symbol covers fewer degrees than the rule or the rule is off the
     symbol's data sphere, with synthesize's if the grid is not a rule on
-    the sphere R, with ring_degree_sums' if the grid's rule is not
-    antipodal, and NumericalError if the
-    field sums, any candidate's per-degree factors or field, or any of the
-    three picked solutions are not finite.
+    the sphere R, and NumericalError if the field sums, any candidate's
+    per-degree factors or field, or any of the three picked solutions are
+    not finite.
     """
     alphas = grid_values(alpha_grid)
     lambdas = grid_values(lambda_grid)

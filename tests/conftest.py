@@ -44,6 +44,11 @@ def at_points(c, points):
     return basis_matrix(c.M, points, c.radius) @ c.values
 
 
+def degree_row(c, k):
+    """Coefficients c of degree k, j = 1..2k+1: values[k^2:(k+1)^2]."""
+    return c.values[k * k : (k + 1) ** 2]
+
+
 def ring_spectra(values, M, rule):
     """Yield (k, X) for k = 0..M, X the longitude spectra of degree k's parts.
 

@@ -4,6 +4,7 @@ Each test prints one `ACCEPTANCE <n> <name>: PASS/FAIL` line (visible with
 `pytest -s` or in captured output) and asserts the criterion itself.
 """
 
+import dataclasses
 import math
 import pathlib
 import time
@@ -234,6 +235,31 @@ def test_figure1_golden_pairs(figure1_runs):
         for r in results
     }
     assert len(golden) == 150
+    assert got.keys() == golden.keys()
+    for key, (alpha, lam, err) in golden.items():
+        assert got[key][:2] == (alpha, lam), key
+        assert got[key][2] == pytest.approx(err, rel=1e-12), key
+
+
+def test_figure1_golden_pairs_at_seeds_601_to_610():
+    """The picks of the five cases at ten more seeds, 1,500 rows, against
+    the recorded run as in test_figure1_golden_pairs."""
+    data = pathlib.Path(__file__).resolve().parent / "data"
+    path = data / "fig1_pairs_seeds_601_610.csv"
+    golden = {}
+    for line in path.read_text().splitlines()[1:]:
+        case, seed, trial, method, alpha, lam, err = line.split(",")
+        key = (case, int(seed), int(trial), method)
+        golden[key] = (float(alpha), float(lam), float(err))
+    got = {
+        (name, seed, r.trial, r.method): (
+            r.chosen_alpha, r.chosen_lambda, r.relative_error
+        )
+        for seed in range(601, 611)
+        for name, case in FIGURE1_CASES.items()
+        for r in run_case(dataclasses.replace(case, seed=seed))
+    }
+    assert len(golden) == 1500
     assert got.keys() == golden.keys()
     for key, (alpha, lam, err) in golden.items():
         assert got[key][:2] == (alpha, lam), key

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -11,11 +12,12 @@ import sphere_reg.cli
 import sphere_reg.experiments
 import sphere_reg.harmonics
 import sphere_reg.operators
+import sphere_reg.quadrature
 import sphere_reg.selection
 import sphere_reg.verify
 from sphere_reg import (
-    CubatureRule,
     HarmonicCoefficients,
+    LineRule,
     apply_forward,
     sphere_rule,
     symbol_preset,
@@ -70,7 +72,28 @@ def test_cli_import_leaves_the_process_pool_out():
     assert cli_import_loads("multiprocessing", "concurrent.futures") == []
 
 
+def test_cli_import_leaves_verify_and_figures_out():
+    # cmd_verify and cmd_experiment's plot import them; `solve` needs neither.
+    assert cli_import_loads("sphere_reg.verify", "sphere_reg.figures") == []
+
+
 class TestRuleCommand:
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (["--M", "30"],
+             "e7a3b54a9a21dd40af2a2c6b4f944f5d8d88d60893a8cacf12fd6ae155ebaeb1"),
+            (["--M", "60", "--rho", "1.3"],
+             "8152ba8886c3f614dbd3d6cc347b0b7aeb5b58a3879b59b90ca798de526eccba"),
+        ],
+    )
+    def test_rule_bytes_are_recorded(self, tmp_path, flags, digest):
+        # Points and weights at 17 digits, as sphere_rule built them when
+        # these digests were recorded.
+        out = tmp_path / "rule.csv"
+        assert main(["rule", *flags, "-o", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_minimal_rule_row_count(self, tmp_path):
         out = tmp_path / "rule.csv"
         assert main(["rule", "--M", "0", "--rho", "1", "-o", str(out)]) == EXIT_OK
@@ -594,6 +617,38 @@ class TestNonFiniteSelection:
             "error: numerical failure: non-finite candidate fields at alpha = 0.0001"
         ]
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rho, R, symbol, message",
+    [
+        # (R/rho)^k overflows before the radii are checked.
+        ("0.5", "1e150", "sst",
+         "radii must satisfy 0 < R <= rho < inf, got R=1e+150, rho=0.5"),
+        # (k + 1)/rho * (R/rho)^k overflows.
+        ("1e-150", "0.5", "sst",
+         "radii must satisfy 0 < R <= rho < inf, got R=0.5, rho=1e-150"),
+        # rho^2 underflows to 0, so a_0 = 2/rho^2 divides by zero.
+        ("1e-200", "1e-200", "sgg",
+         "symbol 'sgg' entries must be finite, got a_0 = inf"),
+    ],
+    ids=["R-huge", "rho-tiny", "rho-squared-zero"],
+)
+def test_overflowing_preset_gives_one_error_line(
+    tmp_path, capsys, rho, R, symbol, message
+):
+    # The preset's arithmetic warns nothing before the symbol's own error.
+    rule = sphere_rule(4, float(rho))
+    path = tmp_path / "samples.csv"
+    write_samples_csv(str(path), rule, np.ones(rule.n_points))
+    out = tmp_path / "coeffs.csv"
+    code = main(
+        ["solve", str(path), "--M", "4", "--rho", rho, "--R", R, "--symbol", symbol]
+        + ["--alpha", "0.1", "--lambda", "0.1", "-o", str(out)]
+    )
+    assert code == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
 
 
 def test_solve_auto_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -1147,18 +1202,16 @@ class TestVerifyCommand:
         assert "near-tie picks may differ from the dense oracle" in report
 
     def test_injected_fault_detected(self, capsys, monkeypatch):
-        def faulty_rule(M, rho):
-            rule = sphere_rule(M, rho)
-            weights = rule.weights.copy()
-            weights[0] *= 1.0 + 1e-6
-            return CubatureRule(
-                points=rule.points,
-                weights=weights,
-                rho=rule.rho,
-                M=rule.M,
-            )
+        # Every rule that verify builds takes its polar weights from here.
+        gauss_legendre = sphere_reg.quadrature.gauss_legendre
 
-        monkeypatch.setattr(sphere_reg.verify, "sphere_rule", faulty_rule)
+        def faulty_line(n):
+            line = gauss_legendre(n)
+            weights = line.weights.copy()
+            weights[0] *= 1.0 + 1e-6
+            return LineRule(nodes=line.nodes, weights=weights)
+
+        monkeypatch.setattr(sphere_reg.quadrature, "gauss_legendre", faulty_line)
         assert main(["verify", "--quick"]) == EXIT_VERIFY_FAILED
         captured = capsys.readouterr()
         [line] = captured.err.splitlines()

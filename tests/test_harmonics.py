@@ -19,7 +19,7 @@ from sphere_reg import (
 )
 from sphere_reg.harmonics import radius_mismatch
 from sphere_reg.operators import _parity, _ring_dft, _ring_legendre, ring_degree_sums
-from conftest import random_directions, ring_spectra
+from conftest import degree_row, random_directions, ring_spectra
 
 FOUR_PI = 4.0 * math.pi
 
@@ -365,7 +365,7 @@ def per_degree_fill_fields(coeffs, grid):
     dft = _ring_dft(rule, M)
     rings, n_phi = len(table), len(dft)
     half_sqrt2 = math.sqrt(2.0) / 2
-    rows = [coeffs.row(k) for k in range(M + 1)]
+    rows = [degree_row(coeffs, k) for k in range(M + 1)]
     cosines = [np.append(r[k], half_sqrt2 * r[k + 1 :]) for k, r in enumerate(rows)]
     sines = [half_sqrt2 * r[:k][::-1] for k, r in enumerate(rows)]
     Z = np.empty((rings * n_phi, M + 1))
@@ -404,7 +404,10 @@ class TestStreamedBlocks:
         B = grid.basis(M)
         oracle = near_rings(
             np.column_stack(
-                [B[:, k * k : (k + 1) * (k + 1)] @ coeffs.row(k) for k in range(M + 1)]
+                [
+                    B[:, k * k : (k + 1) * (k + 1)] @ degree_row(coeffs, k)
+                    for k in range(M + 1)
+                ]
             ),
             grid,
         )

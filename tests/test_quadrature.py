@@ -13,6 +13,7 @@ from sphere_reg import (
     gauss_legendre,
     sphere_rule,
 )
+from sphere_reg.harmonics import _off_tolerance
 from conftest import at_points
 
 
@@ -127,40 +128,32 @@ class TestSphereRule:
 
 
 class TestCubatureRuleFields:
-    """A hand-built rule is checked as sphere_rule's own output is."""
-
-    def fields(self):
-        base = sphere_rule(4, 1.0)
-        return dict(points=base.points.copy(), weights=base.weights.copy(), rho=1.0, M=4)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_point_rejected(self, bad):
-        # Unchecked, a NaN coordinate made synthesize return 10 NaN values.
-        fields = self.fields()
-        fields["points"][3, 1] = bad
-        with pytest.raises(
-            ValidationError,
-            match=rf"^rule points must be finite, got coordinate_10 = {bad!r}$",
-        ):
-            CubatureRule(**fields)
-
-    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
-    def test_non_finite_weight_rejected(self, bad):
-        # Unchecked, a NaN weight made analyze return 25 NaN coefficients.
-        fields = self.fields()
-        fields["weights"][7] = bad
-        with pytest.raises(
-            ValidationError, match=rf"^rule weights must be finite, got w_7 = {bad!r}$"
-        ):
-            CubatureRule(**fields)
+    """A rule is built from its degree and radius, and checks both."""
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
     def test_bad_radius_rejected_with_sphere_rules_message(self, rho):
-        fields = dict(self.fields(), rho=rho)
         with pytest.raises(
             ValidationError, match=rf"^rho must be positive and finite, got {rho!r}$"
         ):
-            CubatureRule(**fields)
+            CubatureRule(M=4, rho=rho)
+
+    def test_arrays_are_read_only(self):
+        # The Legendre and DFT tables memoized in the rule derive from them.
+        rule = sphere_rule(4, 1.0)
+        for values in (rule.points, rule.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+
+    def test_every_point_has_its_antipode(self):
+        # Ring R - 1 - r's point l + n_phi/2 is the negative of ring r's
+        # point l, under the package's tolerance rule: ring_degree_sums
+        # computes the first half of the rings and mirrors the rest.
+        for M in (0, 1, 2, 7, 30, 56, 111, 128, 139, 255, 256):
+            for rho in (1e-150, 1e-9, 1.0, 1.3, 7e4, 1e150):
+                rule = sphere_rule(M, rho)
+                by_ring = rule.points.reshape(-1, 2 * (M + 1), 3)
+                sums = by_ring[:, : M + 1] + by_ring[::-1, M + 1 :]
+                assert not _off_tolerance(sums, 0.0, rho).any(), (M, rho)
 
     def test_overflowing_weights_rejected(self):
         # rho^2 overflows: the radius is finite, the area weights are not.

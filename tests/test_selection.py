@@ -15,7 +15,6 @@ from hypothesis.extra.numpy import arrays
 
 from sphere_reg import (
     CollocationParams,
-    CubatureRule,
     EvalGrid,
     HarmonicCoefficients,
     NumericalError,
@@ -860,37 +859,6 @@ class TestSelectTwoStep:
             select_two_step(
                 noisy, rule, symbol, beta, [0.0, 1.0], [0.0, 1.0], default_eval_grid(6, 2.0)
             )
-
-    @pytest.mark.parametrize("nudge", [1e-6, 1e-12])
-    def test_rule_without_antipodes_is_refused(self, nudge):
-        # sphere_rule(12, 1)'s layout with ring 2's polar cosine nudged, its
-        # points kept on the sphere.  Moved by 1e-6, they have no antipodes
-        # on ring 10, and the field sums, which mirror ring 2 onto ring 10,
-        # refuse the rule, memoized, as select_two_step does; moved within
-        # the 1e-9 tolerance, they are accepted.
-        rule, symbol, beta, noisy, _ = make_problem()
-        sup = sphere_rule(12, 1.0)
-        points = sup.points.copy()
-        ring = points[2 * 26 : 3 * 26]
-        cosine = ring[0, 2] + nudge
-        ring[:, :2] *= math.sqrt(1.0 - cosine * cosine) / np.hypot(*ring[0, :2])
-        ring[:, 2] = cosine
-        grid = EvalGrid(CubatureRule(points=points, weights=sup.weights, rho=1.0, M=12))
-        coeffs = HarmonicCoefficients(M=6, radius=1.0, values=np.ones(49))
-        if nudge < 1e-9:
-            assert grid.degree_fields(coeffs).shape == (7 * 26, 7)
-            assert grid.rule._cache["antipodes"] == -1
-            return
-        message = (
-            "^rule points are not antipodal: ring 10's point l \\+ n_phi/2 "
-            "is not the negative of ring 2's point l$"
-        )
-        for _ in range(2):
-            with pytest.raises(ValidationError, match=message):
-                grid.degree_fields(coeffs)
-        assert grid.rule._cache["antipodes"] == 2
-        with pytest.raises(ValidationError, match=message):
-            select_two_step(noisy, rule, symbol, beta, [0.0, 1.0], [0.0, 1.0], grid)
 
     def test_trace_and_picks_match_dense_sweep(self):
         rule, symbol, beta, noisy, grid = make_problem(seed=19)
