@@ -33,7 +33,7 @@ from .operators import (
     symbol_preset,
     synthesize,
 )
-from .quadrature import CubatureRule, LineRule, gauss_legendre, sphere_rule
+from .quadrature import CubatureRule, gauss_legendre, sphere_rule
 from .selection import (
     EvalGrid,
     ParameterGrid,
@@ -58,7 +58,6 @@ __all__ = [
     "FIGURE1_CASES",
     "HarmonicCoefficients",
     "LeaderSummary",
-    "LineRule",
     "NumericalError",
     "ParameterGrid",
     "ParameterPick",

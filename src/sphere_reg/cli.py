@@ -128,12 +128,8 @@ def write_rule_csv(rule: CubatureRule, path: str) -> None:
 
 
 def write_samples_csv(path: str, rule: CubatureRule, samples: np.ndarray) -> None:
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (rule.n_points,):
-        raise ValidationError(
-            f"expected {rule.n_points} samples, got shape {samples.shape}"
-        )
-    _write_numeric_csv(path, "x,y,z,value", np.column_stack((rule.points, samples)))
+    table = np.column_stack((rule.points, rule.samples(samples)))
+    _write_numeric_csv(path, "x,y,z,value", table)
 
 
 def read_samples_csv(path: str, rule: CubatureRule) -> np.ndarray:

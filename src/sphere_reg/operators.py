@@ -256,11 +256,7 @@ def analyze(samples: np.ndarray, rule: CubatureRule, M: int) -> HarmonicCoeffici
     that it is not exact to degree 2M.
     """
     check_degree(M)
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (rule.n_points,):
-        raise ValidationError(
-            f"expected {rule.n_points} samples, got shape {samples.shape}"
-        )
+    samples = rule.samples(samples)
     table = _ring_legendre(rule, M)
     n_phi = 2 * (rule.M + 1)
     # A ring sum of n_phi terms can overflow where every coefficient is

@@ -19,22 +19,6 @@ from .harmonics import check_degree, check_finite, legendre_table
 _NEWTON_MAX_STEPS = 100
 
 
-@dataclass(frozen=True)
-class LineRule:
-    """Quadrature nodes/weights on [-1, 1]; weights sum to 2."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.nodes.shape != self.weights.shape:
-            raise ValidationError("nodes and weights must have equal length")
-        if np.any(np.diff(self.nodes) <= 0):
-            raise ValidationError("nodes must be strictly increasing")
-        if np.any(self.weights <= 0):
-            raise ValidationError("weights must be positive")
-
-
 def _check_rho(rho) -> None:
     if not 0 < rho < math.inf:
         raise ValidationError(f"rho must be positive and finite, got {rho!r}")
@@ -64,15 +48,15 @@ class CubatureRule:
         check_degree(self.M)
         _check_rho(self.rho)
         M, rho = self.M, self.rho
-        line = gauss_legendre(M + 1)
+        nodes, line_weights = gauss_legendre(M + 1)
         n_phi = 2 * (M + 1)
         phi = np.pi * np.arange(n_phi) / (M + 1)
 
-        ct = np.repeat(line.nodes, n_phi)
+        ct = np.repeat(nodes, n_phi)
         st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
         ph = np.tile(phi, M + 1)
         points = rho * np.column_stack((st * np.cos(ph), st * np.sin(ph), ct))
-        weights = rho * rho * (np.pi / (M + 1)) * np.repeat(line.weights, n_phi)
+        weights = rho * rho * (np.pi / (M + 1)) * np.repeat(line_weights, n_phi)
         check_finite(weights, "rule weights", "w")
         for name, values in (("points", points), ("weights", weights)):
             values.setflags(write=False)
@@ -81,6 +65,15 @@ class CubatureRule:
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
+
+    def samples(self, values) -> np.ndarray:
+        """values as a float array, one per point; any other shape is invalid."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != (self.n_points,):
+            raise ValidationError(
+                f"expected {self.n_points} samples, got shape {values.shape}"
+            )
+        return values
 
 
 def _legendre_and_derivative(n: int, t: np.ndarray):
@@ -91,11 +84,11 @@ def _legendre_and_derivative(n: int, t: np.ndarray):
     return p, dp
 
 
-def gauss_legendre(n: int) -> LineRule:
-    """Gauss-Legendre rule with n nodes, exact for degree <= 2n-1.
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the n-node Gauss-Legendre rule, exact to degree 2n-1.
 
-    Nodes are the roots of P_n found by Newton iteration from Chebyshev
-    initial guesses; weights are 2 / ((1-t^2) P_n'(t)^2).
+    Nodes ascend: the roots of P_n, found by Newton iteration from Chebyshev
+    initial guesses.  Weights are 2 / ((1-t^2) P_n'(t)^2) and sum to 2.
 
     Raises
     ------
@@ -119,7 +112,7 @@ def gauss_legendre(n: int) -> LineRule:
     _, dp = _legendre_and_derivative(n, t)
     w = 2.0 / ((1.0 - t * t) * dp * dp)
     order = np.argsort(t)
-    return LineRule(nodes=t[order], weights=w[order])
+    return t[order], w[order]
 
 
 def sphere_rule(M: int, rho: float) -> CubatureRule:

@@ -461,9 +461,11 @@ def _nested_pass(
     """
     lambdas = np.asarray(lambdas, dtype=float)
     shift = int(lambdas[0] != 0)  # rows of damping before lambdas[0]
-    damping = 1.0 / (1.0 + np.outer(np.append(np.zeros(shift), lambdas), b * b))
     alphas = np.asarray(alphas, dtype=float)
+    # An overflowing lam b^2 damps to 0, its limit; _check_candidates names
+    # any non-finite factor.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        damping = 1.0 / (1.0 + np.outer(np.append(np.zeros(shift), lambdas), b * b))
         q = a / (alphas[:, None] + a * a)  # (n, M+1)
     _check_candidates(Z, zmax, damping[shift:], q, alphas)
     _check_candidates(Z, zmax, damping[:1], q[first:], alphas[first:])

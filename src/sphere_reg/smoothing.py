@@ -96,11 +96,7 @@ def smooth_oracle(
         raise ValidationError(
             f"oracle is capped at M={_ORACLE_MAX_DEGREE} (dense solve), got M={M}"
         )
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (rule.n_points,):
-        raise ValidationError(
-            f"expected {rule.n_points} samples, got shape {samples.shape}"
-        )
+    samples = rule.samples(samples)
     params.damping(M)  # validates beta coverage
 
     B = basis_matrix(M, rule.points, rule.rho)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ import sphere_reg.selection
 import sphere_reg.verify
 from sphere_reg import (
     HarmonicCoefficients,
-    LineRule,
     apply_forward,
     sphere_rule,
     symbol_preset,
@@ -516,6 +516,27 @@ class TestOverflowingGrid:
         assert "overflows" in line
 
 
+def test_overflowing_smoothing_penalty_damps_to_zero_without_a_warning(
+    tmp_path, capsys
+):
+    # beta_k^2 is about 9.4e8 at --beta-exponent 50, so lam beta_k^2
+    # overflows on the top lambdas, whose damping is then its limit 0.
+    path, _, _ = make_samples(tmp_path, M=1, noise=0.5)
+    out = tmp_path / "coeffs.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(
+            ["solve", str(path), "--M", "1", "--symbol", "geometric(1.48)", "--auto"]
+            + ["--beta-exponent", "50", "--lambda0", "1e300", "-o", str(out)]
+        )
+    assert code == EXIT_OK
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith("lambda = 1.2500000000000001e+300\n")
+    assert np.all(read_coeffs(out) == 0.0)
+
+
 class TestNonFiniteSelection:
     def test_underflowing_symbol_exits_numerical(self, tmp_path, capsys):
         # a_k^2 underflows to 0 for the top degrees, so the alpha = 0
@@ -680,6 +701,51 @@ def test_solve_auto_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert child.returncode == 0, child.stderr
         outputs.append((coeffs.read_bytes(), trace.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "M, flags, digests",
+    [
+        (30, [], (
+            "72ff9c8d33282a0431eb624f5a8a9ab0f17246e66c1ae9dbcf13c6cd970e77c9",
+            "15393ef6d02893f2a7008ed68110019a81bd99475bdd3e4e59a54ee24f459f39",
+            "a4794d4db73792f17eba55b817965ff397fe2531964321a21078a3781324564e",
+        )),
+        (30, ["--no-zero"], (
+            "72ff9c8d33282a0431eb624f5a8a9ab0f17246e66c1ae9dbcf13c6cd970e77c9",
+            "15393ef6d02893f2a7008ed68110019a81bd99475bdd3e4e59a54ee24f459f39",
+            "2205b62546089069053ab0ce8cedf98f7574d307a22320d2769b7237bbfc5b47",
+        )),
+        (56, [], (
+            "6a19b0d044c878f67b01358113dc9ee8d3ec1930f42e11835fc5b3c46fc9df8c",
+            "28d16a4f5b6f3aa0fd4e397304f743fc79b13a6ddabcc56244c7d5e55e5a5105",
+            "5c7abdc4ae7723854f75ebd3b2c5cbedc3cd14c9b28de88996b856f192de6a27",
+        )),
+        (56, ["--no-zero"], (
+            "6a19b0d044c878f67b01358113dc9ee8d3ec1930f42e11835fc5b3c46fc9df8c",
+            "28d16a4f5b6f3aa0fd4e397304f743fc79b13a6ddabcc56244c7d5e55e5a5105",
+            "e6804febaed9809b43c7979ef07d5631deec62d265b3c9d52879ab3be04000e5",
+        )),
+    ],
+    ids=["M30", "M30-no-zero", "M56", "M56-no-zero"],
+)
+def test_solve_auto_bytes_are_recorded(tmp_path, capsys, M, flags, digests):
+    # sha256 of stdout, the coefficient CSV and the trace CSV, recorded on
+    # OpenBLAS 0.3.31's SkylakeX kernels; the samples are trial 0 of an
+    # upsilon = 1.5 case at seed 31415.
+    ex = sphere_reg.experiments
+    case = ex.ExperimentCase(name="solve", symbol="geometric(1.48)", upsilon=1.5, M=M)
+    _, _, noisy = ex.simulate_problem(case, ex.trial_seed(31415, 0))
+    path = tmp_path / "samples.csv"
+    write_samples_csv(str(path), ex.canonical_rule(M, 1.0), noisy)
+    coeffs, trace = tmp_path / "coeffs.csv", tmp_path / "trace.csv"
+    code = main(
+        ["solve", str(path), "--M", str(M), "--symbol", "geometric(1.48)", "--auto"]
+        + ["--trace", str(trace), "-o", str(coeffs), *flags]
+    )
+    assert code == EXIT_OK
+    outputs = (capsys.readouterr().out.encode(), coeffs.read_bytes(), trace.read_bytes())
+    assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == digests
 
 
 class TestCoeffsIO:
@@ -1206,10 +1272,10 @@ class TestVerifyCommand:
         gauss_legendre = sphere_reg.quadrature.gauss_legendre
 
         def faulty_line(n):
-            line = gauss_legendre(n)
-            weights = line.weights.copy()
+            nodes, weights = gauss_legendre(n)
+            weights = weights.copy()
             weights[0] *= 1.0 + 1e-6
-            return LineRule(nodes=line.nodes, weights=weights)
+            return nodes, weights
 
         monkeypatch.setattr(sphere_reg.quadrature, "gauss_legendre", faulty_line)
         assert main(["verify", "--quick"]) == EXIT_VERIFY_FAILED

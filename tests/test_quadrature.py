@@ -7,7 +7,6 @@ import scipy.special
 from sphere_reg import (
     CubatureRule,
     HarmonicCoefficients,
-    LineRule,
     ValidationError,
     basis_matrix,
     gauss_legendre,
@@ -19,51 +18,36 @@ from conftest import at_points
 
 class TestGaussLegendre:
     def test_single_node(self):
-        rule = gauss_legendre(1)
-        np.testing.assert_allclose(rule.nodes, [0.0], atol=1e-15)
-        np.testing.assert_allclose(rule.weights, [2.0], atol=1e-15)
+        nodes, weights = gauss_legendre(1)
+        np.testing.assert_allclose(nodes, [0.0], atol=1e-15)
+        np.testing.assert_allclose(weights, [2.0], atol=1e-15)
 
     def test_two_nodes(self):
-        rule = gauss_legendre(2)
+        nodes, weights = gauss_legendre(2)
         np.testing.assert_allclose(
-            rule.nodes, [-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)], atol=1e-15
+            nodes, [-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)], atol=1e-15
         )
-        np.testing.assert_allclose(rule.weights, [1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(weights, [1.0, 1.0], atol=1e-14)
 
     def test_five_nodes_integrate_t8(self):
         # analytic oracle: integral of t^8 over [-1, 1] is 2/9
-        rule = gauss_legendre(5)
-        value = float(rule.weights @ rule.nodes**8)
+        nodes, weights = gauss_legendre(5)
+        value = float(weights @ nodes**8)
         assert value == pytest.approx(2.0 / 9.0, abs=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 31, 64, 101])
     def test_against_scipy(self, n):
-        rule = gauss_legendre(n)
-        nodes, weights = scipy.special.roots_legendre(n)
-        np.testing.assert_allclose(rule.nodes, nodes, atol=1e-13)
-        np.testing.assert_allclose(rule.weights, weights, atol=1e-13)
-        assert float(np.sum(rule.weights)) == pytest.approx(2.0, abs=1e-12)
-        assert np.all(np.diff(rule.nodes) > 0)
-        assert np.min(rule.weights) > 0
+        nodes, weights = gauss_legendre(n)
+        expected_nodes, expected_weights = scipy.special.roots_legendre(n)
+        np.testing.assert_allclose(nodes, expected_nodes, atol=1e-13)
+        np.testing.assert_allclose(weights, expected_weights, atol=1e-13)
+        assert float(np.sum(weights)) == pytest.approx(2.0, abs=1e-12)
+        assert np.all(np.diff(nodes) > 0)
+        assert np.min(weights) > 0
 
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValidationError):
             gauss_legendre(0)
-
-
-class TestLineRule:
-    @pytest.mark.parametrize(
-        "nodes, weights, message",
-        [
-            ([-0.5, 0.5], [2.0], "nodes and weights must have equal length"),
-            ([0.5, -0.5], [1.0, 1.0], "nodes must be strictly increasing"),
-            ([-0.5, 0.5], [2.0, 0.0], "weights must be positive"),
-        ],
-        ids=["lengths", "order", "weights"],
-    )
-    def test_invalid_rules_rejected(self, nodes, weights, message):
-        with pytest.raises(ValidationError, match=message):
-            LineRule(nodes=np.array(nodes), weights=np.array(weights))
 
 
 class TestSphereRule:
