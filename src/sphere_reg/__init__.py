@@ -16,15 +16,12 @@ from .errors import NumericalError, SphereRegError, ValidationError
 from .experiments import (
     FIGURE1_CASES,
     ExperimentCase,
-    LeaderSummary,
-    TrialResult,
     leader_following_summary,
     penalty_from_symbol,
-    relative_sup_error,
     run_case,
     simulate_problem,
 )
-from .harmonics import basis_matrix, legendre_table
+from .harmonics import basis_matrix
 from .operators import (
     HarmonicCoefficients,
     SphericalSymbol,
@@ -37,16 +34,12 @@ from .quadrature import CubatureRule, gauss_legendre, sphere_rule
 from .selection import (
     EvalGrid,
     ParameterGrid,
-    ParameterPick,
-    SelectionResult,
-    TwoStepSelection,
     default_eval_grid,
-    expand_grid,
     select_single,
     select_two_step,
     sup_norm,
 )
-from .smoothing import PenaltyWeights, SmoothingParams, smooth, smooth_oracle
+from .smoothing import PenaltyWeights, SmoothingParams, smooth
 
 __version__ = "0.1.0"
 
@@ -57,36 +50,27 @@ __all__ = [
     "ExperimentCase",
     "FIGURE1_CASES",
     "HarmonicCoefficients",
-    "LeaderSummary",
     "NumericalError",
     "ParameterGrid",
-    "ParameterPick",
     "PenaltyWeights",
-    "SelectionResult",
     "SmoothingParams",
     "SphereRegError",
     "SphericalSymbol",
-    "TrialResult",
-    "TwoStepSelection",
     "ValidationError",
     "analyze",
     "apply_forward",
     "basis_matrix",
     "composite_norm_bound",
     "default_eval_grid",
-    "expand_grid",
     "gauss_legendre",
     "invert_regularized",
     "leader_following_summary",
-    "legendre_table",
     "penalty_from_symbol",
-    "relative_sup_error",
     "run_case",
     "select_single",
     "select_two_step",
     "simulate_problem",
     "smooth",
-    "smooth_oracle",
     "sphere_rule",
     "sup_norm",
     "symbol_preset",

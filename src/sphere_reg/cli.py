@@ -9,9 +9,10 @@ too), 4 numerical failure (a trial worker process that dies too).  Every
 failure prints a single diagnostic line starting with ``error:`` to
 stderr.
 
-Numeric CSV fields are written with 17 significant digits, which
-round-trips IEEE doubles exactly and keeps output diffable; files are
-written to a temporary name and renamed into place.
+Every CSV goes through one writer, ``_write_csv``.  Numeric fields are
+written as ``%.17g``, which round-trips IEEE doubles exactly and keeps
+output diffable; files are written to a temporary name and renamed into
+place.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import io
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -52,18 +53,14 @@ EXIT_INVALID_INPUT = 3
 EXIT_NUMERICAL = 4
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _atomic_write(path: str, text: str) -> None:
-    """Write text to path.tmp and rename it; on failure remove path.tmp."""
+def _atomic_write(path: str, chunks) -> None:
+    """Write the text chunks to path.tmp and rename it; on failure remove path.tmp."""
     tmp = path + ".tmp"
     opened = False
     try:
         with open(tmp, "w", newline="") as fh:
             opened = True
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except OSError as exc:
         if opened:
@@ -114,22 +111,24 @@ def _read_text(path: str) -> str:
 # CSV formats
 
 
-def _write_numeric_csv(path: str, header: str, table: np.ndarray) -> None:
-    """Write the rows of a 2-D table under a header, each field as %.17g."""
-    text = io.StringIO()
-    np.savetxt(text, table, fmt="%.17g", delimiter=",", header=header, comments="")
-    _atomic_write(path, text.getvalue())
+_FOUR = "%.17g,%.17g,%.17g,%.17g"
+
+
+def _write_csv(path: str, header: str, row_format: str, rows, *footer: str) -> None:
+    """Stream the header, row_format % row for each row, then the footer lines."""
+    line = row_format + "\n"
+    body = (line % row for row in rows)
+    _atomic_write(path, chain([header + "\n"], body, (f + "\n" for f in footer)))
 
 
 def write_rule_csv(rule: CubatureRule, path: str) -> None:
-    _write_numeric_csv(
-        path, "x,y,z,weight", np.column_stack((rule.points, rule.weights))
-    )
+    rows = zip(*rule.points.T.tolist(), rule.weights.tolist())
+    _write_csv(path, "x,y,z,weight", _FOUR, rows)
 
 
 def write_samples_csv(path: str, rule: CubatureRule, samples: np.ndarray) -> None:
-    table = np.column_stack((rule.points, rule.samples(samples)))
-    _write_numeric_csv(path, "x,y,z,value", table)
+    rows = zip(*rule.points.T.tolist(), rule.samples(samples).tolist())
+    _write_csv(path, "x,y,z,value", _FOUR, rows)
 
 
 def read_samples_csv(path: str, rule: CubatureRule) -> np.ndarray:
@@ -210,7 +209,8 @@ def write_coeffs_csv(coeffs: HarmonicCoefficients, path: str) -> None:
     degrees = np.arange(coeffs.M + 1)
     k = np.repeat(degrees, 2 * degrees + 1)
     j = np.arange(k.size) - k * k + 1
-    _write_numeric_csv(path, "k,j,value", np.column_stack((k, j, coeffs.values)))
+    rows = zip(k.tolist(), j.tolist(), coeffs.values.tolist())
+    _write_csv(path, "k,j,value", "%d,%d,%.17g", rows)
 
 
 def write_results_csv(
@@ -219,27 +219,28 @@ def write_results_csv(
     results: list[TrialResult],
     summary: LeaderSummary,
 ) -> None:
-    lines = ["case,trial,method,relative_error,alpha,lambda"]
-    for r in results:
-        lines.append(
-            f"{case_name},{r.trial},{r.method},{_fmt(r.relative_error)},"
-            f"{_fmt(r.chosen_alpha)},{_fmt(r.chosen_lambda)}"
-        )
-    lines.append(
-        f"# leader_following case={summary.case} "
-        f"two_step_median={_fmt(summary.median_two_step)} "
-        f"smoothing_median={_fmt(summary.median_smoothing)} "
-        f"collocation_median={_fmt(summary.median_collocation)} "
-        f"ratio={_fmt(summary.ratio)} "
-        f"follows_leader={'true' if summary.follows_leader else 'false'}"
+    rows = (
+        (case_name, r.trial, r.method, r.relative_error, r.chosen_alpha, r.chosen_lambda)
+        for r in results
     )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    footer = (
+        "# leader_following case=%s two_step_median=%.17g smoothing_median=%.17g "
+        "collocation_median=%.17g ratio=%.17g follows_leader=%s"
+    ) % (
+        summary.case,
+        summary.median_two_step,
+        summary.median_smoothing,
+        summary.median_collocation,
+        summary.ratio,
+        "true" if summary.follows_leader else "false",
+    )
+    header = "case,trial,method,relative_error,alpha,lambda"
+    _write_csv(path, header, "%s,%s,%s,%.17g,%.17g,%.17g", rows, footer)
 
 
 def write_trace_csv(path: str, trace) -> None:
     rows = [(r.alpha, r.chosen_lambda, r.inner_min_diff, r.outer_diff) for r in trace]
-    header = "alpha,chosen_lambda,inner_min_diff,outer_diff"
-    _write_numeric_csv(path, header, np.array(rows))
+    _write_csv(path, "alpha,chosen_lambda,inner_min_diff,outer_diff", _FOUR, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +378,7 @@ def cmd_experiment(args) -> int:
         # Imported here and in cmd_verify: solve needs neither module.
         from .figures import strip_plot_svg
 
-        _atomic_write(plot, strip_plot_svg(case.name, results))
+        _atomic_write(plot, [strip_plot_svg(case.name, results)])
     print(
         f"{case.name}: {case.trials} trials, "
         f"two-step median {summary.median_two_step:.4f}, "
@@ -424,7 +425,7 @@ def cmd_solve(args) -> int:
             samples, rule, symbol, beta, *grids, default_eval_grid(args.M, args.R)
         )
         solution = chosen.solution
-        print(f"selected alpha = {_fmt(chosen.alpha)}, lambda = {_fmt(chosen.lam)}")
+        print("selected alpha = %.17g, lambda = %.17g" % (chosen.alpha, chosen.lam))
         if args.trace is not None:
             write_trace_csv(args.trace, chosen.trace)
     else:

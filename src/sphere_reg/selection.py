@@ -121,10 +121,6 @@ class EvalGrid:
         self.radius = radius
         self._basis = {}
 
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
     def basis(self, M: int) -> np.ndarray:
         """(T, (M+1)^2) matrix of (1/radius) Y_{k,j}(t/radius) values."""
         B = self._basis.get(M)
@@ -451,8 +447,9 @@ def _nested_pass(
     grid.  One chain product gives both outer passes' differences: its
     step rows are np.diff of the outer alphas' winner rows, then np.diff
     of their lambda = 0 rows, taken by _step_maxima with a ones row as q,
-    which keeps their bits.  A lambda grid without 0 takes
-    its damping row 1/(1 + 0 b^2), exactly 1 where b^2 is finite.  No
+    which keeps their bits.  Damping row 0 is lambda = 0, prepended when
+    the lambda grid lacks it, with the penalty 0 b b of
+    SmoothingParams.damping: exactly 0, also where b^2 overflows.  No
     field is kept.  A single lambda takes the same path: each alpha's only
     row wins with a NaN inner difference, and no bound or pair product is
     formed.  Returns per alpha the winning lambda index and its inner
@@ -465,7 +462,9 @@ def _nested_pass(
     # An overflowing lam b^2 damps to 0, its limit; _check_candidates names
     # any non-finite factor.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        damping = 1.0 / (1.0 + np.outer(np.append(np.zeros(shift), lambdas), b * b))
+        penalty = np.outer(np.append(np.zeros(shift), lambdas), b * b)
+        penalty[0] = 0.0 * b * b
+        damping = 1.0 / (1.0 + penalty)
         q = a / (alphas[:, None] + a * a)  # (n, M+1)
     _check_candidates(Z, zmax, damping[shift:], q, alphas)
     _check_candidates(Z, zmax, damping[:1], q[first:], alphas[first:])

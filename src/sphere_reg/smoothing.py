@@ -66,7 +66,8 @@ class SmoothingParams:
                 f"beta covers degrees 0..{self.beta.M}, need 0..{M}"
             )
         b = self.beta.beta[: M + 1]
-        return 1.0 / (1.0 + self.lam * b * b)
+        with np.errstate(over="ignore"):  # an overflowing lam b^2 damps to 0
+            return 1.0 / (1.0 + self.lam * b * b)
 
 
 def smooth(

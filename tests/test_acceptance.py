@@ -22,9 +22,7 @@ from sphere_reg import (
     basis_matrix,
     composite_norm_bound,
     invert_regularized,
-    legendre_table,
     smooth,
-    smooth_oracle,
     sphere_rule,
     symbol_preset,
     two_step_solve,
@@ -35,7 +33,9 @@ from sphere_reg.experiments import (
     leader_following_summary,
     run_case,
 )
+from sphere_reg.harmonics import legendre_table
 from sphere_reg.selection import default_eval_grid
+from sphere_reg.smoothing import smooth_oracle
 from conftest import at_points, random_directions
 
 

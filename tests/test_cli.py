@@ -33,11 +33,13 @@ from sphere_reg.cli import (
     parse_config,
     read_samples_csv,
     write_coeffs_csv,
+    write_results_csv,
     write_rule_csv,
     write_samples_csv,
     write_trace_csv,
 )
 from sphere_reg.errors import ValidationError
+from sphere_reg.experiments import METHODS, LeaderSummary, TrialResult
 from sphere_reg.selection import TraceRecord
 from conftest import at_points
 
@@ -756,8 +758,7 @@ class TestCoeffsIO:
         np.testing.assert_array_equal(read_coeffs(path), c.values)
 
 
-# The hand-rolled writer loops that the numpy writers replace: the oracle for
-# their bytes.
+# Writer loops, one f-string per line: the byte oracles of the CSV writers.
 
 
 def _fmt(x):
@@ -793,6 +794,24 @@ def loop_trace_csv(trace):
             f"{_fmt(rec.alpha)},{_fmt(rec.chosen_lambda)},"
             f"{_fmt(rec.inner_min_diff)},{_fmt(rec.outer_diff)}"
         )
+    return "\n".join(lines) + "\n"
+
+
+def loop_results_csv(case_name, results, summary):
+    lines = ["case,trial,method,relative_error,alpha,lambda"]
+    for r in results:
+        lines.append(
+            f"{case_name},{r.trial},{r.method},{_fmt(r.relative_error)},"
+            f"{_fmt(r.chosen_alpha)},{_fmt(r.chosen_lambda)}"
+        )
+    lines.append(
+        f"# leader_following case={summary.case} "
+        f"two_step_median={_fmt(summary.median_two_step)} "
+        f"smoothing_median={_fmt(summary.median_smoothing)} "
+        f"collocation_median={_fmt(summary.median_collocation)} "
+        f"ratio={_fmt(summary.ratio)} "
+        f"follows_leader={'true' if summary.follows_leader else 'false'}"
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -835,6 +854,20 @@ class TestWriterBytes:
         path = tmp_path / "t.csv"
         write_trace_csv(str(path), trace)
         assert path.read_bytes() == loop_trace_csv(trace).encode()
+
+    @pytest.mark.parametrize("follows", [True, False])
+    def test_results(self, tmp_path, rng, follows):
+        errors, alphas, lambdas = np.abs(awkward_values(rng, 45)).reshape(3, 15)
+        errors[-1] = math.inf
+        results = [
+            TrialResult(t // 3, METHODS[t % 3], e, a, lam)
+            for t, (e, a, lam) in enumerate(zip(errors, alphas, lambdas))
+        ]
+        results.append(TrialResult(5, METHODS[0], 1 / 3, 0.0, 0.0))
+        summary = LeaderSummary("fig1x", 1e-300, 0.1, 5e-324, math.inf, follows)
+        path = tmp_path / "results.csv"
+        write_results_csv(str(path), "fig1x", results, summary)
+        assert path.read_bytes() == loop_results_csv("fig1x", results, summary).encode()
 
 
 class TestConfig:

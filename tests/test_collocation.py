@@ -14,12 +14,12 @@ from sphere_reg import (
     apply_forward,
     composite_norm_bound,
     invert_regularized,
-    legendre_table,
     smooth,
     sphere_rule,
     symbol_preset,
     two_step_solve,
 )
+from sphere_reg.harmonics import legendre_table
 from conftest import at_points
 
 

@@ -1,4 +1,5 @@
-"""The `solve` exit-code contract, as a property of generated invocations.
+"""The `solve` and `experiment` exit-code contract, as a property of
+generated invocations.
 
 Exit 0 comes with finite outputs.  Any other run exits 3 (invalid input)
 or 4 (numerical failure) with exactly one `error:` line on stderr, no
@@ -8,16 +9,18 @@ traceback, no warning and no output file.
 import contextlib
 import io
 import math
+import os
 import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphere_reg import ValidationError, sphere_rule
+from sphere_reg import FIGURE1_CASES, ValidationError, sphere_rule
 from sphere_reg.cli import (
     EXIT_INVALID_INPUT,
     EXIT_NUMERICAL,
@@ -145,3 +148,102 @@ def test_solve_exits_0_with_finite_outputs_or_3_or_4_with_one_error_line(case):
             assert code in (EXIT_INVALID_INPUT, EXIT_NUMERICAL), err.getvalue()
             assert len(err_lines) == 1 and err_lines[0].startswith("error:"), err_lines
             assert sorted(p.name for p in tmp.iterdir()) == ["samples.csv"]
+
+
+# Config values: (ordinary, unusual) per key of a case.
+CASE_VALUES = {
+    "epsilon": (["0", "0.05", "0.5"], NUMBERS),
+    "upsilon": (["0.5", "1.5", "3"], NUMBERS + ["1023.9", "1024"]),
+    "R": (["1", "0.5"], NUMBERS),
+    "rho": (["1", "2", "3.5"], NUMBERS),
+    "seed": (["0", "7", "31415"], ["-1", "1.5", "x", "1e3", str(2**64), str(2**200)]),
+    "beta_exponent": (["0", "1", "2"], NUMBERS + ["-3", "50"]),
+}
+GRID_VALUES = {
+    "0": (["1e-300", "1e-9", "1e-5", "1e150"], NUMBERS),
+    "_factor": (["1.0000000000000002", "1.25", "10"], NUMBERS),
+    "_count": (["1", "3", "20"], ["0", "-1", "2.5", "x"]),
+    "_zero": (["true", "false", "yes", "0"], ["maybe", "2"]),
+}
+MALFORMED = ["no equals sign", "= 1", "key =", "bogus = 1", "M = 2", "case = fig1a"]
+
+
+@st.composite
+def configs(draw):
+    """(config text with OUT for the output directory, whether it names a plot).
+
+    Half the configs hold only ordinary values, which give exit 0 but for
+    a few combinations; in the other half each value is unusual one time
+    in eight, and one line in four is malformed, unknown or repeated.
+    """
+    unusual = draw(st.booleans())
+
+    def value(ordinary, odd):
+        return draw(mostly(ordinary, odd) if unusual else st.sampled_from(ordinary))
+
+    if draw(st.booleans()):
+        lines = [f"case = {value(sorted(FIGURE1_CASES), ['fig1z', 'custom'])}"]
+    else:
+        lines = [f"symbol = {draw(symbols) if unusual else 'geometric(1.48)'}"]
+        lines.append(f"upsilon = {value(*CASE_VALUES['upsilon'])}")
+    lines.append(f"M = {value(['0', '1', '2', '3', '4'], ['-1', '2.5', 'x'])}")
+    lines.append(f"trials = {value(['2'], ['0', '-1', '2.0', 'x'])}")
+    for key, values in CASE_VALUES.items():
+        if not any(line.startswith(f"{key} =") for line in lines) and draw(st.booleans()):
+            lines.append(f"{key} = {value(*values)}")
+    for name in ("alpha", "lambda"):
+        for suffix, values in GRID_VALUES.items():
+            if draw(st.integers(0, 3)) == 0:
+                lines.append(f"{name}{suffix} = {value(*values)}")
+    if unusual and draw(st.integers(0, 3)) == 0:
+        lines.append(draw(st.sampled_from(MALFORMED)))
+    if not unusual or draw(st.integers(0, 15)):
+        lines.append("output = OUT/results.csv")
+    plot = draw(st.booleans())
+    if plot:
+        lines.append("plot = OUT/strip.svg  # the strip plot")
+    return "\n".join(draw(st.permutations(lines))) + "\n", plot
+
+
+def read_results(path: Path):
+    """The (rows, 3) float fields of a results CSV and its summary's fields."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "case,trial,method,relative_error,alpha,lambda"
+    rows = [line.split(",")[3:] for line in lines[1:-1]]
+    summary = dict(f.split("=") for f in lines[-1].split()[2:])
+    return np.array(rows, dtype=float), summary
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(configs())
+def test_experiment_exits_0_with_finite_results_or_3_or_4_with_one_error_line(case):
+    text, plot = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "case.config"
+        config.write_text(text.replace("OUT", str(tmp)))
+        out, err = io.StringIO(), io.StringIO()
+        # One usable core: the trials run in this process, and no example
+        # forks a pool.
+        with warnings.catch_warnings(record=True) as caught, mock.patch.object(
+            os, "sched_getaffinity", lambda pid: {0}, create=True
+        ):
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["experiment", str(config)])
+        assert not caught, [str(w.message) for w in caught]
+        err_lines = err.getvalue().splitlines()
+        if code == EXIT_OK:
+            assert err_lines == []
+            assert len(out.getvalue().splitlines()) == 1
+            table, summary = read_results(tmp / "results.csv")
+            assert table.shape == (6, 3) and np.all(np.isfinite(table))
+            medians = [float(v) for k, v in summary.items() if k.endswith("_median")]
+            assert len(medians) == 3 and all(map(math.isfinite, medians))
+            ratio = float(summary["ratio"])
+            assert math.isfinite(ratio) or (ratio == math.inf and min(medians[1:]) == 0)
+            assert (tmp / "strip.svg").exists() == plot
+        else:
+            assert code in (EXIT_INVALID_INPUT, EXIT_NUMERICAL), err.getvalue()
+            assert len(err_lines) == 1 and err_lines[0].startswith("error:"), err_lines
+            assert sorted(p.name for p in tmp.iterdir()) == ["case.config"]

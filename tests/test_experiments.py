@@ -20,7 +20,6 @@ from sphere_reg import (
     apply_forward,
     leader_following_summary,
     penalty_from_symbol,
-    relative_sup_error,
     run_case,
     simulate_problem,
     sphere_rule,
@@ -37,6 +36,7 @@ from sphere_reg.experiments import (
     TrialResult,
     canonical_rule,
     case_with_overrides,
+    relative_sup_error,
     relative_sup_errors,
     trial_seed,
 )

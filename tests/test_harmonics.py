@@ -12,12 +12,11 @@ from sphere_reg import (
     HarmonicCoefficients,
     ValidationError,
     basis_matrix,
-    legendre_table,
     sphere_rule,
     sup_norm,
     synthesize,
 )
-from sphere_reg.harmonics import radius_mismatch
+from sphere_reg.harmonics import legendre_table, radius_mismatch
 from sphere_reg.operators import _parity, _ring_dft, _ring_legendre, ring_degree_sums
 from conftest import degree_row, random_directions, ring_spectra
 

@@ -13,11 +13,11 @@ from sphere_reg import (
     apply_forward,
     basis_matrix,
     gauss_legendre,
-    legendre_table,
     sphere_rule,
     symbol_preset,
     synthesize,
 )
+from sphere_reg.harmonics import legendre_table
 from sphere_reg.operators import _ring_legendre
 from conftest import at_points, degree_row
 

@@ -19,14 +19,12 @@ from sphere_reg import (
     HarmonicCoefficients,
     NumericalError,
     ParameterGrid,
-    ParameterPick,
     PenaltyWeights,
     SmoothingParams,
     ValidationError,
     analyze,
     basis_matrix,
     default_eval_grid,
-    expand_grid,
     select_single,
     select_two_step,
     sphere_rule,
@@ -44,12 +42,14 @@ from sphere_reg.selection import (
     _PANEL_ROWS,
     _ROUND_PAIRS,
     _SMALL_PRODUCT,
+    ParameterPick,
     _first_minimum,
     _nested_pass,
     _panels,
     _product_shape,
     _pruned_quasi_optimal,
     _step_maxima,
+    expand_grid,
     grid_values,
     sup_norms,
 )
@@ -1039,7 +1039,7 @@ class TestSelectTwoStep:
         # fields.
         args = figure1_trial()
         select_two_step(*args)
-        T, L = args[-1].n_points, len(grid_values(args[-2]))
+        T, L = args[-1].rule.n_points, len(grid_values(args[-2]))
         tracemalloc.start()
         try:
             select_two_step(*args)
@@ -1053,7 +1053,7 @@ class TestSelectTwoStep:
         # the field sums and less than half a table of candidate fields.
         args = figure1_trial()
         select_two_step(*args)
-        T, L = args[-1].n_points, len(grid_values(args[-2]))
+        T, L = args[-1].rule.n_points, len(grid_values(args[-2]))
         tracemalloc.start()
         try:
             select_two_step(*args)
@@ -1297,6 +1297,29 @@ class TestNonFiniteSelection:
             with pytest.raises(NumericalError, match=r"factors at alpha = 1\.0 "):
                 _nested_pass(Z, zmax, a, b, [1.0, 1e-2], [0.0, 1.0])
 
+    @pytest.mark.parametrize("lambdas", [[0.0, 1e-3], [1e-3, 1e-2]], ids=["zero", "no-zero"])
+    def test_overflowing_penalty_damps_like_two_step_solve(self, lambdas):
+        # b^2 = 1e400 overflows.  The lambda = 0 row's penalty is 0 b b = 0,
+        # as SmoothingParams.damping forms it, not 0 * inf = NaN, so the
+        # sweep finishes where two_step_solve does; every lambda > 0 damps
+        # to 0.
+        M = 4
+        rule = sphere_rule(M, 1.0)
+        symbol = symbol_preset("geometric(1.48)", 1.0, 1.0, M)
+        beta = PenaltyWeights(np.full(M + 1, 1e200))
+        samples = np.random.default_rng(0).standard_normal(rule.n_points)
+        chosen = select_two_step(
+            samples, rule, symbol, beta, [0.0, 1e-3, 1e-2], lambdas,
+            default_eval_grid(M, 1.0),
+        )
+        assert (chosen.alpha, chosen.lam) == (1e-3, lambdas[-1])
+        for pick in (chosen, chosen.smoothing_only, chosen.collocation_only):
+            want = two_step_solve(
+                samples, rule, SmoothingParams(pick.lam, beta),
+                CollocationParams(pick.alpha, symbol),
+            )
+            np.testing.assert_array_equal(pick.solution.values, want.values)
+
     def test_non_finite_pick_fails_loudly(self):
         # The field sums (4e307) and the sweep's fields stay finite, but the
         # picked solution's degree-0 coefficient, 1.4e308 / a_0 with
@@ -1403,7 +1426,7 @@ class TestStreamedSweepMemory:
         )
         # The result itself is at most T (M+1) doubles; the dense basis is
         # M+1 times that.
-        field_bytes = grid.n_points * (M + 1) * 8
+        field_bytes = grid.rule.n_points * (M + 1) * 8
         tracemalloc.start()
         try:
             grid.degree_fields(coeffs)
@@ -1429,4 +1452,4 @@ class TestStreamedSweepMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < grid.n_points * (M + 1) * 8
+        assert peak < grid.rule.n_points * (M + 1) * 8

@@ -11,9 +11,9 @@ from sphere_reg import (
     analyze,
     basis_matrix,
     smooth,
-    smooth_oracle,
     sphere_rule,
 )
+from sphere_reg.smoothing import smooth_oracle
 from conftest import at_points, random_directions
 
 FOUR_PI = 4.0 * math.pi
@@ -106,6 +106,14 @@ class TestSmooth:
         samples = rng.standard_normal(rule.n_points)
         out = smooth(samples, rule, SmoothingParams(lam=1e14, beta=unit_beta(4)))
         assert np.max(np.abs(out.values)) < 1e-10
+
+    def test_overflowing_penalty_damps_to_zero_without_a_warning(self):
+        # lam beta_k^2 = 9e308 overflows to inf: the damping is its limit,
+        # 0, and numpy's overflow warning is not raised.
+        params = SmoothingParams(lam=1e300, beta=PenaltyWeights(np.array([3e4, 3e4])))
+        np.testing.assert_array_equal(params.damping(1), [0.0, 0.0])
+        out = smooth(np.ones(8), sphere_rule(1, 1.0), params)
+        np.testing.assert_array_equal(out.values, np.zeros(4))
 
     def test_monotone_damping(self, rng):
         rule = sphere_rule(4, 1.0)
