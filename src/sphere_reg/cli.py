@@ -354,10 +354,21 @@ def config_to_case(cfg: dict[str, str]) -> tuple[ExperimentCase, str, str | None
         case = case_with_overrides(case, **overrides)
     except ValidationError as exc:
         raise ValidationError(f"config: {exc}") from None
-    try:
-        case.build_symbol()
-    except ValidationError as exc:
-        raise ValidationError(f"config field 'symbol': {exc}") from None
+    # What a trial builds from each field, in a trial's order, so that an
+    # overflow or underflow names the field that caused it.
+    builds = {
+        "symbol": case.build_symbol,
+        "beta_exponent": lambda: penalty_from_symbol(
+            case.build_symbol(), case.beta_exponent
+        ),
+        "rho": lambda: canonical_rule(case.M, case.rho),
+        "R": lambda: default_eval_grid(case.M, case.R),
+    }
+    for key, build in builds.items():
+        try:
+            build()
+        except ValidationError as exc:
+            raise ValidationError(f"config field '{key}': {exc}") from None
 
     if "output" not in cfg:
         raise ValidationError("config field 'output': required")
@@ -422,7 +433,8 @@ def cmd_solve(args) -> int:
 
     if args.auto:
         chosen = select_two_step(
-            samples, rule, symbol, beta, *grids, default_eval_grid(args.M, args.R)
+            samples, rule, symbol, beta, *grids, default_eval_grid(args.M, args.R),
+            trace=args.trace is not None,
         )
         solution = chosen.solution
         print("selected alpha = %.17g, lambda = %.17g" % (chosen.alpha, chosen.lam))

@@ -231,7 +231,7 @@ def _run_trial(case: ExperimentCase, t: int) -> list[TrialResult]:
     grid = default_eval_grid(case.M, case.R)
     x_true, _, noisy = simulate_problem(case, trial_seed(case.seed, t))
     chosen = select_two_step(
-        noisy, rule, symbol, beta, case.alpha_grid, case.lambda_grid, grid
+        noisy, rule, symbol, beta, case.alpha_grid, case.lambda_grid, grid, trace=False
     )
     picks = (chosen, chosen.smoothing_only, chosen.collocation_only)
     errors = relative_sup_errors(x_true, [p.solution for p in picks], grid)

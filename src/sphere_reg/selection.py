@@ -114,6 +114,11 @@ class EvalGrid:
         norms = np.linalg.norm(pts, axis=1)
         radius = float(norms[0])
         if not radius > 0:
+            if np.any(pts[0] != 0):
+                raise ValidationError(
+                    "grid point norms underflow to 0: their squared coordinates "
+                    "are below the smallest double"
+                )
             raise ValidationError("grid points must be off the origin")
         if radius_mismatch(norms, radius):
             raise ValidationError("grid points must share one sphere radius")
@@ -231,15 +236,18 @@ def _step_maxima(
     and max_t |Z (f * parity)| give the row's maximum.  Only signs flip,
     which is exact, so each value is the same sum of the same terms as
     in the dense product.  Rows go _MAX_WIDTH // 2 at a time: each chunk
-    and its copies are written into zero-padded scratch and multiplied by
-    row panels of Z (_panels), every product in the shape of
-    _product_shape, and only each column's running maximum of |product| is
-    kept.  On OpenBLAS a product of that shape equals its slice of the
-    full GEMM (``sphere-reg verify`` checks this), so the maxima are
-    bit-identical to those of the dense product full @ rows.T.
+    is written as the first columns of a C-contiguous (M+1, width) block,
+    its copies as the next ones and zeros after them, and row panels of Z
+    (_panels) multiply the block, every product in the shape of
+    _product_shape.  Only each column's running maximum of |product| is
+    kept, started by the first panel's, so where one panel covers Z (the
+    coarse bounds) there is nothing to fill or merge.  On OpenBLAS a
+    product of that shape equals its slice of the full GEMM (``sphere-reg
+    verify`` checks this), so the maxima are bit-identical to those of the
+    dense product full @ rows.T.
     """
     parity = _parity(q.shape[1])
-    padded = np.empty((_MAX_WIDTH, q.shape[1]))
+    scratch = np.empty(q.shape[1] * _MAX_WIDTH)
     product, peak = np.empty((2, _PANEL_ENTRIES))
     if len(Z) * _MAX_WIDTH <= _SMALL_PRODUCT:
         # Too few rows for any width: repeat them, which the maxima do not mind.
@@ -249,74 +257,78 @@ def _step_maxima(
         cols = slice(start, start + _MAX_WIDTH // 2)
         c = len(d[cols])
         height, width = _product_shape(len(Z), 2 * c)
-        np.multiply(step[pair_idx[cols]], q[alpha_idx[cols]], out=padded[:c])
-        np.multiply(padded[:c], parity, out=padded[c : 2 * c])
-        padded[2 * c : width] = 0.0
-        out = product[: height * width].reshape(height, width)
+        block = scratch[: q.shape[1] * width].reshape(-1, width)
+        np.multiply(step[pair_idx[cols]], q[alpha_idx[cols]], out=block[:, :c].T)
+        np.multiply(block[:, :c], parity[:, None], out=block[:, c : 2 * c])
+        block[:, 2 * c :] = 0.0
         running = peak[: height * width].reshape(height, width)
-        running.fill(0.0)
-        for panel in _panels(len(Z), height):
-            np.matmul(Z[panel], padded[:width].T, out=out)
-            np.abs(out, out=out)
-            np.maximum(running, out, out=running)
+        out = product[: height * width].reshape(height, width)
+        for i, panel in enumerate(_panels(len(Z), height)):
+            target = out if i else running  # the first panel starts the maxima
+            np.matmul(Z[panel], block, out=target)
+            np.abs(target, out=target)
+            if i:
+                np.maximum(running, out, out=running)
         maxima = running[:, : 2 * c].max(axis=0)
         np.maximum(maxima[:c], maxima[c:], out=d[cols])
     return d
 
 
 def _pruned_quasi_optimal(
-    Z: np.ndarray, damping: np.ndarray, q: np.ndarray
+    Z: np.ndarray, step: np.ndarray, q: np.ndarray, alpha_idx: np.ndarray,
+    pair_idx: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quasi-optimal winners over the fields Z @ (damping * q[j]).T, none built.
+    """Quasi-optimal winners of n groups of S steps over Z, no field built.
 
-    Alpha j's factor rows are damping[i] * q[j], so its step i, from row i
-    to row i + 1, is the step row step[i] * q[j] with step =
-    np.diff(damping), and d_{i+1} = max_t |Z @ step row| over Z and its
-    antipodes (_step_maxima).  One product over
-    every _BOUND_STRIDES[0]-th row of Z and all n (L - 1) step rows,
-    alpha-major, gives every pair's maximum there, an exact lower bound on
-    the full one.  Returns per alpha the winning row and its difference; a
-    single row wins with a NaN difference.  Round 1 evaluates every
-    alpha's lowest-bound pair on all of Z in one product.  Each later round
-    takes up to _ROUND_PAIRS of the pending pairs whose bound is at most
-    their alpha's best difference so far, in ascending (bound, alpha, pair)
-    order, until none is left, and moves each one stride finer: to a new
-    bound on the next subsample, or from the finest to its difference on
-    all of Z, in one product per stride.  A pair never evaluated has a
-    bound, and so a difference, above one already found: it can neither
-    win nor tie.  Ties go to the smaller index, as in _first_minimum.  Every
-    product goes through _step_maxima, so winners and differences are
-    bit-identical to the dense step-row pass.
+    Group g's step i is the step row step[pair_idx[g, i]] * q[alpha_idx[g,
+    i]], from its row i to row i + 1, and d_{i+1} = max_t |Z @ step row|
+    over Z and its antipodes (_step_maxima).  The inner pass has a group of
+    L - 1 damping steps per alpha, the outer pass one group of chain steps
+    per pick.  One product over every _BOUND_STRIDES[0]-th row of Z and all
+    n S step rows, group-major, gives every pair's maximum there, an exact
+    lower bound on the full one.  Returns per group the winning row and
+    its difference; a group without steps has one row, which wins with a
+    NaN difference.  Round 1 evaluates every group's lowest-bound pair on
+    all of Z in one product.  Each later round takes up to _ROUND_PAIRS of
+    the pending pairs whose bound is at most their group's best difference
+    so far, in ascending (bound, group, step) order, until none is left,
+    and moves each one stride finer: to a new bound on the next subsample,
+    or from the finest to its difference on all of Z, in one product per
+    stride.  A pair never evaluated has a bound, and so a difference, above
+    one already found: it can neither win nor tie.  Ties go to the smaller
+    index, as in _first_minimum.  Every product goes through _step_maxima,
+    so winners and differences are bit-identical to the dense step-row
+    pass.
     """
-    n, L = len(q), len(damping)
-    if L == 1:
+    n, S = alpha_idx.shape
+    if S == 0:
         return np.zeros(n, dtype=int), np.full(n, math.nan)
-    step = np.diff(damping, axis=0)
-    pairs = np.divmod(np.arange(n * (L - 1)), L - 1)
-    bounds = _step_maxima(Z[:: _BOUND_STRIDES[0]], step, q, *pairs).reshape(n, L - 1)
+    coarse = Z[:: _BOUND_STRIDES[0]]
+    bounds = _step_maxima(coarse, step, q, alpha_idx.ravel(), pair_idx.ravel())
+    bounds = bounds.reshape(n, S)
     strides = _BOUND_STRIDES[1:] + (1,)  # a pair at level k goes to Z[::strides[k]]
     level = np.zeros(bounds.shape, dtype=int)  # len(strides) once evaluated
-    chosen = np.full(n, L)  # above every index, so the first pair wins even at inf
+    chosen = np.full(n, S + 1)  # above every index, so the first pair wins even at inf
     best = np.full(n, math.inf)
-    alpha_idx, pair_idx = np.arange(n), np.argmin(bounds, axis=1)
-    level[alpha_idx, pair_idx] = len(strides) - 1  # round 1 goes to all of Z
-    while alpha_idx.size:
-        at = level[alpha_idx, pair_idx]
-        level[alpha_idx, pair_idx] += 1
+    groups, pairs = np.arange(n), np.argmin(bounds, axis=1)
+    level[groups, pairs] = len(strides) - 1  # round 1 goes to all of Z
+    while groups.size:
+        at = level[groups, pairs]
+        level[groups, pairs] += 1
         for k in sorted(set(at.tolist())):  # np.unique's first call costs 1 MB of RSS
-            a, p = alpha_idx[at == k], pair_idx[at == k]
-            d = _step_maxima(Z[:: strides[k]], step, q, a, p)
+            g, p = groups[at == k], pairs[at == k]
+            d = _step_maxima(Z[:: strides[k]], step, q, alpha_idx[g, p], pair_idx[g, p])
             if strides[k] > 1:
-                bounds[a, p] = d
+                bounds[g, p] = d
                 continue
-            for j, i, dj in zip(a.tolist(), p.tolist(), d.tolist()):
+            for j, i, dj in zip(g.tolist(), p.tolist(), d.tolist()):
                 if dj < best[j] or (dj == best[j] and i + 1 < chosen[j]):
                     chosen[j], best[j] = i + 1, dj
-        alpha_idx, pair_idx = np.nonzero((level < len(strides)) & (bounds <= best[:, None]))
-        # lexsort sorts by its last key first: bound, then alpha, then pair.
-        order = np.lexsort((pair_idx, alpha_idx, bounds[alpha_idx, pair_idx]))
+        groups, pairs = np.nonzero((level < len(strides)) & (bounds <= best[:, None]))
+        # lexsort sorts by its last key first: bound, then group, then pair.
+        order = np.lexsort((pairs, groups, bounds[groups, pairs]))
         batch = order[:_ROUND_PAIRS]
-        alpha_idx, pair_idx = alpha_idx[batch], pair_idx[batch]
+        groups, pairs = groups[batch], pairs[batch]
     return chosen, best
 
 
@@ -393,7 +405,8 @@ class TwoStepSelection(ParameterPick):
     ``smoothing_only`` is quasi-optimality over lambda at alpha = 0, the
     nested pass's inner pick on its alpha = 0 row; ``collocation_only`` is
     quasi-optimality over alpha at lambda = 0, the same pass's outer pick
-    over its lambda = 0 rows.
+    over its lambda = 0 rows.  ``trace`` is empty unless select_two_step
+    was asked for it.
     """
 
     smoothing_only: ParameterPick
@@ -436,25 +449,29 @@ def _check_candidates(
 
 def _nested_pass(
     Z: np.ndarray, zmax: np.ndarray, a: np.ndarray, b: np.ndarray, alphas, lambdas,
-    first: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    first: int = 0, trace: bool = True,
+) -> tuple[np.ndarray, np.ndarray, list, np.ndarray | None]:
     """Nested quasi-optimality over the fields Z @ factors.T of every pair.
 
     Alpha j's factor rows are damping[i] * q[j] with q = a/(alpha + a^2).
     After the checks (_check_candidates: every pair, then the lambda = 0
     rows of the outer alphas, alphas[first:]), _pruned_quasi_optimal picks
     every alpha's lambda from one bound product and rounds over the whole
-    grid.  One chain product gives both outer passes' differences: its
-    step rows are np.diff of the outer alphas' winner rows, then np.diff
-    of their lambda = 0 rows, taken by _step_maxima with a ones row as q,
-    which keeps their bits.  Damping row 0 is lambda = 0, prepended when
-    the lambda grid lacks it, with the penalty 0 b b of
-    SmoothingParams.damping: exactly 0, also where b^2 overflows.  No
-    field is kept.  A single lambda takes the same path: each alpha's only
-    row wins with a NaN inner difference, and no bound or pair product is
-    formed.  Returns per alpha the winning lambda index and its inner
-    difference, and per outer alpha the outer differences of the winners
-    and of the lambda = 0 rows (NaN for the first).
+    grid, a group of damping steps per alpha.  One chain serves both outer
+    passes: its step rows are np.diff of the outer alphas' winner rows,
+    then np.diff of their lambda = 0 rows, taken with a ones row as q,
+    which keeps their bits.  With trace, one product over all of Z gives
+    every chain difference and the picks are their _first_minimum; without
+    it, _pruned_quasi_optimal picks from the chain's two groups, with the
+    same bits and ties.  Damping row 0 is lambda = 0, prepended when the
+    lambda grid lacks it, with the penalty 0 b b of SmoothingParams.damping:
+    exactly 0, also where b^2 overflows.  No field is kept.  A single
+    lambda takes the same path: each alpha's only row wins with a NaN inner
+    difference, and no bound or pair product is formed.  Returns per alpha
+    the winning lambda index and its inner difference, the outer picks of
+    the winners and of the lambda = 0 rows (indices into alphas[first:]),
+    and with trace their (2, outer alphas) differences, NaN for the first,
+    else None.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     shift = int(lambdas[0] != 0)  # rows of damping before lambdas[0]
@@ -468,15 +485,19 @@ def _nested_pass(
         q = a / (alphas[:, None] + a * a)  # (n, M+1)
     _check_candidates(Z, zmax, damping[shift:], q, alphas)
     _check_candidates(Z, zmax, damping[:1], q[first:], alphas[first:])
-    lam_idx, inner = _pruned_quasi_optimal(Z, damping[shift:], q)
-    n = len(q) - first
+    step = np.diff(damping[shift:], axis=0)
+    lam_idx, inner = _pruned_quasi_optimal(Z, step, q, *np.indices((len(q), len(step))))
     rows = np.stack((damping[lam_idx[first:] + shift] * q[first:], damping[0] * q[first:]))
     chain = np.diff(rows, axis=1).reshape(-1, len(b))
-    steps = np.arange(len(chain))
-    d = _step_maxima(Z, chain, np.ones((1, len(b))), np.zeros_like(steps), steps)
-    outer, unsmoothed = np.full((2, n), math.nan)
-    outer[1:], unsmoothed[1:] = d.reshape(2, n - 1)
-    return lam_idx, inner, outer, unsmoothed
+    steps = np.arange(len(chain)).reshape(2, -1)
+    ones = np.ones((1, len(b)))
+    if not trace:
+        picks, _ = _pruned_quasi_optimal(Z, chain, ones, np.zeros_like(steps), steps)
+        return lam_idx, inner, picks.tolist(), None
+    d = _step_maxima(Z, chain, ones, np.zeros(len(chain), int), steps.ravel())
+    outer = np.full((2, rows.shape[1]), math.nan)
+    outer[:, 1:] = d.reshape(2, -1)
+    return lam_idx, inner, [_first_minimum(diffs[1:]) for diffs in outer], outer
 
 
 def select_two_step(
@@ -487,6 +508,7 @@ def select_two_step(
     alpha_grid,
     lambda_grid,
     grid: EvalGrid,
+    trace: bool = True,
 ) -> TwoStepSelection:
     """Nested quasi-optimality over (alpha, lambda), plus both one-parameter picks.
 
@@ -508,6 +530,12 @@ def select_two_step(
     two_step_solve outputs.  The three picked solutions rescale the same
     analysis, bit-identical to two_step_solve.  Single-element grids are
     allowed: their pass picks the only value.
+
+    With ``trace`` (the default) the result's trace holds one TraceRecord
+    per alpha, every outer difference included, from one product over the
+    whole outer chain.  Without it the trace is empty and the outer picks
+    come from the pruned pass, which evaluates only the chain steps that
+    can win or tie: the same picks, for less work.
 
     Raises ValidationError, with two_step_solve's message, if beta or the
     symbol covers fewer degrees than the rule or the rule is off the
@@ -547,14 +575,12 @@ def select_two_step(
     # alpha = 0 first, prepended when the grid lacks it: an underflowing
     # a_k^2 fails there, and its row gives the smoothing-only pick.
     first = int(alphas[0] != 0)
-    lam_idx, inner_mins, outer_diffs, unsmoothed_diffs = _nested_pass(
+    lam_idx, inner_mins, (alpha_idx, collocation_idx), outer = _nested_pass(
         Z, zmax, symbol.a[: M + 1], beta.beta[: M + 1],
-        np.append(np.zeros(first), alphas), lambdas, first,
+        np.append(np.zeros(first), alphas), lambdas, first, trace,
     )
     smoothing_idx = lam_idx[0]
     lam_idx, inner_mins = lam_idx[first:], inner_mins[first:]
-    alpha_idx = _first_minimum(outer_diffs[1:])
-    collocation_idx = _first_minimum(unsmoothed_diffs[1:])
 
     def pick(alpha, lam) -> ParameterPick:
         solution = _solve_from_coefficients(
@@ -565,12 +591,12 @@ def select_two_step(
         return ParameterPick(alpha=float(alpha), lam=float(lam), solution=solution)
 
     nested = pick(alphas[alpha_idx], lambdas[lam_idx[alpha_idx]])
-    trace = [
+    records = [] if outer is None else [
         TraceRecord(
             alpha=float(alphas[j]),
             chosen_lambda=float(lambdas[lam_idx[j]]),
             inner_min_diff=float(inner_mins[j]),
-            outer_diff=float(outer_diffs[j]),
+            outer_diff=float(outer[0, j]),
         )
         for j in range(len(alphas))
     ]
@@ -580,5 +606,5 @@ def select_two_step(
         solution=nested.solution,
         smoothing_only=pick(0.0, lambdas[smoothing_idx]),
         collocation_only=pick(alphas[collocation_idx], 0.0),
-        trace=trace,
+        trace=records,
     )

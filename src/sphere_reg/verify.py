@@ -202,8 +202,9 @@ def _stacked_product(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
     Column p holds Z @ rows[p] and column len(rows) + p holds Z @ (rows[p]
     * parity), the antipodes' values (selection._step_maxima): formed as
-    the sweep forms them, in chunks of _MAX_WIDTH // 2 rows beside their
-    parity copies, over each chunk's panels.
+    the sweep forms them, in chunks of _MAX_WIDTH // 2 rows, each the first
+    columns of a C-contiguous zero-padded (M+1, width) block with its
+    parity copies beside it, over each chunk's panels.
     """
     n, parity = len(rows), _parity(rows.shape[1])
     stacked = np.full((len(Z), 2 * n), np.nan)
@@ -211,11 +212,11 @@ def _stacked_product(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
         chunk = rows[start : start + _MAX_WIDTH // 2]
         c = len(chunk)
         height, width = _product_shape(len(Z), 2 * c)
-        padded = np.zeros((width, rows.shape[1]))
-        padded[:c], padded[c : 2 * c] = chunk, chunk * parity
+        block = np.zeros((rows.shape[1], width))
+        block[:, :c], block[:, c : 2 * c] = chunk.T, (chunk * parity).T
         cols = np.r_[start : start + c, n + start : n + start + c]
         for panel in _panels(len(Z), height):
-            stacked[panel, cols] = (Z[panel] @ padded.T)[:, : 2 * c]
+            stacked[panel, cols] = (Z[panel] @ block)[:, : 2 * c]
     return stacked
 
 
@@ -232,7 +233,9 @@ def _check_gemm_slices(M: int) -> CheckResult:
     _BOUND_STRIDES[0]-th row, refinement products of every width from 1
     to _ROUND_PAIRS rows over every finer stride's rows, round products of
     every such width over all rows, and the 102-row chain of both outer
-    passes (51 winner steps, then 51 lambda = 0 steps).  Products are
+    passes (51 winner steps, then 51 lambda = 0 steps): its coarse bound
+    product when pruned, whose refinements and rounds take the widths
+    above, and its product over all rows when traced.  Products are
     stacked back, so a row their panels miss fails too.
     """
     rng = np.random.default_rng(6)
@@ -250,6 +253,7 @@ def _check_gemm_slices(M: int) -> CheckResult:
     products = [
         (coarse, np.arange(51)),
         (coarse, np.arange(52 * 51) % len(factors)),
+        (coarse, np.r_[0:51, 100:151]),
         (1, np.r_[0:51, 100:151]),
         *((s, rng.permutation(len(factors))[:w]) for s, w in narrow),
     ]

@@ -734,20 +734,23 @@ def test_solve_auto_bytes_do_not_depend_on_blas_threads(tmp_path):
 def test_solve_auto_bytes_are_recorded(tmp_path, capsys, M, flags, digests):
     # sha256 of stdout, the coefficient CSV and the trace CSV, recorded on
     # OpenBLAS 0.3.31's SkylakeX kernels; the samples are trial 0 of an
-    # upsilon = 1.5 case at seed 31415.
+    # upsilon = 1.5 case at seed 31415.  Without --trace the outer chain
+    # is pruned, and stdout and the coefficients keep their bytes.
     ex = sphere_reg.experiments
     case = ex.ExperimentCase(name="solve", symbol="geometric(1.48)", upsilon=1.5, M=M)
     _, _, noisy = ex.simulate_problem(case, ex.trial_seed(31415, 0))
     path = tmp_path / "samples.csv"
     write_samples_csv(str(path), ex.canonical_rule(M, 1.0), noisy)
     coeffs, trace = tmp_path / "coeffs.csv", tmp_path / "trace.csv"
-    code = main(
-        ["solve", str(path), "--M", str(M), "--symbol", "geometric(1.48)", "--auto"]
-        + ["--trace", str(trace), "-o", str(coeffs), *flags]
-    )
+    solve = ["solve", str(path), "--M", str(M), "--symbol", "geometric(1.48)", "--auto"]
+    code = main(solve + ["--trace", str(trace), "-o", str(coeffs), *flags])
     assert code == EXIT_OK
     outputs = (capsys.readouterr().out.encode(), coeffs.read_bytes(), trace.read_bytes())
     assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == digests
+    coeffs.unlink()
+    assert main(solve + ["-o", str(coeffs), *flags]) == EXIT_OK
+    outputs = (capsys.readouterr().out.encode(), coeffs.read_bytes())
+    assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == digests[:2]
 
 
 class TestCoeffsIO:
@@ -984,6 +987,37 @@ class TestExperimentCommand:
         out = tmp_path / "r.csv"
         cfg = write_config(tmp_path, body.format(out=f"output = {out}\n"))
         assert main(["experiment", str(cfg)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ("rho = 1e200",
+             "config field 'rho': rule weights must be finite, got w_0 = inf"),
+            ("beta_exponent = 1e300",
+             "config field 'beta_exponent': beta entries must be finite, "
+             "got beta_0 = inf"),
+            # The sup grid's points are off the origin, but their norms
+            # underflow.
+            ("R = 1e-300\nrho = 1e-300",
+             "config field 'R': grid point norms underflow to 0: their squared "
+             "coordinates are below the smallest double"),
+        ],
+        ids=["rho-huge", "beta-exponent-huge", "radii-tiny"],
+    )
+    def test_overflow_and_underflow_name_their_config_field(
+        self, tmp_path, capsys, monkeypatch, fields, message
+    ):
+        # Refused before any trial, with the field that causes them.
+        out = tmp_path / "r.csv"
+        cfg = write_config(
+            tmp_path, f"case = fig1a\nM = 2\ntrials = 2\n{fields}\noutput = {out}\n"
+        )
+        calls = []
+        monkeypatch.setattr(sphere_reg.cli, "run_case", lambda case: calls.append(case))
+        assert main(["experiment", str(cfg)]) == EXIT_INVALID_INPUT
+        assert calls == []
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 

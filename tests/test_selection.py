@@ -154,6 +154,13 @@ class TestSupNorm:
         with pytest.raises(ValidationError):
             sup_norm(c, grid_m6)
 
+    def test_underflowing_norms_are_not_called_the_origin(self):
+        # Points of radius 1e-300 are off the origin; their squares are 0.
+        with pytest.raises(ValidationError, match="^grid point norms underflow to 0"):
+            EvalGrid(sphere_rule(2, 1e-300))
+        with pytest.raises(ValidationError, match="^grid points must be off the origin$"):
+            EvalGrid(np.zeros((2, 3)))
+
     def test_nan_point_rejected(self):
         pts = np.array([[1.0, 0.0, 0.0], [0.0, math.nan, 0.0]])
         with pytest.raises(ValidationError, match="share one sphere radius"):
@@ -287,7 +294,8 @@ def kernel(Z, L, spread=2):
     table[:, ::spread] = Z
     damping[:, ::spread] = np.tile(np.eye(L), n)
     q[:, ::spread] = np.repeat(np.eye(n), L, axis=1)
-    return _pruned_quasi_optimal(table, damping, q)
+    step = np.diff(damping, axis=0)
+    return _pruned_quasi_optimal(table, step, q, *np.indices((n, L - 1)))
 
 
 def few_row_kernel(Z, L, spread=2):
@@ -571,6 +579,89 @@ class TestPrunedQuasiOptimal:
         assert len(panels) == -(-T // height)
 
 
+def chain_picks(winners, unsmoothed, spread=2):
+    """The pruned outer picks over two (T, n) tables, as _nested_pass forms them.
+
+    Column j of each table is outer alpha j's field: the winners' and the
+    lambda = 0 rows'.  Z holds both tables' columns (kernel's layout) and
+    alpha j's rows are unit rows, so the chain's step rows, np.diff of the
+    stacked rows, give the column differences exactly.  Returns both picks,
+    after checking that panels of FEW_ROWS rows give the same ones.
+    """
+    n = winners.shape[1]
+    table = np.zeros((len(winners), spread * 2 * n))
+    table[:, ::spread] = np.hstack((winners, unsmoothed))
+    rows = np.zeros((2, n, table.shape[1]))
+    rows[:, :, ::spread] = np.eye(2 * n).reshape(2, n, 2 * n)
+    chain = np.diff(rows, axis=1).reshape(-1, table.shape[1])
+    steps = np.arange(len(chain)).reshape(2, -1)
+    args = table, chain, np.ones((1, table.shape[1])), np.zeros_like(steps), steps
+    picks, _ = _pruned_quasi_optimal(*args)
+    with mock.patch.object(selection, "_PANEL_ROWS", FEW_ROWS):
+        np.testing.assert_array_equal(_pruned_quasi_optimal(*args)[0], picks)
+    return picks.tolist()
+
+
+def dense_chain_picks(winners, unsmoothed, spread=2):
+    """_first_minimum over every difference of each table: the pruned chain's oracle."""
+    fields = kernel_fields(np.hstack((winners, unsmoothed)), spread)
+    n = winners.shape[1]
+    return [quasi_optimal(fields[:, :n])[0], quasi_optimal(fields[:, n:])[0]]
+
+
+@st.composite
+def outer_chains(draw):
+    """Two (T, n) tables of few distinct values and repeated columns (ties)."""
+    T, n = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    return draw_table(draw, T, n), draw_table(draw, T, n)
+
+
+class TestPrunedOuterChain:
+    @given(chains=outer_chains(), spread=st.sampled_from([1, 2]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_chain(self, chains, spread):
+        assert chain_picks(*chains, spread) == dense_chain_picks(*chains, spread)
+
+    def test_ties_within_each_chain(self):
+        # The winners' chain: d_1 = 1 peaks on the subsample, d_2 = 1 off it
+        # with the smaller bound, so d_2 is evaluated first and d_1 takes the
+        # tie.  The lambda = 0 chain: d_1 = d_3 = 0.5 and d_2 = 1; d_3 peaks
+        # off the subsamples with the smallest bound, and d_1 takes the tie.
+        winners = np.zeros((40, 3))
+        winners[:, 1] = 1.0
+        winners[:, 2] = 1.5
+        winners[5, 2] = 2.0
+        unsmoothed = np.zeros((40, 4))
+        unsmoothed[:, 1] = 0.5
+        unsmoothed[:, 2] = 0.875
+        unsmoothed[3, 2] = 1.5
+        unsmoothed[:, 3] = unsmoothed[:, 2] + 0.25
+        unsmoothed[9, 3] = unsmoothed[9, 2] + 0.5
+        winners = np.hstack((winners, winners[:, -1:] + 9.0))
+        assert evaluation_order(winners)[:2] == [1, 0]
+        assert evaluation_order(unsmoothed) == [2, 1, 0]
+        assert chain_picks(winners, unsmoothed) == dense_chain_picks(winners, unsmoothed)
+        assert chain_picks(winners, unsmoothed) == [1, 1]
+
+    def test_equal_chains_and_all_equal_steps(self):
+        # One lambda makes the winners the lambda = 0 rows, so both chains
+        # are equal; with every step equal, both picks are the first step.
+        fields = np.tile(np.arange(6.0), (40, 1))
+        assert chain_picks(fields, fields) == dense_chain_picks(fields, fields) == [1, 1]
+        rng = np.random.default_rng(3)
+        fields = rng.standard_normal((50, 7))
+        fields[:, 5] = fields[:, 4]
+        assert chain_picks(fields, fields) == dense_chain_picks(fields, fields) == [5, 5]
+        picks = chain_picks(fields, fields, spread=1)
+        assert picks == dense_chain_picks(fields, fields, spread=1)
+
+    def test_one_and_two_outer_alphas(self):
+        one = np.array([[1.0], [2.0]])
+        assert chain_picks(one, one) == dense_chain_picks(one, one) == [0, 0]
+        two = np.array([[0.0, 3.0], [1.0, -1.0]])
+        assert chain_picks(two, -two) == dense_chain_picks(two, -two) == [1, 1]
+
+
 def single_mode(M, amplitude):
     c = HarmonicCoefficients(M=M, radius=1.0, values=np.zeros((M + 1) ** 2))
     c.values[2] = amplitude  # the (1, 2) mode
@@ -734,11 +825,15 @@ def figure1_trial():
     )
 
 
-def recorded_products(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid):
+def recorded_products(
+    samples, rule, symbol, beta, alpha_grid, lambda_grid, grid, trace=False
+):
     """(Z, row stride, step rows) of every _step_maxima call select_two_step makes.
 
     Z is the call's field sums in full; the products' rows are Z[::stride].
-    Its step rows are rebuilt from the kernel's arguments.
+    Its step rows are rebuilt from the kernel's arguments.  Without trace,
+    as a figure-1 trial runs, the outer chain is pruned; with it, the chain
+    is one product over all of Z.
     """
     M = rule.M
     coeffs = analyze(samples, rule, M)
@@ -753,7 +848,9 @@ def recorded_products(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid
         return real(rows_of_z, step, q, alpha_idx, pair_idx)
 
     with mock.patch.object(selection, "_step_maxima", record):
-        select_two_step(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid)
+        select_two_step(
+            samples, rule, symbol, beta, alpha_grid, lambda_grid, grid, trace=trace
+        )
     return [p for p in products if len(p[2])]  # no step rows form no product
 
 
@@ -784,18 +881,30 @@ def assert_products_are_gemm_slices(products):
 def assert_sweep_matches_dense(samples, rule, symbol, beta, alpha_grid, lambda_grid, grid):
     """The sweep's trace and picks equal the dense sweep's, bit for bit.
 
-    Where any candidate field of the dense sweep is not finite, the sweep
-    must raise NumericalError instead.
+    Without the trace, the sweep's picks and solutions are the same and
+    its trace is empty.  Where any candidate field of the dense sweep is
+    not finite, the sweep must raise NumericalError instead, either way.
     """
     alphas, lambdas = grid_values(alpha_grid), grid_values(lambda_grid)
+    args = samples, rule, symbol, beta, alphas, lambdas, grid
     with np.errstate(over="ignore", invalid="ignore"):
-        dense = dense_sweep(samples, rule, symbol, beta, alphas, lambdas, grid)
+        dense = dense_sweep(*args)
     alpha_idx, lams, inner, outer, smoothing_idx, collocation_idx, finite = dense
     if not finite:
-        with pytest.raises(NumericalError, match="non-finite candidate fields"):
-            select_two_step(samples, rule, symbol, beta, alphas, lambdas, grid)
+        for trace in (True, False):
+            with pytest.raises(NumericalError, match="non-finite candidate fields"):
+                select_two_step(*args, trace=trace)
         return
-    result = select_two_step(samples, rule, symbol, beta, alphas, lambdas, grid)
+    result = select_two_step(*args)
+    untraced = select_two_step(*args, trace=False)
+    assert untraced.trace == []
+    for got, want in (
+        (untraced, result),
+        (untraced.smoothing_only, result.smoothing_only),
+        (untraced.collocation_only, result.collocation_only),
+    ):
+        assert (got.alpha, got.lam) == (want.alpha, want.lam)
+        np.testing.assert_array_equal(got.solution.values, want.solution.values)
     bits = lambda values: np.asarray(values, dtype=float).view(np.uint64)
     np.testing.assert_array_equal(bits([r.chosen_lambda for r in result.trace]), bits(lams))
     np.testing.assert_array_equal(bits([r.inner_min_diff for r in result.trace]), bits(inner))
@@ -926,22 +1035,26 @@ class TestSelectTwoStep:
         # equal the slice of one full GEMM over the trial's field sums, and
         # its maxima equal the dense reduction of that slice.  The nested
         # pass's bound product stacks 52 alphas' 51 (or 192) step rows; the
-        # round products take 1 to 96 step rows, the chain of both outer
-        # passes 102, each beside its parity copy.  One-alpha sweeps form
-        # the bound products of 51 and 192 rows, and a 26-alpha sweep a
-        # chain of 50.
+        # round products take 1 to 96 step rows, each beside its parity
+        # copy.  The chain of both outer passes, 102 step rows, takes a bound
+        # product and rounds when pruned, and one product over all of Z when
+        # traced.  One-alpha sweeps form the bound products of 51 and 192
+        # rows, and a traced 26-alpha sweep a chain of 50.
         args = figure1_trial()
         lambdas_193 = np.geomspace(1e-5, 1.0, 193)
         products = recorded_products(*args)
+        products += recorded_products(*args, trace=True)
         products += recorded_products(*args[:5], lambdas_193, args[6])
         for lambda_grid in (args[5], lambdas_193):
             products += recorded_products(*args[:4], [0.0], lambda_grid, args[6])
-        products += recorded_products(*args[:4], grid_values(args[4])[:26], *args[5:])
+        products += recorded_products(
+            *args[:4], grid_values(args[4])[:26], *args[5:], trace=True
+        )
         coarse, fine = _BOUND_STRIDES
         shapes = {(stride, len(rows)) for _, stride, rows in products}
         assert {
             (coarse, 51), (coarse, 192), (coarse, 52 * 51), (coarse, 52 * 192),
-            (fine, _ROUND_PAIRS), (1, 102), (1, 50),
+            (coarse, 102), (fine, _ROUND_PAIRS), (1, 102), (1, 50),
         } <= shapes
         assert all(
             len(rows) <= _MAX_WIDTH for _, stride, rows in products if stride != coarse
@@ -977,22 +1090,36 @@ class TestSelectTwoStep:
             )
         bounds = [p for p in products if p[1] != 1]
         # One coarse product per grid for the nested pass's two alphas, one
-        # for its alpha = 0 alone; the refinement products ride along.
-        assert sum(p[1] == _BOUND_STRIDES[0] for p in bounds) == 2 * 10
+        # for their outer chain, one for its alpha = 0 alone; the refinement
+        # products ride along.
+        assert sum(p[1] == _BOUND_STRIDES[0] for p in bounds) == 3 * 10
         assert_products_are_gemm_slices(bounds)
 
     def test_figure1_trial_forms_one_bound_product_per_pass(self):
-        # The one nested pass's 52 x 51 step rows on the coarse subsample; its
-        # alpha = 0 row gives the smoothing-only pick, and the
-        # collocation-only pick needs no bound.  Three refinement products
-        # on the fine subsample tighten the bounds of the pairs left.
+        # The inner pass's 52 x 51 step rows on the coarse subsample, its
+        # alpha = 0 row giving the smoothing-only pick; then the outer
+        # chain's 2 x 51 step rows, the nested and the collocation-only
+        # pick's.  Three refinement products on the fine subsample tighten
+        # the bounds of the inner pairs left, and one those of the chain's.
         products = recorded_products(*figure1_trial())
         bounds = {
             stride: [len(rows) for _, s, rows in products if s == stride]
             for stride in _BOUND_STRIDES
         }
-        assert bounds[_BOUND_STRIDES[0]] == [52 * 51]
-        assert len(bounds[_BOUND_STRIDES[1]]) == 3
+        assert bounds[_BOUND_STRIDES[0]] == [52 * 51, 2 * 51]
+        assert len(bounds[_BOUND_STRIDES[1]]) == 4
+
+    def test_untraced_figure1_trial_prunes_the_outer_chain(self):
+        # Traced, the chain's 102 step rows take one product over all of Z;
+        # untraced, only the chain steps that can win or tie reach all of Z.
+        args = figure1_trial()
+        products = {t: recorded_products(*args, trace=t) for t in (False, True)}
+        full = {
+            t: [len(rows) for _, stride, rows in p if stride == 1]
+            for t, p in products.items()
+        }
+        assert 2 * 51 in full[True] and 2 * 51 not in full[False]
+        assert sum(full[False]) < sum(full[True]) - 51
 
     def test_warm_trial_streams_the_field_sums_at_most_six_times(self):
         # A pass over Z is one chunk of one product at full height; the
