@@ -9,6 +9,7 @@ symbol sequence.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -117,9 +118,9 @@ def _ring_legendre(rule: CubatureRule, M: int) -> np.ndarray:
     """Q_k^m at the rule's rings for k = 0..M, packed and memoized in the rule.
 
     Column k(k+1)/2 + m of the (rings, (M+1)(M+2)/2) table, the (k, m) of
-    np.tril_indices(M + 1), holds _associated_legendre at the polar cosine
-    and sine of each ring, taken from its phi = 0 point.  Raises
-    ValidationError if M exceeds rule.M.
+    _packed(M), holds _associated_legendre at the polar cosine and sine of
+    each ring, taken from its phi = 0 point.  Raises ValidationError if M
+    exceeds rule.M.
     """
     n_phi = 2 * (rule.M + 1)
     if M > rule.M:
@@ -156,40 +157,38 @@ def _ring_dft(rule: CubatureRule, M: int) -> np.ndarray:
     return table
 
 
-def _ring_orders(values: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Packed cosine and sine order coefficients of a (B, (M+1)^2) stack.
-
-    Column k(k+1)/2 + m holds, as in _ring_legendre's table, c_{k,0} and 0
-    at m = 0 and c_{k,m} and c_{k,-m} times sqrt(2)/2 above: one gather from
-    the flat coefficients, where c_{k,+-m} sits at k^2 + k +- m.
-    """
+@functools.lru_cache(maxsize=8)
+def _packed(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, m) of the packed columns, np.tril_indices(M + 1), read-only."""
     k, m = np.tril_indices(M + 1)
-    scale = np.where(m > 0, math.sqrt(2.0) / 2, 1.0)
-    orders = values[:, [k * (k + 1) + m, k * (k + 1) - m]] * scale
-    orders[:, 1, m == 0] = 0.0
-    return orders[:, 0], orders[:, 1]
+    k.flags.writeable = m.flags.writeable = False
+    return k, m
 
 
 def _ring_inputs(stack: Sequence[HarmonicCoefficients], target: CubatureRule):
     """(table, cosines, sines) of a stack on a rule: both ring syntheses' gate.
 
     Raises ValidationError unless target is a CubatureRule on the stack's
-    sphere and the sets share one degree and radius.
+    sphere and the sets share one degree and radius.  Column k(k+1)/2 + m
+    of the (B, packed columns) orders holds c_{k,0} and 0 at m = 0 and
+    c_{k,m} and c_{k,-m} times sqrt(2)/2 above, gathered from k^2 + k +- m.
     """
     if not isinstance(target, CubatureRule):
         raise ValidationError(
             f"synthesize needs a CubatureRule, got {type(target).__name__}"
         )
     M, radius = stack[0].M, stack[0].radius
-    for c in stack:
-        if c.M != M or radius_mismatch(c.radius, radius):
-            raise ValidationError("coefficient sets must share degree and radius")
+    if any(c.M != M or radius_mismatch(c.radius, radius) for c in stack):
+        raise ValidationError("coefficient sets must share degree and radius")
     if radius_mismatch(target.rho, radius):
         raise ValidationError(
             f"rule sphere {target.rho} does not match coefficients on {radius}"
         )
-    cosines, sines = _ring_orders(np.stack([c.values for c in stack]), M)
-    return _ring_legendre(target, M), cosines, sines
+    k, m = _packed(M)
+    orders = np.stack([c.values for c in stack])[:, [k * (k + 1) + m, k * (k + 1) - m]]
+    orders *= np.where(m > 0, math.sqrt(2.0) / 2, 1.0)
+    orders[:, 1, m == 0] = 0.0
+    return _ring_legendre(target, M), orders[:, 0], orders[:, 1]
 
 
 def _parity(n: int) -> np.ndarray:
@@ -214,7 +213,7 @@ def ring_degree_sums(coeffs: HarmonicCoefficients, rule: CubatureRule) -> np.nda
 
     A ring's rows are C @ S_r: C is the real inverse DFT table
     (_ring_dft), S_r's column k holds Q_k^m times degree k's packed orders
-    (_ring_orders), cosines in rows m and sines in rows M + m.  Per block
+    (_ring_inputs), cosines in rows m and sines in rows M + m.  Per block
     of _RING_BLOCK rings, two scatters fill S and one matmul writes its
     rows: O(T M^2) work, and no dense basis.
     """
@@ -222,7 +221,7 @@ def ring_degree_sums(coeffs: HarmonicCoefficients, rule: CubatureRule) -> np.nda
     table, cosines, sines = _ring_inputs([coeffs], rule)
     dft = _ring_dft(rule, M)
     rings, n_phi = -(-len(table) // 2), len(dft)
-    k, m = np.tril_indices(M + 1)
+    k, m = _packed(M)
     sine = m > 0
     sine_rows, sine_cols, sines = M + m[sine], k[sine], sines[0, sine]
     Z = np.empty((rings * n_phi, M + 1))
@@ -247,36 +246,42 @@ def analyze(samples: np.ndarray, rule: CubatureRule, M: int) -> HarmonicCoeffici
     polynomials without error.
 
     The sums run as one real FFT along each ring of the weighted samples,
-    F = rfft(w * samples), and then per degree c_{k,0} = sum_r Q_k^0 Re F[r, 0],
+    F = rfft(w * samples), and then c_{k,0} = sum_r Q_k^0 Re F[r, 0],
     c_{k,m} = sqrt(2) sum_r Q_k^m Re F[r, m] and c_{k,-m} = -sqrt(2) sum_r
     Q_k^m Im F[r, m], divided by rho: O(M^3) work and no dense basis.
 
     Raises ValidationError if M is not a nonnegative integer, the sample
-    count does not match the rule, or the rule's degree is below M, so
-    that it is not exact to degree 2M.
+    count does not match the rule, the rule's degree is below M, so that it
+    is not exact to degree 2M, or its weights are subnormal.
     """
     check_degree(M)
     samples = rule.samples(samples)
-    table = _ring_legendre(rule, M)
-    n_phi = 2 * (rule.M + 1)
+    if rule.weights.min() < np.finfo(float).tiny:
+        raise ValidationError(f"rule weights are subnormal at rho = {rule.rho!r}")
+    table, (k, m), n_phi = _ring_legendre(rule, M), _packed(M), 2 * (rule.M + 1)
     # A ring sum of n_phi terms can overflow where every coefficient is
     # finite; scaling by 2^-e <= 1/n_phi first is exact above the subnormals.
     e = math.frexp(n_phi)[1]
-    weighted = np.ldexp(rule.weights * samples, -e)
-    F = np.fft.rfft(weighted.reshape(-1, n_phi), axis=1)
-    cosines, sines = F.real, F.imag
-    sqrt2 = math.sqrt(2.0)
+    F = np.fft.rfft(np.ldexp(rule.weights * samples, -e).reshape(-1, n_phi))
+    # Ring sums of table * Re F and * Im F per packed column.  numpy adds the
+    # rings of a C-contiguous block 2+ columns wide in sequence, as per-degree
+    # np.sum did; degree 1 (pairwise np.sum) and order 0 (BLAS dots) stay apart.
+    sums, buffer = np.zeros((2, len(k))), np.empty(rule.n_points)
+    blocks = -(-(len(k) - 3) // n_phi)
+    for i in range(blocks):
+        start, stop = (3 + (len(k) - 3) * j // blocks for j in (i, i + 1))
+        block = buffer[: len(table) * (stop - start)].reshape(len(table), -1)
+        for part, out in zip((F.real, F.imag), sums):
+            np.take(part, m[start:stop], axis=1, out=block, mode="clip")  # unbuffered
+            np.multiply(table[:, start:stop], block, out=block)
+            np.add.reduce(block, axis=0, out=out[start:stop])
+    sums[:, 2:3] = [np.sum(table[:, 2:3] * f[:, 1:2], axis=0) for f in (F.real, F.imag)]
+    np.multiply(sums, [[math.sqrt(2.0)], [-math.sqrt(2.0)]], out=sums, where=m > 0)
+    sums[0, m == 0] = [table[:, j * (j + 1) // 2] @ F.real[:, 0] for j in range(M + 1)]
     coeffs = np.empty((M + 1) * (M + 1))
-    # Degree by degree: one sum over the whole table moves the last bits.
-    for k in range(M + 1):
-        Q = table[:, k * (k + 1) // 2 : (k + 1) * (k + 2) // 2]
-        row = coeffs[k * k : (k + 1) * (k + 1)]
-        row[k] = Q[:, 0] @ cosines[:, 0]
-        if k:
-            orders = slice(1, k + 1)
-            row[k + 1 :] = sqrt2 * np.sum(Q[:, 1:] * cosines[:, orders], axis=0)
-            row[k - 1 :: -1] = -sqrt2 * np.sum(Q[:, 1:] * sines[:, orders], axis=0)
-    coeffs = np.ldexp(coeffs / rule.rho, e)
+    coeffs[k * (k + 1) - m] = sums[1]  # at m = 0, then overwritten by c_{k,0}
+    coeffs[k * (k + 1) + m] = sums[0]
+    np.ldexp(np.divide(coeffs, rule.rho, out=coeffs), e, out=coeffs)
     return HarmonicCoefficients(M=M, radius=rule.rho, values=coeffs)
 
 
@@ -300,19 +305,22 @@ def synthesize_stack(
     irfft(X_k[r], n_phi, norm="forward"), unscaled so that nothing can
     overflow, for X_k[r, m] = Q_k^m (c_{k,m} - i c_{k,-m}) / sqrt(2) at
     0 < m <= k and Q_k^0 c_{k,0} at m = 0: the packed table's degree-k
-    columns times the packed orders (_ring_orders).  The X_k are summed in
-    ascending k before the FFT.  Row b equals synthesize(stack[b], target)
-    bit for bit.
+    columns times the packed orders (_ring_inputs).  X_k adds to orders 0..k
+    of an (order, set, ring) array in ascending k; the FFT reads a (set,
+    ring, order) copy.  Row b is synthesize(stack[b], target) bit for bit.
     """
     table, cosines, sines = _ring_inputs(stack, target)
-    n_phi = 2 * (target.M + 1)
-    orders = cosines - 1j * sines
-    spectra = np.zeros((len(stack), len(table), n_phi // 2 + 1), dtype=complex)
-    for k in range(stack[0].M + 1):
+    M, B, n_phi = stack[0].M, len(stack), 2 * (target.M + 1)
+    Q, X = table.T[:, None], (cosines - 1j * sines).T[:, :, None]
+    sums = np.zeros((M + 1, B, len(table)), dtype=complex)
+    for k in range(M + 1):
         cols = slice(k * (k + 1) // 2, (k + 1) * (k + 2) // 2)
-        spectra[:, :, : k + 1] += table[:, cols] * orders[:, None, cols]
-    fields = np.fft.irfft(spectra, n=n_phi, axis=-1, norm="forward")
-    return fields.reshape(len(stack), -1) / stack[0].radius
+        sums[: k + 1] += Q[cols] * X[cols]
+    spectra = np.zeros((B, len(table), n_phi // 2 + 1), dtype=complex)
+    spectra[:, :, : M + 1] = sums.transpose(1, 2, 0)
+    del sums  # before the FFT allocates its output
+    fields = np.fft.irfft(spectra, n=n_phi, norm="forward").reshape(B, -1)
+    return np.divide(fields, stack[0].radius, out=fields)
 
 
 def apply_forward(

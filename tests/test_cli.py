@@ -210,6 +210,23 @@ class TestSolveCommand:
         got = read_coeffs(out)
         np.testing.assert_allclose(got, x.values, atol=1e-9)
 
+    def test_subnormal_rule_weights_refused(self, tmp_path, capsys):
+        # At rho = 1e-158 the data rule's weights are subnormal: analyze
+        # refuses them, by name, rather than losing the sums' digits.
+        rule = sphere_rule(2, 1e-158)
+        path = tmp_path / "samples.csv"
+        write_samples_csv(str(path), rule, np.ones(rule.n_points))
+        out = tmp_path / "coeffs.csv"
+        code = main(
+            ["solve", str(path), "--M", "2", "--R", "1e-158", "--rho", "1e-158"]
+            + ["--symbol", "geometric(1.48)", "--auto", "-o", str(out)]
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.splitlines() == [
+            "error: rule weights are subnormal at rho = 1e-158"
+        ]
+        assert not out.exists()
+
     def test_auto_prints_selected_parameters(self, tmp_path, capsys):
         path, rule, x = make_samples(tmp_path, noise=0.05)
         out = tmp_path / "coeffs.csv"
@@ -1019,6 +1036,20 @@ class TestExperimentCommand:
         assert main(["experiment", str(cfg)]) == EXIT_INVALID_INPUT
         assert calls == []
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_subnormal_rule_weights_fail_the_trials(self, tmp_path, capsys):
+        # The config builds the rule, whose weights are subnormal; each
+        # trial's analysis refuses them, so no results are written.
+        out = tmp_path / "r.csv"
+        cfg = write_config(
+            tmp_path,
+            f"case = fig1a\nM = 2\ntrials = 2\nR = 1e-158\nrho = 1e-158\noutput = {out}\n",
+        )
+        assert main(["experiment", str(cfg)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.splitlines() == [
+            "error: rule weights are subnormal at rho = 1e-158"
+        ]
         assert not out.exists()
 
     def test_zero_flags_set_the_grids(self):

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphere_reg import (
     CubatureRule,
@@ -18,7 +21,7 @@ from sphere_reg import (
     synthesize,
 )
 from sphere_reg.harmonics import legendre_table
-from sphere_reg.operators import _ring_legendre
+from sphere_reg.operators import _ring_inputs, _ring_legendre, synthesize_stack
 from conftest import at_points, degree_row
 
 FOUR_PI = 4.0 * math.pi
@@ -235,6 +238,175 @@ class TestRingTransforms:
             synthesize(c, sphere_rule(2, 1.0))
         with pytest.raises(ValidationError, match="does not match"):
             synthesize(c, sphere_rule(3, 2.0))
+
+
+def analyze_by_degree(samples, rule, M):
+    """analyze's coefficients from one loop over degrees: its bit oracle.
+
+    The same ring FFT; then per degree k a BLAS dot for c_{k,0} and one
+    np.sum over the rings of the degree's (rings, k) block for the c_{k,m}
+    and another for the c_{k,-m}.
+    """
+    table = _ring_legendre(rule, M)
+    n_phi = 2 * (rule.M + 1)
+    e = math.frexp(n_phi)[1]
+    weighted = np.ldexp(rule.weights * samples, -e)
+    F = np.fft.rfft(weighted.reshape(-1, n_phi), axis=1)
+    cosines, sines = F.real, F.imag
+    sqrt2 = math.sqrt(2.0)
+    coeffs = np.empty((M + 1) * (M + 1))
+    for k in range(M + 1):
+        Q = table[:, k * (k + 1) // 2 : (k + 1) * (k + 2) // 2]
+        row = coeffs[k * k : (k + 1) * (k + 1)]
+        row[k] = Q[:, 0] @ cosines[:, 0]
+        if k:
+            orders = slice(1, k + 1)
+            row[k + 1 :] = sqrt2 * np.sum(Q[:, 1:] * cosines[:, orders], axis=0)
+            row[k - 1 :: -1] = -sqrt2 * np.sum(Q[:, 1:] * sines[:, orders], axis=0)
+    return np.ldexp(coeffs / rule.rho, e)
+
+
+def synthesize_stack_by_degree(stack, target):
+    """synthesize_stack's values from one loop over degrees: its bit oracle.
+
+    Degree k's table columns times its packed orders are added into the
+    (set, ring, order) FFT input, orders 0..k, in ascending k.
+    """
+    table, cosines, sines = _ring_inputs(stack, target)
+    n_phi = 2 * (target.M + 1)
+    orders = cosines - 1j * sines
+    spectra = np.zeros((len(stack), len(table), n_phi // 2 + 1), dtype=complex)
+    for k in range(stack[0].M + 1):
+        cols = slice(k * (k + 1) // 2, (k + 1) * (k + 2) // 2)
+        spectra[:, :, : k + 1] += table[:, cols] * orders[:, None, cols]
+    fields = np.fft.irfft(spectra, n=n_phi, axis=-1, norm="forward")
+    return fields.reshape(len(stack), -1) / stack[0].radius
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def with_signed_zeros(rng, values, share):
+    """values with about share of its entries set to +0.0 or -0.0."""
+    values = values.copy()
+    hit = rng.random(values.shape) < share
+    values[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    return values
+
+
+def assert_transforms_match_loops(rng, M, rule_M, rho, sets, zeros):
+    """analyze and synthesize_stack equal the per-degree loops bit for bit."""
+    rule = sphere_rule(rule_M, rho)
+    samples = with_signed_zeros(rng, rng.standard_normal(rule.n_points), zeros)
+    got = analyze(samples, rule, M).values
+    np.testing.assert_array_equal(bits(got), bits(analyze_by_degree(samples, rule, M)))
+    values = rng.standard_normal((sets, (M + 1) ** 2)) * rng.uniform(0.5, 2.0, (sets, 1))
+    values = with_signed_zeros(rng, values, zeros)
+    stack = [HarmonicCoefficients(M=M, radius=rho, values=v) for v in values]
+    got = synthesize_stack(stack, rule)
+    np.testing.assert_array_equal(bits(got), bits(synthesize_stack_by_degree(stack, rule)))
+
+
+class TestTransformsMatchDegreeLoops:
+    """The blocked analyze and the order-major synthesize_stack against the
+    per-degree loops they replaced, through the uint64 view of every value,
+    so that signs of zeros count."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda M: st.tuples(
+                st.just(M),
+                st.integers(M, 2 * M + 2),
+                st.floats(0.05, 8000.0).filter(lambda rho: rho != 1.0),
+                st.integers(1, 5),
+                st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+                st.integers(0, 2**32 - 1),
+            )
+        )
+    )
+    def test_bit_equal_to_the_degree_loops(self, case):
+        M, rule_M, rho, sets, zeros, seed = case
+        rng = np.random.default_rng(seed)
+        assert_transforms_match_loops(rng, M, rule_M, rho, sets, zeros)
+
+    @pytest.mark.parametrize(
+        "M, rule_M, rho",
+        [(40, 82, 0.7), (56, 56, 1.3), (56, 114, 6371.0), (128, 128, 0.5), (128, 258, 2.0)],
+    )
+    def test_bit_equal_at_large_degrees(self, M, rule_M, rho):
+        rng = np.random.default_rng(M + rule_M)
+        assert_transforms_match_loops(rng, M, rule_M, rho, 4, 0.1)
+
+    def test_order_zero_coefficients_are_blas_dots(self, rng):
+        # c_{k,0} is one BLAS dot of degree k's m = 0 column with Re F[:, 0]
+        # per degree, as the loop formed it; no block reduction forms it.
+        M, rho = 30, 1.3
+        rule = sphere_rule(M, rho)
+        samples = rng.standard_normal(rule.n_points)
+        c = analyze(samples, rule, M).values
+        table, e = _ring_legendre(rule, M), math.frexp(2 * (M + 1))[1]
+        F = np.fft.rfft(np.ldexp(rule.weights * samples, -e).reshape(M + 1, -1))
+        dots = [table[:, k * (k + 1) // 2] @ F.real[:, 0] for k in range(M + 1)]
+        k = np.arange(M + 1)
+        np.testing.assert_array_equal(
+            bits(c[k * k + k]), bits(np.ldexp(np.array(dots) / rho, e))
+        )
+
+    def test_degree_one_sums_are_pairwise(self, rng):
+        # Degree 1's order-1 column is a block of one column, which np.sum
+        # adds pairwise.  A block two or more columns wide adds its rings in
+        # sequence, which gives other bits here, so degree 1 stays apart.
+        M, rho = 30, 1.3
+        rule = sphere_rule(M, rho)
+        samples = rng.standard_normal(rule.n_points)
+        c = analyze(samples, rule, M).values
+        table, e = _ring_legendre(rule, M), math.frexp(2 * (M + 1))[1]
+        F = np.fft.rfft(np.ldexp(rule.weights * samples, -e).reshape(M + 1, -1))
+        terms = table[:, 2:3] * np.column_stack((F.real[:, 1], F.imag[:, 1]))
+        pairwise = np.array([np.sum(terms[:, 0]), np.sum(terms[:, 1])])
+        in_sequence = np.add.reduce(terms, axis=0)
+        assert np.any(bits(pairwise) != bits(in_sequence))
+        expected = np.ldexp(math.sqrt(2.0) * pairwise * [1.0, -1.0] / rho, e)
+        np.testing.assert_array_equal(bits(c[[3, 1]]), bits(expected))
+
+
+# tracemalloc peaks (MB) of the per-degree loops at M = 30, 56 and 128:
+# analyze on the data rule with its table built, synthesize_stack of 4 sets
+# on sphere_rule(2M).  One whole-table block in analyze would hold two
+# (rings, (M+1)(M+2)/2) arrays, 17 MB at M = 128.
+LOOP_PEAKS_MB = {30: (0.06, 0.79), 56: (0.21, 2.67), 128: (0.94, 13.77)}
+
+
+@pytest.mark.parametrize("M", sorted(LOOP_PEAKS_MB))
+def test_transform_peaks_stay_at_the_degree_loops(M):
+    rng = np.random.default_rng(M)
+    rule, sup = sphere_rule(M, 1.0), sphere_rule(2 * M, 1.0)
+    samples = rng.standard_normal(rule.n_points)
+    stack = [
+        HarmonicCoefficients(M=M, radius=1.0, values=rng.standard_normal((M + 1) ** 2))
+        for _ in range(4)
+    ]
+    calls = (lambda: analyze(samples, rule, M), lambda: synthesize_stack(stack, sup))
+    for call, loop_peak in zip(calls, LOOP_PEAKS_MB[M]):
+        call()  # builds the rule's table and the cached indices
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * loop_peak * 1e6
+
+
+def test_subnormal_rule_weights_refused():
+    # Weights rho^2 pi/(M+1) w_i below the smallest normal double would lose
+    # the sums' digits; the rule itself is built, since its points are fine.
+    rule = sphere_rule(2, 1e-158)
+    assert 0 < rule.weights.min() < np.finfo(float).tiny
+    with pytest.raises(ValidationError, match=r"^rule weights are subnormal at rho = 1e-158$"):
+        analyze(np.ones(rule.n_points), rule, 2)
 
 
 class TestSymbolRadii:
