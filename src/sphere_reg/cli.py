@@ -41,7 +41,7 @@ from .experiments import (
     run_case,
 )
 from .harmonics import _off_tolerance
-from .operators import HarmonicCoefficients, symbol_preset
+from .operators import HarmonicCoefficients, check_rule_weights, symbol_preset
 from .quadrature import CubatureRule, sphere_rule
 from .selection import ParameterGrid, default_eval_grid, select_two_step
 from .smoothing import SmoothingParams
@@ -354,17 +354,17 @@ def config_to_case(cfg: dict[str, str]) -> tuple[ExperimentCase, str, str | None
         case = case_with_overrides(case, **overrides)
     except ValidationError as exc:
         raise ValidationError(f"config: {exc}") from None
-    # What a trial builds from each field, in a trial's order, so that an
-    # overflow or underflow names the field that caused it.
-    builds = {
-        "symbol": case.build_symbol,
-        "beta_exponent": lambda: penalty_from_symbol(
-            case.build_symbol(), case.beta_exponent
-        ),
-        "rho": lambda: canonical_rule(case.M, case.rho),
-        "R": lambda: default_eval_grid(case.M, case.R),
-    }
-    for key, build in builds.items():
+    # What a trial builds and checks from each field, in a trial's order, so
+    # that an overflow or underflow names the field that caused it.
+    builds = [
+        ("symbol", case.build_symbol),
+        ("beta_exponent",
+         lambda: penalty_from_symbol(case.build_symbol(), case.beta_exponent)),
+        ("rho", lambda: canonical_rule(case.M, case.rho)),
+        ("R", lambda: default_eval_grid(case.M, case.R)),
+        ("rho", lambda: check_rule_weights(canonical_rule(case.M, case.rho))),
+    ]
+    for key, build in builds:
         try:
             build()
         except ValidationError as exc:

@@ -158,11 +158,15 @@ def _ring_dft(rule: CubatureRule, M: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _packed(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """(k, m) of the packed columns, np.tril_indices(M + 1), read-only."""
+def _packed(M: int) -> tuple[np.ndarray, ...]:
+    """Read-only (k, m) of the packed columns, np.tril_indices(M + 1), their
+    orders' flat index [k(k+1) + m, k(k+1) - m] and its scale (sqrt(2)/2 at m > 0)."""
     k, m = np.tril_indices(M + 1)
-    k.flags.writeable = m.flags.writeable = False
-    return k, m
+    index = np.stack((k * (k + 1) + m, k * (k + 1) - m))
+    scale = np.where(m > 0, math.sqrt(2.0) / 2, 1.0)
+    for a in (k, m, index, scale):
+        a.flags.writeable = False
+    return k, m, index, scale
 
 
 def _ring_inputs(stack: Sequence[HarmonicCoefficients], target: CubatureRule):
@@ -177,16 +181,16 @@ def _ring_inputs(stack: Sequence[HarmonicCoefficients], target: CubatureRule):
         raise ValidationError(
             f"synthesize needs a CubatureRule, got {type(target).__name__}"
         )
-    M, radius = stack[0].M, stack[0].radius
-    if any(c.M != M or radius_mismatch(c.radius, radius) for c in stack):
+    M, radius, radii = stack[0].M, stack[0].radius, [c.radius for c in stack]
+    if any(c.M != M for c in stack) or radius_mismatch(radii, radius):
         raise ValidationError("coefficient sets must share degree and radius")
     if radius_mismatch(target.rho, radius):
         raise ValidationError(
             f"rule sphere {target.rho} does not match coefficients on {radius}"
         )
-    k, m = _packed(M)
-    orders = np.stack([c.values for c in stack])[:, [k * (k + 1) + m, k * (k + 1) - m]]
-    orders *= np.where(m > 0, math.sqrt(2.0) / 2, 1.0)
+    _, m, index, scale = _packed(M)
+    orders = np.stack([c.values for c in stack])[:, index]
+    orders *= scale
     orders[:, 1, m == 0] = 0.0
     return _ring_legendre(target, M), orders[:, 0], orders[:, 1]
 
@@ -221,7 +225,7 @@ def ring_degree_sums(coeffs: HarmonicCoefficients, rule: CubatureRule) -> np.nda
     table, cosines, sines = _ring_inputs([coeffs], rule)
     dft = _ring_dft(rule, M)
     rings, n_phi = -(-len(table) // 2), len(dft)
-    k, m = _packed(M)
+    k, m, _, _ = _packed(M)
     sine = m > 0
     sine_rows, sine_cols, sines = M + m[sine], k[sine], sines[0, sine]
     Z = np.empty((rings * n_phi, M + 1))
@@ -235,6 +239,12 @@ def ring_degree_sums(coeffs: HarmonicCoefficients, rule: CubatureRule) -> np.nda
         np.matmul(dft, Sb, out=by_ring[block])
     np.divide(Z, coeffs.radius, out=Z)
     return Z
+
+
+def check_rule_weights(rule: CubatureRule) -> None:
+    """Raise ValidationError if any of the rule's weights is subnormal (or 0)."""
+    if rule.weights.min() < np.finfo(float).tiny:
+        raise ValidationError(f"rule weights are subnormal at rho = {rule.rho!r}")
 
 
 def analyze(samples: np.ndarray, rule: CubatureRule, M: int) -> HarmonicCoefficients:
@@ -256,9 +266,8 @@ def analyze(samples: np.ndarray, rule: CubatureRule, M: int) -> HarmonicCoeffici
     """
     check_degree(M)
     samples = rule.samples(samples)
-    if rule.weights.min() < np.finfo(float).tiny:
-        raise ValidationError(f"rule weights are subnormal at rho = {rule.rho!r}")
-    table, (k, m), n_phi = _ring_legendre(rule, M), _packed(M), 2 * (rule.M + 1)
+    check_rule_weights(rule)
+    table, (k, m, _, _), n_phi = _ring_legendre(rule, M), _packed(M), 2 * (rule.M + 1)
     # A ring sum of n_phi terms can overflow where every coefficient is
     # finite; scaling by 2^-e <= 1/n_phi first is exact above the subnormals.
     e = math.frexp(n_phi)[1]

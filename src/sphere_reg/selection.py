@@ -225,52 +225,54 @@ def _panels(n_rows: int, height: int):
         yield slice(max(0, min(start, n_rows - height)), start + height)
 
 
-def _step_maxima(
-    Z: np.ndarray, step: np.ndarray, q: np.ndarray, alpha_idx, pair_idx
-) -> np.ndarray:
-    """max_t |full @ rows.T| of each step row, full = np.vstack((Z, Z * parity)).
+def _step_products(Z: np.ndarray, step: np.ndarray, q: np.ndarray, alpha_idx, pair_idx):
+    """Yield (cols, products) per chunk of step rows: the sweep's one product layout.
 
-    Row p is step[pair_idx[p]] * q[alpha_idx[p]], and parity = (-1)^k over
-    Z's columns: the antipodes of Z's rows (ring_degree_sums) are never
-    built, but each row f comes with its copy f * parity, and max_t |Z f|
-    and max_t |Z (f * parity)| give the row's maximum.  Only signs flip,
-    which is exact, so each value is the same sum of the same terms as
-    in the dense product.  Rows go _MAX_WIDTH // 2 at a time: each chunk
-    is written as the first columns of a C-contiguous (M+1, width) block,
-    its copies as the next ones and zeros after them, and row panels of Z
-    (_panels) multiply the block, every product in the shape of
-    _product_shape.  Only each column's running maximum of |product| is
-    kept, started by the first panel's, so where one panel covers Z (the
-    coarse bounds) there is nothing to fill or merge.  On OpenBLAS a
-    product of that shape equals its slice of the full GEMM (``sphere-reg
-    verify`` checks this), so the maxima are bit-identical to those of the
-    dense product full @ rows.T.
+    Row p is step[pair_idx[p]] * q[alpha_idx[p]].  Each chunk, cols, of at
+    most _MAX_WIDTH // 2 rows fills the first columns of a C-contiguous
+    (M+1, width) block, its copies f * parity (parity = (-1)^k over Z's
+    columns, an exact sign flip) the next ones and zeros the rest.  products
+    yields (panel, Z[panel] @ block) over _panels in _product_shape's shape,
+    each written into one reused full-width buffer, so it is consumed before
+    the next.  A Z too short for any width is repeated to _SMALL_PRODUCT //
+    _MAX_WIDTH + 1 rows.
     """
     parity = _parity(q.shape[1])
-    scratch = np.empty(q.shape[1] * _MAX_WIDTH)
-    product, peak = np.empty((2, _PANEL_ENTRIES))
+    scratch, buffer = np.empty(q.shape[1] * _MAX_WIDTH), np.empty(_PANEL_ENTRIES)
     if len(Z) * _MAX_WIDTH <= _SMALL_PRODUCT:
-        # Too few rows for any width: repeat them, which the maxima do not mind.
         Z = Z[np.arange(_SMALL_PRODUCT // _MAX_WIDTH + 1) % len(Z)]
-    d = np.empty(len(alpha_idx))
-    for start in range(0, len(d), _MAX_WIDTH // 2):
+    for start in range(0, len(alpha_idx), _MAX_WIDTH // 2):
         cols = slice(start, start + _MAX_WIDTH // 2)
-        c = len(d[cols])
+        c = len(alpha_idx[cols])
         height, width = _product_shape(len(Z), 2 * c)
         block = scratch[: q.shape[1] * width].reshape(-1, width)
         np.multiply(step[pair_idx[cols]], q[alpha_idx[cols]], out=block[:, :c].T)
         np.multiply(block[:, :c], parity[:, None], out=block[:, c : 2 * c])
         block[:, 2 * c :] = 0.0
-        running = peak[: height * width].reshape(height, width)
-        out = product[: height * width].reshape(height, width)
-        for i, panel in enumerate(_panels(len(Z), height)):
-            target = out if i else running  # the first panel starts the maxima
-            np.matmul(Z[panel], block, out=target)
-            np.abs(target, out=target)
-            if i:
-                np.maximum(running, out, out=running)
-        maxima = running[:, : 2 * c].max(axis=0)
-        np.maximum(maxima[:c], maxima[c:], out=d[cols])
+        out = buffer[: height * width].reshape(height, width)
+        panels = _panels(len(Z), height)
+        yield cols, ((p, np.matmul(Z[p], block, out=out)) for p in panels)
+
+
+def _step_maxima(Z: np.ndarray, step: np.ndarray, q: np.ndarray, alpha_idx, pair_idx):
+    """max_t |full @ rows.T| of each step row, full = np.vstack((Z, Z * parity)).
+
+    Z's antipodes (ring_degree_sums) are never built: max_t |Z f| and max_t
+    |Z (f * parity)| give step row f's maximum.  Each column's running
+    maximum of |product| starts at the first panel's, so where one panel
+    covers Z (the coarse bounds) nothing is merged.  On OpenBLAS each
+    product of _step_products equals its slice of the full GEMM
+    (``sphere-reg verify`` checks them), so the maxima are bit-identical to
+    the dense product's.
+    """
+    d, peak = np.empty(len(alpha_idx)), np.empty(_PANEL_ENTRIES)
+    for cols, products in _step_products(Z, step, q, alpha_idx, pair_idx):
+        _, first = next(products)
+        running = np.abs(first, out=peak[: first.size].reshape(first.shape))
+        for _, product in products:
+            np.maximum(running, np.abs(product, out=product), out=running)
+        maxima = running[:, : 2 * len(d[cols])].max(axis=0).reshape(2, -1)
+        np.maximum(maxima[0], maxima[1], out=d[cols])
     return d
 
 

@@ -23,14 +23,7 @@ from .operators import (
     synthesize,
 )
 from .quadrature import gauss_legendre, sphere_rule
-from .selection import (
-    _BOUND_STRIDES,
-    _MAX_WIDTH,
-    _ROUND_PAIRS,
-    EvalGrid,
-    _panels,
-    _product_shape,
-)
+from .selection import _BOUND_STRIDES, _ROUND_PAIRS, EvalGrid, _step_products
 from .smoothing import PenaltyWeights, SmoothingParams, smooth, smooth_oracle
 
 
@@ -201,42 +194,38 @@ def _stacked_product(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Z @ [rows | rows * parity].T stacked back from the sweep's products.
 
     Column p holds Z @ rows[p] and column len(rows) + p holds Z @ (rows[p]
-    * parity), the antipodes' values (selection._step_maxima): formed as
-    the sweep forms them, in chunks of _MAX_WIDTH // 2 rows, each the first
-    columns of a C-contiguous zero-padded (M+1, width) block with its
-    parity copies beside it, over each chunk's panels.
+    * parity), the antipodes' values: the products of
+    selection._step_products, the sweep's own layout, with rows as the
+    step rows and a ones row as q, which keeps their bits.  Z needs more
+    rows than the few that _step_products repeats.
     """
-    n, parity = len(rows), _parity(rows.shape[1])
+    n, index = len(rows), np.arange(len(rows))
     stacked = np.full((len(Z), 2 * n), np.nan)
-    for start in range(0, n, _MAX_WIDTH // 2):
-        chunk = rows[start : start + _MAX_WIDTH // 2]
-        c = len(chunk)
-        height, width = _product_shape(len(Z), 2 * c)
-        block = np.zeros((rows.shape[1], width))
-        block[:, :c], block[:, c : 2 * c] = chunk.T, (chunk * parity).T
-        cols = np.r_[start : start + c, n + start : n + start + c]
-        for panel in _panels(len(Z), height):
-            stacked[panel, cols] = (Z[panel] @ block)[:, : 2 * c]
+    ones = np.ones((1, rows.shape[1]))
+    for cols, products in _step_products(Z, rows, ones, np.zeros(n, int), index):
+        chunk = np.r_[index[cols], n + index[cols]]
+        for panel, product in products:
+            stacked[panel, chunk] = product[:, : len(chunk)]
     return stacked
 
 
 def _check_gemm_slices(M: int) -> CheckResult:
     """The selection's products against slices of one full GEMM.
 
-    The pruned quasi-optimality kernel matches the dense step-row oracle
-    bit for bit, near ties included, only while every product it forms
-    equals the matching slice of the full matrix product; OpenBLAS keeps
-    that for the shapes of selection._product_shape, but no BLAS promises
-    it.  The shapes checked are those of the default grids' step-row sweep
-    (52 lambdas and alphas, so 51 steps each), each step row beside its
-    parity copy: coarse bound products of 51 and 52 x 51 rows over every
-    _BOUND_STRIDES[0]-th row, refinement products of every width from 1
-    to _ROUND_PAIRS rows over every finer stride's rows, round products of
+    The pruned quasi-optimality kernel matches the dense step-row oracle bit
+    for bit, near ties included, only while every product it forms equals
+    the matching slice of the full matrix product; OpenBLAS keeps that for
+    the products of selection._step_products, but no BLAS promises it.  The
+    shapes checked are those of the default grids' step-row sweep (52
+    lambdas and alphas, so 51 steps each), each step row beside its parity
+    copy: coarse bound products of 51 and 52 x 51 rows over every
+    _BOUND_STRIDES[0]-th row, refinement products of every width from 1 to
+    _ROUND_PAIRS rows over every finer stride's rows, round products of
     every such width over all rows, and the 102-row chain of both outer
     passes (51 winner steps, then 51 lambda = 0 steps): its coarse bound
-    product when pruned, whose refinements and rounds take the widths
-    above, and its product over all rows when traced.  Products are
-    stacked back, so a row their panels miss fails too.
+    product when pruned, whose refinements and rounds take the widths above,
+    and its product over all rows when traced.  Products are stacked back,
+    so a row their panels miss fails too.
     """
     rng = np.random.default_rng(6)
     grid = EvalGrid(sphere_rule(2 * M, 1.0))

@@ -1039,8 +1039,8 @@ class TestExperimentCommand:
         assert not out.exists()
 
     def test_subnormal_rule_weights_fail_the_trials(self, tmp_path, capsys):
-        # The config builds the rule, whose weights are subnormal; each
-        # trial's analysis refuses them, so no results are written.
+        # The config builds the rule, whose weights are subnormal, and
+        # runs the analysis's check on it before any trial, naming rho.
         out = tmp_path / "r.csv"
         cfg = write_config(
             tmp_path,
@@ -1048,7 +1048,7 @@ class TestExperimentCommand:
         )
         assert main(["experiment", str(cfg)]) == EXIT_INVALID_INPUT
         assert capsys.readouterr().err.splitlines() == [
-            "error: rule weights are subnormal at rho = 1e-158"
+            "error: config field 'rho': rule weights are subnormal at rho = 1e-158"
         ]
         assert not out.exists()
 
@@ -1350,10 +1350,11 @@ class TestVerifyCommand:
 
     def test_missed_panel_rows_detected(self, capsys, monkeypatch):
         # Panels that leave the last rows out stand for panel products that
-        # are not slices of the full GEMM.
-        panels = sphere_reg.verify._panels
+        # are not slices of the full GEMM.  verify multiplies through the
+        # kernel's own layout, so patching the kernel's panels reaches it.
+        panels = sphere_reg.selection._panels
         monkeypatch.setattr(
-            sphere_reg.verify, "_panels", lambda n, height: list(panels(n, height))[:-1]
+            sphere_reg.selection, "_panels", lambda n, height: list(panels(n, height))[:-1]
         )
         assert main(["verify", "--quick"]) == EXIT_VERIFY_FAILED
         captured = capsys.readouterr()

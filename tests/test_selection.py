@@ -226,6 +226,9 @@ class TestBatchedSupNorms:
         ):
             with pytest.raises(ValidationError, match="share degree and radius"):
                 sup_norms([c, other], grid)
+            # One off set in the middle of a longer stack.
+            with pytest.raises(ValidationError, match="share degree and radius"):
+                sup_norms([c, c, other, c], grid)
 
 
 def sup_differences(fields):
