@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .harmonics import basis_matrix, radius_mismatch
+from .harmonics import basis_matrix, point_norms, radius_mismatch
 from .operators import HarmonicCoefficients, SphericalSymbol, analyze
 from .quadrature import CubatureRule
 from .smoothing import SmoothingParams
@@ -125,7 +125,7 @@ def composite_norm_bound(
         raise ValidationError("evaluation grid must be nonempty")
     R = cp.symbol.R
     rho = cp.symbol.rho
-    if radius_mismatch(np.linalg.norm(grid, axis=1), R):
+    if radius_mismatch(point_norms(grid), R):
         raise ValidationError(f"evaluation grid must lie on radius {R}")
     if radius_mismatch(rule.rho, rho):
         raise ValidationError(

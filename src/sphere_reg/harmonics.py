@@ -31,16 +31,30 @@ _RADIUS_RTOL = 1e-9
 
 
 def _off_tolerance(x, ref, scale: float) -> np.ndarray:
-    """Elementwise: not |x - ref| <= 1e-9 * max(scale, 1), so NaN is off.
+    """Elementwise: not |x - ref| <= 1e-9 * scale, so NaN is off.
 
-    The one tolerance rule of the package, for radii and rule points.
+    The one tolerance rule of the package, for radii and rule points.  It
+    is relative at every scale: radii of 1e-12 and 5e-12 differ.
     """
-    return ~(np.abs(x - ref) <= _RADIUS_RTOL * max(scale, 1.0))
+    return ~(np.abs(x - ref) <= _RADIUS_RTOL * scale)
 
 
 def radius_mismatch(r, ref: float) -> bool:
     """True if any radius in r is off the reference radius ref, or NaN."""
     return bool(np.any(_off_tolerance(np.asarray(r), ref, ref)))
+
+
+def point_norms(points: np.ndarray) -> np.ndarray:
+    """Norms of (T, 3) points, to be matched against a radius.
+
+    Below a first norm of 1 the points are scaled by a power of two, which
+    is exact, so the squares of small coordinates keep their digits.
+    """
+    norms = np.linalg.norm(points, axis=1)
+    if 0 < norms[0] < 1:
+        scale = 2.0 ** -math.frexp(norms[0])[1]
+        norms = np.linalg.norm(points * scale, axis=1) / scale
+    return norms
 
 
 def check_degree(M, name: str = "M") -> None:

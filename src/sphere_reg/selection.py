@@ -19,7 +19,7 @@ import numpy as np
 
 from .collocation import CollocationParams, _solve_from_coefficients
 from .errors import NumericalError, ValidationError
-from .harmonics import basis_matrix, check_finite, radius_mismatch
+from .harmonics import basis_matrix, check_finite, point_norms, radius_mismatch
 from .operators import (
     HarmonicCoefficients,
     SphericalSymbol,
@@ -111,7 +111,7 @@ class EvalGrid:
         # The radius is the first point's; a later non-finite point fails
         # the shared-radius check.
         check_finite(pts[0], "grid points", "coordinate")
-        norms = np.linalg.norm(pts, axis=1)
+        norms = point_norms(pts)
         radius = float(norms[0])
         if not radius > 0:
             if np.any(pts[0] != 0):
@@ -182,11 +182,8 @@ def _first_minimum(differences: np.ndarray) -> int:
     return int(np.argmin(differences)) + 1 if differences.size else 0
 
 
-#: Row strides, coarse to fine, of the subsamples whose step maxima bound every
-#: d_i from below; each divides the one before, so refined bounds only grow.
-_BOUND_STRIDES = (96, 8)
-#: Most pairs one round evaluates.
-_ROUND_PAIRS = 96
+#: Row stride of the subsample whose step maxima bound every d_i from below.
+_BOUND_STRIDE = 96
 #: Most columns per product.  OpenBLAS sums the last columns of a wider
 #: product differently from a narrower one's.
 _MAX_WIDTH = 192
@@ -225,6 +222,17 @@ def _panels(n_rows: int, height: int):
         yield slice(max(0, min(start, n_rows - height)), start + height)
 
 
+def _product_rows(Z):
+    """Z, or Z repeated to _SMALL_PRODUCT // _MAX_WIDTH + 1 rows when too short for any width.
+
+    Row t of the result is Z[t % len(Z)]; on an index array it gives the
+    indices of the rows the products run over.
+    """
+    if len(Z) * _MAX_WIDTH > _SMALL_PRODUCT:
+        return Z
+    return Z[np.arange(_SMALL_PRODUCT // _MAX_WIDTH + 1) % len(Z)]
+
+
 def _step_products(Z: np.ndarray, step: np.ndarray, q: np.ndarray, alpha_idx, pair_idx):
     """Yield (cols, products) per chunk of step rows: the sweep's one product layout.
 
@@ -234,13 +242,11 @@ def _step_products(Z: np.ndarray, step: np.ndarray, q: np.ndarray, alpha_idx, pa
     columns, an exact sign flip) the next ones and zeros the rest.  products
     yields (panel, Z[panel] @ block) over _panels in _product_shape's shape,
     each written into one reused full-width buffer, so it is consumed before
-    the next.  A Z too short for any width is repeated to _SMALL_PRODUCT //
-    _MAX_WIDTH + 1 rows.
+    the next.  The panels run over _product_rows(Z).
     """
     parity = _parity(q.shape[1])
     scratch, buffer = np.empty(q.shape[1] * _MAX_WIDTH), np.empty(_PANEL_ENTRIES)
-    if len(Z) * _MAX_WIDTH <= _SMALL_PRODUCT:
-        Z = Z[np.arange(_SMALL_PRODUCT // _MAX_WIDTH + 1) % len(Z)]
+    Z = _product_rows(Z)
     for start in range(0, len(alpha_idx), _MAX_WIDTH // 2):
         cols = slice(start, start + _MAX_WIDTH // 2)
         c = len(alpha_idx[cols])
@@ -254,26 +260,82 @@ def _step_products(Z: np.ndarray, step: np.ndarray, q: np.ndarray, alpha_idx, pa
         yield cols, ((p, np.matmul(Z[p], block, out=out)) for p in panels)
 
 
-def _step_maxima(Z: np.ndarray, step: np.ndarray, q: np.ndarray, alpha_idx, pair_idx):
+def _running_maxima(products, out: np.ndarray):
+    """Elementwise maximum of |product| over a chunk's panels, in out, and the panels' starts.
+
+    It starts at the first panel's |product|, so where one panel covers Z
+    nothing is merged.  No view of the panel buffer outlives the call, so
+    the buffer is freed with the chunks' generator.
+    """
+    panel, first = next(products)
+    running = np.abs(first, out=out[: first.size].reshape(first.shape))
+    starts = [panel.start]
+    for panel, product in products:
+        np.maximum(running, np.abs(product, out=product), out=running)
+        starts.append(panel.start)
+    return running, starts
+
+
+def _step_maxima(Z: np.ndarray, step: np.ndarray, q: np.ndarray, alpha_idx, pair_idx, peaks=None):
     """max_t |full @ rows.T| of each step row, full = np.vstack((Z, Z * parity)).
 
     Z's antipodes (ring_degree_sums) are never built: max_t |Z f| and max_t
-    |Z (f * parity)| give step row f's maximum.  Each column's running
-    maximum of |product| starts at the first panel's, so where one panel
-    covers Z (the coarse bounds) nothing is merged.  On OpenBLAS each
-    product of _step_products equals its slice of the full GEMM
-    (``sphere-reg verify`` checks them), so the maxima are bit-identical to
-    the dense product's.
+    |Z (f * parity)| give step row f's maximum, from each chunk's running
+    maxima (_running_maxima).  On OpenBLAS each product of _step_products equals
+    its slice of the full GEMM (``sphere-reg verify`` checks them), so the
+    maxima are bit-identical to the dense product's.  With peaks, an int
+    array as long as the step rows, peaks[p] is set to a row of Z where
+    step row p's maximum sits, on Z or on its antipodes: its offset into
+    the panels is where the running maxima peak, and _peak_rows finds its
+    panel once the chunks' panel buffers are freed.
     """
     d, peak = np.empty(len(alpha_idx)), np.empty(_PANEL_ENTRIES)
+    found = []
     for cols, products in _step_products(Z, step, q, alpha_idx, pair_idx):
-        _, first = next(products)
-        running = np.abs(first, out=peak[: first.size].reshape(first.shape))
-        for _, product in products:
-            np.maximum(running, np.abs(product, out=product), out=running)
-        maxima = running[:, : 2 * len(d[cols])].max(axis=0).reshape(2, -1)
-        np.maximum(maxima[0], maxima[1], out=d[cols])
+        running, starts = _running_maxima(products, peak)
+        n = len(d[cols])
+        maxima = running[:, : 2 * n].max(axis=0)
+        np.maximum(maxima[:n], maxima[n:], out=d[cols])
+        if peaks is not None:
+            # Where each column peaks, from a boolean table, not a copy of
+            # running; a step row peaks in its own column or its parity copy's.
+            at = (running[:, : 2 * n] == maxima).argmax(axis=0)
+            copy = np.arange(n) + n * (maxima[n:] > maxima[:n])
+            # np.unique's first call costs 1 MB of RSS.
+            offsets = sorted(set(at[copy].tolist()))
+            found.append((cols, starts, offsets))
+    for cols, starts, offsets in found:
+        peaks[cols] = _peak_rows(Z, starts, offsets, step, q, alpha_idx[cols], pair_idx[cols])
     return d
+
+
+def _peak_rows(Z: np.ndarray, starts, offsets, step, q, alpha_idx, pair_idx) -> np.ndarray:
+    """Row of Z where each step row's maximum sits, among the rows starts + offsets.
+
+    The candidates are the given offsets into every panel, of
+    _product_rows(Z), that starts at starts, so row t means Z[t % len(Z)].
+    Their products with at most _MAX_WIDTH // 2 step rows go through
+    _step_products, a block of whole panels' candidates at a time, at most
+    _PANEL_ENTRIES // (M+1) rows or one panel's, so the gathered rows do
+    not grow with Z's.  Each step
+    row keeps the first candidate where max(|Z f|, |Z (f * parity)|) is
+    largest.
+    """
+    n = len(alpha_idx)
+    best, rows = np.full(n, -1.0), np.zeros(n, dtype=int)
+    span = max(1, _PANEL_ENTRIES // Z.shape[1] // len(offsets))
+    for lo in range(0, len(starts), span):
+        block = np.add.outer(starts[lo : lo + span], offsets).ravel() % len(Z)
+        for _, products in _step_products(Z[block], step, q, alpha_idx, pair_idx):
+            for panel, product in products:
+                fields = np.abs(product[:, : 2 * n], out=product[:, : 2 * n])
+                maxima = fields.max(axis=0)
+                copy = np.arange(n) + n * (maxima[n:] > maxima[:n])
+                value, at = maxima[copy], (fields == maxima).argmax(axis=0)[copy]
+                higher = value > best
+                best[higher] = value[higher]
+                rows[higher] = block[(panel.start + at[higher]) % len(block)]
+    return rows
 
 
 def _pruned_quasi_optimal(
@@ -286,51 +348,62 @@ def _pruned_quasi_optimal(
     i]], from its row i to row i + 1, and d_{i+1} = max_t |Z @ step row|
     over Z and its antipodes (_step_maxima).  The inner pass has a group of
     L - 1 damping steps per alpha, the outer pass one group of chain steps
-    per pick.  One product over every _BOUND_STRIDES[0]-th row of Z and all
-    n S step rows, group-major, gives every pair's maximum there, an exact
-    lower bound on the full one.  Returns per group the winning row and
-    its difference; a group without steps has one row, which wins with a
-    NaN difference.  Round 1 evaluates every group's lowest-bound pair on
-    all of Z in one product.  Each later round takes up to _ROUND_PAIRS of
-    the pending pairs whose bound is at most their group's best difference
-    so far, in ascending (bound, group, step) order, until none is left,
-    and moves each one stride finer: to a new bound on the next subsample,
-    or from the finest to its difference on all of Z, in one product per
-    stride.  A pair never evaluated has a bound, and so a difference, above
-    one already found: it can neither win nor tie.  Ties go to the smaller
-    index, as in _first_minimum.  Every product goes through _step_maxima,
-    so winners and differences are bit-identical to the dense step-row
-    pass.
+    per pick.  Returns per group the winning row and its difference; a
+    group without steps has one row, which wins with a NaN difference.
+
+    A step row's maximum over any subset of Z's rows (with their
+    antipodes) is an exact lower bound on its full one, its bound.  One
+    product over every _BOUND_STRIDE-th row of Z and all n S step rows,
+    group-major, bounds every pair.  Round 1 evaluates every group's
+    lowest-bound pair on all of Z in one product, which also gives the row
+    of Z where each of those fields peaks (_step_maxima's peaks).  The
+    fields of a group peak at few rows, so one product over those rows and
+    every pending pair raises each pending pair's bound to the larger of
+    the two.  A pair is pending while it can still win: its bound is below
+    its group's best difference so far, or equals it at a smaller index
+    than the chosen one (ties go to the smaller index, as in
+    _first_minimum).  Each later round evaluates every group's
+    lowest-bound pending pair, the smallest index among equal bounds, on
+    all of Z in one product, until none is pending.  A pair never
+    evaluated has a difference above the winner's, or equal to it at a
+    larger index: it can neither win nor take a tie.  Every product goes
+    through _step_maxima, so winners and differences are bit-identical to
+    the dense step-row pass.
     """
     n, S = alpha_idx.shape
     if S == 0:
         return np.zeros(n, dtype=int), np.full(n, math.nan)
-    coarse = Z[:: _BOUND_STRIDES[0]]
-    bounds = _step_maxima(coarse, step, q, alpha_idx.ravel(), pair_idx.ravel())
+    bounds = _step_maxima(Z[::_BOUND_STRIDE], step, q, alpha_idx.ravel(), pair_idx.ravel())
     bounds = bounds.reshape(n, S)
-    strides = _BOUND_STRIDES[1:] + (1,)  # a pair at level k goes to Z[::strides[k]]
-    level = np.zeros(bounds.shape, dtype=int)  # len(strides) once evaluated
+    index = np.arange(1, S + 1)
+    evaluated = np.zeros((n, S), dtype=bool)
     chosen = np.full(n, S + 1)  # above every index, so the first pair wins even at inf
     best = np.full(n, math.inf)
-    groups, pairs = np.arange(n), np.argmin(bounds, axis=1)
-    level[groups, pairs] = len(strides) - 1  # round 1 goes to all of Z
+
+    def evaluate(groups, pairs, peaks=None):
+        evaluated[groups, pairs] = True
+        d = _step_maxima(Z, step, q, alpha_idx[groups, pairs], pair_idx[groups, pairs], peaks)
+        wins = (d < best[groups]) | ((d == best[groups]) & (pairs + 1 < chosen[groups]))
+        chosen[groups[wins]], best[groups[wins]] = pairs[wins] + 1, d[wins]
+
+    def pending():
+        can_win = (bounds < best[:, None]) | ((bounds == best[:, None]) & (index < chosen[:, None]))
+        return np.nonzero(can_win & ~evaluated)
+
+    peaks = np.empty(n, dtype=int)
+    evaluate(np.arange(n), np.argmin(bounds, axis=1), peaks)
+    groups, pairs = pending()
+    if groups.size:
+        rows = Z[sorted(set(peaks.tolist()))]
+        near = _step_maxima(rows, step, q, alpha_idx[groups, pairs], pair_idx[groups, pairs])
+        bounds[groups, pairs] = np.maximum(bounds[groups, pairs], near)
+        groups, pairs = pending()
     while groups.size:
-        at = level[groups, pairs]
-        level[groups, pairs] += 1
-        for k in sorted(set(at.tolist())):  # np.unique's first call costs 1 MB of RSS
-            g, p = groups[at == k], pairs[at == k]
-            d = _step_maxima(Z[:: strides[k]], step, q, alpha_idx[g, p], pair_idx[g, p])
-            if strides[k] > 1:
-                bounds[g, p] = d
-                continue
-            for j, i, dj in zip(g.tolist(), p.tolist(), d.tolist()):
-                if dj < best[j] or (dj == best[j] and i + 1 < chosen[j]):
-                    chosen[j], best[j] = i + 1, dj
-        groups, pairs = np.nonzero((level < len(strides)) & (bounds <= best[:, None]))
-        # lexsort sorts by its last key first: bound, then group, then pair.
-        order = np.lexsort((pairs, groups, bounds[groups, pairs]))
-        batch = order[:_ROUND_PAIRS]
-        groups, pairs = groups[batch], pairs[batch]
+        # lexsort sorts by its last key first: group, then bound, then pair.
+        order = np.lexsort((pairs, bounds[groups, pairs], groups))
+        lowest = order[np.diff(groups[order], prepend=-1) > 0]
+        evaluate(groups[lowest], pairs[lowest])
+        groups, pairs = pending()
     return chosen, best
 
 

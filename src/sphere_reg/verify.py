@@ -23,7 +23,7 @@ from .operators import (
     synthesize,
 )
 from .quadrature import gauss_legendre, sphere_rule
-from .selection import _BOUND_STRIDES, _ROUND_PAIRS, EvalGrid, _step_products
+from .selection import _BOUND_STRIDE, _MAX_WIDTH, EvalGrid, _product_rows, _step_products
 from .smoothing import PenaltyWeights, SmoothingParams, smooth, smooth_oracle
 
 
@@ -196,10 +196,12 @@ def _stacked_product(Z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     Column p holds Z @ rows[p] and column len(rows) + p holds Z @ (rows[p]
     * parity), the antipodes' values: the products of
     selection._step_products, the sweep's own layout, with rows as the
-    step rows and a ones row as q, which keeps their bits.  Z needs more
-    rows than the few that _step_products repeats.
+    step rows and a ones row as q, which keeps their bits.  The result's
+    rows are those the products run over, _product_rows(Z): a Z of a few
+    rows comes back repeated.
     """
     n, index = len(rows), np.arange(len(rows))
+    Z = _product_rows(Z)
     stacked = np.full((len(Z), 2 * n), np.nan)
     ones = np.ones((1, rows.shape[1]))
     for cols, products in _step_products(Z, rows, ones, np.zeros(n, int), index):
@@ -218,14 +220,14 @@ def _check_gemm_slices(M: int) -> CheckResult:
     the products of selection._step_products, but no BLAS promises it.  The
     shapes checked are those of the default grids' step-row sweep (52
     lambdas and alphas, so 51 steps each), each step row beside its parity
-    copy: coarse bound products of 51 and 52 x 51 rows over every
-    _BOUND_STRIDES[0]-th row, refinement products of every width from 1 to
-    _ROUND_PAIRS rows over every finer stride's rows, round products of
-    every such width over all rows, and the 102-row chain of both outer
-    passes (51 winner steps, then 51 lambda = 0 steps): its coarse bound
-    product when pruned, whose refinements and rounds take the widths above,
-    and its product over all rows when traced.  Products are stacked back,
-    so a row their panels miss fails too.
+    copy: bound products of 51 and 52 x 51 rows over every _BOUND_STRIDE-th
+    row; round products of every chunk width, 1 to _MAX_WIDTH // 2 rows,
+    over all rows; the 102-row chain of both outer passes (51 winner steps,
+    then 51 lambda = 0 steps), its bound product when pruned and its
+    product over all rows when traced; and the products over round 1's
+    peak rows, 1 to 16 gathered rows at every chunk width, 6 or fewer rows
+    repeated as the sweep repeats them.  Products are stacked back, so a
+    row their panels miss fails too.
     """
     rng = np.random.default_rng(6)
     grid = EvalGrid(sphere_rule(2 * M, 1.0))
@@ -236,22 +238,25 @@ def _check_gemm_slices(M: int) -> CheckResult:
     # Column-major, so the slices below gather contiguous columns; the
     # parity copies' columns follow the factors'.
     full = np.asfortranarray(Z @ np.vstack((factors, factors * _parity(M + 1))).T)
-    # (row stride, factor rows) of each product.
-    coarse = _BOUND_STRIDES[0]
-    narrow = [(s, w) for s in (*_BOUND_STRIDES[1:], 1) for w in range(1, _ROUND_PAIRS + 1)]
+    every, coarse = np.arange(len(Z)), np.arange(0, len(Z), _BOUND_STRIDE)
+    widths = range(1, _MAX_WIDTH // 2 + 1)  # step rows in a chunk
+    # (rows of Z, factor rows) of each product.
     products = [
         (coarse, np.arange(51)),
         (coarse, np.arange(52 * 51) % len(factors)),
         (coarse, np.r_[0:51, 100:151]),
-        (1, np.r_[0:51, 100:151]),
-        *((s, rng.permutation(len(factors))[:w]) for s, w in narrow),
+        (every, np.r_[0:51, 100:151]),
+        *((every, rng.permutation(len(factors))[:w]) for w in widths),
     ]
+    for g in range(1, 17):
+        rows = np.sort(rng.choice(len(Z), g, replace=False))
+        products += [(rows, rng.permutation(len(factors))[:w]) for w in widths]
     mismatched = sum(
         not np.array_equal(
-            _stacked_product(Z[::stride], factors[cols]),
-            full[::stride, np.r_[cols, len(factors) + cols]],
+            _stacked_product(Z[rows], factors[cols]),
+            full[np.ix_(_product_rows(rows), np.r_[cols, len(factors) + cols])],
         )
-        for stride, cols in products
+        for rows, cols in products
     )
     passed = not mismatched
     n = len(products)

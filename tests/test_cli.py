@@ -168,7 +168,7 @@ def loop_read_samples_csv(path, rule):
             f"{path}: expected {rule.n_points} data rows for this rule, "
             f"got {len(rows)}"
         )
-    tol = 1e-9 * max(1.0, rule.rho)
+    tol = 1e-9 * rule.rho
     samples = np.empty(rule.n_points)
     for i, (lineno, ln) in enumerate(rows):
         parts = ln.split(",")

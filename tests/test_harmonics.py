@@ -16,7 +16,7 @@ from sphere_reg import (
     sup_norm,
     synthesize,
 )
-from sphere_reg.harmonics import legendre_table, radius_mismatch
+from sphere_reg.harmonics import legendre_table, point_norms, radius_mismatch
 from sphere_reg.operators import _parity, _ring_dft, _ring_legendre, ring_degree_sums
 from conftest import degree_row, random_directions, ring_spectra
 
@@ -196,11 +196,38 @@ class TestAdditionTheorem:
 
 
 class TestRadiusMismatch:
-    def test_relative_above_one_absolute_below(self):
+    def test_relative_at_every_radius(self):
         assert not radius_mismatch(2.0 + 1.9e-9, 2.0)
         assert radius_mismatch(2.0 + 2.1e-9, 2.0)
-        assert not radius_mismatch(0.5 + 0.9e-9, 0.5)
-        assert radius_mismatch(0.5 + 1.1e-9, 0.5)
+        assert not radius_mismatch(0.5 + 0.4e-9, 0.5)
+        assert radius_mismatch(0.5 + 0.6e-9, 0.5)
+        # Below radius 1 the tolerance shrinks with the radius, so radii
+        # five times apart never match.
+        assert not radius_mismatch(1e-12 * (1 + 0.9e-9), 1e-12)
+        assert radius_mismatch(5e-12, 1e-12)
+        assert radius_mismatch(1e-300, 5e-300)
+
+    def test_coefficients_off_a_small_rule_sphere_are_refused(self):
+        # Synthesis onto a rule five times the coefficients' sphere used to
+        # return values up to 2.1e12 without an error.
+        c = HarmonicCoefficients(M=2, radius=1e-12, values=np.ones(9))
+        with pytest.raises(ValidationError, match="rule sphere 5e-12 does not match"):
+            synthesize(c, sphere_rule(2, 5e-12))
+        assert np.all(np.isfinite(synthesize(c, sphere_rule(2, 1e-12))))
+
+    @pytest.mark.parametrize("r", [1e-160, 3e-162])
+    def test_points_of_a_tiny_sphere_match_its_radius(self, r):
+        # Their squared coordinates are subnormal, so np.linalg.norm loses
+        # digits; the norms of the points scaled by a power of two keep them.
+        pts = sphere_rule(4, r).points
+        assert radius_mismatch(np.linalg.norm(pts, axis=1), r)
+        assert not radius_mismatch(point_norms(pts), r)
+        assert not radius_mismatch(EvalGrid(pts).radius, r)
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.3])
+    def test_point_norms_are_the_plain_norms_off_underflow(self, r):
+        pts = sphere_rule(6, r).points
+        np.testing.assert_array_equal(point_norms(pts), np.linalg.norm(pts, axis=1))
 
     def test_any_entry_of_an_array(self):
         assert not radius_mismatch(np.array([3.0, 3.0 + 1e-9]), 3.0)

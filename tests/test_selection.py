@@ -36,16 +36,16 @@ from sphere_reg import (
 from sphere_reg import experiments as ex
 from sphere_reg import selection
 from sphere_reg.selection import (
-    _BOUND_STRIDES,
+    _BOUND_STRIDE,
     _MAX_WIDTH,
     _PANEL_ENTRIES,
     _PANEL_ROWS,
-    _ROUND_PAIRS,
     _SMALL_PRODUCT,
     ParameterPick,
     _first_minimum,
     _nested_pass,
     _panels,
+    _product_rows,
     _product_shape,
     _pruned_quasi_optimal,
     _step_maxima,
@@ -307,6 +307,25 @@ def few_row_kernel(Z, L, spread=2):
         return kernel(Z, L, spread)
 
 
+def kernel_calls(Z, L):
+    """kernel(Z, L)'s winners and differences, and its _step_maxima calls.
+
+    Each call is (rows of Z it multiplies, its (alpha, pair) step rows): the
+    bound product over Z[::_BOUND_STRIDE], the round products over all of
+    Z and the product over round 1's peak rows.
+    """
+    calls = []
+    real = selection._step_maxima
+
+    def record(Z, step, q, alpha_idx, pair_idx, peaks=None):
+        calls.append((len(Z), list(zip(alpha_idx.tolist(), pair_idx.tolist()))))
+        return real(Z, step, q, alpha_idx, pair_idx, peaks)
+
+    with mock.patch.object(selection, "_step_maxima", record):
+        chosen, best = kernel(Z, L)
+    return chosen, best, calls
+
+
 def kernel_fields(Z, spread):
     """The table kernel(Z, L, spread) reduces over: Z, or Z over its antipodes."""
     return Z if spread == 2 else full_height(Z)
@@ -328,7 +347,7 @@ def pruned(fields, spread=2):
 
 def evaluation_order(fields):
     """Pair order of the pruned pass: ascending coarsest-subsample bound."""
-    return np.argsort(sup_differences(fields[:: _BOUND_STRIDES[0]])).tolist()
+    return np.argsort(sup_differences(fields[::_BOUND_STRIDE])).tolist()
 
 
 def assert_pruned_matches_dense(fields, spread=2):
@@ -403,8 +422,9 @@ class TestPrunedQuasiOptimal:
 
     def test_winner_is_not_the_first_pair_evaluated(self):
         # Pair (2, 3) has the smallest bound (0.125) but peaks at 3 off the
-        # subsamples; pair (0, 1), evaluated next in one product with pair
-        # (1, 2) (bound 2), wins with 1.
+        # subsample, at row 7; there pair (0, 1)'s bound is 1 and pair (1,
+        # 2)'s is 2.  Pair (0, 1), evaluated next, wins with 1, which drops
+        # pair (1, 2).
         fields = np.zeros((40, 4))
         fields[:, 1] = 1.0
         fields[:, 2] = 3.0
@@ -437,9 +457,8 @@ class TestPrunedQuasiOptimal:
         assert_pruned_matches_dense(fields)
 
     def test_maxima_off_the_subsample(self):
-        # Row 0 is the coarse subsample, rows 0, 8, ..., 32 the fine one.
-        # Column pair (0, 1) looks best on them but peaks at row 5; the
-        # winner (2, 3) peaks at row 9.
+        # Row 0 is the subsample.  Column pair (0, 1) looks best there but
+        # peaks at row 5; the winner (2, 3) peaks at row 9.
         fields = np.zeros((40, 4))
         fields[:, 1] = 0.01
         fields[5, 1] = 5.0
@@ -450,31 +469,54 @@ class TestPrunedQuasiOptimal:
         assert_pruned_matches_dense(fields)
 
     def test_pair_dropped_by_its_refined_bound(self):
-        # Rows 0, 96 and 192 are the coarse subsample, every 8th row the
-        # fine one.  Pair (0, 1) has the lowest coarse bound (0.25) and wins
-        # round 1 with 1, peaking at row 5 off both subsamples.  Pair (1, 2)
-        # has coarse bound 0.5 but peaks with 3 at row 8, on the fine
-        # subsample only: it is refined and dropped, never evaluated on all
-        # rows.  Pair (2, 3) has bound 2 and is dropped unrefined.
-        assert _BOUND_STRIDES == (96, 8)
+        # Rows 0, 96 and 192 are the subsample.  Pair (0, 1) has the lowest
+        # bound there (0.25) and wins round 1 with 1, peaking at row 5 off
+        # the subsample.  Pair (1, 2) has bound 0.5 but reaches 3 at row 5:
+        # the product over that peak row drops it, never evaluated on all
+        # rows.  Pair (2, 3) has bound 2, above the best, and is dropped
+        # without it.
         fields = np.zeros((200, 4))
         fields[:, 1] = 0.25
         fields[5, 1] = 1.0
         fields[:, 2] = fields[:, 1] + 0.5
-        fields[8, 2] = fields[8, 1] + 3.0
+        fields[5, 2] = fields[5, 1] + 3.0
         fields[:, 3] = fields[:, 2] + 2.0
-        refined, evaluated = [], []
-        real = selection._step_maxima
-
-        def record(Z, step, q, alpha_idx, pair_idx):
-            {25: refined, 200: evaluated}.get(len(Z), []).extend(pair_idx.tolist())
-            return real(Z, step, q, alpha_idx, pair_idx)
-
-        with mock.patch.object(selection, "_step_maxima", record):
-            chosen, best = kernel(fields, 4)
-        assert (refined, evaluated) == ([1], [0])
+        chosen, best, calls = kernel_calls(fields, 4)
+        assert calls[1:] == [(200, [(0, 0)]), (1, [(0, 1)])]
         ref_idx, ref_diffs = quasi_optimal(fields)
         assert (chosen[0], best[0]) == (ref_idx, ref_diffs[ref_idx - 1]) == (1, 1.0)
+
+    def test_peak_row_of_another_group_prunes_a_pair(self):
+        # Two alphas.  Alpha 0's round 1 pair peaks at row 5 with 1, alpha
+        # 1's at row 9 with 1.  Alpha 1's pair (1, 2) has bound 0.5 on the
+        # subsample, below its best, but 3 at row 5: the product over both
+        # peak rows drops it.  Alpha 0's pair (1, 2) has bound 2 and is
+        # dropped without it.
+        first = np.zeros((200, 3))
+        first[:, 1] = 0.25
+        first[5, 1] = 1.0
+        first[:, 2] = first[:, 1] + 2.0
+        second = np.zeros((200, 3))
+        second[:, 1] = 0.25
+        second[9, 1] = 1.0
+        second[:, 2] = second[:, 1] + 0.5
+        second[5, 2] = second[5, 1] + 3.0
+        chosen, best, calls = kernel_calls(np.hstack((first, second)), 3)
+        assert calls[1:] == [(200, [(0, 0), (1, 0)]), (2, [(1, 1)])]
+        np.testing.assert_array_equal(chosen, [1, 1])
+        np.testing.assert_array_equal(best, [1.0, 1.0])
+        for fields in (first, second):
+            assert_pruned_matches_dense(fields)
+
+    def test_pairs_bounded_at_the_best_above_the_chosen_index_are_skipped(self):
+        # Every step is 1 on every row.  Round 1 evaluates pair 0, whose
+        # difference 1 equals every other pair's bound: they could at most
+        # tie at a larger index, so no other product is formed.
+        fields = np.tile(np.arange(6.0), (40, 1))
+        chosen, best, calls = kernel_calls(fields, 6)
+        assert (chosen[0], best[0]) == (1, 1.0)
+        assert calls[1:] == [(40, [(0, 0)])]
+        assert_pruned_matches_dense(fields)
 
     @pytest.mark.parametrize("T", [1, 2, 15])
     def test_fewer_rows_than_the_stride(self, T):
@@ -483,16 +525,19 @@ class TestPrunedQuasiOptimal:
             assert_pruned_matches_dense(fields, spread)
 
     def test_equal_bounds_over_several_rounds_reach_every_pair(self):
-        # Eleven pairs share one bound; all but pair 9 peak off the
-        # subsamples at row 5.  Round 1 takes pair 0, round 2 refines the
-        # other ten and round 3 evaluates them, in pair order; the winner
-        # is the last but one of them.
+        # Eleven pairs share one bound on the subsample, row 0; pair i peaks
+        # at row i + 1, with 12 - i for i up to 9 and 4 for pair 10.  Round
+        # 1 takes pair 0; at its peak row the others' bounds stay 1, so each
+        # later round takes the next pair in pair order, one a round, and
+        # every pair is evaluated.  The winner is the last but one.
         steps = np.ones((40, 11))
-        steps[5, :] = 2.0
-        steps[5, 9] = 1.0
+        steps[np.arange(1, 12), np.arange(11)] = [*(12.0 - np.arange(10)), 4.0]
         fields = np.hstack([np.zeros((40, 1)), np.cumsum(steps, axis=1)])
-        assert pruned(fields) == (10, 1.0)
+        assert pruned(fields) == (10, 3.0)
         assert_pruned_matches_dense(fields)
+        _, _, calls = kernel_calls(fields, 12)
+        assert calls[1:3] == [(40, [(0, 0)]), (1, [(0, i) for i in range(1, 11)])]
+        assert calls[3:] == [(40, [(0, i)]) for i in range(1, 11)]
 
     def test_overflowing_differences_match_dense_kernel(self):
         # Finite fields whose differences overflow: the first pair evaluated
@@ -520,34 +565,27 @@ class TestPrunedQuasiOptimal:
                 assert math.isnan(best[j])
 
     def test_rounds_of_more_pending_pairs_than_one_product_takes(self):
-        # Two alphas of 120 pairs that all share one bound; every pair but
-        # one per alpha peaks off the subsamples at row 5.  Round 1 takes
-        # each alpha's pair 0; the 238 pending pairs then take three
-        # full-height products of at most _ROUND_PAIRS, each after the round
-        # that refines its pairs, and each alpha's winner is in the last.
-        steps = np.ones((40, 120))
-        steps[5, :] = 2.0
-        tables = []
-        for winner in (117, 110):
-            s = steps.copy()
-            s[5, winner] = 1.0
-            tables.append(np.hstack([np.zeros((40, 1)), np.cumsum(s, axis=1)]))
-        Z = np.hstack(tables)
-        widths = []
-        real = selection._step_maxima
-
-        def record(Z, step, q, alpha_idx, pair_idx):
-            if len(Z) == 40:
-                widths.append(len(alpha_idx))
-            return real(Z, step, q, alpha_idx, pair_idx)
-
-        with mock.patch.object(selection, "_step_maxima", record):
-            chosen, best = kernel(Z, 121)
-        assert widths == [2, _ROUND_PAIRS, _ROUND_PAIRS, 46]
-        np.testing.assert_array_equal(chosen, [118, 111])
-        np.testing.assert_array_equal(best, [1.0, 1.0])
-        for j in range(2):
-            assert_pruned_matches_dense(Z[:, j * 121 : (j + 1) * 121])
+        # 120 alphas, each of one pending pair after round 1: round 2's
+        # product takes each alpha's pair (1, 2), 120 step rows, in two
+        # chunks of _MAX_WIDTH // 2 and 24.  Alpha j's table is 2^(j % 5)
+        # times one table, so every value is exact: pair (0, 1) has bound
+        # 0.25 and peaks at row 5 with 2; pair (1, 2) has bound 0.5, 0.5 at
+        # row 5 too, and wins with 1.5 at row 9.
+        fields = np.zeros((40, 3))
+        fields[:, 1] = 0.25
+        fields[5, 1] = 2.0
+        fields[:, 2] = fields[:, 1] + 0.5
+        fields[9, 2] = fields[9, 1] + 1.5
+        scales = 2.0 ** (np.arange(120) % 5)
+        chosen, best, calls = kernel_calls(np.hstack([s * fields for s in scales]), 3)
+        assert calls[1:] == [
+            (40, [(j, 0) for j in range(120)]),
+            (1, [(j, 1) for j in range(120)]),
+            (40, [(j, 1) for j in range(120)]),
+        ]
+        np.testing.assert_array_equal(chosen, np.full(120, 2))
+        np.testing.assert_array_equal(best, 1.5 * scales)
+        assert_pruned_matches_dense(fields)
 
     def test_round_one_of_more_alphas_than_one_product_takes(self):
         # 200 alphas' first pairs are 200 step rows: round 1 takes three
@@ -831,12 +869,14 @@ def figure1_trial():
 def recorded_products(
     samples, rule, symbol, beta, alpha_grid, lambda_grid, grid, trace=False
 ):
-    """(Z, row stride, step rows) of every _step_maxima call select_two_step makes.
+    """(Z, rows, step rows) of every _step_maxima call select_two_step makes.
 
-    Z is the call's field sums in full; the products' rows are Z[::stride].
-    Its step rows are rebuilt from the kernel's arguments.  Without trace,
-    as a figure-1 trial runs, the outer chain is pruned; with it, the chain
-    is one product over all of Z.
+    Z is the call's field sums in full and the product's rows are
+    rows_of(Z, rows): rows is a row stride, _BOUND_STRIDE or 1, or for the
+    product over round 1's peak rows a tuple of their indices.  The step
+    rows are rebuilt from the kernel's arguments.  Without trace, as a
+    figure-1 trial runs, the outer chain is pruned; with it, the chain is
+    one product over all of Z.
     """
     M = rule.M
     coeffs = analyze(samples, rule, M)
@@ -844,11 +884,13 @@ def recorded_products(
     products = []
     real = selection._step_maxima
 
-    def record(rows_of_z, step, q, alpha_idx, pair_idx):
-        stride = next(s for s in (*_BOUND_STRIDES, 1) if len(Z[::s]) == len(rows_of_z))
-        assert np.array_equal(rows_of_z, Z[::stride])
-        products.append((Z, stride, step[pair_idx] * q[alpha_idx]))
-        return real(rows_of_z, step, q, alpha_idx, pair_idx)
+    def record(rows_of_z, step, q, alpha_idx, pair_idx, peaks=None):
+        rows = next((s for s in (_BOUND_STRIDE, 1) if np.array_equal(rows_of_z, Z[::s])), None)
+        if rows is None:
+            rows = tuple(int(np.flatnonzero((Z == row).all(axis=1))[0]) for row in rows_of_z)
+        assert np.array_equal(rows_of(Z, rows), rows_of_z)
+        products.append((Z, rows, step[pair_idx] * q[alpha_idx]))
+        return real(rows_of_z, step, q, alpha_idx, pair_idx, peaks)
 
     with mock.patch.object(selection, "_step_maxima", record):
         select_two_step(
@@ -857,26 +899,37 @@ def recorded_products(
     return [p for p in products if len(p[2])]  # no step rows form no product
 
 
+def row_index(Z, rows):
+    """Indices into Z of recorded_products' rows: a stride's or the peak rows'."""
+    return np.arange(len(Z))[::rows] if isinstance(rows, int) else np.array(rows)
+
+
+def rows_of(Z, rows):
+    return Z[row_index(Z, rows)]
+
+
 def assert_products_are_gemm_slices(products):
     """Each product equals its slice of the full GEMM (gemm), and so do the maxima.
 
-    _step_maxima multiplies Z[::stride] by each chunk of at most
-    _MAX_WIDTH // 2 step rows beside their parity copies.  Each chunk's
-    reference is one GEMM over all rows of Z and those at most _MAX_WIDTH
-    rows, sliced to the stride; the maxima of a call are those of its
-    chunks' references, over both copies of each row.
+    _step_maxima multiplies Z's rows by each chunk of at most _MAX_WIDTH //
+    2 step rows beside their parity copies.  Each chunk's reference is one
+    GEMM over all rows of Z and those at most _MAX_WIDTH rows, sliced to the
+    product's rows, the fewest repeated as _product_rows repeats them; the
+    maxima of a call are those of its chunks' references, over both copies
+    of each row.
     """
-    for Z, stride, rows in products:
-        n, maxima = len(rows), []
+    for Z, rows, steps in products:
+        index, n, maxima = row_index(Z, rows), len(steps), []
         for start in range(0, n, _MAX_WIDTH // 2):
-            chunk = rows[start : start + _MAX_WIDTH // 2]
-            full = gemm(Z, np.vstack((chunk, chunk * _parity(rows.shape[1]))))[::stride]
-            np.testing.assert_array_equal(_stacked_product(Z[::stride], chunk), full)
+            chunk = steps[start : start + _MAX_WIDTH // 2]
+            full = gemm(Z, np.vstack((chunk, chunk * _parity(steps.shape[1]))))
+            full = full[_product_rows(index)]
+            np.testing.assert_array_equal(_stacked_product(Z[index], chunk), full)
             maxima.append(np.abs(full).reshape(len(full), 2, len(chunk)).max(axis=(0, 1)))
         # The kernel takes the rows as step rows of one all-ones q row.
-        ones = np.ones((1, rows.shape[1]))
+        ones = np.ones((1, steps.shape[1]))
         np.testing.assert_array_equal(
-            _step_maxima(Z[::stride], rows, ones, np.zeros(n, int), np.arange(n)),
+            _step_maxima(Z[index], steps, ones, np.zeros(n, int), np.arange(n)),
             np.concatenate(maxima),
         )
 
@@ -1038,11 +1091,14 @@ class TestSelectTwoStep:
         # equal the slice of one full GEMM over the trial's field sums, and
         # its maxima equal the dense reduction of that slice.  The nested
         # pass's bound product stacks 52 alphas' 51 (or 192) step rows; the
-        # round products take 1 to 96 step rows, each beside its parity
-        # copy.  The chain of both outer passes, 102 step rows, takes a bound
-        # product and rounds when pruned, and one product over all of Z when
-        # traced.  One-alpha sweeps form the bound products of 51 and 192
-        # rows, and a traced 26-alpha sweep a chain of 50.
+        # round products take one step row per alpha, each beside its
+        # parity copy, and the product over round 1's peak rows every
+        # pending one, on a few rows of Z, repeated where there are 6 or
+        # fewer.  The chain of both outer passes, 102 step rows, takes a
+        # bound product, rounds and a peak-row product when pruned, and one
+        # product over all of Z when traced.  One-alpha sweeps form the
+        # bound products of 51 and 192 rows, and a traced 26-alpha sweep a
+        # chain of 50.
         args = figure1_trial()
         lambdas_193 = np.geomspace(1e-5, 1.0, 193)
         products = recorded_products(*args)
@@ -1053,15 +1109,14 @@ class TestSelectTwoStep:
         products += recorded_products(
             *args[:4], grid_values(args[4])[:26], *args[5:], trace=True
         )
-        coarse, fine = _BOUND_STRIDES
-        shapes = {(stride, len(rows)) for _, stride, rows in products}
+        coarse = _BOUND_STRIDE
+        shapes = {(rows, len(steps)) for _, rows, steps in products if rows in (coarse, 1)}
         assert {
             (coarse, 51), (coarse, 192), (coarse, 52 * 51), (coarse, 52 * 192),
-            (coarse, 102), (fine, _ROUND_PAIRS), (1, 102), (1, 50),
+            (coarse, 102), (1, 52), (1, 102), (1, 50),
         } <= shapes
-        assert all(
-            len(rows) <= _MAX_WIDTH for _, stride, rows in products if stride != coarse
-        )
+        peak_rows = {len(rows) for _, rows, _ in products if rows not in (coarse, 1)}
+        assert min(peak_rows) <= 6 < max(peak_rows) <= 16
         assert_products_are_gemm_slices(products)
 
     def test_bound_products_on_few_rows_or_many_lambdas_are_gemm_slices(self):
@@ -1093,24 +1148,52 @@ class TestSelectTwoStep:
             )
         bounds = [p for p in products if p[1] != 1]
         # One coarse product per grid for the nested pass's two alphas, one
-        # for their outer chain, one for its alpha = 0 alone; the refinement
-        # products ride along.
-        assert sum(p[1] == _BOUND_STRIDES[0] for p in bounds) == 3 * 10
+        # for their outer chain, one for its alpha = 0 alone; the products
+        # over round 1's peak rows ride along.
+        assert sum(p[1] == _BOUND_STRIDE for p in bounds) == 3 * 10
         assert_products_are_gemm_slices(bounds)
 
     def test_figure1_trial_forms_one_bound_product_per_pass(self):
         # The inner pass's 52 x 51 step rows on the coarse subsample, its
         # alpha = 0 row giving the smoothing-only pick; then the outer
         # chain's 2 x 51 step rows, the nested and the collocation-only
-        # pick's.  Three refinement products on the fine subsample tighten
-        # the bounds of the inner pairs left, and one those of the chain's.
+        # pick's.  After round 1, one product over its peak rows, a few rows
+        # of Z, tightens the bounds of each pass's pending pairs.
         products = recorded_products(*figure1_trial())
-        bounds = {
-            stride: [len(rows) for _, s, rows in products if s == stride]
-            for stride in _BOUND_STRIDES
-        }
-        assert bounds[_BOUND_STRIDES[0]] == [52 * 51, 2 * 51]
-        assert len(bounds[_BOUND_STRIDES[1]]) == 4
+        coarse = [len(steps) for _, rows, steps in products if rows == _BOUND_STRIDE]
+        assert coarse == [52 * 51, 2 * 51]
+        peak_rows = [rows for _, rows, _ in products if rows not in (_BOUND_STRIDE, 1)]
+        assert [len(rows) for rows in peak_rows] == [7, 2]
+
+    def test_figure1_full_height_step_rows_are_counted(self):
+        # Trial 0 of each figure-1 case, untraced as run_case runs it: the
+        # step rows evaluated on all of Z, one per group in round 1 and one
+        # per group in each later round.  With an every-8th-row bound level
+        # and rounds of up to 96 pairs they were 62, 151, 90, 134 and 111.
+        counts = {}
+        for name, case in sorted(ex.FIGURE1_CASES.items()):
+            _, _, noisy = ex.simulate_problem(case, ex.trial_seed(case.seed, 0))
+            symbol = case.build_symbol()
+            products = recorded_products(
+                noisy, ex.canonical_rule(case.M, case.rho), symbol,
+                ex.penalty_from_symbol(symbol, case.beta_exponent), case.alpha_grid,
+                case.lambda_grid, default_eval_grid(case.M, case.R),
+            )
+            counts[name] = sum(len(steps) for _, rows, steps in products if rows == 1)
+        assert counts == {"fig1a": 58, "fig1b": 76, "fig1c": 60, "fig1d": 76, "fig1e": 65}
+
+    def test_all_zero_figure1_samples_form_no_product_after_round_one(self):
+        # Every field is 0, so every bound and difference is 0: each
+        # group's round 1 pair wins, and every other pair could at most tie
+        # it at a larger index.  No peak-row or later round product is
+        # formed.
+        samples, *args = figure1_trial()
+        zeros = np.zeros_like(samples)
+        products = recorded_products(zeros, *args)
+        assert [(rows, len(steps)) for _, rows, steps in products] == [
+            (_BOUND_STRIDE, 52 * 51), (1, 52), (_BOUND_STRIDE, 2 * 51), (1, 2),
+        ]
+        assert_sweep_matches_dense(zeros, *args)
 
     def test_untraced_figure1_trial_prunes_the_outer_chain(self):
         # Traced, the chain's 102 step rows take one product over all of Z;
@@ -1118,23 +1201,26 @@ class TestSelectTwoStep:
         args = figure1_trial()
         products = {t: recorded_products(*args, trace=t) for t in (False, True)}
         full = {
-            t: [len(rows) for _, stride, rows in p if stride == 1]
+            t: [len(steps) for _, rows, steps in p if rows == 1]
             for t, p in products.items()
         }
         assert 2 * 51 in full[True] and 2 * 51 not in full[False]
         assert sum(full[False]) < sum(full[True]) - 51
 
-    def test_warm_trial_streams_the_field_sums_at_most_six_times(self):
-        # A pass over Z is one chunk of one product at full height; the
-        # nested pass of a figure-1 trial needs at most six.
+    def test_warm_trial_streams_the_field_sums_four_times(self):
+        # A pass over Z is one chunk of one product at full height.  A round
+        # takes at most one step row per group, so at most 52 and one
+        # chunk; the nested pass and the chain each take two rounds.  With
+        # an every-8th-row bound level and rounds of up to 96 pairs the
+        # trial took six.
         args = figure1_trial()
         select_two_step(*args)
         streams = [
-            -(-len(rows) // (_MAX_WIDTH // 2))
-            for _, stride, rows in recorded_products(*args)
-            if stride == 1
+            -(-len(steps) // (_MAX_WIDTH // 2))
+            for _, rows, steps in recorded_products(*args)
+            if rows == 1
         ]
-        assert sum(streams) <= 6
+        assert streams == [1, 1, 1, 1]
 
     def test_figure1_bit_equality_under_one_blas_thread(self):
         # The BLAS thread count is fixed at import, so these three checks
