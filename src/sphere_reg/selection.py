@@ -283,14 +283,12 @@ def _step_maxima(Z: np.ndarray, step: np.ndarray, q: np.ndarray, alpha_idx, pair
     |Z (f * parity)| give step row f's maximum, from each chunk's running
     maxima (_running_maxima).  On OpenBLAS each product of _step_products equals
     its slice of the full GEMM (``sphere-reg verify`` checks them), so the
-    maxima are bit-identical to the dense product's.  With peaks, an int
-    array as long as the step rows, peaks[p] is set to a row of Z where
-    step row p's maximum sits, on Z or on its antipodes: its offset into
-    the panels is where the running maxima peak, and _peak_rows finds its
-    panel once the chunks' panel buffers are freed.
+    maxima are bit-identical to the dense product's.  With peaks, a set, it
+    gains the rows of Z at each step row's peak offset in every panel, the
+    offset where the running maxima of the row or its parity copy peak; so
+    every step row's maximum sits on one of them, on Z or on its antipodes.
     """
     d, peak = np.empty(len(alpha_idx)), np.empty(_PANEL_ENTRIES)
-    found = []
     for cols, products in _step_products(Z, step, q, alpha_idx, pair_idx):
         running, starts = _running_maxima(products, peak)
         n = len(d[cols])
@@ -302,40 +300,9 @@ def _step_maxima(Z: np.ndarray, step: np.ndarray, q: np.ndarray, alpha_idx, pair
             at = (running[:, : 2 * n] == maxima).argmax(axis=0)
             copy = np.arange(n) + n * (maxima[n:] > maxima[:n])
             # np.unique's first call costs 1 MB of RSS.
-            offsets = sorted(set(at[copy].tolist()))
-            found.append((cols, starts, offsets))
-    for cols, starts, offsets in found:
-        peaks[cols] = _peak_rows(Z, starts, offsets, step, q, alpha_idx[cols], pair_idx[cols])
+            offsets = set(at[copy].tolist())
+            peaks.update((start + offset) % len(Z) for start in starts for offset in offsets)
     return d
-
-
-def _peak_rows(Z: np.ndarray, starts, offsets, step, q, alpha_idx, pair_idx) -> np.ndarray:
-    """Row of Z where each step row's maximum sits, among the rows starts + offsets.
-
-    The candidates are the given offsets into every panel, of
-    _product_rows(Z), that starts at starts, so row t means Z[t % len(Z)].
-    Their products with at most _MAX_WIDTH // 2 step rows go through
-    _step_products, a block of whole panels' candidates at a time, at most
-    _PANEL_ENTRIES // (M+1) rows or one panel's, so the gathered rows do
-    not grow with Z's.  Each step
-    row keeps the first candidate where max(|Z f|, |Z (f * parity)|) is
-    largest.
-    """
-    n = len(alpha_idx)
-    best, rows = np.full(n, -1.0), np.zeros(n, dtype=int)
-    span = max(1, _PANEL_ENTRIES // Z.shape[1] // len(offsets))
-    for lo in range(0, len(starts), span):
-        block = np.add.outer(starts[lo : lo + span], offsets).ravel() % len(Z)
-        for _, products in _step_products(Z[block], step, q, alpha_idx, pair_idx):
-            for panel, product in products:
-                fields = np.abs(product[:, : 2 * n], out=product[:, : 2 * n])
-                maxima = fields.max(axis=0)
-                copy = np.arange(n) + n * (maxima[n:] > maxima[:n])
-                value, at = maxima[copy], (fields == maxima).argmax(axis=0)[copy]
-                higher = value > best
-                best[higher] = value[higher]
-                rows[higher] = block[(panel.start + at[higher]) % len(block)]
-    return rows
 
 
 def _pruned_quasi_optimal(
@@ -355,20 +322,19 @@ def _pruned_quasi_optimal(
     antipodes) is an exact lower bound on its full one, its bound.  One
     product over every _BOUND_STRIDE-th row of Z and all n S step rows,
     group-major, bounds every pair.  Round 1 evaluates every group's
-    lowest-bound pair on all of Z in one product, which also gives the row
-    of Z where each of those fields peaks (_step_maxima's peaks).  The
-    fields of a group peak at few rows, so one product over those rows and
-    every pending pair raises each pending pair's bound to the larger of
-    the two.  A pair is pending while it can still win: its bound is below
-    its group's best difference so far, or equals it at a smaller index
-    than the chosen one (ties go to the smaller index, as in
-    _first_minimum).  Each later round evaluates every group's
-    lowest-bound pending pair, the smallest index among equal bounds, on
-    all of Z in one product, until none is pending.  A pair never
-    evaluated has a difference above the winner's, or equal to it at a
-    larger index: it can neither win nor take a tie.  Every product goes
-    through _step_maxima, so winners and differences are bit-identical to
-    the dense step-row pass.
+    lowest-bound pair on all of Z in one product, which also gathers rows
+    of Z that hold each of those fields' peaks (_step_maxima's peaks).  One
+    product over those rows and every pending pair raises each pending
+    pair's bound to the larger of the two.  A pair is pending while it can
+    still win: its bound is below its group's best difference so far, or
+    equals it at a smaller index than the chosen one (ties go to the
+    smaller index, as in _first_minimum).  Each later round evaluates
+    every group's lowest-bound pending pair, the smallest index among
+    equal bounds, on all of Z in one product, until none is pending.  A
+    pair never evaluated has a difference above the winner's, or equal to
+    it at a larger index: it can neither win nor take a tie.  Every
+    product goes through _step_maxima, so winners and differences are
+    bit-identical to the dense step-row pass.
     """
     n, S = alpha_idx.shape
     if S == 0:
@@ -390,11 +356,11 @@ def _pruned_quasi_optimal(
         can_win = (bounds < best[:, None]) | ((bounds == best[:, None]) & (index < chosen[:, None]))
         return np.nonzero(can_win & ~evaluated)
 
-    peaks = np.empty(n, dtype=int)
+    peaks = set()
     evaluate(np.arange(n), np.argmin(bounds, axis=1), peaks)
     groups, pairs = pending()
     if groups.size:
-        rows = Z[sorted(set(peaks.tolist()))]
+        rows = Z[sorted(peaks)]
         near = _step_maxima(rows, step, q, alpha_idx[groups, pairs], pair_idx[groups, pairs])
         bounds[groups, pairs] = np.maximum(bounds[groups, pairs], near)
         groups, pairs = pending()

@@ -224,10 +224,12 @@ def _check_gemm_slices(M: int) -> CheckResult:
     row; round products of every chunk width, 1 to _MAX_WIDTH // 2 rows,
     over all rows; the 102-row chain of both outer passes (51 winner steps,
     then 51 lambda = 0 steps), its bound product when pruned and its
-    product over all rows when traced; and the products over round 1's
-    peak rows, 1 to 16 gathered rows at every chunk width, 6 or fewer rows
-    repeated as the sweep repeats them.  Products are stacked back, so a
-    row their panels miss fails too.
+    product over all rows when traced; and the products over the rows
+    gathered at round 1's peak offsets, at every chunk width: 1 to 16
+    rows, 6 or fewer repeated as the sweep repeats them, and 17 to 1,100
+    rows, in one panel, in several with a partial last one, and past the
+    narrowest products' _PANEL_ROWS.  Products are stacked back, so a row
+    their panels miss fails too.
     """
     rng = np.random.default_rng(6)
     grid = EvalGrid(sphere_rule(2 * M, 1.0))
@@ -248,7 +250,7 @@ def _check_gemm_slices(M: int) -> CheckResult:
         (every, np.r_[0:51, 100:151]),
         *((every, rng.permutation(len(factors))[:w]) for w in widths),
     ]
-    for g in range(1, 17):
+    for g in (*range(1, 18), 100, 174, 498, 1100):
         rows = np.sort(rng.choice(len(Z), g, replace=False))
         products += [(rows, rng.permutation(len(factors))[:w]) for w in widths]
     mismatched = sum(

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -312,7 +313,7 @@ def kernel_calls(Z, L):
 
     Each call is (rows of Z it multiplies, its (alpha, pair) step rows): the
     bound product over Z[::_BOUND_STRIDE], the round products over all of
-    Z and the product over round 1's peak rows.
+    Z and the product over the rows gathered at round 1's peaks.
     """
     calls = []
     real = selection._step_maxima
@@ -873,10 +874,10 @@ def recorded_products(
 
     Z is the call's field sums in full and the product's rows are
     rows_of(Z, rows): rows is a row stride, _BOUND_STRIDE or 1, or for the
-    product over round 1's peak rows a tuple of their indices.  The step
-    rows are rebuilt from the kernel's arguments.  Without trace, as a
-    figure-1 trial runs, the outer chain is pruned; with it, the chain is
-    one product over all of Z.
+    product over the rows gathered at round 1's peaks a tuple of their
+    indices.  The step rows are rebuilt from the kernel's arguments.
+    Without trace, as a figure-1 trial runs, the outer chain is pruned;
+    with it, the chain is one product over all of Z.
     """
     M = rule.M
     coeffs = analyze(samples, rule, M)
@@ -900,7 +901,7 @@ def recorded_products(
 
 
 def row_index(Z, rows):
-    """Indices into Z of recorded_products' rows: a stride's or the peak rows'."""
+    """Indices into Z of recorded_products' rows: a stride's or the gathered rows'."""
     return np.arange(len(Z))[::rows] if isinstance(rows, int) else np.array(rows)
 
 
@@ -1092,13 +1093,14 @@ class TestSelectTwoStep:
         # its maxima equal the dense reduction of that slice.  The nested
         # pass's bound product stacks 52 alphas' 51 (or 192) step rows; the
         # round products take one step row per alpha, each beside its
-        # parity copy, and the product over round 1's peak rows every
-        # pending one, on a few rows of Z, repeated where there are 6 or
-        # fewer.  The chain of both outer passes, 102 step rows, takes a
-        # bound product, rounds and a peak-row product when pruned, and one
-        # product over all of Z when traced.  One-alpha sweeps form the
-        # bound products of 51 and 192 rows, and a traced 26-alpha sweep a
-        # chain of 50.
+        # parity copy, and the product over the rows gathered from round
+        # 1's peaks every pending one: a few rows of Z, repeated where there
+        # are 6 or fewer, or rows over several full-width panels, the last
+        # one partial.  The chain of both outer passes, 102 step rows, takes
+        # a bound product, rounds and a gathered-row product when pruned,
+        # and one product over all of Z when traced.  One-alpha sweeps form
+        # the bound products of 51 and 192 rows, and a traced 26-alpha sweep
+        # a chain of 50.
         args = figure1_trial()
         lambdas_193 = np.geomspace(1e-5, 1.0, 193)
         products = recorded_products(*args)
@@ -1115,8 +1117,9 @@ class TestSelectTwoStep:
             (coarse, 51), (coarse, 192), (coarse, 52 * 51), (coarse, 52 * 192),
             (coarse, 102), (1, 52), (1, 102), (1, 50),
         } <= shapes
-        peak_rows = {len(rows) for _, rows, _ in products if rows not in (coarse, 1)}
-        assert min(peak_rows) <= 6 < max(peak_rows) <= 16
+        gathered = {len(rows) for _, rows, _ in products if rows not in (coarse, 1)}
+        panel = _PANEL_ENTRIES // _MAX_WIDTH
+        assert min(gathered) <= 6 and any(g > panel and g % panel for g in gathered)
         assert_products_are_gemm_slices(products)
 
     def test_bound_products_on_few_rows_or_many_lambdas_are_gemm_slices(self):
@@ -1149,7 +1152,7 @@ class TestSelectTwoStep:
         bounds = [p for p in products if p[1] != 1]
         # One coarse product per grid for the nested pass's two alphas, one
         # for their outer chain, one for its alpha = 0 alone; the products
-        # over round 1's peak rows ride along.
+        # over the rows gathered at round 1's peaks ride along.
         assert sum(p[1] == _BOUND_STRIDE for p in bounds) == 3 * 10
         assert_products_are_gemm_slices(bounds)
 
@@ -1157,13 +1160,57 @@ class TestSelectTwoStep:
         # The inner pass's 52 x 51 step rows on the coarse subsample, its
         # alpha = 0 row giving the smoothing-only pick; then the outer
         # chain's 2 x 51 step rows, the nested and the collocation-only
-        # pick's.  After round 1, one product over its peak rows, a few rows
-        # of Z, tightens the bounds of each pass's pending pairs.
+        # pick's.  After round 1, one product over the rows at its peak
+        # offsets in every panel tightens the bounds of each pass's pending
+        # pairs.  The inner pass's 52 round 1 fields peak at 7 offsets of
+        # its 25 panels of 157 rows, less one row where the last panel
+        # overlaps the one before; the chain's 2 at 2 offsets of 4 panels.
         products = recorded_products(*figure1_trial())
         coarse = [len(steps) for _, rows, steps in products if rows == _BOUND_STRIDE]
         assert coarse == [52 * 51, 2 * 51]
-        peak_rows = [rows for _, rows, _ in products if rows not in (_BOUND_STRIDE, 1)]
-        assert [len(rows) for rows in peak_rows] == [7, 2]
+        gathered = [rows for _, rows, _ in products if rows not in (_BOUND_STRIDE, 1)]
+        assert [len(rows) for rows in gathered] == [174, 8]
+
+    def test_round_one_peak_rows_are_among_the_gathered_rows(self):
+        # Each round 1 field's peak on all of Z and its antipodes, the row
+        # of the dense argmax over np.vstack((Z, Z * parity)) taken back to
+        # Z's row, is one of the rows _step_maxima gathers: for the inner
+        # pass's 52 fields and for the pruned chain's 2.
+        calls = []
+        real = selection._step_maxima
+
+        def record(Z, step, q, alpha_idx, pair_idx, peaks=None):
+            d = real(Z, step, q, alpha_idx, pair_idx, peaks)
+            if peaks is not None:
+                calls.append((Z, step[pair_idx] * q[alpha_idx], peaks))
+            return d
+
+        with mock.patch.object(selection, "_step_maxima", record):
+            select_two_step(*figure1_trial(), trace=False)
+        assert [len(steps) for _, steps, _ in calls] == [52, 2]
+        for Z, steps, peaks in calls:
+            full = np.vstack((Z, Z * _parity(Z.shape[1])))
+            rows = np.abs(gemm(full, steps)).argmax(axis=0) % len(Z)
+            assert set(rows.tolist()) <= peaks
+
+    def test_matrix_products_are_formed_only_in_the_product_layout(self):
+        # A product outside _step_products' panel shapes can land on
+        # OpenBLAS's threaded GEMM inside run_case's forked workers, where
+        # one made the figure-1 pool 2.4 times slower.  Besides that layout
+        # only the candidate checks and select_single, the dense oracle no
+        # sweep calls, multiply matrices in selection.py.
+        tree = ast.parse(Path(selection.__file__).read_text())
+        calls = {"matmul", "dot", "einsum", "tensordot", "inner", "vdot"}
+        owners = set()
+        for top in tree.body:
+            for node in ast.walk(top):
+                op = getattr(node, "op", None)
+                func = getattr(node, "func", None)
+                if isinstance(op, ast.MatMult) or (
+                    isinstance(func, ast.Attribute) and func.attr in calls
+                ):
+                    owners.add(getattr(top, "name", None))
+        assert owners == {"_step_products", "_check_candidates", "select_single"}
 
     def test_figure1_full_height_step_rows_are_counted(self):
         # Trial 0 of each figure-1 case, untraced as run_case runs it: the
@@ -1185,7 +1232,7 @@ class TestSelectTwoStep:
     def test_all_zero_figure1_samples_form_no_product_after_round_one(self):
         # Every field is 0, so every bound and difference is 0: each
         # group's round 1 pair wins, and every other pair could at most tie
-        # it at a larger index.  No peak-row or later round product is
+        # it at a larger index.  No gathered-row or later round product is
         # formed.
         samples, *args = figure1_trial()
         zeros = np.zeros_like(samples)
